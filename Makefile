@@ -43,7 +43,7 @@ COVERPROFILE ?= cover.out
 LOADSIM_ARGS      ?= -items 400 -workers 32 -commit-interval 10ms -queue 1024 -seed 1
 PLATFORM_BENCHOUT ?= platform_bench.out
 
-.PHONY: build test test-sequential test-sharded test-disk-backend lint vet fmt staticcheck bench benchcheck loadcheck cover crashcheck crashcheck-content fuzz linkcheck ci
+.PHONY: build test test-sequential test-sharded test-disk-backend bench-test lint vet fmt staticcheck bench benchcheck loadcheck cover crashcheck crashcheck-content fuzz linkcheck ci
 
 build:
 	$(GO) build $(PKGS)
@@ -76,6 +76,13 @@ test-sharded:
 # storage layer and crash recovery directly.
 test-disk-backend:
 	CYLOG_BACKEND=disk CYLOG_BACKEND_BUDGET=16384 $(GO) test -race ./internal/platform/ ./internal/api/
+
+# The repository benchmark (bench/, see bench/README.md) is its own Go
+# module, so `go test ./...` from the root never reaches it. This runs its
+# unit tests, including a smoke run of every workload with the from-scratch
+# reference check.
+bench-test:
+	cd bench && $(GO) test -race .
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -152,4 +159,4 @@ fuzz:
 linkcheck:
 	$(GO) test -run TestMarkdownLinks -count=1 ./internal/docs/
 
-ci: build lint test test-sequential test-sharded test-disk-backend linkcheck benchcheck cover crashcheck crashcheck-content
+ci: build lint test test-sequential test-sharded test-disk-backend bench-test linkcheck benchcheck cover crashcheck crashcheck-content

@@ -181,3 +181,51 @@ func TestPerProjectCommitCadence(t *testing.T) {
 		t.Fatalf("cadence override had no effect: fast committed %d rounds, slow %d", fast, slow)
 	}
 }
+
+// TestDeriverCommitsStagedFacts pins that a fact POSTed to an idle project is
+// derived by the background deriver on its own: no worker answers, so the
+// round holds no answers, yet a fixpoint event must arrive and the task the
+// fact opens must appear in the feed.
+func TestDeriverCommitsStagedFacts(t *testing.T) {
+	p := platform.New()
+	if _, err := p.RegisterProject(project.Description{
+		ID: "idle", Name: "Idle", CyLogSource: labelingProgram, CommitInterval: 40 * time.Millisecond,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(p, Options{CommitInterval: 10 * time.Millisecond})
+	ts := httptest.NewServer(srv)
+	t.Cleanup(func() { ts.Close(); srv.Close() })
+
+	base := ts.URL + "/api/v1/projects/idle"
+	do(t, "POST", base+"/facts", FactRequest{Relation: "item", Values: []any{1}}, nil)
+	do(t, "POST", base+"/fixpoint", nil, nil)
+
+	fixpoints := make(chan uint64, 16)
+	cancel := p.Subscribe(func(e platform.Event) {
+		if e.Kind == "fixpoint" {
+			fixpoints <- e.Round
+		}
+	})
+	defer cancel()
+	if resp := do(t, "POST", base+"/facts", FactRequest{Relation: "item", Values: []any{2}}, nil); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("fact: status %d", resp.StatusCode)
+	}
+	select {
+	case round := <-fixpoints:
+		if round != 2 {
+			t.Errorf("deriver committed round %d, want 2", round)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("no fixpoint event: the deriver never committed the staged fact")
+	}
+	var feed TaskFeed
+	do(t, "GET", base+"/tasks", nil, &feed)
+	found := false
+	for _, tv := range feed.Tasks {
+		found = found || tv.ID == "label|2"
+	}
+	if !found || feed.Total != 2 {
+		t.Fatalf("feed after the deriver's commit = %+v, want label|1 and label|2", feed)
+	}
+}

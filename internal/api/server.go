@@ -47,8 +47,8 @@ type Options struct {
 	// submissions beyond it get 429. Zero means DefaultQueueCapacity.
 	QueueCapacity int
 	// CommitInterval is the background deriver's cadence: every interval,
-	// each project with staged answers gets a round commit (incremental
-	// fixpoint + WAL). Zero disables the deriver — rounds then commit only
+	// each project with staged answers or facts gets a round commit
+	// (incremental fixpoint + WAL). Zero disables the deriver — rounds then commit only
 	// via POST .../fixpoint, which is what the differential tests use to
 	// make round boundaries deterministic.
 	CommitInterval time.Duration
@@ -136,8 +136,8 @@ func (s *Server) Close() {
 }
 
 // deriveLoop is the background fixpoint pump: every CommitInterval tick it
-// commits one round for each project with staged answers whose own cadence
-// has elapsed. A project may override the server-wide interval through
+// commits one round for each project with staged answers or staged facts
+// whose own cadence has elapsed. A project may override the server-wide interval through
 // Description.CommitInterval (POST/PATCH carry it as commit_interval_ms);
 // overrides are rounded up to the tick granularity, since the base ticker is
 // the only clock. One loop serves every project, so commits for different
@@ -155,7 +155,11 @@ func (s *Server) deriveLoop() {
 		case now := <-ticker.C:
 			for _, a := range s.p.Projects.All() {
 				id := a.Description.ID
-				if s.p.Engine(id) == nil || s.p.StagedAnswers(id) == 0 {
+				// Facts POSTed to /facts land in the engine directly, not in
+				// the round's batch: they need a commit too, or an idle
+				// project would never derive them.
+				eng := s.p.Engine(id)
+				if eng == nil || (s.p.StagedAnswers(id) == 0 && eng.StagedDeltas() == 0) {
 					continue
 				}
 				if iv := a.Description.CommitInterval; iv > s.opts.CommitInterval {
@@ -444,7 +448,10 @@ func (s *Server) handleFact(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Facts take effect at the next round commit (deriver tick or explicit
-	// fixpoint), exactly like a direct AddFact before RunIncremental.
+	// fixpoint), exactly like a direct AddFact before RunIncremental. The
+	// deriver commits for staged facts alone, so an idle project derives
+	// them too — once its first fixpoint has run (before it nothing is
+	// staged, and the first commit is an explicit POST .../fixpoint).
 	writeJSON(w, http.StatusAccepted, map[string]any{"ok": true})
 }
 

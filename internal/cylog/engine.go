@@ -91,6 +91,12 @@ type Stats struct {
 	// DeltaHashProbes counts per-binding lookups answered by the per-round
 	// hash of the delta frontier instead of a linear delta scan.
 	DeltaHashProbes int
+	// RequestChecks counts the bindings that reached an open atom's request
+	// check (does the binding determine a key with no fact yet?). A variant
+	// restricted to a seeded open delta skips the check at that atom and at
+	// the open atoms before it, so a one-answer incremental run makes a
+	// number of checks that does not grow with the pending set.
+	RequestChecks int
 	// ParallelTasks counts the evaluation work units (rule variants and their
 	// shards) dispatched during parallel stratum evaluation; it stays zero
 	// when the engine runs sequentially.
@@ -146,6 +152,7 @@ func (s *Stats) merge(o Stats) {
 	s.IndexHits += o.IndexHits
 	s.FullScans += o.FullScans
 	s.DeltaHashProbes += o.DeltaHashProbes
+	s.RequestChecks += o.RequestChecks
 	s.PlanCacheHits += o.PlanCacheHits
 	s.PlanCacheMisses += o.PlanCacheMisses
 }
@@ -661,6 +668,22 @@ func (e *Engine) stageDelta(relation string, t relstore.Tuple) {
 		return
 	}
 	e.staged[relation] = append(e.staged[relation], t)
+}
+
+// StagedDeltas reports how many tuples were ingested through the engine
+// (AddFact, Answer, AnswerFact) since the last completed fixpoint and await
+// derivation by the next RunIncremental. Answers still staged in an
+// AnswerBatch are not counted; they land when the batch commits. Before the
+// first completed fixpoint nothing is staged (the first run is always full),
+// so this reports 0.
+func (e *Engine) StagedDeltas() int {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	n := 0
+	for _, ts := range e.staged {
+		n += len(ts)
+	}
+	return n
 }
 
 // claimBookkeeper asserts the single-writer invariant of request and
@@ -1339,6 +1362,7 @@ func (e *Engine) RunToFixpointWithOracle(oracle func(OpenRequest) (map[string]an
 		total.IndexHits += s.IndexHits
 		total.FullScans += s.FullScans
 		total.DeltaHashProbes += s.DeltaHashProbes
+		total.RequestChecks += s.RequestChecks
 		total.ParallelTasks += s.ParallelTasks
 		total.ShardLocalTuples += s.ShardLocalTuples
 		total.ShardExchanges += s.ShardExchanges
@@ -1744,7 +1768,7 @@ func (e *Engine) evaluateRule(r *Rule, v ruleVariant, stats *Stats, sink *reques
 				if v.deltaAtom == st.bodyIndex {
 					restrict = v.deltaTuples
 				}
-				bindings, err = e.joinAtom(l, st.probeCols, bindings, restrict, stats, sink)
+				bindings, err = e.joinAtom(l, st.probeCols, bindings, restrict, stats, e.requestSinkFor(r, v, st.bodyIndex, sink))
 				if err != nil {
 					return nil, err
 				}
@@ -1776,7 +1800,9 @@ const deltaHashMinTuples = 16
 
 // joinAtom extends each binding with the tuples of the atom's relation that
 // are consistent with it. For open relations it additionally records a task
-// request candidate for every binding whose key has no matching fact yet.
+// request candidate for every binding whose key has no matching fact yet,
+// unless sink is nil (requestSinkFor: no binding of this step can open a new
+// request).
 //
 // When probeCols names bound term positions and the relation carries (or
 // earns, via the auto-indexing policy) a matching composite index, each
@@ -1793,7 +1819,10 @@ func (e *Engine) joinAtom(a *Atom, probeCols []int, bindings []binding, restrict
 		return nil, fmt.Errorf("cylog: relation %q is not declared", a.Predicate)
 	}
 	decl := e.analysis.Program.DeclarationFor(a.Predicate)
-	open := decl != nil && decl.Open
+	open := sink != nil && decl != nil && decl.Open
+	if open {
+		stats.RequestChecks += len(bindings)
+	}
 
 	if restrict == nil && len(probeCols) > 0 && e.shouldProbe(rel, probeCols) {
 		vals := make([]relstore.Value, len(probeCols))
@@ -1907,6 +1936,25 @@ func (e *Engine) shouldProbe(rel *relstore.Relation, probeCols []int) bool {
 type requestSink struct {
 	seen map[string]bool
 	reqs []OpenRequest
+}
+
+// requestSinkFor returns the sink the positive atom at bodyIndex records
+// request candidates into under variant v, or nil when none of its bindings
+// can open a new request: v restricts an open atom to its seeded delta, and
+// the atom is that one or an open atom before it in source order. A request
+// at such an atom is determined by the literals written before it, which
+// never include the restricted delta. If those literals matched tuples that
+// all stood at the last fixpoint, the request was generated then or its key
+// had a fact, and open relations never shrink. If they matched a new tuple,
+// the variant restricting that tuple's own delta reaches the atom later in
+// source order, where request generation still runs. Skipping these checks
+// keeps a one-answer round from re-checking every pending request, and frees
+// the planner to hoist the delta atom (planRule).
+func (e *Engine) requestSinkFor(r *Rule, v ruleVariant, bodyIndex int, sink *requestSink) *requestSink {
+	if v.deltaAtom >= bodyIndex && e.analysis.OpenRelations[r.Body[v.deltaAtom].(*Atom).Predicate] {
+		return nil
+	}
+	return sink
 }
 
 func (s *requestSink) add(req OpenRequest) {

@@ -156,7 +156,7 @@ func (e *Engine) evaluateRuleRows(r *Rule, rs *rowSchema, v ruleVariant, stats *
 				if v.deltaAtom == st.bodyIndex {
 					restrict = v.deltaTuples
 				}
-				in, err = e.joinAtomBatch(l, refs, st.probeCols, in, restrict, st.estMatches, stats, sink)
+				in, err = e.joinAtomBatch(l, refs, st.probeCols, in, restrict, st.estMatches, stats, e.requestSinkFor(r, v, st.bodyIndex, sink))
 				if err != nil {
 					return nil, err
 				}
@@ -218,7 +218,10 @@ func (e *Engine) joinAtomBatch(a *Atom, refs []termRef, probeCols []int, in *row
 		return nil, fmt.Errorf("cylog: relation %q is not declared", a.Predicate)
 	}
 	decl := e.analysis.Program.DeclarationFor(a.Predicate)
-	open := decl != nil && decl.Open
+	open := sink != nil && decl != nil && decl.Open
+	if open {
+		stats.RequestChecks += in.rows()
+	}
 	out := &rowBatch{width: in.width}
 	if estMatches > 0 {
 		rows := in.rows() * estMatches

@@ -1,0 +1,327 @@
+package cylog
+
+import (
+	"fmt"
+	"testing"
+	"testing/quick"
+)
+
+// seededOpenProgram gathers the rule shapes a seeded open delta variant can
+// meet that the crowd programs of the benchmarks do not:
+//
+//   - chain: an open atom after the seeded one whose key only the seeded
+//     atom binds — answering o1(X, Y) must ask o2 about Y in the same round;
+//   - chk: two open atoms with the delta on the second (the translate
+//     program's needCheck shape), fed by need's requests for t;
+//   - guarded: a negation before the open atom, which pins the delta atom
+//     behind it;
+//   - every rule leads with the EDB relation a, so an AddFact in the same
+//     round as an answer seeds a prefix delta next to the open one.
+const seededOpenProgram = `
+rel a(x: int).
+rel b(x: int).
+open rel o1(x: int, y: int) key(x) asks "first".
+open rel o2(y: int, z: int) key(y) asks "second".
+open rel t(s: int, text: string) key(s) asks "translate".
+open rel c(s: int, ok: bool) key(s) asks "check".
+rel chain(x: int, z: int).
+rel need(s: int).
+rel chk(s: int, text: string).
+rel guarded(x: int, y: int).
+
+chain(X, Z) :- a(X), o1(X, Y), o2(Y, Z).
+need(S) :- a(S), t(S, _).
+chk(S, T) :- t(S, T), c(S, _).
+guarded(X, Y) :- a(X), !b(X), o1(X, Y).
+`
+
+// seededOpenAnswer derives a request's open-column values from its key, so
+// every configuration answers identically.
+func seededOpenAnswer(r OpenRequest) map[string]any {
+	k, _ := r.KeyValues[0].AsInt()
+	switch r.Relation {
+	case "o1":
+		return map[string]any{"y": int(k % 3)}
+	case "o2":
+		return map[string]any{"z": int(k * 10)}
+	case "t":
+		return map[string]any{"text": fmt.Sprintf("t%d", k)}
+	default: // c
+		return map[string]any{"ok": k%2 == 0}
+	}
+}
+
+// seededOpenConfig is one cell of the seeded-open differential matrix.
+type seededOpenConfig struct {
+	name                string
+	columnar, indexing  bool
+	parallelism, shards int
+}
+
+func seededOpenMatrix() []seededOpenConfig {
+	var out []seededOpenConfig
+	for _, columnar := range []bool{true, false} {
+		for _, indexing := range []bool{true, false} {
+			for _, par := range []int{1, 4} {
+				for _, shards := range []int{1, 4} {
+					out = append(out, seededOpenConfig{
+						name: fmt.Sprintf("columnar=%v/indexed=%v/par%d/shards%d",
+							columnar, indexing, par, shards),
+						columnar: columnar, indexing: indexing,
+						parallelism: par, shards: shards,
+					})
+				}
+			}
+		}
+	}
+	return out
+}
+
+func (cfg seededOpenConfig) apply(e *Engine) {
+	e.SetColumnarBindings(cfg.columnar)
+	e.SetIndexing(cfg.indexing)
+	e.SetParallelism(cfg.parallelism)
+	e.SetShards(cfg.shards)
+}
+
+// driveSeededOpenRounds runs the crowd loop on seededOpenProgram under one
+// configuration: a full Run, then rounds that each answer a picks-driven
+// subset of the pending requests and, in the same round, AddFact a new a
+// (and, every other round, a b that retracts a guarded fact). After every
+// round the engine's facts and pending requests must equal a from-scratch
+// engine fed the same facts and answers at once.
+func driveSeededOpenRounds(t *testing.T, cfg seededOpenConfig, items, picks []uint8, rounds int) {
+	t.Helper()
+	e, err := NewEngine(MustParse(seededOpenProgram))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.apply(e)
+	type fact struct {
+		rel  string
+		vals []any
+	}
+	var base, answers []fact
+	addFact := func(rel string, v int) {
+		if err := e.AddFact(rel, v); err != nil {
+			t.Fatal(err)
+		}
+		base = append(base, fact{rel, []any{v}})
+	}
+	for _, n := range items {
+		addFact("a", int(n%16))
+	}
+	scratch := func() string {
+		f, err := NewEngine(MustParse(seededOpenProgram))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.apply(f)
+		for _, bf := range base {
+			if err := f.AddFact(bf.rel, bf.vals...); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, af := range answers {
+			if err := f.AnswerFact(af.rel, af.vals...); err != nil {
+				t.Fatal(err)
+			}
+		}
+		reqs, err := f.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return dbFingerprint(f, reqs)
+	}
+
+	reqs, err := e.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := 1; ; round++ {
+		if got, want := dbFingerprint(e, reqs), scratch(); got != want {
+			t.Fatalf("%s: round %d diverges from the from-scratch engine:\n%s\nvs\n%s", cfg.name, round-1, got, want)
+		}
+		if round > rounds || len(reqs) == 0 {
+			return
+		}
+		batch := e.NewAnswerBatch()
+		for _, p := range picks {
+			r := reqs[int(p)%len(reqs)]
+			vals := seededOpenAnswer(r)
+			if batch.Answer(r.ID, vals) != nil {
+				continue // picked twice this round
+			}
+			tuple := []any{r.KeyValues[0]}
+			for _, col := range r.OpenColumns {
+				tuple = append(tuple, vals[col])
+			}
+			answers = append(answers, fact{r.Relation, tuple})
+		}
+		addFact("a", 16+round)
+		if round%2 == 0 {
+			addFact("b", int(picks[0]%16))
+		}
+		if reqs, err = e.RunIncremental(batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestSeededOpenDeltaDifferential checks the delta-led open atom plans and
+// the request checks they skip against from-scratch evaluation, over
+// {columnar, map} x {indexed, scan} x {par 1, 4} x {shards 1, 4}: every
+// round's facts and pending request ids must be byte-identical.
+func TestSeededOpenDeltaDifferential(t *testing.T) {
+	matrix := seededOpenMatrix()
+	f := func(items, picks []uint8) bool {
+		if len(items) == 0 {
+			items = []uint8{1}
+		}
+		if len(picks) == 0 {
+			picks = []uint8{0}
+		}
+		if len(picks) > 6 {
+			picks = picks[:6]
+		}
+		for _, cfg := range matrix {
+			driveSeededOpenRounds(t, cfg, items, picks, 4)
+		}
+		return !t.Failed()
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 8}); err != nil {
+		t.Error(err)
+	}
+}
+
+// labelingProgram and translateProgram are the served crowd programs:
+// crowdserve's demo labeling project, and the paper's translate → check →
+// final collaboration.
+const (
+	labelingProgram = `
+rel item(id: int).
+open rel label(id: int, ok: bool) key(id) asks "Is this item acceptable?".
+rel labeled(id: int).
+rel flagged(id: int).
+
+labeled(I) :- item(I), label(I, true).
+flagged(I) :- item(I), !labeled(I).
+`
+	translateProgram = `
+rel sentence(sid: int, text: string).
+open rel translated(sid: int, text: string) key(sid) asks "Translate this subtitle line" scheme "sequential".
+open rel checked(sid: int, ok: bool) key(sid) asks "Is this translation faithful and fluent?".
+rel needTranslation(sid: int).
+rel needCheck(sid: int, text: string).
+rel final(sid: int, text: string).
+
+needTranslation(S) :- sentence(S, _), translated(S, _).
+needCheck(S, T) :- translated(S, T), checked(S, _).
+final(S, T) :- translated(S, T), checked(S, true).
+`
+)
+
+// seededProgramEngine returns an engine over program with n seed facts
+// (item(i), or sentence(i, "s<i>")) brought to its first fixpoint, which
+// leaves one pending request per seed.
+func seededProgramEngine(tb testing.TB, program string, n int) *Engine {
+	tb.Helper()
+	e, err := NewEngine(MustParse(program))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for i := 1; i <= n; i++ {
+		if program == labelingProgram {
+			err = e.AddFact("item", i)
+		} else {
+			err = e.AddFact("sentence", i, fmt.Sprintf("s%d", i))
+		}
+		if err != nil {
+			tb.Fatal(err)
+		}
+	}
+	reqs, err := e.Run()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if len(reqs) != n {
+		tb.Fatalf("first fixpoint left %d pending requests, want %d", len(reqs), n)
+	}
+	return e
+}
+
+// answerOne commits a one-answer round and returns its Stats.
+func answerOne(tb testing.TB, e *Engine, id string, vals map[string]any) Stats {
+	tb.Helper()
+	batch := e.NewAnswerBatch()
+	if err := batch.Answer(id, vals); err != nil {
+		tb.Fatal(err)
+	}
+	if _, err := e.RunIncremental(batch); err != nil {
+		tb.Fatal(err)
+	}
+	return e.Stats()
+}
+
+// TestOneAnswerRequestChecksIndependentOfPending pins the cost model of a
+// one-answer round: the bindings that reach an open atom's request check
+// (Stats.RequestChecks) depend on the answer, not on how many requests are
+// pending. Before seeded open deltas led their rules, every such round
+// re-checked the request of every pending item or sentence.
+func TestOneAnswerRequestChecksIndependentOfPending(t *testing.T) {
+	rounds := func(program string, n int) []int {
+		e := seededProgramEngine(t, program, n)
+		if program == labelingProgram {
+			return []int{
+				answerOne(t, e, "label|1", map[string]any{"ok": true}).RequestChecks,
+				answerOne(t, e, "label|2", map[string]any{"ok": false}).RequestChecks,
+			}
+		}
+		return []int{
+			answerOne(t, e, "translated|1", map[string]any{"text": "t1"}).RequestChecks,
+			answerOne(t, e, "checked|1", map[string]any{"ok": true}).RequestChecks,
+		}
+	}
+	for _, program := range []string{labelingProgram, translateProgram} {
+		small, large := rounds(program, 1000), rounds(program, 4000)
+		if fmt.Sprint(small) != fmt.Sprint(large) {
+			t.Errorf("RequestChecks per one-answer round: %v at 1k pending, %v at 4k", small, large)
+		}
+		for _, n := range small {
+			if n > 4 {
+				t.Errorf("one-answer round made %d request checks, want a handful: %v", n, small)
+			}
+		}
+	}
+}
+
+// BenchmarkSeededAnswerRound prices one answer's RunIncremental — the
+// engine's share of answer→fixpoint latency — on the labeling program with
+// 1k and 10k pending requests. Each op commits a one-answer round whose
+// label is true, so every round also retracts the item from the negated
+// flagged stratum, as in crowdserve's labeling project. A warm-up round
+// before timing builds the indexes and plans the steady-state rounds reuse.
+// Labeled items shrink what the retraction recomputes, so the engine is
+// rebuilt (untimed) every roundsPerEngine rounds to keep ops alike.
+func BenchmarkSeededAnswerRound(b *testing.B) {
+	const roundsPerEngine = 32
+	for _, n := range []int{1000, 10000} {
+		b.Run(fmt.Sprintf("label-%dk", n/1000), func(b *testing.B) {
+			b.ReportAllocs()
+			var e *Engine
+			next := roundsPerEngine
+			for i := 0; i < b.N; i++ {
+				if next >= roundsPerEngine {
+					b.StopTimer()
+					e = seededProgramEngine(b, labelingProgram, n)
+					e.SetParallelism(1)
+					answerOne(b, e, "label|1", map[string]any{"ok": true})
+					next = 1
+					b.StartTimer()
+				}
+				next++
+				answerOne(b, e, fmt.Sprintf("label|%d", next), map[string]any{"ok": true})
+			}
+		})
+	}
+}

@@ -15,9 +15,9 @@ import (
 //     reached (its probe columns), so the engine can answer the join with an
 //     indexed equality lookup instead of a full-relation scan.
 //
-// Reordering is only ever applied to positive atoms over *closed* relations,
-// because the engine's observable behaviour depends on the evaluation
-// position of everything else:
+// Reordering is applied to positive atoms over *closed* relations, because
+// the engine's observable behaviour depends on the evaluation position of
+// everything else:
 //
 //   - open atoms generate human task requests from the bindings that reach
 //     them, so the set of literals evaluated before an open atom must stay
@@ -29,12 +29,19 @@ import (
 //
 // Those literals therefore act as barriers: they stay in source order, and
 // the planner greedily reorders only the runs of closed positive atoms
-// between them. Within a run the choice is boundness-driven — atoms whose
-// join columns are already bound come first (they can be answered by an index
-// probe). Ties between equally-bound atoms break by estimated matches per
-// probe when the catalog carries per-column distinct counts (cost-aware
-// planning, cylog.SetCostPlanning), then by cardinality, then by source
-// position so plans are deterministic and stable.
+// between them. The one exception is an open atom restricted to its seeded
+// delta (the answers of an incremental run): the engine generates no
+// requests at that atom or at any open atom before it (see requestSinkFor),
+// so nothing observable depends on its position, and it is hoisted ahead of
+// the positive atoms before it — back to the nearest negation or comparison
+// — where its few tuples bind the variables the prefix is then probed on.
+//
+// Within a run the choice is boundness-driven — atoms whose join columns are
+// already bound come first (they can be answered by an index probe). Ties
+// between equally-bound atoms break by estimated matches per probe when the
+// catalog carries per-column distinct counts (cost-aware planning,
+// cylog.SetCostPlanning), then by cardinality, then by source position so
+// plans are deterministic and stable.
 
 // planStep is one body literal in execution order.
 type planStep struct {
@@ -95,10 +102,14 @@ func estMatchesPerProbe(cat planCatalog, a *Atom, probeCols []int) float64 {
 // Seeded incremental passes widen what deltaAtom can point at: a recursive
 // fixpoint only restricts in-stratum (closed, derived) atoms, but a seed
 // delta names any relation answers or fresh facts landed in — most often an
-// *open* relation. Open atoms are barriers, so a seeded open delta atom is
-// not pulled to the front: it keeps its source position (request generation
-// depends on what is bound when it runs) and the restriction applies there,
-// while the closed atoms around it reorder exactly as in a full pass.
+// *open* relation. A seeded open delta atom leads its segment: it is
+// scheduled ahead of every positive atom (closed or open) between the
+// nearest preceding negation or comparison and itself, so the prefix is
+// answered by probes on the delta's bindings instead of being scanned once
+// per pass. Negations and comparisons before it keep it behind them. The
+// move is safe because the engine generates no requests at the hoisted atom
+// or at any open atom before it (requestSinkFor); open atoms after it still
+// see exactly the literals written before them.
 func planRule(r *Rule, deltaAtom int, cat planCatalog) []planStep {
 	bound := make(map[string]bool)
 	steps := make([]planStep, 0, len(r.Body))
@@ -119,15 +130,11 @@ func planRule(r *Rule, deltaAtom int, cat planCatalog) []planStep {
 			run = append(run[:best], run[best+1:]...)
 		}
 	}
-
-	for i, lit := range r.Body {
-		if atom, ok := lit.(*Atom); ok && !atom.Negated && !cat.isOpen(atom.Predicate) {
-			run = append(run, i)
-			continue
-		}
-		flush()
-		step := planStep{lit: lit, bodyIndex: i}
-		if atom, ok := lit.(*Atom); ok {
+	// place appends a literal at its position in the plan: negations and
+	// comparisons filter on what is bound so far, positive atoms bind.
+	place := func(i int) {
+		step := planStep{lit: r.Body[i], bodyIndex: i}
+		if atom, ok := r.Body[i].(*Atom); ok {
 			step.probeCols = probeColumns(atom, bound)
 			if !atom.Negated {
 				step.estMatches = stepEstimate(cat, atom, step.probeCols)
@@ -136,8 +143,40 @@ func planRule(r *Rule, deltaAtom int, cat planCatalog) []planStep {
 		}
 		steps = append(steps, step)
 	}
+
+	lead := openDeltaSegment(r, deltaAtom, cat)
+	for i, lit := range r.Body {
+		if i == lead {
+			// The previous literal, if any, was a barrier that flushed the run.
+			place(deltaAtom)
+		}
+		if i == deltaAtom && lead >= 0 {
+			continue
+		}
+		if atom, ok := lit.(*Atom); ok && !atom.Negated && !cat.isOpen(atom.Predicate) {
+			run = append(run, i)
+			continue
+		}
+		flush()
+		place(i)
+	}
 	flush()
 	return steps
+}
+
+// openDeltaSegment returns the body index a seeded open delta atom is hoisted
+// to — the first literal after the last negation or comparison preceding it
+// (0 when there is none) — or -1 when deltaAtom is not an open atom.
+func openDeltaSegment(r *Rule, deltaAtom int, cat planCatalog) int {
+	if deltaAtom < 0 || !cat.isOpen(r.Body[deltaAtom].(*Atom).Predicate) {
+		return -1
+	}
+	for i := deltaAtom - 1; i >= 0; i-- {
+		if atom, ok := r.Body[i].(*Atom); !ok || atom.Negated {
+			return i + 1
+		}
+	}
+	return 0
 }
 
 // stepEstimate converts the per-probe match estimate into the integer hint a

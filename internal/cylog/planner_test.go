@@ -329,9 +329,9 @@ pending(S) :- sentence(S, _), translated(S, _).
 // TestPlannerSeededDeltaSelection pins delta-variant planning for seeded
 // relations (incremental runs restrict atoms over answered open relations
 // and freshly added EDB facts, not just in-stratum recursion): a seeded
-// closed atom leads its run regardless of boundness or cardinality, while a
-// seeded *open* atom is a barrier and keeps its source position — the
-// restriction applies where request generation expects it.
+// closed atom leads its run regardless of boundness or cardinality, and a
+// seeded *open* atom leads the whole rule, with the closed atoms before it
+// following as probes on its bindings.
 func TestPlannerSeededDeltaSelection(t *testing.T) {
 	p := MustParse(`
 rel big(a: int, b: int).
@@ -355,13 +355,62 @@ out(A) :- big(A, B), small(B), vote(A, true).
 		t.Fatalf("seeded-EDB plan order = %v, want big first and vote pinned", got)
 	}
 
-	// Seeded on vote (an open atom): barriers never move, so the plan equals
-	// the unrestricted one and the restriction applies at source position.
+	// Seeded on vote (an open atom): vote leads, big follows as a probe on
+	// the A it binds, and small as a probe on the B big binds.
 	steps = planRule(r, 2, cat)
-	if got := planOrder(steps); got[0] != 1 || got[1] != 0 || got[2] != 2 {
-		t.Fatalf("seeded-open plan order = %v, want [1 0 2]", got)
+	if got := planOrder(steps); fmt.Sprint(got) != "[2 0 1]" {
+		t.Fatalf("seeded-open plan order = %v, want [2 0 1]", got)
 	}
-	if atom, ok := steps[2].lit.(*Atom); !ok || atom.Predicate != "vote" {
-		t.Fatalf("step 2 is not the vote atom: %+v", steps[2])
+	if len(steps[0].probeCols) != 1 || steps[0].probeCols[0] != 1 {
+		t.Errorf("vote probeCols = %v, want [1] (the constant)", steps[0].probeCols)
+	}
+	for _, i := range []int{1, 2} {
+		if fmt.Sprint(steps[i].probeCols) != "[0]" {
+			t.Errorf("step %d (%s) probeCols = %v, want [0]", i, steps[i].lit, steps[i].probeCols)
+		}
+	}
+}
+
+// TestPlannerSeededOpenDeltaStopsAtBarriers pins how far a seeded open delta
+// atom is hoisted: ahead of every positive atom before it, closed or open,
+// but never past a negation or comparison — those filter on what is bound at
+// their written position, so the delta atom stays behind them and only the
+// positive atoms between the barrier and the delta atom are overtaken.
+func TestPlannerSeededOpenDeltaStopsAtBarriers(t *testing.T) {
+	p := MustParse(`
+rel a(x: int).
+rel b(x: int).
+rel c(x: int, y: int).
+open rel o1(x: int, y: int) key(x) asks "first".
+open rel o2(y: int, z: int) key(y) asks "second".
+rel out(x: int).
+out(X) :- a(X), o1(X, Y), o2(Y, Z).
+out(X) :- a(X), !b(X), c(X, Y), o2(Y, _).
+out(X) :- a(X), X > 3, c(X, Y), o2(Y, _).
+out(X) :- a(X), c(X, Y), !b(Y), o2(Y, _).
+`)
+	cat := testCatalog(map[string]int{"a": 100, "b": 100, "c": 100}, "o1", "o2")
+	cases := []struct {
+		rule, delta int
+		want        string
+	}{
+		// No barrier: the seeded o2 overtakes the closed a and the open o1,
+		// which then keep their own order.
+		{0, 2, "[2 0 1]"},
+		// Seeded o1: it leads, o2 stays after it in source order.
+		{0, 1, "[1 0 2]"},
+		// A negation before the delta atom pins it behind the negation; only
+		// c, between the barrier and o2, is overtaken.
+		{1, 3, "[0 1 3 2]"},
+		// A comparison is the same kind of barrier.
+		{2, 3, "[0 1 3 2]"},
+		// Barrier immediately before the delta atom: source order.
+		{3, 3, "[0 1 2 3]"},
+	}
+	for _, tc := range cases {
+		got := fmt.Sprint(planOrder(planRule(p.Rules[tc.rule], tc.delta, cat)))
+		if got != tc.want {
+			t.Errorf("rule %d seeded on body %d: plan order = %s, want %s", tc.rule, tc.delta, got, tc.want)
+		}
 	}
 }
