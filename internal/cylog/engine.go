@@ -92,10 +92,8 @@ type Stats struct {
 	// hash of the delta frontier instead of a linear delta scan.
 	DeltaHashProbes int
 	// RequestChecks counts the bindings that reached an open atom's request
-	// check (does the binding determine a key with no fact yet?). A variant
-	// restricted to a seeded open delta skips the check at that atom and at
-	// the open atoms before it, so a one-answer incremental run makes a
-	// number of checks that does not grow with the pending set.
+	// check (does the binding determine a key with no fact yet?); see
+	// requestSinkFor for the atoms that skip it.
 	RequestChecks int
 	// ParallelTasks counts the evaluation work units (rule variants and their
 	// shards) dispatched during parallel stratum evaluation; it stays zero
@@ -214,6 +212,10 @@ type Engine struct {
 	// staging before it would only hold memory. Facts inserted directly into
 	// Database() bypass staging; follow such writes with a full Run.
 	staged map[string][]relstore.Tuple
+	// stagedCount is the number of tuples in staged, kept apart so
+	// StagedDeltas can read it without e.mu. Written under e.mu only, by
+	// stageDelta and clearStaged.
+	stagedCount atomic.Int64
 	// ranOnce records that some fixpoint has completed, i.e. the database is
 	// at a fixpoint w.r.t. everything but the staged tuples — the
 	// precondition for seeding deltas instead of re-running in full. Cleared
@@ -599,7 +601,7 @@ func (e *Engine) SetRetraction(enabled bool) {
 	defer e.mu.Unlock()
 	e.retraction = enabled
 	e.ranOnce = false
-	e.staged = make(map[string][]relstore.Tuple)
+	e.clearStaged()
 }
 
 // RetractionEnabled reports whether deletion propagation is active.
@@ -668,6 +670,13 @@ func (e *Engine) stageDelta(relation string, t relstore.Tuple) {
 		return
 	}
 	e.staged[relation] = append(e.staged[relation], t)
+	e.stagedCount.Add(1)
+}
+
+// clearStaged empties the staging buffer. Caller holds e.mu.
+func (e *Engine) clearStaged() {
+	e.staged = make(map[string][]relstore.Tuple)
+	e.stagedCount.Store(0)
 }
 
 // StagedDeltas reports how many tuples were ingested through the engine
@@ -675,15 +684,11 @@ func (e *Engine) stageDelta(relation string, t relstore.Tuple) {
 // derivation by the next RunIncremental. Answers still staged in an
 // AnswerBatch are not counted; they land when the batch commits. Before the
 // first completed fixpoint nothing is staged (the first run is always full),
-// so this reports 0.
+// so this reports 0. It does not take the engine lock, so a poller never
+// waits behind a running fixpoint; a tuple staged concurrently may be missed
+// until the next call.
 func (e *Engine) StagedDeltas() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	n := 0
-	for _, ts := range e.staged {
-		n += len(ts)
-	}
-	return n
+	return int(e.stagedCount.Load())
 }
 
 // claimBookkeeper asserts the single-writer invariant of request and
@@ -871,7 +876,7 @@ func (e *Engine) runIncrementalLocked() ([]OpenRequest, error) {
 	}
 	stats := Stats{}
 	ins := e.staged
-	e.staged = make(map[string][]relstore.Tuple)
+	e.clearStaged()
 	del := make(map[string][]relstore.Tuple)
 	for _, ts := range ins {
 		stats.SeededDeltas += len(ts)
@@ -1109,7 +1114,7 @@ func (e *Engine) finishRun(stats *Stats) {
 	e.lastStats = *stats
 	e.ranOnce = true
 	if len(e.staged) > 0 {
-		e.staged = make(map[string][]relstore.Tuple)
+		e.clearStaged()
 	}
 }
 

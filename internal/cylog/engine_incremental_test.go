@@ -344,9 +344,15 @@ func TestEngineIncrementalTracksAllIngestionPaths(t *testing.T) {
 		if err := e.AddFact("edge", 3, 1); err != nil {
 			t.Fatal(err)
 		}
+		if got := e.StagedDeltas(); got != 3 {
+			t.Errorf("incremental=%v: StagedDeltas = %d before the run, want 3", incremental, got)
+		}
 		reqs, err = e.RunIncremental(nil)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if got := e.StagedDeltas(); got != 0 {
+			t.Errorf("incremental=%v: StagedDeltas = %d after the run, want 0", incremental, got)
 		}
 		return e, reqs
 	}

@@ -30,11 +30,8 @@ import (
 // Those literals therefore act as barriers: they stay in source order, and
 // the planner greedily reorders only the runs of closed positive atoms
 // between them. The one exception is an open atom restricted to its seeded
-// delta (the answers of an incremental run): the engine generates no
-// requests at that atom or at any open atom before it (see requestSinkFor),
-// so nothing observable depends on its position, and it is hoisted ahead of
-// the positive atoms before it — back to the nearest negation or comparison
-// — where its few tuples bind the variables the prefix is then probed on.
+// delta (the answers of an incremental run), which generates no requests
+// (requestSinkFor) and is hoisted (planRule).
 //
 // Within a run the choice is boundness-driven — atoms whose join columns are
 // already bound come first (they can be answered by an index probe). Ties
@@ -107,9 +104,8 @@ func estMatchesPerProbe(cat planCatalog, a *Atom, probeCols []int) float64 {
 // nearest preceding negation or comparison and itself, so the prefix is
 // answered by probes on the delta's bindings instead of being scanned once
 // per pass. Negations and comparisons before it keep it behind them. The
-// move is safe because the engine generates no requests at the hoisted atom
-// or at any open atom before it (requestSinkFor); open atoms after it still
-// see exactly the literals written before them.
+// move is safe because no request is generated at the hoisted atom or at an
+// open atom before it (requestSinkFor).
 func planRule(r *Rule, deltaAtom int, cat planCatalog) []planStep {
 	bound := make(map[string]bool)
 	steps := make([]planStep, 0, len(r.Body))
