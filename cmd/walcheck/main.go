@@ -22,6 +22,10 @@
 //     replay), resumes the same scenario to quiescence, and requires the
 //     final fingerprint to be byte-identical to the reference.
 //
+// Every run's final state is also checked against the from-scratch reference
+// evaluator (internal/cylog/reference): its facts and pending request ids must
+// be what the program derives from the run's base facts.
+//
 // The oracle answers (and skips) requests as a pure function of the request
 // key and the run seed, so a request whose answer the crash destroyed is
 // re-asked and re-answered identically — the differential holds for every
@@ -48,6 +52,7 @@ import (
 	"time"
 
 	"github.com/crowd4u/crowd4u-go/internal/cylog"
+	"github.com/crowd4u/crowd4u-go/internal/cylog/reference"
 	"github.com/crowd4u/crowd4u-go/internal/platform"
 	"github.com/crowd4u/crowd4u-go/internal/project"
 	"github.com/crowd4u/crowd4u-go/internal/task"
@@ -252,6 +257,11 @@ func (s scenario) run() (string, int, error) {
 		}
 	}
 	if err := l.Close(); err != nil {
+		return "", 0, err
+	}
+	// The final state — recovered or not — must also be what the program
+	// means: the from-scratch reference over the same base facts.
+	if err := reference.Check(eng, reference.BaseFacts(eng)); err != nil {
 		return "", 0, err
 	}
 	return fingerprint(eng), writes, nil

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"github.com/crowd4u/crowd4u-go/internal/cylog"
+	"github.com/crowd4u/crowd4u-go/internal/cylog/reference"
 	"github.com/crowd4u/crowd4u-go/internal/platform"
 	"github.com/crowd4u/crowd4u-go/internal/project"
 )
@@ -97,7 +98,8 @@ func TestHTTPPathMatchesDirectEngine(t *testing.T) {
 }
 
 // compareStates requires byte-identical facts per relation and identical
-// pending request ids between the two engines.
+// pending request ids between the two engines, and the served engine's facts
+// and pending requests to equal the from-scratch reference's.
 func compareStates(t *testing.T, when string, direct, viaHTTP *cylog.Engine) {
 	t.Helper()
 	for _, rel := range []string{"item", "label", "labeled", "flagged"} {
@@ -108,6 +110,9 @@ func compareStates(t *testing.T, when string, direct, viaHTTP *cylog.Engine) {
 	d, h := requestIDs(direct), requestIDs(viaHTTP)
 	if !equalStrings(d, h) {
 		t.Fatalf("%s: pending requests diverged\ndirect: %v\nhttp:   %v", when, d, h)
+	}
+	if err := reference.Check(viaHTTP, reference.BaseFacts(viaHTTP)); err != nil {
+		t.Fatalf("%s: served engine differs from the from-scratch reference: %v", when, err)
 	}
 }
 

@@ -49,18 +49,16 @@ type Analysis struct {
 	// relations whose growth can yield new facts or new open requests there.
 	// RunIncremental skips stratum i outright when none of its inputs gained
 	// tuples since the last fixpoint. Negated atoms are deliberately
-	// excluded: with retraction disabled relations are insert-only, so a
-	// grown negated relation can only suppress derivations, never add any —
-	// skipping on negated-only changes matches what an insert-only full
-	// re-run would derive. They are tracked separately in StratumNegInputs.
+	// excluded: a change under negation cannot be delta-seeded, so they are
+	// tracked separately in StratumNegInputs.
 	StratumInputs []map[string]bool
 	// StratumNegInputs is the negative twin of StratumInputs: entry i holds
 	// the relations read by a *negated* body atom of some rule in Strata[i].
-	// With retraction enabled, a change (insertion or deletion) in one of
-	// these relations means previously derived tuples of the stratum may have
-	// lost their justification (or blocked derivations may have become
-	// valid), so RunIncremental recomputes the affected heads instead of
-	// skipping or delta-seeding the stratum.
+	// A change (insertion or deletion) in one of these relations means
+	// previously derived tuples of the stratum may have lost their
+	// justification (or blocked derivations may have become valid), so
+	// RunIncremental recomputes the affected heads instead of skipping or
+	// delta-seeding the stratum.
 	StratumNegInputs []map[string]bool
 }
 
@@ -96,6 +94,8 @@ func ruleVariableInventory(r *Rule) []string {
 //     a comparison also appears in a positive body atom;
 //   - open relations never appear in rule heads (humans, not rules, decide
 //     them);
+//   - no rule has more than 64 distinct variables (the engine binds them in
+//     one 64-bit slot mask);
 //   - negation is stratified (no recursion through negation).
 func Analyze(p *Program) (*Analysis, error) {
 	a := &Analysis{
@@ -206,9 +206,13 @@ func Analyze(p *Program) (*Analysis, error) {
 				}
 			}
 		}
+		vars := ruleVariableInventory(r)
+		if len(vars) > maxRowSlots {
+			return nil, &AnalysisError{r.Pos, fmt.Sprintf("rule for %s has %d variables; at most %d are supported", r.Head.Predicate, len(vars), maxRowSlots)}
+		}
 		a.DependsOn[r.Head.Predicate] = append(a.DependsOn[r.Head.Predicate], deps...)
 		a.NegDependsOn[r.Head.Predicate] = append(a.NegDependsOn[r.Head.Predicate], negDeps...)
-		a.RuleVars[r] = ruleVariableInventory(r)
+		a.RuleVars[r] = vars
 	}
 
 	// EDB = declared relations not derived by any rule.

@@ -1,6 +1,8 @@
 package cylog
 
 import (
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -110,6 +112,46 @@ func TestAnalyzeErrors(t *testing.T) {
 		if _, err := Analyze(p); err == nil {
 			t.Errorf("%s: expected analysis error", c.name)
 		}
+	}
+}
+
+// wideRuleProgram declares an n-column relation and a rule whose body binds
+// one distinct variable per column.
+func wideRuleProgram(n int) string {
+	var cols, vars []string
+	for i := 0; i < n; i++ {
+		cols = append(cols, fmt.Sprintf("c%d: int", i))
+		vars = append(vars, fmt.Sprintf("V%d", i))
+	}
+	return fmt.Sprintf("rel wide(%s).\nrel first(v: int).\nfirst(V0) :- wide(%s).\n",
+		strings.Join(cols, ", "), strings.Join(vars, ", "))
+}
+
+// TestAnalyzeRejectsWideRules pins the variable limit: the engine binds a
+// rule's variables in one 64-bit slot mask, so a 64-variable rule analyzes
+// and evaluates, and a 65-variable rule is an analysis error.
+func TestAnalyzeRejectsWideRules(t *testing.T) {
+	e, err := NewEngine(MustParse(wideRuleProgram(maxRowSlots)))
+	if err != nil {
+		t.Fatalf("%d-variable rule: %v", maxRowSlots, err)
+	}
+	vals := make([]any, maxRowSlots)
+	for i := range vals {
+		vals[i] = i + 100
+	}
+	if err := e.AddFact("wide", vals...); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if facts := e.Facts("first"); len(facts) != 1 || facts[0][0].String() != "100" {
+		t.Errorf("first = %v, want (100)", facts)
+	}
+	_, err = Analyze(MustParse(wideRuleProgram(maxRowSlots + 1)))
+	var ae *AnalysisError
+	if !errors.As(err, &ae) || !strings.Contains(ae.Msg, "65 variables") {
+		t.Errorf("%d-variable rule: err = %v, want an AnalysisError", maxRowSlots+1, err)
 	}
 }
 

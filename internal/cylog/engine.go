@@ -14,26 +14,6 @@ import (
 	"github.com/crowd4u/crowd4u-go/internal/relstore"
 )
 
-// EvalMode selects the bottom-up evaluation strategy.
-type EvalMode int
-
-const (
-	// SemiNaive re-evaluates rules against the facts derived in the previous
-	// iteration only (the default; the ablation in EXPERIMENTS.md compares it
-	// against Naive).
-	SemiNaive EvalMode = iota
-	// Naive re-evaluates every rule against the full database each iteration.
-	Naive
-)
-
-// String renders the mode name.
-func (m EvalMode) String() string {
-	if m == Naive {
-		return "naive"
-	}
-	return "semi-naive"
-}
-
 // OpenRequest is a human micro-task generated by the engine: a rule needed a
 // tuple of an open relation that no worker has supplied yet. The platform
 // turns requests into tasks in the task pool; when an answer arrives the
@@ -119,19 +99,17 @@ type Stats struct {
 	// RetractedTuples counts the derived tuples the retraction phase removed
 	// for good this run: tuples whose every derivation was invalidated (for
 	// example by a fact landing in a relation they negate) and that the
-	// re-derivation pass did not bring back. Zero when retraction is disabled.
+	// re-derivation pass did not bring back.
 	RetractedTuples int
 	// ReDerivedTuples counts the tuples the retraction phase over-deleted but
 	// that survived: they were cleared together with the genuinely
 	// invalidated tuples of their relation and re-derived from the remaining
-	// facts. Zero when retraction is disabled.
+	// facts.
 	ReDerivedTuples int
 	// PlanCacheHits and PlanCacheMisses count compiled-plan lookups served
 	// from the plan cache versus re-planned because no entry matched the
-	// current (rule, stats epochs, toggles) key. Both stay zero unless
-	// indexing and cost-aware planning (SetCostPlanning) are enabled; in the
-	// steady state of an incremental oracle loop hits dominate — the cache's
-	// whole point.
+	// current (rule, stats epochs) key. In the steady state of an incremental
+	// oracle loop hits dominate — the cache's whole point.
 	PlanCacheHits   int
 	PlanCacheMisses int
 	// StatsEpochBumps counts the relstore stats-epoch advances observed
@@ -162,11 +140,6 @@ type Engine struct {
 	mu       sync.Mutex
 	analysis *Analysis
 	db       *relstore.Database
-	mode     EvalMode
-	// indexing enables the planned, index-probing evaluation pipeline. When
-	// false the engine runs the original scan path: body literals in source
-	// order, every join a full-relation scan.
-	indexing bool
 	// parallelism is the worker-pool size for stratum evaluation; 1 selects
 	// the sequential path. Set at construction from CYLOG_PARALLELISM or
 	// runtime.GOMAXPROCS, overridable via SetParallelism.
@@ -184,27 +157,10 @@ type Engine struct {
 	// moving request admission into shard goroutines) into an immediate
 	// panic instead of silent map corruption.
 	bookkeeper atomic.Int32
-	// deltaHashing enables the per-round hash of restricted tuple frontiers
-	// in joinAtom (enabled by default); disabling it restores the linear
-	// delta scan, the reference side of delta-hash differential tests and
-	// benchmarks.
-	deltaHashing bool
-	// columnar enables flat binding rows addressed by per-rule slot schemas
-	// (enabled by default); disabling it restores the map[string]Value
-	// binding path, the differential reference for the columnar evaluator.
-	columnar bool
-	// rowSchemas holds each rule's variable→slot schema for the columnar
-	// path; a nil entry (rule wider than maxRowSlots variables) falls back to
-	// map bindings for that rule. Built once at construction, read-only
-	// afterwards, so concurrent rule evaluations share it freely.
+	// rowSchemas holds each rule's variable→slot schema for binding rows.
+	// Built once at construction, read-only afterwards, so concurrent rule
+	// evaluations share it freely.
 	rowSchemas map[*Rule]*rowSchema
-	// incremental enables delta-seeded incremental fixpoints (enabled by
-	// default): RunIncremental (and with it the oracle loop) seeds the next
-	// run's delta frontiers from the facts ingested since the last fixpoint
-	// instead of re-evaluating every stratum from its full relations.
-	// Disabling it makes RunIncremental run the full re-run path, the
-	// reference side of the incremental differential tests.
-	incremental bool
 	// staged accumulates the tuples inserted outside evaluation since the
 	// last fixpoint (answer batches, Answer/AnswerFact, AddFact), per
 	// relation — the seed deltas of the next RunIncremental. Tracking starts
@@ -221,14 +177,6 @@ type Engine struct {
 	// precondition for seeding deltas instead of re-running in full. Cleared
 	// when a run fails partway so the next run falls back to full.
 	ranOnce bool
-	// retraction enables counting-based deletion propagation (enabled by
-	// default): facts ingested into relations that appear under negation
-	// retract the derivations they invalidate, and open requests whose
-	// generating derivation vanished are withdrawn. Disabling it restores the
-	// historical insert-only semantics (a fact derived through a negation
-	// that later fails is never withdrawn), the reference side of the
-	// retraction differential tests.
-	retraction bool
 	// pending holds open requests not yet answered, keyed by request id.
 	pending map[string]OpenRequest
 	// requestStrata maps each pending request id to the strata whose rules
@@ -251,14 +199,6 @@ type Engine struct {
 	// with it off so replayed operations are not journaled again.
 	journaling bool
 	journal    []FactOp
-	// costPlanning enables selectivity-aware join ordering (equally-bound
-	// atoms ordered by estimated matches per probe from relstore's per-column
-	// distinct counts), output-batch pre-sizing from those estimates, and the
-	// compiled plan cache (enabled by default). Disabling it re-runs the
-	// cardinality-only planner on every evaluation pass — the pre-cost
-	// behaviour, kept as the reference side of the planner differential
-	// tests.
-	costPlanning bool
 	// planRels maps each rule to the distinct relations of its closed
 	// positive body atoms, in first-appearance order — the relations whose
 	// statistics influence the rule's plan, polled for the cache key's stats
@@ -312,16 +252,9 @@ func NewEngineWith(p *Program, db *relstore.Database) (*Engine, error) {
 	e := &Engine{
 		analysis:       analysis,
 		db:             db,
-		mode:           SemiNaive,
-		indexing:       true,
 		parallelism:    defaultParallelism(),
 		shards:         defaultShards(),
-		deltaHashing:   true,
-		columnar:       true,
-		incremental:    true,
-		retraction:     true,
-		costPlanning:   true,
-		staged:         make(map[string][]relstore.Tuple),
+		staged:        make(map[string][]relstore.Tuple),
 		rowSchemas:     make(map[*Rule]*rowSchema, len(p.Rules)),
 		pending:        make(map[string]OpenRequest),
 		requestStrata:  make(map[string]map[int]bool),
@@ -364,63 +297,6 @@ func NewEngineWith(p *Program, db *relstore.Database) (*Engine, error) {
 		}
 	}
 	return e, nil
-}
-
-// SetMode selects naive or semi-naive evaluation.
-func (e *Engine) SetMode(m EvalMode) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.mode = m
-}
-
-// Mode returns the current evaluation mode.
-func (e *Engine) Mode() EvalMode {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.mode
-}
-
-// SetIndexing enables or disables the planned, index-probing evaluation
-// pipeline (enabled by default). Disabling it restores the original scan
-// path — body literals in source order, full-relation scans — which is the
-// reference side of differential tests and the baseline of benchmarks. Both
-// paths derive identical fixpoints.
-func (e *Engine) SetIndexing(enabled bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.indexing = enabled
-}
-
-// IndexingEnabled reports whether planned, indexed evaluation is active.
-func (e *Engine) IndexingEnabled() bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.indexing
-}
-
-// SetCostPlanning enables or disables cost-aware join planning and the
-// compiled plan cache (enabled by default, effective only while indexing is
-// on). Enabled, the planner breaks cardinality ties by estimated
-// matches-per-probe from relstore's per-column distinct counts, pre-sizes
-// hash-join builds, and caches compiled plans keyed on (rule, stats epochs,
-// toggles) so steady-state incremental rounds skip planning entirely.
-// Disabled, every evaluation pass re-runs the cardinality-only planner —
-// exactly the pre-cost behavior, and the reference side of the randomized
-// planner differential: both settings derive byte-identical fixpoints and
-// request IDs, because reordering closed positive atoms between barriers
-// cannot change what a rule derives.
-func (e *Engine) SetCostPlanning(enabled bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.costPlanning = enabled
-}
-
-// CostPlanningEnabled reports whether cost-aware planning and the plan cache
-// are active.
-func (e *Engine) CostPlanningEnabled() bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.costPlanning
 }
 
 // defaultParallelism resolves the worker-pool size for new engines: the
@@ -480,9 +356,7 @@ func defaultShards() int {
 
 // SetShards sets the number of hash-partitioned engine shards a stratum
 // fixpoint runs across. n == 1 selects the unsharded evaluation paths
-// (sequential or parallel per SetParallelism) byte-for-byte — the
-// differential reference of the sharding tests, mirroring SetParallelism(1)
-// and SetRetraction(false). n > 1 runs each stratum's semi-naive rounds on n
+// (sequential or parallel per SetParallelism). n > 1 runs each stratum's semi-naive rounds on n
 // goroutine-confined shards: every round's delta frontier (and, on the
 // unrestricted first round, each rule's leading full scan) is partitioned on
 // relstore.ShardOf — the tuple's value hash — each shard evaluates only its
@@ -497,9 +371,8 @@ func defaultShards() int {
 // shards of one round collectively evaluate exactly the unsharded round's
 // variants (a partition covers every frontier tuple exactly once), and the
 // merge applies shard output in shard-then-plan order. Sharding composes
-// with columnar bindings, delta hashing, incremental answering, retraction
-// and WAL journaling; within each shard, rule variants evaluate on a worker
-// pool of SetParallelism size.
+// with incremental answering, retraction and WAL journaling; within each
+// shard, rule variants evaluate on a worker pool of SetParallelism size.
 func (e *Engine) SetShards(n int) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -516,110 +389,14 @@ func (e *Engine) Shards() int {
 	return e.shards
 }
 
-// SetDeltaHashing enables or disables hashing restricted tuple frontiers on
-// their bound columns in joins (enabled by default). Disabling it restores
-// the linear per-binding delta scan — the reference side of delta-hash
-// differential tests and the baseline of benchmarks. Both settings derive
-// identical fixpoints and requests.
-func (e *Engine) SetDeltaHashing(enabled bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.deltaHashing = enabled
-}
-
-// DeltaHashingEnabled reports whether restricted-frontier hashing is active.
-func (e *Engine) DeltaHashingEnabled() bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.deltaHashing
-}
-
-// SetColumnarBindings enables or disables flat binding rows (enabled by
-// default). With columnar bindings on, each rule's variables are assigned
-// fixed slots and the join loop threads []Value rows with copy-on-extend;
-// with it off, bindings are map[string]Value clones — the original layout,
-// kept as the differential reference. Both settings derive byte-identical
-// fixpoints and open requests under every combination of indexing, delta
-// hashing and parallelism.
-func (e *Engine) SetColumnarBindings(enabled bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.columnar = enabled
-}
-
-// ColumnarBindingsEnabled reports whether flat binding rows are active.
-func (e *Engine) ColumnarBindingsEnabled() bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.columnar
-}
-
-// SetIncrementalAnswering enables or disables delta-seeded incremental
-// fixpoints (enabled by default). With it on, RunIncremental seeds the next
-// run's delta frontiers from the facts ingested since the last fixpoint and
-// skips strata none of whose positive inputs changed; with it off,
-// RunIncremental re-runs every stratum from its full relations — today's
-// full-re-run path, kept as the reference side of the incremental
-// differential tests. Both settings derive byte-identical fixpoints, open
-// requests and request IDs.
-func (e *Engine) SetIncrementalAnswering(enabled bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.incremental = enabled
-}
-
-// IncrementalAnsweringEnabled reports whether RunIncremental seeds deltas
-// instead of re-running the full fixpoint.
-func (e *Engine) IncrementalAnsweringEnabled() bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.incremental
-}
-
-// SetRetraction enables or disables counting-based deletion propagation
-// (enabled by default). With it on, a fact ingested into a relation that
-// appears under negation retracts the derivations it invalidates — the
-// affected head relations are over-deleted down to their base facts,
-// survivors are re-derived, net deletions and insertions seed the downstream
-// strata, and pending open requests whose generating derivation vanished are
-// withdrawn (answering one reports ErrRequestClosed). Every fixpoint then
-// matches a from-scratch evaluation of the current facts byte for byte.
-//
-// With it off the engine keeps the historical insert-only semantics: a fact
-// derived through a negation that later fails is never withdrawn (e.g. a
-// rejected(X) from !approved(X) survives the approving answer). That is the
-// reference side of the retraction differential tests, and remains correct
-// for the blessed monotone program shapes that never re-ask a negation —
-// programs whose negated relations are fully populated before the first run.
-//
-// Calling SetRetraction always forces the next run onto the full path with a
-// conservative rebuild (every derived tuple dropped and re-derived from base
-// facts, pending requests re-admitted), so stale state never leaks across the
-// toggle.
-func (e *Engine) SetRetraction(enabled bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.retraction = enabled
-	e.ranOnce = false
-	e.clearStaged()
-}
-
-// RetractionEnabled reports whether deletion propagation is active.
-func (e *Engine) RetractionEnabled() bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.retraction
-}
-
 // Database returns the engine's backing database (shared, not a copy); the
 // platform reads derived relations out of it. Facts inserted directly into
-// the returned database bypass the engine's delta tracking: follow any such
-// write with a full Run — RunIncremental cannot see it and would derive a
-// stale fixpoint. With retraction enabled a direct write also bypasses
-// deletion propagation (the full-path pre-pass only clears relations the
-// *staged* insertions can shrink); call SetRetraction(true) again before the
-// next run to force a conservative rebuild, or simply ingest through AddFact,
-// Answer/AnswerFact or AnswerBatch, which keep every run sound.
+// the returned database after the first run bypass the engine's delta
+// tracking and deletion propagation, so no later run is guaranteed to derive
+// their consequences or retract what they invalidate; ingest through
+// AddFact, Answer/AnswerFact or AnswerBatch, which keep every run sound.
+// Contents loaded before the first run (snapshot recovery) are safe: the
+// first run rebuilds every derived relation from the base facts.
 func (e *Engine) Database() *relstore.Database { return e.db }
 
 // Analysis returns the program analysis.
@@ -725,19 +502,15 @@ func (e *Engine) Run() ([]OpenRequest, error) {
 }
 
 // runFullLocked is the full fixpoint: every stratum re-evaluated from its
-// full relations. With retraction enabled it is preceded by a deletion
-// pre-pass: derived relations that may have shrunk since the last fixpoint
-// (fullRetractionTargets over the staged insertions) are over-deleted down to
-// their base facts and every pending request is dropped; the full evaluation
-// then re-derives the survivors and re-admits the live requests, so the
-// result is exactly the from-scratch fixpoint of the current facts. Caller
-// holds e.mu.
+// full relations. It is preceded by a deletion pre-pass: derived relations
+// that may have shrunk since the last fixpoint (fullRetractionTargets over
+// the staged insertions) are over-deleted down to their base facts and every
+// pending request is dropped; the full evaluation then re-derives the
+// survivors and re-admits the live requests, so the result is exactly the
+// from-scratch fixpoint of the current facts. Caller holds e.mu.
 func (e *Engine) runFullLocked() ([]OpenRequest, error) {
 	stats := Stats{}
-	var old map[string]map[string]snapshotEntry
-	if e.retraction {
-		old = e.retractBeforeFullLocked()
-	}
+	old := e.retractBeforeFullLocked()
 	for i, stratum := range e.analysis.Strata {
 		if err := e.runStratum(i, stratum, nil, nil, &stats); err != nil {
 			// A partial run leaves the database between fixpoints; force the
@@ -760,11 +533,10 @@ func (e *Engine) runFullLocked() ([]OpenRequest, error) {
 	return e.pendingSorted(), nil
 }
 
-// retractBeforeFullLocked is the deletion pre-pass of a retraction-enabled
-// full run. It over-deletes the derived relations the staged insertions can
-// shrink — or, when no completed fixpoint stands behind the current contents
-// (fresh engine, recovery after a failed run, a retraction toggle), every
-// derived relation — and drops all pending requests so the full evaluation
+// retractBeforeFullLocked is the deletion pre-pass of a full run. It
+// over-deletes the derived relations the staged insertions can shrink — or,
+// when no completed fixpoint stands behind the current contents (fresh
+// engine, recovery after a failed run), every derived relation — and drops all pending requests so the full evaluation
 // re-admits exactly the live ones. It returns the pre-deletion snapshots of
 // the cleared relations for the post-run Stats diff, nil when nothing needed
 // clearing. Caller holds e.mu.
@@ -801,11 +573,11 @@ func (e *Engine) retractBeforeFullLocked() map[string]map[string]snapshotEntry {
 }
 
 // conservativeClearLocked rebuilds a derived relation down to its
-// program-declared facts. Unlike ClearDerived it cannot trust stored support
-// flags: with retraction previously disabled (or after a failed run), rule
-// derivations were inserted as plain base tuples, so only the program's own
-// facts — the single base-fact source for IDB relations — are re-asserted.
-// Caller holds e.mu.
+// program-declared facts. Unlike ClearDerived it does not trust stored
+// support flags (a relation imported from a snapshot, for one, may carry
+// derived tuples as base tuples), so only the program's own facts — the
+// single base-fact source for IDB relations — are re-asserted. Caller holds
+// e.mu.
 func (e *Engine) conservativeClearLocked(rel string) {
 	r := e.db.Relation(rel)
 	if r == nil {
@@ -862,16 +634,14 @@ func (e *Engine) fullRetractionTargets(changed map[string]bool) map[string]bool 
 // runIncrementalLocked evaluates only the consequences of the tuples staged
 // since the last fixpoint: the staged tuples seed the first delta frontiers,
 // each stratum whose inputs saw no change is skipped outright, and the tuples
-// a stratum derives join the delta pool for the strata after it. With
-// retraction enabled, a stratum whose *negated* inputs changed — or whose
-// positive inputs lost tuples to an upstream retraction — is recomputed
-// instead of delta-seeded (recomputeStratumLocked), and its net deletions
-// propagate alongside the insertions. Falls back to the full path when
-// incremental answering is disabled, when no fixpoint has completed yet, or
-// in Naive mode (which by definition re-derives everything). Caller holds
-// e.mu.
+// a stratum derives join the delta pool for the strata after it. A stratum
+// whose *negated* inputs changed — or whose positive inputs lost tuples to an
+// upstream retraction — is recomputed instead of delta-seeded
+// (recomputeStratumLocked), and its net deletions propagate alongside the
+// insertions. Falls back to the full path when no fixpoint has completed yet
+// (a fresh engine, or after a failed run). Caller holds e.mu.
 func (e *Engine) runIncrementalLocked() ([]OpenRequest, error) {
-	if !e.incremental || !e.ranOnce || e.mode == Naive {
+	if !e.ranOnce {
 		return e.runFullLocked()
 	}
 	stats := Stats{}
@@ -883,7 +653,7 @@ func (e *Engine) runIncrementalLocked() ([]OpenRequest, error) {
 	}
 	for i, stratum := range e.analysis.Strata {
 		switch {
-		case e.retraction && e.stratumNeedsRetraction(i, ins, del):
+		case e.stratumNeedsRetraction(i, ins, del):
 			if err := e.recomputeStratumLocked(i, stratum, ins, del, &stats); err != nil {
 				e.ranOnce = false
 				return nil, err
@@ -1137,10 +907,9 @@ func deltaReaches(delta map[string][]relstore.Tuple, inputs map[string]bool) boo
 // (Stats.SkippedStrata). The fixpoint, the pending requests and their IDs are
 // byte-identical to a full Run; only the work differs. Per-item batch
 // failures (e.g. a request answered after staging) are recorded in the
-// batch's Errors and do not abort the run. With incremental answering
-// disabled (SetIncrementalAnswering(false)), before the first completed run,
-// or in Naive mode, the batch is still applied but evaluation takes the full
-// re-run path.
+// batch's Errors and do not abort the run. Before the first completed run,
+// and after a failed one, the batch is still applied but evaluation takes the
+// full re-run path.
 //
 // Seeding only sees facts ingested through the engine (batches, Answer,
 // AnswerFact, AddFact); a fact inserted directly into Database() is invisible
@@ -1336,11 +1105,8 @@ func (e *Engine) AnswerFact(relation string, values ...any) error {
 // request, or false to leave it unanswered.
 //
 // Each round's answers are collected into an AnswerBatch and ingested through
-// RunIncremental, so with incremental answering enabled (the default) a round
-// only derives the consequences of that round's answers; with
-// SetIncrementalAnswering(false) every round re-runs the full fixpoint —
-// today's original loop, kept as the differential reference. Both settings
-// answer identical requests and derive identical facts.
+// RunIncremental, so a round only derives the consequences of that round's
+// answers.
 func (e *Engine) RunToFixpointWithOracle(oracle func(OpenRequest) (map[string]any, bool), maxRounds int) (Stats, error) {
 	if maxRounds <= 0 {
 		maxRounds = 100
@@ -1399,17 +1165,6 @@ func (e *Engine) RunToFixpointWithOracle(oracle func(OpenRequest) (map[string]an
 	return total, nil
 }
 
-// binding maps variable names to values during rule evaluation.
-type binding map[string]relstore.Value
-
-func (b binding) clone() binding {
-	c := make(binding, len(b)+1)
-	for k, v := range b {
-		c[k] = v
-	}
-	return c
-}
-
 // runStratum evaluates one stratum's rules to a local fixpoint, dispatching
 // to the sequential or the parallel evaluation loop depending on the
 // configured parallelism. idx is the stratum's index, recorded as the origin
@@ -1431,20 +1186,12 @@ func (e *Engine) runStratum(idx int, rules []*Rule, seed, derived map[string][]r
 	return e.runStratumSequential(idx, rules, seed, derived, stats)
 }
 
-// insertHead inserts one rule-derived head tuple: a counted derivation insert
-// when retraction is enabled (so deletion propagation can tell derived-only
-// tuples from base facts), a plain set insert otherwise.
-func (e *Engine) insertHead(rel *relstore.Relation, t relstore.Tuple) (bool, error) {
-	if e.retraction {
-		return rel.InsertDerived(t)
-	}
-	return rel.Insert(t)
-}
-
-// runStratumSequential is the reference fixpoint loop: every rule variant is
+// runStratumSequential is the sequential fixpoint loop: every rule variant is
 // evaluated and its derivations merged in turn, so facts derived by an
 // earlier rule of an iteration are already visible to later rules of the same
-// iteration. SetParallelism(1) selects exactly this path.
+// iteration. SetParallelism(1) selects exactly this path. Head tuples are
+// inserted with InsertDerived on every path, so deletion propagation can tell
+// derived-only tuples from base facts.
 func (e *Engine) runStratumSequential(idx int, rules []*Rule, seed, derived map[string][]relstore.Tuple, stats *Stats) error {
 	// delta holds the facts newly derived in the previous iteration, per
 	// relation. For the first iteration of a full pass delta is conceptually
@@ -1467,7 +1214,7 @@ func (e *Engine) runStratumSequential(idx int, rules []*Rule, seed, derived map[
 				}
 				head := e.db.Relation(r.Head.Predicate)
 				for _, t := range tuples {
-					added, err := e.insertHead(head, t)
+					added, err := head.InsertDerived(t)
 					if err != nil {
 						return fmt.Errorf("cylog: rule %s produced a tuple that does not match the schema of %s: %w", r, r.Head.Predicate, err)
 					}
@@ -1553,7 +1300,7 @@ func (e *Engine) runStratumParallel(idx int, rules []*Rule, seed, derived map[st
 			r := tasks[i].rule
 			head := e.db.Relation(r.Head.Predicate)
 			for _, t := range out.tuples {
-				added, err := e.insertHead(head, t)
+				added, err := head.InsertDerived(t)
 				if err != nil {
 					return fmt.Errorf("cylog: rule %s produced a tuple that does not match the schema of %s: %w", r, r.Head.Predicate, err)
 				}
@@ -1657,14 +1404,7 @@ func (e *Engine) shardVariant(r *Rule, v ruleVariant, workers int, stats *Stats)
 // atom first via the delta-restriction mechanism reproduces the plan the
 // planner would pick anyway, since the delta atom always leads its run.
 func (e *Engine) shardableFullScan(r *Rule, stats *Stats) (int, []relstore.Tuple) {
-	idx := -1
-	if e.indexing {
-		idx = planShardAtom(e.plan(r, -1, stats), func(p string) bool { return e.analysis.OpenRelations[p] })
-	} else if len(r.Body) > 0 {
-		if a, ok := r.Body[0].(*Atom); ok && !a.Negated && !e.analysis.OpenRelations[a.Predicate] {
-			idx = 0
-		}
-	}
+	idx := planShardAtom(e.cachedPlan(r, -1, stats).steps, func(p string) bool { return e.analysis.OpenRelations[p] })
 	if idx < 0 {
 		return -1, nil
 	}
@@ -1683,14 +1423,14 @@ type ruleVariant struct {
 }
 
 // ruleVariants returns the evaluation passes for a rule in this iteration:
-// the single unrestricted pass for a full first iteration (or Naive mode),
-// otherwise one delta variant per positive body atom whose relation has
-// frontier tuples. The delta map's keys decide eligibility — newly derived
-// in-stratum relations during a fixpoint, or any seeded relation (answered
-// open relations, freshly added EDB facts, deltas of earlier strata) on the
-// first iteration of an incremental pass.
+// the single unrestricted pass for a full first iteration, otherwise one
+// delta variant per positive body atom whose relation has frontier tuples.
+// The delta map's keys decide eligibility — newly derived in-stratum
+// relations during a fixpoint, or any seeded relation (answered open
+// relations, freshly added EDB facts, deltas of earlier strata) on the first
+// iteration of an incremental pass.
 func (e *Engine) ruleVariants(r *Rule, delta map[string][]relstore.Tuple, full bool) []ruleVariant {
-	if e.mode == Naive || full {
+	if full {
 		return []ruleVariant{{deltaAtom: -1}}
 	}
 	var out []ruleVariant
@@ -1711,7 +1451,8 @@ func (e *Engine) ruleVariants(r *Rule, delta map[string][]relstore.Tuple, full b
 }
 
 // catalog returns the planner's view of the engine's database: open-relation
-// membership and current cardinalities.
+// membership, current cardinalities and relstore's per-column distinct-count
+// estimates.
 func (e *Engine) catalog() planCatalog {
 	return planCatalog{
 		isOpen: func(p string) bool { return e.analysis.OpenRelations[p] },
@@ -1721,199 +1462,13 @@ func (e *Engine) catalog() planCatalog {
 			}
 			return 0
 		},
-	}
-}
-
-// costCatalog extends catalog with relstore's per-column distinct-count
-// estimates, letting the planner break cardinality ties by estimated
-// matches-per-probe and pre-size hash-join builds.
-func (e *Engine) costCatalog() planCatalog {
-	cat := e.catalog()
-	cat.distinct = func(p string, col int) int {
-		if rel := e.db.Relation(p); rel != nil {
-			return rel.ColumnDistinct(col)
-		}
-		return 0
-	}
-	return cat
-}
-
-// evaluateRule computes the head tuples derivable by the rule under the given
-// variant, collecting open-request candidates into sink along the way. With
-// indexing enabled the body runs in planner order with index probes on bound
-// join columns; with it disabled, in source order with full scans (the seed
-// path). With columnar bindings enabled (and the rule narrow enough for a
-// slot schema) evaluation dispatches to the binding-row twin in
-// engine_rows.go. Evaluation only reads the database (plus relstore's
-// read-compatible index auto-creation), so any number of evaluateRule calls
-// may run concurrently as long as no tuples are mutated.
-func (e *Engine) evaluateRule(r *Rule, v ruleVariant, stats *Stats, sink *requestSink) ([]relstore.Tuple, error) {
-	if e.columnar {
-		if rs := e.rowSchemas[r]; rs != nil {
-			return e.evaluateRuleRows(r, rs, v, stats, sink)
-		}
-	}
-	steps := e.plan(r, v.deltaAtom, stats)
-
-	bindings := []binding{{}}
-	for _, st := range steps {
-		if len(bindings) == 0 {
-			break
-		}
-		var err error
-		switch l := st.lit.(type) {
-		case *Atom:
-			if l.Negated {
-				bindings, err = e.filterNegated(l, st.probeCols, bindings, stats)
-				if err != nil {
-					return nil, err
-				}
-			} else {
-				var restrict []relstore.Tuple
-				if v.deltaAtom == st.bodyIndex {
-					restrict = v.deltaTuples
-				}
-				bindings, err = e.joinAtom(l, st.probeCols, bindings, restrict, stats, e.requestSinkFor(r, v, st.bodyIndex, sink))
-				if err != nil {
-					return nil, err
-				}
+		distinct: func(p string, col int) int {
+			if rel := e.db.Relation(p); rel != nil {
+				return rel.ColumnDistinct(col)
 			}
-		case *Comparison:
-			bindings = filterComparison(l, bindings)
-		}
+			return 0
+		},
 	}
-	// Project the head.
-	out := make([]relstore.Tuple, 0, len(bindings))
-	for _, b := range bindings {
-		t := make(relstore.Tuple, len(r.Head.Terms))
-		for i, term := range r.Head.Terms {
-			switch tm := term.(type) {
-			case Constant:
-				t[i] = tm.Value
-			case Variable:
-				t[i] = b[string(tm)]
-			}
-		}
-		out = append(out, t)
-	}
-	return out, nil
-}
-
-// deltaHashMinTuples is the smallest restricted tuple set worth hashing on
-// its bound columns: below it a linear scan beats building the frontier map.
-const deltaHashMinTuples = 16
-
-// joinAtom extends each binding with the tuples of the atom's relation that
-// are consistent with it. For open relations it additionally records a task
-// request candidate for every binding whose key has no matching fact yet,
-// unless sink is nil (requestSinkFor: no binding of this step can open a new
-// request).
-//
-// When probeCols names bound term positions and the relation carries (or
-// earns, via the auto-indexing policy) a matching composite index, each
-// binding is answered with an equality probe — O(matches) instead of
-// O(|relation|). Restricted evaluation (the semi-naive delta frontier, or a
-// parallel full-scan shard) cannot use the relation's indexes; when the atom
-// is reached with bound columns and enough bindings, the restricted tuples
-// are instead hashed per round on those columns so each binding probes in
-// O(matches) like an indexed base relation, and otherwise the (small)
-// frontier is iterated directly.
-func (e *Engine) joinAtom(a *Atom, probeCols []int, bindings []binding, restrict []relstore.Tuple, stats *Stats, sink *requestSink) ([]binding, error) {
-	rel := e.db.Relation(a.Predicate)
-	if rel == nil {
-		return nil, fmt.Errorf("cylog: relation %q is not declared", a.Predicate)
-	}
-	decl := e.analysis.Program.DeclarationFor(a.Predicate)
-	open := sink != nil && decl != nil && decl.Open
-	if open {
-		stats.RequestChecks += len(bindings)
-	}
-
-	if restrict == nil && len(probeCols) > 0 && e.shouldProbe(rel, probeCols) {
-		vals := make([]relstore.Value, len(probeCols))
-		var out []binding
-		for _, b := range bindings {
-			for i, ti := range probeCols {
-				vals[i], _ = termValue(a.Terms[ti], b)
-			}
-			matched := false
-			nb := b
-			indexed, err := rel.ScanEqAt(probeCols, vals, func(t relstore.Tuple) bool {
-				if ext, ok := matchAtom(a, t, nb); ok {
-					out = append(out, ext)
-					matched = true
-					stats.JoinedBindings++
-				}
-				return true
-			})
-			if err != nil {
-				return nil, err
-			}
-			stats.IndexProbes++
-			if indexed {
-				stats.IndexHits++
-			}
-			if open {
-				e.maybeRequestMap(decl, a, b, matched, sink)
-			}
-		}
-		return out, nil
-	}
-
-	// Hashed delta frontier: key the restricted tuples on the atom's bound
-	// columns once, then answer every binding with a bucket probe. Buckets
-	// keep insertion order and matchAtom re-verifies equality, so the output
-	// binding order is exactly the linear scan's (matches appear in restrict
-	// order per binding) and hash collisions are harmless.
-	if restrict != nil && e.deltaHashing && len(probeCols) > 0 && len(bindings) > 1 && len(restrict) >= deltaHashMinTuples {
-		frontier := make(map[uint64][]relstore.Tuple, len(restrict))
-		for _, t := range restrict {
-			h := t.HashAt(probeCols...)
-			frontier[h] = append(frontier[h], t)
-		}
-		vals := make([]relstore.Value, len(probeCols))
-		var out []binding
-		for _, b := range bindings {
-			for i, ti := range probeCols {
-				vals[i], _ = termValue(a.Terms[ti], b)
-			}
-			matched := false
-			for _, t := range frontier[relstore.HashValues(vals...)] {
-				if nb, ok := matchAtom(a, t, b); ok {
-					out = append(out, nb)
-					matched = true
-					stats.JoinedBindings++
-				}
-			}
-			stats.DeltaHashProbes++
-			if open {
-				e.maybeRequestMap(decl, a, b, matched, sink)
-			}
-		}
-		return out, nil
-	}
-
-	tuples := restrict
-	if tuples == nil {
-		tuples = rel.All()
-		stats.FullScans++
-	}
-	var out []binding
-	for _, b := range bindings {
-		matched := false
-		for _, t := range tuples {
-			nb, ok := matchAtom(a, t, b)
-			if ok {
-				out = append(out, nb)
-				matched = true
-				stats.JoinedBindings++
-			}
-		}
-		if open {
-			e.maybeRequestMap(decl, a, b, matched, sink)
-		}
-	}
-	return out, nil
 }
 
 // shouldProbe decides whether a bound-column lookup should run as an index
@@ -2002,27 +1557,19 @@ func (e *Engine) admitRequests(reqs []OpenRequest, stratum int) {
 	}
 }
 
-// maybeRequestMap records an open-request candidate from a map binding; the
-// request-construction logic is shared with the columnar path via
-// maybeRequest's term accessor.
-func (e *Engine) maybeRequestMap(decl *Declaration, a *Atom, b binding, matched bool, sink *requestSink) {
-	e.maybeRequest(decl, a, func(i int) (relstore.Value, bool) { return termValue(a.Terms[i], b) }, matched, sink)
-}
-
 // maybeRequest records an open-request candidate in sink when the binding
-// determines the open relation's key but the relation has no fact for that
-// key yet. termAt reads the atom's i-th term under the current binding — a
-// map binding or a columnar row — reporting whether it is bound, so both
-// evaluation paths build requests through the exact same logic.
-func (e *Engine) maybeRequest(decl *Declaration, a *Atom, termAt func(int) (relstore.Value, bool), matched bool, sink *requestSink) {
+// row (the atom's term references refs read under row and its bound-slot
+// mask) determines the open relation's key but the relation has no fact for
+// that key yet.
+func (e *Engine) maybeRequest(decl *Declaration, refs []termRef, row []relstore.Value, mask uint64, matched bool, sink *requestSink) {
 	keyCols := decl.Key
 	if len(keyCols) == 0 {
 		// Default key: every column whose term is bound under the binding.
 		for i, col := range decl.Columns {
-			if i >= len(a.Terms) {
+			if i >= len(refs) {
 				break
 			}
-			if _, bound := termAt(i); bound {
+			if _, bound := refs[i].value(row, mask); bound {
 				keyCols = append(keyCols, col.Name)
 			}
 		}
@@ -2033,10 +1580,10 @@ func (e *Engine) maybeRequest(decl *Declaration, a *Atom, termAt func(int) (rels
 	keyVals := make([]relstore.Value, 0, len(keyCols))
 	for _, col := range keyCols {
 		ci := decl.ColumnIndex(col)
-		if ci < 0 || ci >= len(a.Terms) {
+		if ci < 0 || ci >= len(refs) {
 			return
 		}
-		v, bound := termAt(ci)
+		v, bound := refs[ci].value(row, mask)
 		if !bound {
 			return // key not fully determined; cannot ask yet
 		}
@@ -2121,123 +1668,6 @@ func requestID(relation string, keyVals []relstore.Value) string {
 		parts[i] = v.AsString()
 	}
 	return relation + "|" + strings.Join(parts, "\x1f")
-}
-
-// matchAtom unifies the atom's terms with the tuple under the binding,
-// returning the extended binding on success.
-func matchAtom(a *Atom, t relstore.Tuple, b binding) (binding, bool) {
-	if len(a.Terms) != len(t) {
-		return nil, false
-	}
-	nb := b
-	cloned := false
-	for i, term := range a.Terms {
-		switch tm := term.(type) {
-		case Constant:
-			if !tm.Value.Equal(t[i]) {
-				return nil, false
-			}
-		case Variable:
-			if tm.Anonymous() {
-				continue
-			}
-			if existing, bound := nb[string(tm)]; bound {
-				if !existing.Equal(t[i]) {
-					return nil, false
-				}
-				continue
-			}
-			if !cloned {
-				nb = b.clone()
-				cloned = true
-			}
-			nb[string(tm)] = t[i]
-		}
-	}
-	if !cloned {
-		nb = b.clone()
-	}
-	return nb, true
-}
-
-// filterNegated keeps only the bindings for which no tuple of the negated
-// atom's relation matches. Bound term positions (probeCols) narrow the
-// existence check to an indexed equality probe when the relation has earned
-// an index; any tuple matching the atom necessarily agrees on the bound
-// columns, so the restricted scan is equivalent to the full one.
-func (e *Engine) filterNegated(a *Atom, probeCols []int, bindings []binding, stats *Stats) ([]binding, error) {
-	rel := e.db.Relation(a.Predicate)
-	if rel == nil {
-		return append([]binding(nil), bindings...), nil
-	}
-	probe := len(probeCols) > 0 && e.shouldProbe(rel, probeCols)
-	var vals []relstore.Value
-	if probe {
-		vals = make([]relstore.Value, len(probeCols))
-	} else if len(bindings) > 0 {
-		stats.FullScans++
-	}
-	var out []binding
-	for _, b := range bindings {
-		matched := false
-		check := func(t relstore.Tuple) bool {
-			if _, ok := matchAtom(a, t, b); ok {
-				matched = true
-				return false
-			}
-			return true
-		}
-		if probe {
-			for i, ti := range probeCols {
-				vals[i], _ = termValue(a.Terms[ti], b)
-			}
-			indexed, err := rel.ScanEqAt(probeCols, vals, check)
-			if err != nil {
-				return nil, err
-			}
-			stats.IndexProbes++
-			if indexed {
-				stats.IndexHits++
-			}
-		} else {
-			rel.Scan(check)
-		}
-		if !matched {
-			out = append(out, b)
-		}
-	}
-	return out, nil
-}
-
-// filterComparison keeps the bindings satisfying the comparison.
-func filterComparison(c *Comparison, bindings []binding) []binding {
-	var out []binding
-	for _, b := range bindings {
-		l, lok := termValue(c.Left, b)
-		r, rok := termValue(c.Right, b)
-		if !lok || !rok {
-			continue
-		}
-		if compareValues(l, r, c.Op) {
-			out = append(out, b)
-		}
-	}
-	return out
-}
-
-func termValue(t Term, b binding) (relstore.Value, bool) {
-	switch tm := t.(type) {
-	case Constant:
-		return tm.Value, true
-	case Variable:
-		if tm.Anonymous() {
-			return relstore.Null(), false
-		}
-		v, ok := b[string(tm)]
-		return v, ok
-	default:
-		return relstore.Null(), false
-	}
 }
 
 func compareValues(l, r relstore.Value, op CompareOp) bool {

@@ -1,29 +1,18 @@
-package cylog
+package cylog_test
 
 import (
 	"fmt"
 	"testing"
 
+	"github.com/crowd4u/crowd4u-go/internal/cylog"
 	"github.com/crowd4u/crowd4u-go/internal/relstore"
 )
 
-// Benchmarks for the evaluation pipeline. Configurations compared:
-//
-//   - naive:             Naive mode, scan joins (the slowest reference)
-//   - seminaive-scan:    SemiNaive mode, scan joins (the seed pipeline)
-//   - seminaive-indexed: SemiNaive mode, planned + index-probing joins
-//   - *-par4:            the indexed pipeline on a 4-worker pool
-//   - *-mapbind:         the indexed pipeline with map[string]Value bindings
-//                        instead of columnar rows (the allocation baseline
-//                        the binding-row layout is measured against)
-//
-// All non-par configurations pin SetParallelism(1) so their numbers stay
-// comparable across hosts regardless of GOMAXPROCS. The par4 configurations
-// need >= 2 physical cores to show wall-clock speedup; on a single-core host
-// they measure pool overhead (expect parity or slightly worse). The naive
-// configuration re-derives the full closure every iteration, which is
-// quadratically worse; it only runs at the small size to keep the bench
-// smoke affordable. BENCH_cylog.json records baseline numbers.
+// Benchmarks for the evaluation pipeline: planned, index-probing semi-naive
+// joins over binding rows, sequentially (SetParallelism(1), so the numbers
+// stay comparable across hosts regardless of GOMAXPROCS) and on a 4-worker
+// pool (*-par4). BENCH_cylog.json records baseline numbers; EXPERIMENTS.md §1
+// keeps the ratios of the ablations these benchmarks used to carry.
 
 const tcProgram = `
 rel edge(a: int, b: int).
@@ -35,15 +24,12 @@ reach(X, Z) :- reach(X, Y), edge(Y, Z).
 // tcEngine loads `edges` edge facts forming disjoint chains of length 10, so
 // the closure stays linear in the input (10k edges -> 55k reach facts) and
 // the benchmark measures join work, not result materialisation.
-func tcEngine(b *testing.B, edges int, mode EvalMode, indexing, columnar bool, workers int) *Engine {
+func tcEngine(b *testing.B, edges, workers int) *cylog.Engine {
 	b.Helper()
-	e, err := NewEngine(MustParse(tcProgram))
+	e, err := cylog.NewEngine(cylog.MustParse(tcProgram))
 	if err != nil {
 		b.Fatal(err)
 	}
-	e.SetMode(mode)
-	e.SetIndexing(indexing)
-	e.SetColumnarBindings(columnar)
 	e.SetParallelism(workers)
 	const chain = 10
 	for i := 0; i < edges; i++ {
@@ -53,12 +39,12 @@ func tcEngine(b *testing.B, edges int, mode EvalMode, indexing, columnar bool, w
 	return e
 }
 
-func benchTC(b *testing.B, edges int, mode EvalMode, indexing, columnar bool, workers int) {
+func benchTC(b *testing.B, edges, workers int) {
 	b.Helper()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		e := tcEngine(b, edges, mode, indexing, columnar, workers)
+		e := tcEngine(b, edges, workers)
 		b.StartTimer()
 		if _, err := e.Run(); err != nil {
 			b.Fatal(err)
@@ -67,7 +53,7 @@ func benchTC(b *testing.B, edges int, mode EvalMode, indexing, columnar bool, wo
 		if got := len(e.Facts("reach")); got != edges/10*55 {
 			b.Fatalf("reach = %d facts, want %d", got, edges/10*55)
 		}
-		if indexing && e.Stats().IndexHits == 0 {
+		if e.Stats().IndexHits == 0 {
 			b.Fatal("indexed run recorded no index hits")
 		}
 		if workers > 1 && e.Stats().ParallelTasks == 0 {
@@ -78,13 +64,9 @@ func benchTC(b *testing.B, edges int, mode EvalMode, indexing, columnar bool, wo
 }
 
 func BenchmarkTransitiveClosure(b *testing.B) {
-	b.Run("naive-1k", func(b *testing.B) { benchTC(b, 1000, Naive, false, true, 1) })
-	b.Run("seminaive-scan-1k", func(b *testing.B) { benchTC(b, 1000, SemiNaive, false, true, 1) })
-	b.Run("seminaive-indexed-1k", func(b *testing.B) { benchTC(b, 1000, SemiNaive, true, true, 1) })
-	b.Run("seminaive-scan-10k", func(b *testing.B) { benchTC(b, 10000, SemiNaive, false, true, 1) })
-	b.Run("seminaive-indexed-10k", func(b *testing.B) { benchTC(b, 10000, SemiNaive, true, true, 1) })
-	b.Run("seminaive-indexed-10k-mapbind", func(b *testing.B) { benchTC(b, 10000, SemiNaive, true, false, 1) })
-	b.Run("seminaive-indexed-10k-par4", func(b *testing.B) { benchTC(b, 10000, SemiNaive, true, true, 4) })
+	b.Run("seminaive-indexed-1k", func(b *testing.B) { benchTC(b, 1000, 1) })
+	b.Run("seminaive-indexed-10k", func(b *testing.B) { benchTC(b, 10000, 1) })
+	b.Run("seminaive-indexed-10k-par4", func(b *testing.B) { benchTC(b, 10000, 4) })
 }
 
 // assignProgram is the Crowd4U task-assignment workload: route every task to
@@ -101,15 +83,12 @@ assignable(W, T) :- task(T, S), worker(W, S), !busy(W).
 // 10% busy markers. The skill vocabulary scales with the input (facts/20) so
 // the per-skill fan-out — and with it the output size — stays constant and
 // the benchmark measures join work rather than result materialisation.
-func assignEngine(b *testing.B, facts int, mode EvalMode, indexing, columnar bool, workers int) *Engine {
+func assignEngine(b *testing.B, facts, workers int) *cylog.Engine {
 	b.Helper()
-	e, err := NewEngine(MustParse(assignProgram))
+	e, err := cylog.NewEngine(cylog.MustParse(assignProgram))
 	if err != nil {
 		b.Fatal(err)
 	}
-	e.SetMode(mode)
-	e.SetIndexing(indexing)
-	e.SetColumnarBindings(columnar)
 	e.SetParallelism(workers)
 	workerFacts := facts * 4 / 10
 	tasks := facts * 5 / 10
@@ -127,12 +106,12 @@ func assignEngine(b *testing.B, facts int, mode EvalMode, indexing, columnar boo
 	return e
 }
 
-func benchAssign(b *testing.B, facts int, mode EvalMode, indexing, columnar bool, workers int) {
+func benchAssign(b *testing.B, facts, workers int) {
 	b.Helper()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		e := assignEngine(b, facts, mode, indexing, columnar, workers)
+		e := assignEngine(b, facts, workers)
 		b.StartTimer()
 		if _, err := e.Run(); err != nil {
 			b.Fatal(err)
@@ -146,13 +125,9 @@ func benchAssign(b *testing.B, facts int, mode EvalMode, indexing, columnar bool
 }
 
 func BenchmarkTaskAssignment(b *testing.B) {
-	b.Run("naive-1k", func(b *testing.B) { benchAssign(b, 1000, Naive, false, true, 1) })
-	b.Run("scan-1k", func(b *testing.B) { benchAssign(b, 1000, SemiNaive, false, true, 1) })
-	b.Run("indexed-1k", func(b *testing.B) { benchAssign(b, 1000, SemiNaive, true, true, 1) })
-	b.Run("scan-10k", func(b *testing.B) { benchAssign(b, 10000, SemiNaive, false, true, 1) })
-	b.Run("indexed-10k", func(b *testing.B) { benchAssign(b, 10000, SemiNaive, true, true, 1) })
-	b.Run("indexed-10k-mapbind", func(b *testing.B) { benchAssign(b, 10000, SemiNaive, true, false, 1) })
-	b.Run("indexed-10k-par4", func(b *testing.B) { benchAssign(b, 10000, SemiNaive, true, true, 4) })
+	b.Run("indexed-1k", func(b *testing.B) { benchAssign(b, 1000, 1) })
+	b.Run("indexed-10k", func(b *testing.B) { benchAssign(b, 10000, 1) })
+	b.Run("indexed-10k-par4", func(b *testing.B) { benchAssign(b, 10000, 4) })
 }
 
 // guardedReachProgram places the recursive atom behind a negation barrier, so
@@ -168,18 +143,17 @@ reach(X, Y) :- edge(X, Y).
 reach(X, Z) :- edge(X, Y), !blocked(Y), reach(Y, Z).
 `
 
-func benchGuardedReach(b *testing.B, edges int, hashing bool) {
+func benchGuardedReach(b *testing.B, edges int) {
 	b.Helper()
 	b.ReportAllocs()
 	const chain = 10
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		e, err := NewEngine(MustParse(guardedReachProgram))
+		e, err := cylog.NewEngine(cylog.MustParse(guardedReachProgram))
 		if err != nil {
 			b.Fatal(err)
 		}
 		e.SetParallelism(1)
-		e.SetDeltaHashing(hashing)
 		for j := 0; j < edges; j++ {
 			base := (j / chain) * (chain + 1)
 			e.AddFact("edge", base+j%chain, base+j%chain+1)
@@ -194,208 +168,100 @@ func benchGuardedReach(b *testing.B, edges int, hashing bool) {
 			b.Fatal(err)
 		}
 		b.StopTimer()
-		if hashing && e.Stats().DeltaHashProbes == 0 {
-			b.Fatal("hashed run recorded no delta-frontier probes")
-		}
-		if !hashing && e.Stats().DeltaHashProbes != 0 {
-			b.Fatal("linear run used the delta-frontier hash")
+		if e.Stats().DeltaHashProbes == 0 {
+			b.Fatal("run recorded no delta-frontier probes")
 		}
 		b.StartTimer()
 	}
 }
 
 func BenchmarkGuardedReach(b *testing.B) {
-	b.Run("delta-linear-1k", func(b *testing.B) { benchGuardedReach(b, 1000, false) })
-	b.Run("delta-hashed-1k", func(b *testing.B) { benchGuardedReach(b, 1000, true) })
-	b.Run("delta-hashed-10k", func(b *testing.B) { benchGuardedReach(b, 10000, true) })
+	b.Run("delta-hashed-1k", func(b *testing.B) { benchGuardedReach(b, 1000) })
+	b.Run("delta-hashed-10k", func(b *testing.B) { benchGuardedReach(b, 10000) })
 }
 
-// benchOracleLoop measures the round-based crowd loop on the crowdTCProgram
+// oracleLoopEngine returns a sequential engine over the crowdTCProgram
 // workload (defined with its loaders in engine_incremental_test.go): a
 // 10-chain transitive closure whose chain endpoints each need a human
-// approval, answered `wave` requests per round by the oracle. With
-// incremental answering on, each answered round seeds its deltas from the
-// round's answer batch and skips the untouched negation stratum; with it
-// off, every round re-runs the full fixpoint — the cost this optimisation
-// removes.
-func benchOracleLoop(b *testing.B, edges, wave int, incremental bool) {
+// approval.
+func oracleLoopEngine(b *testing.B, edges int, db *relstore.Database) *cylog.Engine {
+	b.Helper()
+	e, err := cylog.NewEngineWith(cylog.MustParse(crowdTCProgram), db)
+	if err != nil {
+		b.Fatal(err)
+	}
+	e.SetParallelism(1)
+	loadCrowdTC(e, edges)
+	return e
+}
+
+// checkOracleLoop verifies a finished oracle loop: every endpoint approved,
+// and every approval retracted its endpoint's rejection.
+func checkOracleLoop(b *testing.B, e *cylog.Engine, total cylog.Stats, edges int) {
+	b.Helper()
+	if got := len(e.Facts("approved")); got != edges/10 {
+		b.Fatalf("approved = %d facts, want %d", got, edges/10)
+	}
+	if got := len(e.Facts("rejected")); got != 0 {
+		b.Fatalf("rejected = %d facts, want 0 after retraction", got)
+	}
+	if total.RetractedTuples != edges/10 {
+		b.Fatalf("RetractedTuples = %d, want %d", total.RetractedTuples, edges/10)
+	}
+}
+
+// benchOracleLoop measures the round-based crowd loop: `wave` approvals per
+// round, each round ingested as a batch through RunIncremental, which seeds
+// the round's deltas from the answers and recomputes the negated rejected
+// stratum to retract the approved endpoints' rejections.
+func benchOracleLoop(b *testing.B, edges, wave int) {
 	b.Helper()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		e, err := NewEngine(MustParse(crowdTCProgram))
-		if err != nil {
-			b.Fatal(err)
-		}
-		// The historical insert-only pipeline: negation staleness tolerated,
-		// the rejected stratum skipped per answered round. The retraction-on
-		// cost of the same loop is measured by BenchmarkOracleLoopRetraction.
-		e.SetRetraction(false)
-		e.SetParallelism(1)
-		e.SetIncrementalAnswering(incremental)
-		loadCrowdTC(e, edges)
+		e := oracleLoopEngine(b, edges, relstore.NewDatabase())
 		b.StartTimer()
 		total, err := e.RunToFixpointWithOracle(waveOracle(wave), 1000)
 		b.StopTimer()
 		if err != nil {
 			b.Fatal(err)
 		}
-		if got := len(e.Facts("approved")); got != edges/10 {
-			b.Fatalf("approved = %d facts, want %d", got, edges/10)
-		}
-		if incremental && total.SkippedStrata == 0 {
-			b.Fatal("incremental loop skipped no strata")
-		}
-		if !incremental && total.SkippedStrata != 0 {
-			b.Fatal("full loop reported skipped strata")
+		checkOracleLoop(b, e, total, edges)
+		if total.SeededDeltas != edges/10 {
+			b.Fatalf("SeededDeltas = %d, want %d", total.SeededDeltas, edges/10)
 		}
 		b.StartTimer()
 	}
 }
 
-// BenchmarkOracleLoop is the batched-answering benchmark: 10k-scale crowd
-// rounds (1000 endpoints approved 100 per round), incremental vs full
-// re-run. BENCH_cylog.json records the baselines.
+// BenchmarkOracleLoop is the batched-answering benchmark: 1k- and 10k-scale
+// crowd rounds (100 and 1000 endpoints, approved 10 and 100 per round).
+// BENCH_cylog.json records the baselines.
 func BenchmarkOracleLoop(b *testing.B) {
-	b.Run("full-1k", func(b *testing.B) { benchOracleLoop(b, 1000, 10, false) })
-	b.Run("incremental-1k", func(b *testing.B) { benchOracleLoop(b, 1000, 10, true) })
-	b.Run("full-10k", func(b *testing.B) { benchOracleLoop(b, 10000, 100, false) })
-	b.Run("incremental-10k", func(b *testing.B) { benchOracleLoop(b, 10000, 100, true) })
-}
-
-// benchOracleLoopRetraction is the oracle loop with deletion propagation
-// enabled (the default engine configuration): every answered round retracts
-// the freshly approved endpoints' rejected facts — the counting-based
-// recompute of the negation stratum — on top of the incremental seeding the
-// plain loop measures. The verification asserts the retraction actually
-// engages: rejected must end empty (with insert-only semantics every
-// endpoint would stay rejected forever) and RetractedTuples must equal the
-// approvals.
-func benchOracleLoopRetraction(b *testing.B, edges, wave int, incremental bool) {
-	b.Helper()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		e, err := NewEngine(MustParse(crowdTCProgram))
-		if err != nil {
-			b.Fatal(err)
-		}
-		e.SetParallelism(1)
-		e.SetIncrementalAnswering(incremental)
-		loadCrowdTC(e, edges)
-		b.StartTimer()
-		total, err := e.RunToFixpointWithOracle(waveOracle(wave), 1000)
-		b.StopTimer()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if got := len(e.Facts("approved")); got != edges/10 {
-			b.Fatalf("approved = %d facts, want %d", got, edges/10)
-		}
-		if got := len(e.Facts("rejected")); got != 0 {
-			b.Fatalf("rejected = %d facts, want 0 after retraction", got)
-		}
-		if total.RetractedTuples != edges/10 {
-			b.Fatalf("RetractedTuples = %d, want %d", total.RetractedTuples, edges/10)
-		}
-		b.StartTimer()
-	}
-}
-
-// BenchmarkOracleLoopRetraction measures what retraction-correct negation
-// costs on the crowd loop, in both the incremental and the full-reference
-// configuration. Compare against the same sizes of BenchmarkOracleLoop (the
-// insert-only pipeline) for the price of correctness.
-func BenchmarkOracleLoopRetraction(b *testing.B) {
-	b.Run("full-1k", func(b *testing.B) { benchOracleLoopRetraction(b, 1000, 10, false) })
-	b.Run("incremental-1k", func(b *testing.B) { benchOracleLoopRetraction(b, 1000, 10, true) })
-	b.Run("incremental-10k", func(b *testing.B) { benchOracleLoopRetraction(b, 10000, 100, true) })
-}
-
-// benchOracleLoopPlanCache is the oracle loop with cost-aware planning and
-// the compiled plan cache toggled: the same incremental, insert-only crowd
-// rounds as BenchmarkOracleLoop/incremental, planned either by the cached
-// cost-aware planner (cost=true, the default) or by the cardinality-only
-// planner re-run on every evaluation pass (cost=false, the pre-cost engine
-// and the differential reference). The cost-on verification asserts the
-// cache actually engages in steady state — PlanCacheHits > 0 — which holds
-// because the drift threshold leaves stats epochs alone once relations stop
-// growing quickly, so later rounds replan nothing.
-func benchOracleLoopPlanCache(b *testing.B, edges, wave int, cost bool) {
-	b.Helper()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		e, err := NewEngine(MustParse(crowdTCProgram))
-		if err != nil {
-			b.Fatal(err)
-		}
-		e.SetRetraction(false)
-		e.SetParallelism(1)
-		e.SetIncrementalAnswering(true)
-		e.SetCostPlanning(cost)
-		loadCrowdTC(e, edges)
-		b.StartTimer()
-		total, err := e.RunToFixpointWithOracle(waveOracle(wave), 1000)
-		b.StopTimer()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if got := len(e.Facts("approved")); got != edges/10 {
-			b.Fatalf("approved = %d facts, want %d", got, edges/10)
-		}
-		if cost && total.PlanCacheHits == 0 {
-			b.Fatalf("steady-state loop never hit the plan cache: %+v", total)
-		}
-		if !cost && (total.PlanCacheHits != 0 || total.PlanCacheMisses != 0) {
-			b.Fatalf("cost-off loop touched the plan cache: %+v", total)
-		}
-		b.StartTimer()
-	}
-}
-
-// BenchmarkOracleLoopPlanCache measures what plan caching and cost-aware
-// planning buy on the crowd loop at 1k and 10k scale. Compare costoff (plan
-// on every pass) against coston (cached plans, selectivity tie-breaks,
-// pre-sized joins); BENCH_cylog.json records the baselines.
-func BenchmarkOracleLoopPlanCache(b *testing.B) {
-	b.Run("costoff-1k", func(b *testing.B) { benchOracleLoopPlanCache(b, 1000, 10, false) })
-	b.Run("coston-1k", func(b *testing.B) { benchOracleLoopPlanCache(b, 1000, 10, true) })
-	b.Run("costoff-10k", func(b *testing.B) { benchOracleLoopPlanCache(b, 10000, 100, false) })
-	b.Run("coston-10k", func(b *testing.B) { benchOracleLoopPlanCache(b, 10000, 100, true) })
+	b.Run("incremental-1k", func(b *testing.B) { benchOracleLoop(b, 1000, 10) })
+	b.Run("incremental-10k", func(b *testing.B) { benchOracleLoop(b, 10000, 100) })
 }
 
 // benchOracleLoopSharded is the oracle loop under hash-partitioned
-// evaluation: the same incremental, insert-only crowd rounds as
-// BenchmarkOracleLoop/incremental, fanned across `shards` engine shards with
-// frontier exchange at round barriers. shards=1 stays on the unsharded path
-// (the differential reference), so the shards1 entries measure the dispatch
-// overhead of the toggle itself — they should track the plain incremental
-// numbers — while shards2/4 measure partitioned evaluation, which needs a
-// multi-core host to turn into wall-clock speedup.
+// evaluation, fanned across `shards` engine shards with frontier exchange at
+// round barriers. shards=1 stays on the unsharded path, so the shards1
+// entries measure the dispatch overhead of the setting itself — they should
+// track the OracleLoop numbers — while shards2/4 measure partitioned
+// evaluation.
 func benchOracleLoopSharded(b *testing.B, edges, wave, shards int) {
 	b.Helper()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		e, err := NewEngine(MustParse(crowdTCProgram))
-		if err != nil {
-			b.Fatal(err)
-		}
-		e.SetRetraction(false)
-		e.SetParallelism(1)
-		e.SetIncrementalAnswering(true)
+		e := oracleLoopEngine(b, edges, relstore.NewDatabase())
 		e.SetShards(shards)
-		loadCrowdTC(e, edges)
 		b.StartTimer()
 		total, err := e.RunToFixpointWithOracle(waveOracle(wave), 1000)
 		b.StopTimer()
 		if err != nil {
 			b.Fatal(err)
 		}
-		if got := len(e.Facts("approved")); got != edges/10 {
-			b.Fatalf("approved = %d facts, want %d", got, edges/10)
-		}
+		checkOracleLoop(b, e, total, edges)
 		routed := total.ShardLocalTuples + total.ShardExchanges
 		if shards > 1 && routed == 0 {
 			b.Fatal("sharded loop routed no frontier tuples")
@@ -409,8 +275,7 @@ func benchOracleLoopSharded(b *testing.B, edges, wave, shards int) {
 
 // BenchmarkOracleLoopSharded measures hash-partitioned fixpoints on the crowd
 // loop at 1k and 10k scale, shards 1/2/4. BENCH_cylog.json records the
-// baselines; the ns/op comparison only gates on hosts with enough cores (see
-// the benchcheck block's wallclock_min_cores).
+// baselines.
 func BenchmarkOracleLoopSharded(b *testing.B) {
 	for _, shards := range []int{1, 2, 4} {
 		shards := shards
@@ -419,16 +284,14 @@ func BenchmarkOracleLoopSharded(b *testing.B) {
 	}
 }
 
-// benchOracleLoopDisk is the oracle loop on a storage backend: the same
-// incremental, insert-only crowd rounds as BenchmarkOracleLoop/incremental,
-// but the engine's database is opened through the relstore Backend seam. The
-// "memory" variant is the seam-overhead reference (it must track the plain
-// incremental numbers — the hot join path never crosses the interface). The
-// "disk" variant opens a budget small enough that the base relations are
-// evicted cold before the loop starts and a Maintain pass runs after every
-// answered round, so the measurement includes segment writes, fault-ins and
-// residency rebalancing — the steady-state cost of running the crowd loop on
-// state larger than memory.
+// benchOracleLoopDisk is the oracle loop on a storage backend: the engine's
+// database is opened through the relstore Backend seam. The "memory" variant
+// is the seam-overhead reference (it must track the OracleLoop numbers — the
+// hot join path never crosses the interface). The "disk" variant opens a
+// budget small enough that the base relations are evicted cold before the
+// loop starts and a Maintain pass runs after the loop, so the measurement
+// includes segment writes, fault-ins and residency rebalancing — the cost of
+// running the crowd loop on state larger than memory.
 func benchOracleLoopDisk(b *testing.B, edges, wave int, backend string) {
 	b.Helper()
 	b.ReportAllocs()
@@ -439,14 +302,7 @@ func benchOracleLoopDisk(b *testing.B, edges, wave int, backend string) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		e, err := NewEngineWith(MustParse(crowdTCProgram), relstore.NewDatabaseWith(db))
-		if err != nil {
-			b.Fatal(err)
-		}
-		e.SetRetraction(false)
-		e.SetParallelism(1)
-		e.SetIncrementalAnswering(true)
-		loadCrowdTC(e, edges)
+		e := oracleLoopEngine(b, edges, relstore.NewDatabaseWith(db))
 		maintain := func() {
 			if err := e.Database().Backend().Maintain(); err != nil {
 				b.Fatal(err)
@@ -454,14 +310,13 @@ func benchOracleLoopDisk(b *testing.B, edges, wave int, backend string) {
 		}
 		maintain() // page the cold base relations out before the loop starts
 		b.StartTimer()
-		if _, err := e.RunToFixpointWithOracle(waveOracle(wave), 1000); err != nil {
+		total, err := e.RunToFixpointWithOracle(waveOracle(wave), 1000)
+		if err != nil {
 			b.Fatal(err)
 		}
 		maintain()
 		b.StopTimer()
-		if got := len(e.Facts("approved")); got != edges/10 {
-			b.Fatalf("approved = %d facts, want %d", got, edges/10)
-		}
+		checkOracleLoop(b, e, total, edges)
 		s := e.Database().Backend().Stats()
 		if backend == "disk" {
 			if s.Evictions == 0 || s.Faults == 0 {

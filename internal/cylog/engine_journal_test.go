@@ -247,3 +247,20 @@ func TestJournalReplayErrors(t *testing.T) {
 		t.Fatal("sanity: ErrUnknownRequest must not match ErrRequestClosed")
 	}
 }
+
+// dbFingerprint renders every relation's sorted facts plus the given pending
+// requests into one string, so two engines can be compared byte for byte.
+func dbFingerprint(e *Engine, reqs []OpenRequest) string {
+	var sb strings.Builder
+	for _, name := range e.Database().Names() {
+		sb.WriteString(name + ":")
+		for _, tup := range e.Facts(name) {
+			sb.WriteString(tup.String())
+		}
+		sb.WriteString("\n")
+	}
+	for _, r := range reqs {
+		sb.WriteString(r.ID + ";" + r.String() + "\n")
+	}
+	return sb.String()
+}

@@ -3,7 +3,6 @@ package cylog
 import (
 	"fmt"
 	"testing"
-	"testing/quick"
 )
 
 // differentialProgram exercises every literal kind across several strata:
@@ -26,57 +25,6 @@ big(N) :- node(N), N > 3.
 unreached(N) :- node(N), !reach(_, N).
 labeled(N, T) :- node(N), label(N, T).
 `
-
-// fixpointFingerprint runs the engine and renders every relation's sorted
-// facts plus the sorted pending requests into one string, so two evaluation
-// configurations can be compared byte-for-byte.
-func fixpointFingerprint(t *testing.T, e *Engine) string {
-	t.Helper()
-	reqs, err := e.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := ""
-	for _, name := range e.Database().Names() {
-		out += name + ":"
-		for _, tup := range e.Facts(name) {
-			out += tup.String()
-		}
-		out += "\n"
-	}
-	for _, r := range reqs {
-		out += r.ID + ";" + r.String() + "\n"
-	}
-	return out
-}
-
-// TestEngineParallelAndSequentialFixpointsAgree is the differential
-// quick-check of the parallel evaluator: across random edge/node sets, the
-// fixpoint (every relation) and the open requests derived at parallelism 4
-// are byte-identical to SetParallelism(1), with indexing both on and off.
-func TestEngineParallelAndSequentialFixpointsAgree(t *testing.T) {
-	f := func(edges []uint8, nodes []uint8) bool {
-		build := func(parallelism int, indexing bool) string {
-			e, err := NewEngine(MustParse(differentialProgram))
-			if err != nil {
-				t.Fatal(err)
-			}
-			e.SetParallelism(parallelism)
-			e.SetIndexing(indexing)
-			for i := 0; i+1 < len(edges); i += 2 {
-				e.AddFact("edge", int(edges[i]%8), int(edges[i+1]%8))
-			}
-			for _, n := range nodes {
-				e.AddFact("node", int(n%8))
-			}
-			return fixpointFingerprint(t, e)
-		}
-		return build(1, true) == build(4, true) && build(1, false) == build(4, false)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
-		t.Error(err)
-	}
-}
 
 // TestEngineParallelShardsLargeDeltas drives an input big enough to split
 // delta frontiers and full scans into shards, and asserts both that sharding
@@ -187,56 +135,6 @@ lonely(I) :- item(I, _), !linked(I, _), !linked(_, I).
 	// all of them; the overlapping negation rule must not change the set.
 	if got := len(e.Facts("keep")); got != id {
 		t.Errorf("keep = %d facts, want %d", got, id)
-	}
-}
-
-// TestEngineDeltaHashing pins the hashed delta frontier: a rule whose
-// recursive atom sits behind a negation barrier reaches the delta with bound
-// columns and many bindings, so the engine must answer it with frontier
-// probes — and produce the same fixpoint with hashing disabled.
-func TestEngineDeltaHashing(t *testing.T) {
-	const src = `
-rel edge(a: int, b: int).
-rel blocked(a: int).
-rel reach(a: int, b: int).
-reach(X, Y) :- edge(X, Y).
-reach(X, Z) :- edge(X, Y), !blocked(Y), reach(Y, Z).
-`
-	build := func(hashing bool) *Engine {
-		e, err := NewEngine(MustParse(src))
-		if err != nil {
-			t.Fatal(err)
-		}
-		e.SetParallelism(1)
-		e.SetDeltaHashing(hashing)
-		for i := 0; i < 400; i++ {
-			base := (i / 8) * 9
-			e.AddFact("edge", base+i%8, base+i%8+1)
-		}
-		e.AddFact("blocked", 4) // cuts the first chain
-		if _, err := e.Run(); err != nil {
-			t.Fatal(err)
-		}
-		return e
-	}
-	hashed, linear := build(true), build(false)
-	if !hashed.DeltaHashingEnabled() || linear.DeltaHashingEnabled() {
-		t.Fatal("SetDeltaHashing toggle not reflected")
-	}
-	if hashed.Stats().DeltaHashProbes == 0 {
-		t.Error("delta-behind-barrier workload should use the frontier hash")
-	}
-	if linear.Stats().DeltaHashProbes != 0 {
-		t.Error("disabled hashing still recorded frontier probes")
-	}
-	hf, lf := hashed.Facts("reach"), linear.Facts("reach")
-	if len(hf) != len(lf) {
-		t.Fatalf("reach facts differ: hashed %d, linear %d", len(hf), len(lf))
-	}
-	for i := range hf {
-		if !hf[i].Equal(lf[i]) {
-			t.Fatalf("reach[%d] differs: %v vs %v", i, hf[i], lf[i])
-		}
 	}
 }
 

@@ -1,18 +1,18 @@
-package cylog
+package cylog_test
 
 import (
 	"errors"
 	"fmt"
 	"sync"
 	"testing"
-	"testing/quick"
+
+	"github.com/crowd4u/crowd4u-go/internal/cylog"
 )
 
 // approveRejectProgram is the canonical stale-negation workload: every item
 // starts rejected (no approval yet), and each rejected item additionally asks
 // for a human review. An approving answer must retract the stale rejected
-// fact and withdraw the now-pointless review request — exactly what the
-// insert-only pipeline got wrong.
+// fact and withdraw the now-pointless review request.
 const approveRejectProgram = `
 rel item(n: int).
 open rel approve(n: int, ok: bool) key(n) asks "Approve this item".
@@ -26,55 +26,19 @@ rejected(N) :- item(N), !approved(N).
 reviewed(N) :- rejected(N), review(N, _).
 `
 
-// retractionConfig is one cell of the retraction differential matrix.
-type retractionConfig struct {
-	name        string
-	columnar    bool
-	parallelism int
-	indexing    bool
-	incremental bool
-}
-
-func retractionMatrix() []retractionConfig {
-	var out []retractionConfig
-	for _, columnar := range []bool{true, false} {
-		for _, par := range []int{1, 4} {
-			for _, indexing := range []bool{true, false} {
-				for _, inc := range []bool{true, false} {
-					out = append(out, retractionConfig{
-						name: fmt.Sprintf("columnar=%v/par%d/indexed=%v/incremental=%v",
-							columnar, par, indexing, inc),
-						columnar:    columnar,
-						parallelism: par,
-						indexing:    indexing,
-						incremental: inc,
-					})
-				}
-			}
-		}
-	}
-	return out
-}
-
-func (cfg retractionConfig) apply(e *Engine) {
-	e.SetColumnarBindings(cfg.columnar)
-	e.SetParallelism(cfg.parallelism)
-	e.SetIndexing(cfg.indexing)
-	e.SetIncrementalAnswering(cfg.incremental)
-}
-
-// TestRetractionStaleNegationRegression pins the bug this machinery fixes:
-// approve-after-reject. On the insert-only path rejected(1) survives the
-// approving answer; with retraction (the default) it is withdrawn, along with
-// the review request it guarded, across every evaluation configuration.
+// TestRetractionStaleNegationRegression pins the bug retraction fixes:
+// approve-after-reject. The approving answer withdraws rejected(1) along
+// with the review request it guarded, on every configuration of the
+// differential matrix.
 func TestRetractionStaleNegationRegression(t *testing.T) {
-	for _, cfg := range retractionMatrix() {
-		t.Run(cfg.name, func(t *testing.T) {
-			e, err := NewEngine(MustParse(approveRejectProgram))
+	for _, cfg := range matrix() {
+		t.Run(cfg.String(), func(t *testing.T) {
+			e, err := cylog.NewEngine(cylog.MustParse(approveRejectProgram))
 			if err != nil {
 				t.Fatal(err)
 			}
-			cfg.apply(e)
+			e.SetParallelism(cfg.parallelism)
+			e.SetShards(cfg.shards)
 			for n := 1; n <= 3; n++ {
 				if err := e.AddFact("item", n); err != nil {
 					t.Fatal(err)
@@ -91,32 +55,8 @@ func TestRetractionStaleNegationRegression(t *testing.T) {
 			if got := len(e.Facts("rejected")); got != 3 {
 				t.Fatalf("rejected = %v", e.Facts("rejected"))
 			}
-			var reviewReq1 string
-			for _, r := range reqs {
-				if r.Relation == "review" {
-					if n, _ := r.Key()["n"].AsInt(); n == 1 {
-						reviewReq1 = r.ID
-					}
-				}
-			}
-			if reviewReq1 == "" {
-				t.Fatal("no review request for item 1")
-			}
-
-			batch := e.NewAnswerBatch()
-			for _, r := range reqs {
-				if r.Relation == "approve" {
-					if n, _ := r.Key()["n"].AsInt(); n == 1 {
-						if err := batch.Answer(r.ID, map[string]any{"ok": true}); err != nil {
-							t.Fatal(err)
-						}
-					}
-				}
-			}
-			reqs, err = e.RunIncremental(batch)
-			if err != nil {
-				t.Fatal(err)
-			}
+			reviewReq1 := "review|1"
+			reqs = commitRound(t, e, cfg.incremental, []cylog.OpenRequest{{ID: "approve|1"}}, map[string]any{"ok": true})
 
 			rejected := e.Facts("rejected")
 			if len(rejected) != 2 {
@@ -140,47 +80,16 @@ func TestRetractionStaleNegationRegression(t *testing.T) {
 					t.Fatalf("review request for the approved item should be withdrawn: %v", reqs)
 				}
 			}
+			checkReference(t, e)
 			// A late answer to the withdrawn request reports the closed-request
 			// error, distinguishable from a genuinely unknown id — but still
 			// matches ErrUnknownRequest for older callers.
 			err = e.Answer(reviewReq1, map[string]any{"note": "late"})
-			if !errors.Is(err, ErrRequestClosed) || !errors.Is(err, ErrUnknownRequest) {
+			if !errors.Is(err, cylog.ErrRequestClosed) || !errors.Is(err, cylog.ErrUnknownRequest) {
 				t.Errorf("late answer to withdrawn request: %v", err)
 			}
-			if err := e.Answer("bogus|id", map[string]any{}); errors.Is(err, ErrRequestClosed) {
+			if err := e.Answer("bogus|id", map[string]any{}); errors.Is(err, cylog.ErrRequestClosed) {
 				t.Errorf("unknown id should not classify as closed: %v", err)
-			}
-
-			// The same flow with retraction off keeps the stale fact — the
-			// pinned pre-retraction behaviour the default now replaces.
-			legacy, err := NewEngine(MustParse(approveRejectProgram))
-			if err != nil {
-				t.Fatal(err)
-			}
-			cfg.apply(legacy)
-			legacy.SetRetraction(false)
-			for n := 1; n <= 3; n++ {
-				legacy.AddFact("item", n)
-			}
-			lreqs, err := legacy.Run()
-			if err != nil {
-				t.Fatal(err)
-			}
-			lbatch := legacy.NewAnswerBatch()
-			for _, r := range lreqs {
-				if r.Relation == "approve" {
-					if n, _ := r.Key()["n"].AsInt(); n == 1 {
-						if err := lbatch.Answer(r.ID, map[string]any{"ok": true}); err != nil {
-							t.Fatal(err)
-						}
-					}
-				}
-			}
-			if _, err := legacy.RunIncremental(lbatch); err != nil {
-				t.Fatal(err)
-			}
-			if got := len(legacy.Facts("rejected")); got != 3 {
-				t.Fatalf("insert-only path should keep the stale rejection, got %v", legacy.Facts("rejected"))
 			}
 		})
 	}
@@ -190,7 +99,7 @@ func TestRetractionStaleNegationRegression(t *testing.T) {
 // approval retracts exactly rejected(1) and re-derives the two surviving
 // rejections that were over-deleted with it.
 func TestRetractionStats(t *testing.T) {
-	e, err := NewEngine(MustParse(approveRejectProgram))
+	e, err := cylog.NewEngine(cylog.MustParse(approveRejectProgram))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,48 +139,6 @@ func TestRetractionStats(t *testing.T) {
 	}
 }
 
-// TestRetractionToggleRebuilds checks SetRetraction's conservative rebuild: a
-// database left stale by the insert-only path is cleaned up by the first run
-// after enabling retraction.
-func TestRetractionToggleRebuilds(t *testing.T) {
-	e, err := NewEngine(MustParse(approveRejectProgram))
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.SetRetraction(false)
-	e.AddFact("item", 1)
-	reqs, err := e.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range reqs {
-		if r.Relation == "approve" {
-			if err := e.Answer(r.ID, map[string]any{"ok": true}); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if _, err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(e.Facts("rejected")) != 1 {
-		t.Fatalf("insert-only run should leave the stale rejection, got %v", e.Facts("rejected"))
-	}
-	e.SetRetraction(true)
-	reqs, err = e.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(e.Facts("rejected")) != 0 {
-		t.Errorf("rebuild should drop the stale rejection, got %v", e.Facts("rejected"))
-	}
-	for _, r := range reqs {
-		if r.Relation == "review" {
-			t.Errorf("rebuild should withdraw the stale review request: %v", reqs)
-		}
-	}
-}
-
 // TestRetractionEDBNegation covers retraction triggered by a plain EDB fact
 // (no answers involved): a new edge revokes a node's endpoint status and
 // withdraws the confirmation request that depended on it.
@@ -285,7 +152,7 @@ rel confirmed(n: int).
 endpoint(N) :- node(N), !edge(N, _).
 confirmed(N) :- endpoint(N), confirm(N, true).
 `
-	e, err := NewEngine(MustParse(src))
+	e, err := cylog.NewEngine(cylog.MustParse(src))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,196 +183,94 @@ confirmed(N) :- endpoint(N), confirm(N, true).
 	if n, _ := reqs[0].Key()["n"].AsInt(); n != 2 {
 		t.Errorf("surviving request = %v", reqs[0])
 	}
-}
-
-// driveRetractionRounds runs the crowd loop for a fixed number of rounds under
-// one configuration (full Run first, then batch + RunIncremental), answering a
-// picks-driven subset of pending label requests per round. After every round
-// it also replays the engine's entire history — base facts plus every answer
-// ingested so far — into a fresh engine and runs it once: the from-scratch
-// ground truth the round's fixpoint, requests and derived facts must match
-// byte for byte.
-func driveRetractionRounds(t *testing.T, cfg retractionConfig, edges, nodes, picks []uint8, rounds int) []string {
-	t.Helper()
-	e, err := NewEngine(MustParse(incrementalProgram))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.apply(e)
-	type fact struct{ vals []any }
-	var baseFacts []fact
-	addFact := func(rel string, vals ...any) {
-		if err := e.AddFact(rel, vals...); err != nil {
-			t.Fatal(err)
-		}
-		baseFacts = append(baseFacts, fact{append([]any{rel}, vals...)})
-	}
-	for i := 0; i+1 < len(edges); i += 2 {
-		addFact("edge", int(edges[i]%8), int(edges[i+1]%8))
-	}
-	for _, n := range nodes {
-		addFact("node", int(n%8))
-	}
-	answered := make(map[int]string) // node -> tag
-
-	scratch := func() string {
-		f, err := NewEngine(MustParse(incrementalProgram))
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg.apply(f)
-		for _, bf := range baseFacts {
-			if err := f.AddFact(bf.vals[0].(string), bf.vals[1:]...); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for n, tag := range answered {
-			if err := f.AnswerFact("label", n, tag); err != nil {
-				t.Fatal(err)
-			}
-		}
-		reqs, err := f.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return dbFingerprint(f, reqs)
-	}
-
-	var prints []string
-	var batch *AnswerBatch
-	for round := 0; round < rounds; round++ {
-		var reqs []OpenRequest
-		var err error
-		if batch == nil {
-			reqs, err = e.Run()
-		} else {
-			reqs, err = e.RunIncremental(batch)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := dbFingerprint(e, reqs)
-		if want := scratch(); got != want {
-			t.Fatalf("%s: round %d diverges from from-scratch ground truth:\n%s\nvs\n%s",
-				cfg.name, round, got, want)
-		}
-		prints = append(prints, got)
-		if len(reqs) == 0 {
-			break
-		}
-		batch = e.NewAnswerBatch()
-		ok := false
-		for _, p := range picks {
-			r := reqs[int(p)%len(reqs)]
-			n, _ := r.Key()["n"].AsInt()
-			tag := fmt.Sprintf("t%d", n)
-			if err := batch.Answer(r.ID, map[string]any{"tag": tag}); err == nil {
-				answered[int(n)] = tag
-				ok = true
-			}
-		}
-		if !ok {
-			break
-		}
-	}
-	return prints
+	checkReference(t, e)
 }
 
 // TestRetractionFromScratchDifferential is the acceptance check of the
-// retraction machinery: across random fact sets and random negation-affecting
-// answer subsets, every round's fixpoint, pending requests and derived facts
-// — under {columnar, map} x {par 1, 4} x {indexed, scan} x {incremental,
-// full} — are byte-identical to a full from-scratch re-run of the same facts,
-// the ground truth the insert-only engine failed (answers to label shrink
-// unlabeled through its negation).
+// retraction machinery on the approve/reject workload: across random item
+// sets and random answer subsets — approvals that retract rejections and
+// withdraw review requests, rejections that keep them, and reviews — every
+// round's facts and pending requests equal the reference's from-scratch
+// fixpoint on every configuration of the matrix.
 func TestRetractionFromScratchDifferential(t *testing.T) {
-	matrix := retractionMatrix()
-	f := func(edges, nodes, picks []uint8) bool {
-		if len(nodes) == 0 {
-			nodes = []uint8{1}
-		}
-		if len(picks) == 0 {
-			picks = []uint8{0}
-		}
-		if len(picks) > 5 {
-			picks = picks[:5]
-		}
-		const rounds = 3
-		ref := driveRetractionRounds(t, matrix[0], edges, nodes, picks, rounds)
-		for _, cfg := range matrix[1:] {
-			prints := driveRetractionRounds(t, cfg, edges, nodes, picks, rounds)
-			if len(prints) != len(ref) {
-				t.Logf("%s: %d rounds vs reference %d", cfg.name, len(prints), len(ref))
-				return false
+	runDifferential(t, workload{
+		program: approveRejectProgram,
+		seed: func(a, _ []uint8, add addFunc) {
+			for _, n := range a {
+				add("item", int(n%8))
 			}
-			for i := range prints {
-				if prints[i] != ref[i] {
-					t.Logf("%s: round %d fingerprint diverges:\n%s\nvs reference:\n%s",
-						cfg.name, i, prints[i], ref[i])
-					return false
-				}
+		},
+		answer: func(r cylog.OpenRequest) map[string]any {
+			n, _ := r.KeyValues[0].AsInt()
+			if r.Relation == "approve" {
+				return map[string]any{"ok": n%3 != 0}
 			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 6}); err != nil {
-		t.Error(err)
-	}
+			return map[string]any{"note": fmt.Sprintf("note %d", n)}
+		},
+	}, 3, 8)
 }
 
 // TestRetractionConcurrentStaging is the -race workout for retraction: worker
 // goroutines stage answers into shared batches while the main loop commits
 // them through RunIncremental, each commit retracting the freshly approved
-// items' rejections while the next wave stages against the engine lock.
+// items' rejections while the next wave stages against the engine lock — on
+// the unsharded engine and on four shards with a two-worker pool.
 func TestRetractionConcurrentStaging(t *testing.T) {
-	e, err := NewEngine(MustParse(approveRejectProgram))
-	if err != nil {
-		t.Fatal(err)
-	}
-	const items = 60
-	for n := 1; n <= items; n++ {
-		e.AddFact("item", n)
-	}
-	reqs, err := e.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for rounds := 0; len(reqs) > 0 && rounds < 40; rounds++ {
-		batch := e.NewAnswerBatch()
-		var wg sync.WaitGroup
-		const stagers = 4
-		for w := 0; w < stagers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for i, r := range reqs {
-					if i%stagers != w {
-						continue
-					}
-					switch r.Relation {
-					case "approve":
-						batch.Answer(r.ID, map[string]any{"ok": true}) //nolint:errcheck
-					case "review":
-						// Review answers race against the approval that
-						// withdraws their request: both staging-time and
-						// commit-time rejections must stay per-item.
-						batch.Answer(r.ID, map[string]any{"note": "checked"}) //nolint:errcheck
-					}
-				}
-			}(w)
-		}
-		wg.Wait()
-		if reqs, err = e.RunIncremental(batch); err != nil {
+	for _, shards := range []int{1, 4} {
+		e, err := cylog.NewEngine(cylog.MustParse(approveRejectProgram))
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	if got := len(e.Facts("approved")); got != items {
-		t.Fatalf("approved = %d, want %d", got, items)
-	}
-	if got := len(e.Facts("rejected")); got != 0 {
-		t.Fatalf("every rejection should be retracted, rejected = %v", e.Facts("rejected"))
-	}
-	if got := len(e.PendingRequests()); got != 0 {
-		t.Fatalf("pending = %v", e.PendingRequests())
+		e.SetShards(shards)
+		if shards > 1 {
+			e.SetParallelism(2)
+		}
+		const items = 60
+		for n := 1; n <= items; n++ {
+			e.AddFact("item", n)
+		}
+		reqs, err := e.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for rounds := 0; len(reqs) > 0 && rounds < 40; rounds++ {
+			batch := e.NewAnswerBatch()
+			var wg sync.WaitGroup
+			const stagers = 4
+			for w := 0; w < stagers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					for i, r := range reqs {
+						if i%stagers != w {
+							continue
+						}
+						switch r.Relation {
+						case "approve":
+							batch.Answer(r.ID, map[string]any{"ok": true}) //nolint:errcheck
+						case "review":
+							// Review answers race against the approval that
+							// withdraws their request: both staging-time and
+							// commit-time rejections must stay per-item.
+							batch.Answer(r.ID, map[string]any{"note": "checked"}) //nolint:errcheck
+						}
+					}
+				}(w)
+			}
+			wg.Wait()
+			if reqs, err = e.RunIncremental(batch); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := len(e.Facts("approved")); got != items {
+			t.Fatalf("shards=%d: approved = %d, want %d", shards, got, items)
+		}
+		if got := len(e.Facts("rejected")); got != 0 {
+			t.Fatalf("shards=%d: every rejection should be retracted, rejected = %v", shards, e.Facts("rejected"))
+		}
+		if got := len(e.PendingRequests()); got != 0 {
+			t.Fatalf("shards=%d: pending = %v", shards, e.PendingRequests())
+		}
+		checkReference(t, e)
 	}
 }

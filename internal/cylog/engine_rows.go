@@ -8,17 +8,13 @@ import (
 
 // Columnar binding rows
 //
-// This file is the columnar twin of the map-binding join loop in engine.go:
-// the same three join strategies (index probe, hashed delta frontier, scan),
-// the same negation/comparison filters and the same request generation, but
-// bindings are flat, fixed-width []Value rows addressed by the rule's slot
-// schema instead of map[string]Value clones. The rows of one evaluation step
-// live in a single contiguous arena (rowBatch), so extending a binding is an
-// append of W values with amortised allocation instead of a map clone per
-// match, and filters compact the arena in place without allocating at all.
-// SetColumnarBindings(false) keeps the map path available as the
-// differential reference; both derive byte-identical fixpoints and open
-// requests.
+// This file is the engine's join loop: three join strategies (index probe,
+// hashed delta frontier, scan), the negation and comparison filters, and
+// request generation. Bindings are flat, fixed-width []Value rows addressed by
+// the rule's slot schema. The rows of one evaluation step live in a single
+// contiguous arena (rowBatch), so extending a binding is an append of W
+// values with amortised allocation, and filters compact the arena in place
+// without allocating at all.
 
 // rowBatch is a columnar batch of binding rows: len(masks) rows of fixed
 // width, stored back to back in one values arena. Row i occupies
@@ -46,8 +42,8 @@ func (b *rowBatch) row(i int) []relstore.Value {
 }
 
 // tryExtend unifies the atom's pre-resolved terms with the tuple under the
-// source row and, on success, appends the extended row to the batch. Like
-// matchAtom, it verifies before it copies: constants, already-bound slots
+// source row and, on success, appends the extended row to the batch. It
+// verifies before it copies: constants, already-bound slots
 // and repeated fresh variables are checked against the source row and the
 // tuple itself, and only a successful match appends — so the per-candidate
 // cost of a failing scan join is the comparison, not a row copy, and the
@@ -100,7 +96,7 @@ func (b *rowBatch) tryExtend(refs []termRef, t relstore.Tuple, src []relstore.Va
 	for i := 0; i < len(refs); i++ {
 		if slot := refs[i].slot; slot >= 0 {
 			if bit := uint64(1) << uint(slot); written&bit == 0 {
-				// First occurrence wins, exactly like matchAtom's binding.
+				// The first occurrence binds the slot.
 				row[slot] = t[i]
 				written |= bit
 			}
@@ -126,11 +122,16 @@ func (b *rowBatch) truncate(n int) {
 	b.masks = b.masks[:n]
 }
 
-// evaluateRuleRows is evaluateRule on binding rows: identical plan, identical
-// literal dispatch and identical head projection, with row batches threaded
-// through the columnar join/filter primitives below.
-func (e *Engine) evaluateRuleRows(r *Rule, rs *rowSchema, v ruleVariant, stats *Stats, sink *requestSink) ([]relstore.Tuple, error) {
-	steps := e.plan(r, v.deltaAtom, stats)
+// evaluateRule computes the head tuples derivable by the rule under the given
+// variant, collecting open-request candidates into sink along the way. The
+// body runs in planner order (the rule's cached plan for the variant) with
+// index probes on bound join columns, threading row batches through the join
+// and filter primitives below. Evaluation only reads the database (plus
+// relstore's read-compatible index auto-creation), so any number of
+// evaluateRule calls may run concurrently as long as no tuples are mutated.
+func (e *Engine) evaluateRule(r *Rule, v ruleVariant, stats *Stats, sink *requestSink) ([]relstore.Tuple, error) {
+	rs := e.rowSchemas[r]
+	steps := e.cachedPlan(r, v.deltaAtom, stats).steps
 
 	// One initial row with no slot bound.
 	in := &rowBatch{
@@ -204,14 +205,28 @@ const headArenaChunk = 4096
 // planner's estimate, bounding the damage of a wildly high estimate.
 const joinPresizeMaxRows = 4096
 
+// deltaHashMinTuples is the smallest restricted tuple set worth hashing on
+// its bound columns: below it a linear scan beats building the frontier map.
+const deltaHashMinTuples = 16
+
 // joinAtomBatch extends each row of the batch with the tuples of the atom's
-// relation that are consistent with it — joinAtom on binding rows, with the
-// same three strategies and the same Stats accounting, so work counters
-// agree between the columnar and the map path. The probe callback captures a
-// shared cursor instead of the loop variable, so one closure serves the
-// whole batch. estMatches is the planner's matches-per-probe estimate for
-// this step (0 = no estimate); it only pre-sizes the output batch, never
-// changes what is emitted.
+// relation that are consistent with it. For open relations it additionally
+// records a task request candidate for every row whose key has no matching
+// fact yet, unless sink is nil (requestSinkFor: no row of this step can open
+// a new request).
+//
+// When probeCols names bound term positions and the relation carries (or
+// earns, via the auto-indexing policy) a matching composite index, each row
+// is answered with an equality probe — O(matches) instead of O(|relation|).
+// Restricted evaluation (the semi-naive delta frontier, or a parallel
+// full-scan shard) cannot use the relation's indexes; when the atom is
+// reached with bound columns and enough rows, the restricted tuples are
+// instead hashed per round on those columns so each row probes in O(matches)
+// like an indexed base relation, and otherwise the (small) frontier is
+// iterated directly. The probe callback captures a shared cursor instead of
+// the loop variable, so one closure serves the whole batch. estMatches is
+// the planner's matches-per-probe estimate for this step (0 = no estimate);
+// it only pre-sizes the output batch, never changes what is emitted.
 func (e *Engine) joinAtomBatch(a *Atom, refs []termRef, probeCols []int, in *rowBatch, restrict []relstore.Tuple, estMatches int, stats *Stats, sink *requestSink) (*rowBatch, error) {
 	rel := e.db.Relation(a.Predicate)
 	if rel == nil {
@@ -259,15 +274,17 @@ func (e *Engine) joinAtomBatch(a *Atom, refs []termRef, probeCols []int, in *row
 				stats.IndexHits++
 			}
 			if open {
-				e.maybeRequestRow(decl, a, refs, srcRow, srcMask, matched, sink)
+				e.maybeRequest(decl, refs, srcRow, srcMask, matched, sink)
 			}
 		}
 		return out, nil
 	}
 
-	// Hashed delta frontier, keyed exactly like the map path so the output
-	// row order (matches in restrict order per row) is identical.
-	if restrict != nil && e.deltaHashing && len(probeCols) > 0 && in.rows() > 1 && len(restrict) >= deltaHashMinTuples {
+	// Hashed delta frontier: key the restricted tuples on the atom's bound
+	// columns once, then answer every row with a bucket probe. Buckets keep
+	// insertion order and tryExtend re-verifies equality, so hash collisions
+	// are harmless.
+	if restrict != nil && len(probeCols) > 0 && in.rows() > 1 && len(restrict) >= deltaHashMinTuples {
 		frontier := make(map[uint64][]relstore.Tuple, len(restrict))
 		for _, t := range restrict {
 			h := t.HashAt(probeCols...)
@@ -288,7 +305,7 @@ func (e *Engine) joinAtomBatch(a *Atom, refs []termRef, probeCols []int, in *row
 			}
 			stats.DeltaHashProbes++
 			if open {
-				e.maybeRequestRow(decl, a, refs, srcRow, srcMask, matched, sink)
+				e.maybeRequest(decl, refs, srcRow, srcMask, matched, sink)
 			}
 		}
 		return out, nil
@@ -309,15 +326,18 @@ func (e *Engine) joinAtomBatch(a *Atom, refs []termRef, probeCols []int, in *row
 			}
 		}
 		if open {
-			e.maybeRequestRow(decl, a, refs, srcRow, srcMask, matched, sink)
+			e.maybeRequest(decl, refs, srcRow, srcMask, matched, sink)
 		}
 	}
 	return out, nil
 }
 
 // filterNegatedBatch keeps only the rows for which no tuple of the negated
-// atom's relation matches, compacting the batch in place — filterNegated on
-// binding rows.
+// atom's relation matches, compacting the batch in place. Bound term
+// positions (probeCols) narrow the existence check to an indexed equality
+// probe when the relation has earned an index; any tuple matching the atom
+// necessarily agrees on the bound columns, so the restricted scan is
+// equivalent to the full one.
 func (e *Engine) filterNegatedBatch(a *Atom, refs []termRef, probeCols []int, in *rowBatch, stats *Stats) error {
 	rel := e.db.Relation(a.Predicate)
 	if rel == nil {
@@ -374,8 +394,7 @@ func (e *Engine) filterNegatedBatch(a *Atom, refs []termRef, probeCols []int, in
 }
 
 // filterComparisonBatch keeps the rows satisfying the comparison, compacting
-// the batch in place; rows with an unbound side are dropped, exactly like the
-// map path.
+// the batch in place; rows with an unbound side are dropped.
 func filterComparisonBatch(c *Comparison, refs [2]termRef, in *rowBatch) {
 	n := 0
 	for i := 0; i < in.rows(); i++ {
@@ -393,9 +412,3 @@ func filterComparisonBatch(c *Comparison, refs [2]termRef, in *rowBatch) {
 	in.truncate(n)
 }
 
-// maybeRequestRow records an open-request candidate from a binding row; the
-// request-construction logic is shared with the map path via maybeRequest's
-// term accessor.
-func (e *Engine) maybeRequestRow(decl *Declaration, a *Atom, refs []termRef, row []relstore.Value, mask uint64, matched bool, sink *requestSink) {
-	e.maybeRequest(decl, a, func(i int) (relstore.Value, bool) { return refs[i].value(row, mask) }, matched, sink)
-}

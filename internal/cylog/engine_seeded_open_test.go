@@ -1,9 +1,10 @@
-package cylog
+package cylog_test
 
 import (
 	"fmt"
 	"testing"
-	"testing/quick"
+
+	"github.com/crowd4u/crowd4u-go/internal/cylog"
 )
 
 // seededOpenProgram gathers the rule shapes a seeded open delta variant can
@@ -37,7 +38,7 @@ guarded(X, Y) :- a(X), !b(X), o1(X, Y).
 
 // seededOpenAnswer derives a request's open-column values from its key, so
 // every configuration answers identically.
-func seededOpenAnswer(r OpenRequest) map[string]any {
+func seededOpenAnswer(r cylog.OpenRequest) map[string]any {
 	k, _ := r.KeyValues[0].AsInt()
 	switch r.Relation {
 	case "o1":
@@ -51,147 +52,29 @@ func seededOpenAnswer(r OpenRequest) map[string]any {
 	}
 }
 
-// seededOpenConfig is one cell of the seeded-open differential matrix.
-type seededOpenConfig struct {
-	name                string
-	columnar, indexing  bool
-	parallelism, shards int
-}
-
-func seededOpenMatrix() []seededOpenConfig {
-	var out []seededOpenConfig
-	for _, columnar := range []bool{true, false} {
-		for _, indexing := range []bool{true, false} {
-			for _, par := range []int{1, 4} {
-				for _, shards := range []int{1, 4} {
-					out = append(out, seededOpenConfig{
-						name: fmt.Sprintf("columnar=%v/indexed=%v/par%d/shards%d",
-							columnar, indexing, par, shards),
-						columnar: columnar, indexing: indexing,
-						parallelism: par, shards: shards,
-					})
-				}
-			}
-		}
-	}
-	return out
-}
-
-func (cfg seededOpenConfig) apply(e *Engine) {
-	e.SetColumnarBindings(cfg.columnar)
-	e.SetIndexing(cfg.indexing)
-	e.SetParallelism(cfg.parallelism)
-	e.SetShards(cfg.shards)
-}
-
-// driveSeededOpenRounds runs the crowd loop on seededOpenProgram under one
-// configuration: a full Run, then rounds that each answer a picks-driven
-// subset of the pending requests and, in the same round, AddFact a new a
-// (and, every other round, a b that retracts a guarded fact). After every
-// round the engine's facts and pending requests must equal a from-scratch
-// engine fed the same facts and answers at once.
-func driveSeededOpenRounds(t *testing.T, cfg seededOpenConfig, items, picks []uint8, rounds int) {
-	t.Helper()
-	e, err := NewEngine(MustParse(seededOpenProgram))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.apply(e)
-	type fact struct {
-		rel  string
-		vals []any
-	}
-	var base, answers []fact
-	addFact := func(rel string, v int) {
-		if err := e.AddFact(rel, v); err != nil {
-			t.Fatal(err)
-		}
-		base = append(base, fact{rel, []any{v}})
-	}
-	for _, n := range items {
-		addFact("a", int(n%16))
-	}
-	scratch := func() string {
-		f, err := NewEngine(MustParse(seededOpenProgram))
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg.apply(f)
-		for _, bf := range base {
-			if err := f.AddFact(bf.rel, bf.vals...); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for _, af := range answers {
-			if err := f.AnswerFact(af.rel, af.vals...); err != nil {
-				t.Fatal(err)
-			}
-		}
-		reqs, err := f.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return dbFingerprint(f, reqs)
-	}
-
-	reqs, err := e.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for round := 1; ; round++ {
-		if got, want := dbFingerprint(e, reqs), scratch(); got != want {
-			t.Fatalf("%s: round %d diverges from the from-scratch engine:\n%s\nvs\n%s", cfg.name, round-1, got, want)
-		}
-		if round > rounds || len(reqs) == 0 {
-			return
-		}
-		batch := e.NewAnswerBatch()
-		for _, p := range picks {
-			r := reqs[int(p)%len(reqs)]
-			vals := seededOpenAnswer(r)
-			if batch.Answer(r.ID, vals) != nil {
-				continue // picked twice this round
-			}
-			tuple := []any{r.KeyValues[0]}
-			for _, col := range r.OpenColumns {
-				tuple = append(tuple, vals[col])
-			}
-			answers = append(answers, fact{r.Relation, tuple})
-		}
-		addFact("a", 16+round)
-		if round%2 == 0 {
-			addFact("b", int(picks[0]%16))
-		}
-		if reqs, err = e.RunIncremental(batch); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
 // TestSeededOpenDeltaDifferential checks the delta-led open atom plans and
-// the request checks they skip against from-scratch evaluation, over
-// {columnar, map} x {indexed, scan} x {par 1, 4} x {shards 1, 4}: every
-// round's facts and pending request ids must be byte-identical.
+// the request checks they skip against the reference. Each round answers a
+// picks-driven subset of the pending requests and, in the same round,
+// AddFacts a new a (and, every other round, a b that retracts a guarded
+// fact); every round's facts and pending request ids must equal the
+// reference's on every configuration of the matrix.
 func TestSeededOpenDeltaDifferential(t *testing.T) {
-	matrix := seededOpenMatrix()
-	f := func(items, picks []uint8) bool {
-		if len(items) == 0 {
-			items = []uint8{1}
-		}
-		if len(picks) == 0 {
-			picks = []uint8{0}
-		}
-		if len(picks) > 6 {
-			picks = picks[:6]
-		}
-		for _, cfg := range matrix {
-			driveSeededOpenRounds(t, cfg, items, picks, 4)
-		}
-		return !t.Failed()
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 8}); err != nil {
-		t.Error(err)
-	}
+	runDifferential(t, workload{
+		program: seededOpenProgram,
+		seed: func(a, _ []uint8, add addFunc) {
+			add("a", 1)
+			for _, n := range a {
+				add("a", int(n%16))
+			}
+		},
+		answer: seededOpenAnswer,
+		between: func(round int, a []uint8, add addFunc) {
+			add("a", 16+round)
+			if round%2 == 0 && len(a) > 0 {
+				add("b", int(a[0]%16))
+			}
+		},
+	}, 4, 8)
 }
 
 // labelingProgram and translateProgram are the served crowd programs:
@@ -224,9 +107,9 @@ final(S, T) :- translated(S, T), checked(S, true).
 // seededProgramEngine returns an engine over program with n seed facts
 // (item(i), or sentence(i, "s<i>")) brought to its first fixpoint, which
 // leaves one pending request per seed.
-func seededProgramEngine(tb testing.TB, program string, n int) *Engine {
+func seededProgramEngine(tb testing.TB, program string, n int) *cylog.Engine {
 	tb.Helper()
-	e, err := NewEngine(MustParse(program))
+	e, err := cylog.NewEngine(cylog.MustParse(program))
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -251,7 +134,7 @@ func seededProgramEngine(tb testing.TB, program string, n int) *Engine {
 }
 
 // answerOne commits a one-answer round and returns its Stats.
-func answerOne(tb testing.TB, e *Engine, id string, vals map[string]any) Stats {
+func answerOne(tb testing.TB, e *cylog.Engine, id string, vals map[string]any) cylog.Stats {
 	tb.Helper()
 	batch := e.NewAnswerBatch()
 	if err := batch.Answer(id, vals); err != nil {
@@ -308,7 +191,7 @@ func BenchmarkSeededAnswerRound(b *testing.B) {
 	for _, n := range []int{1000, 10000} {
 		b.Run(fmt.Sprintf("label-%dk", n/1000), func(b *testing.B) {
 			b.ReportAllocs()
-			var e *Engine
+			var e *cylog.Engine
 			next := roundsPerEngine
 			for i := 0; i < b.N; i++ {
 				if next >= roundsPerEngine {

@@ -17,10 +17,10 @@ import (
 //  1. The coordinator (the single evaluation goroutine, holding e.mu)
 //     hash-partitions the round's delta frontier and sends every shard its
 //     partition over the shard's inbox channel. On the unrestricted first
-//     round of a full pass (and every Naive-mode round) there is no frontier
-//     yet; instead each rule's leading full scan — the atom planShardAtom
-//     picks — is hash-partitioned the same way, and rules with no
-//     partitionable atom run whole on shard 0.
+//     round of a full pass there is no frontier yet; instead each rule's
+//     leading full scan — the atom planShardAtom picks — is hash-partitioned
+//     the same way, and rules with no partitionable atom run whole on
+//     shard 0.
 //  2. Every shard derives its rule variants from its local partition and
 //     evaluates them against the shared database, which is read-only for the
 //     duration of the round (the same snapshot guarantee the parallel
@@ -42,8 +42,7 @@ import (
 //
 // The loop terminates like the other evaluators: a round that inserts no new
 // tuple is the local fixpoint. SetShards(1) never reaches this file — the
-// dispatch in runStratum keeps the unsharded paths as the byte-identical
-// differential reference.
+// dispatch in runStratum selects the unsharded paths.
 
 // shardRound is one round of work for one shard.
 type shardRound struct {
@@ -51,8 +50,8 @@ type shardRound struct {
 	// derives its rule variants from it locally (semi-naive rounds).
 	delta map[string][]relstore.Tuple
 	// tasks is the precomputed task list of an unrestricted round — the
-	// first iteration of a full pass, or every Naive-mode iteration — whose
-	// leading full scans the coordinator hash-partitioned itself.
+	// first iteration of a full pass — whose leading full scans the
+	// coordinator hash-partitioned itself.
 	tasks []evalTask
 	// full marks an unrestricted round: tasks is authoritative, delta nil.
 	full bool
@@ -102,7 +101,7 @@ func (e *Engine) runStratumSharded(idx int, rules []*Rule, seed, derived map[str
 	for {
 		stats.Iterations++
 		var rounds []shardRound
-		if full || e.mode == Naive {
+		if full {
 			rounds = e.shardFullRounds(rules, shards, stats)
 			stats.RuleEvaluations += len(rules)
 		} else {
@@ -130,7 +129,7 @@ func (e *Engine) runStratumSharded(idx int, rules []*Rule, seed, derived map[str
 				r := out.tasks[i].rule
 				head := e.db.Relation(r.Head.Predicate)
 				for _, t := range o.tuples {
-					added, err := e.insertHead(head, t)
+					added, err := head.InsertDerived(t)
 					if err != nil {
 						return fmt.Errorf("cylog: rule %s produced a tuple that does not match the schema of %s: %w", r, r.Head.Predicate, err)
 					}

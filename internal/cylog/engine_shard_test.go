@@ -1,169 +1,11 @@
 package cylog
 
 import (
-	"fmt"
 	"strings"
-	"sync"
 	"testing"
-	"testing/quick"
 
 	"github.com/crowd4u/crowd4u-go/internal/relstore"
 )
-
-// shardConfig is one cell of the sharded differential matrix.
-type shardConfig struct {
-	name        string
-	shards      int
-	parallelism int
-	incremental bool
-	retraction  bool
-}
-
-// shardMatrix enumerates {shards 1,2,4} x {par 1,4} x {incremental, full} for
-// one retraction setting. Retraction changes the reference semantics (stale
-// negations are corrected), so the differential compares within a retraction
-// value, never across: the first cell — shards=1/par=1/full — is the
-// pre-shard engine, the byte-identical reference everything else must match.
-func shardMatrix(retraction bool) []shardConfig {
-	var out []shardConfig
-	for _, shards := range []int{1, 2, 4} {
-		for _, par := range []int{1, 4} {
-			for _, inc := range []bool{false, true} {
-				out = append(out, shardConfig{
-					name: fmt.Sprintf("shards%d/par%d/incremental=%v/retraction=%v",
-						shards, par, inc, retraction),
-					shards:      shards,
-					parallelism: par,
-					incremental: inc,
-					retraction:  retraction,
-				})
-			}
-		}
-	}
-	// The reference must come first: shards=1, par=1, full, i.e. the exact
-	// engine every prior PR's differential suite pinned.
-	if out[0].shards != 1 || out[0].parallelism != 1 || out[0].incremental {
-		panic("shardMatrix: reference cell moved")
-	}
-	return out
-}
-
-func (cfg shardConfig) apply(e *Engine) {
-	e.SetShards(cfg.shards)
-	e.SetParallelism(cfg.parallelism)
-	e.SetIncrementalAnswering(cfg.incremental)
-	e.SetRetraction(cfg.retraction)
-}
-
-// driveShardedRounds runs the crowd loop for a fixed number of rounds under
-// one configuration — full Run first, then batch + RunIncremental — answering
-// a picks-driven subset of pending label requests per round, exactly like the
-// incremental and retraction drivers. It returns the per-round fingerprints
-// (fixpoint + pending requests + request IDs) and per-round DerivedFacts.
-func driveShardedRounds(t *testing.T, cfg shardConfig, edges, nodes, picks []uint8, rounds int) ([]string, []int) {
-	t.Helper()
-	e, err := NewEngine(MustParse(incrementalProgram))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.apply(e)
-	for i := 0; i+1 < len(edges); i += 2 {
-		if err := e.AddFact("edge", int(edges[i]%8), int(edges[i+1]%8)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, n := range nodes {
-		if err := e.AddFact("node", int(n%8)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var prints []string
-	var derived []int
-	var batch *AnswerBatch
-	for round := 0; round < rounds; round++ {
-		var reqs []OpenRequest
-		var err error
-		if batch == nil {
-			reqs, err = e.Run()
-		} else {
-			reqs, err = e.RunIncremental(batch)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		s := e.Stats()
-		if cfg.shards == 1 && (s.ShardLocalTuples != 0 || s.ShardExchanges != 0) {
-			t.Fatalf("%s: unsharded run reported shard stats %+v", cfg.name, s)
-		}
-		prints = append(prints, dbFingerprint(e, reqs))
-		derived = append(derived, s.DerivedFacts)
-		if len(reqs) == 0 {
-			break
-		}
-		batch = e.NewAnswerBatch()
-		answered := false
-		for _, p := range picks {
-			r := reqs[int(p)%len(reqs)]
-			n, _ := r.Key()["n"].AsInt()
-			if err := batch.Answer(r.ID, map[string]any{"tag": fmt.Sprintf("t%d", n)}); err == nil {
-				answered = true
-			}
-		}
-		if !answered {
-			break
-		}
-	}
-	return prints, derived
-}
-
-// TestShardedDifferential is the acceptance check of the sharded evaluator:
-// across random fact sets and random answer subsets, every round's fixpoint,
-// pending requests, request IDs and DerivedFacts under {shards 1,2,4} x
-// {par 1,4} x {incremental, full} x {retraction on, off} are byte-identical
-// to the shards=1/par=1/full reference — the pre-shard engine. Hash
-// partitioning, the channel exchange, and the single-writer merge must be
-// pure implementation detail; any divergence is a routing or merge-order bug.
-func TestShardedDifferential(t *testing.T) {
-	f := func(edges, nodes, picks []uint8) bool {
-		if len(nodes) == 0 {
-			nodes = []uint8{1}
-		}
-		if len(picks) == 0 {
-			picks = []uint8{0}
-		}
-		if len(picks) > 5 {
-			picks = picks[:5]
-		}
-		const rounds = 3
-		for _, retraction := range []bool{false, true} {
-			matrix := shardMatrix(retraction)
-			refPrints, refDerived := driveShardedRounds(t, matrix[0], edges, nodes, picks, rounds)
-			for _, cfg := range matrix[1:] {
-				prints, derived := driveShardedRounds(t, cfg, edges, nodes, picks, rounds)
-				if len(prints) != len(refPrints) {
-					t.Logf("%s: %d rounds vs reference %d", cfg.name, len(prints), len(refPrints))
-					return false
-				}
-				for i := range prints {
-					if prints[i] != refPrints[i] {
-						t.Logf("%s: round %d fingerprint diverges:\n%s\nvs reference:\n%s",
-							cfg.name, i, prints[i], refPrints[i])
-						return false
-					}
-					if derived[i] != refDerived[i] {
-						t.Logf("%s: round %d derived %d facts vs reference %d",
-							cfg.name, i, derived[i], refDerived[i])
-						return false
-					}
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 4}); err != nil {
-		t.Error(err)
-	}
-}
 
 // TestShardedStatsConservation pins the exchange accounting: on a sharded
 // full run every derived fact is routed exactly once at its round barrier, so
@@ -348,61 +190,5 @@ func TestShardedRequestIDOrdering(t *testing.T) {
 		if got := ids(shards); strings.Join(got, ",") != strings.Join(ref, ",") {
 			t.Errorf("shards=%d request IDs = %v, want the unsharded order %v", shards, got, ref)
 		}
-	}
-}
-
-// TestShardedConcurrentStagingRace is the -race workout for sharding:
-// worker goroutines stage answers into shared batches while the main loop
-// commits them through sharded incremental runs with retraction on — the
-// full PR 4 + PR 5 + sharding stack under concurrent ingestion pressure.
-func TestShardedConcurrentStagingRace(t *testing.T) {
-	e, err := NewEngine(MustParse(approveRejectProgram))
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.SetShards(4)
-	e.SetParallelism(2)
-	const items = 60
-	for n := 1; n <= items; n++ {
-		e.AddFact("item", n)
-	}
-	reqs, err := e.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for rounds := 0; len(reqs) > 0 && rounds < 40; rounds++ {
-		batch := e.NewAnswerBatch()
-		var wg sync.WaitGroup
-		const stagers = 4
-		for w := 0; w < stagers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for i, r := range reqs {
-					if i%stagers != w {
-						continue
-					}
-					switch r.Relation {
-					case "approve":
-						batch.Answer(r.ID, map[string]any{"ok": true}) //nolint:errcheck
-					case "review":
-						batch.Answer(r.ID, map[string]any{"note": "checked"}) //nolint:errcheck
-					}
-				}
-			}(w)
-		}
-		wg.Wait()
-		if reqs, err = e.RunIncremental(batch); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := len(e.Facts("approved")); got != items {
-		t.Fatalf("approved = %d, want %d", got, items)
-	}
-	if got := len(e.Facts("rejected")); got != 0 {
-		t.Fatalf("every rejection should be retracted, rejected = %v", e.Facts("rejected"))
-	}
-	if got := len(e.PendingRequests()); got != 0 {
-		t.Fatalf("pending = %v", e.PendingRequests())
 	}
 }

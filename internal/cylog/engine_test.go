@@ -5,9 +5,6 @@ import (
 	"fmt"
 	"strings"
 	"testing"
-	"testing/quick"
-
-	"github.com/crowd4u/crowd4u-go/internal/relstore"
 )
 
 func newTranslationEngine(t *testing.T) *Engine {
@@ -297,94 +294,26 @@ idle(W) :- worker(W), !assigned(W).
 }
 
 func TestEngineRecursiveReachability(t *testing.T) {
-	src := `
+	e, err := NewEngine(MustParse(`
 rel edge(a: int, b: int).
 rel reach(a: int, b: int).
 reach(X, Y) :- edge(X, Y).
 reach(X, Z) :- reach(X, Y), edge(Y, Z).
-`
-	for _, mode := range []EvalMode{Naive, SemiNaive} {
-		e, err := NewEngine(MustParse(src))
-		if err != nil {
-			t.Fatal(err)
-		}
-		e.SetMode(mode)
-		// Chain 1 -> 2 -> ... -> 10 plus a branch.
-		for i := 1; i < 10; i++ {
-			e.AddFact("edge", i, i+1)
-		}
-		e.AddFact("edge", 3, 20)
-		if _, err := e.Run(); err != nil {
-			t.Fatal(err)
-		}
-		reach := e.Facts("reach")
-		// 9+8+...+1 = 45 chain pairs plus 1->20, 2->20, 3->20.
-		if len(reach) != 48 {
-			t.Errorf("%s: reach = %d tuples, want 48", mode, len(reach))
-		}
+`))
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-func TestEngineNaiveAndSemiNaiveAgree(t *testing.T) {
-	f := func(edges []uint8) bool {
-		src := `
-rel edge(a: int, b: int).
-rel reach(a: int, b: int).
-reach(X, Y) :- edge(X, Y).
-reach(X, Z) :- reach(X, Y), edge(Y, Z).
-`
-		build := func(mode EvalMode) []relstore.Tuple {
-			e, err := NewEngine(MustParse(src))
-			if err != nil {
-				return nil
-			}
-			e.SetMode(mode)
-			for i := 0; i+1 < len(edges); i += 2 {
-				e.AddFact("edge", int(edges[i]%8), int(edges[i+1]%8))
-			}
-			if _, err := e.Run(); err != nil {
-				return nil
-			}
-			return e.Facts("reach")
-		}
-		a, b := build(Naive), build(SemiNaive)
-		if len(a) != len(b) {
-			return false
-		}
-		for i := range a {
-			if !a[i].Equal(b[i]) {
-				return false
-			}
-		}
-		return true
+	// Chain 1 -> 2 -> ... -> 10 plus a branch.
+	for i := 1; i < 10; i++ {
+		e.AddFact("edge", i, i+1)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Error(err)
+	e.AddFact("edge", 3, 20)
+	if _, err := e.Run(); err != nil {
+		t.Fatal(err)
 	}
-}
-
-func TestEngineSemiNaiveDoesLessWork(t *testing.T) {
-	src := `
-rel edge(a: int, b: int).
-rel reach(a: int, b: int).
-reach(X, Y) :- edge(X, Y).
-reach(X, Z) :- reach(X, Y), edge(Y, Z).
-`
-	run := func(mode EvalMode) Stats {
-		e, _ := NewEngine(MustParse(src))
-		e.SetMode(mode)
-		for i := 0; i < 40; i++ {
-			e.AddFact("edge", i, i+1)
-		}
-		e.Run()
-		return e.Stats()
-	}
-	naive, semi := run(Naive), run(SemiNaive)
-	if naive.DerivedFacts != semi.DerivedFacts {
-		t.Fatalf("derived facts differ: %d vs %d", naive.DerivedFacts, semi.DerivedFacts)
-	}
-	if semi.JoinedBindings >= naive.JoinedBindings {
-		t.Errorf("semi-naive should join fewer bindings: %d vs naive %d", semi.JoinedBindings, naive.JoinedBindings)
+	// 9+8+...+1 = 45 chain pairs plus 1->20, 2->20, 3->20.
+	if got := len(e.Facts("reach")); got != 48 {
+		t.Errorf("reach = %d tuples, want 48", got)
 	}
 }
 
@@ -458,12 +387,6 @@ func TestEngineStatsPopulated(t *testing.T) {
 	s := e.Stats()
 	if s.Iterations == 0 || s.RuleEvaluations == 0 {
 		t.Errorf("stats = %+v", s)
-	}
-	if e.Mode() != SemiNaive {
-		t.Errorf("default mode = %v", e.Mode())
-	}
-	if SemiNaive.String() != "semi-naive" || Naive.String() != "naive" {
-		t.Error("mode names wrong")
 	}
 }
 

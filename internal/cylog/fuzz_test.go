@@ -20,6 +20,7 @@ func FuzzParser(f *testing.F) {
 	f.Add("rel p(n: int).\np(1).\np(2).")
 	f.Add(`rel p(s: string). p("\x00\"").`)
 	f.Add("rel p(n: int). p(X) :- p(Y), X > Y.")
+	f.Add(wideRuleProgram(maxRowSlots + 1))
 
 	f.Fuzz(func(t *testing.T, src string) {
 		prog, err := Parse(src)

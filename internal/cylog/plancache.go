@@ -6,16 +6,14 @@ import (
 
 // Compiled plan cache
 //
-// With cost-aware planning enabled, every evaluation pass of every rule
-// variant used to re-run the greedy planner — cheap per call, but the oracle
-// loop's steady state calls it for every rule variant of every fixpoint
-// iteration of every round. Plans only change when their inputs do, and the
-// planner's inputs are exactly (a) the rule and delta variant, (b) the
-// statistics of the closed positive body relations (cardinalities and
-// per-column distinct counts), and (c) the toggle state the engine plans
-// under. The cache keys on precisely those: per rule, a fingerprint of the
-// body relations' stats epochs plus a toggle byte guards a small
-// deltaAtom→plan map. A stats-epoch bump anywhere in the rule's body changes
+// Re-running the greedy planner for every evaluation pass of every rule
+// variant is cheap per call, but the oracle loop's steady state would call it
+// for every rule variant of every fixpoint iteration of every round. Plans
+// only change when their inputs do, and the planner's inputs are exactly (a)
+// the rule and delta variant and (b) the statistics of the closed positive
+// body relations (cardinalities and per-column distinct counts). The cache
+// keys on precisely those: per rule, a fingerprint of the body relations'
+// stats epochs guards a small deltaAtom→plan map. A stats-epoch bump anywhere in the rule's body changes
 // the fingerprint and atomically retires every plan cached under the old one
 // — a stale plan is never served after a bump (the invariant the plan-cache
 // property tests assert).
@@ -24,8 +22,8 @@ import (
 // estimates drift past the threshold (see relstore's statsDrifted), so a
 // cached plan may run against slightly outdated estimates. That can only cost
 // performance, never correctness — reordering closed positive atoms between
-// barriers cannot change fixpoints or request IDs (the differential the
-// randomized planner tests prove against SetCostPlanning(false)).
+// barriers cannot change fixpoints or request IDs (the differential tests
+// check every plan shape against the from-scratch reference evaluator).
 //
 // Concurrency: lookups happen on evaluation workers while the coordinator
 // holds e.mu; rulePlans carries its own RWMutex so concurrent lookups of the
@@ -39,42 +37,14 @@ type compiledPlan struct {
 	steps []planStep
 }
 
-// rulePlans caches one rule's compiled plans under the (stats epochs,
-// toggles) key that was current when they were built. byDelta maps the delta
-// variant (body index of the restricted atom, -1 for unrestricted) to its
-// plan; a key change retires the whole map at once.
+// rulePlans caches one rule's compiled plans under the stats-epoch key that
+// was current when they were built. byDelta maps the delta variant (body
+// index of the restricted atom, -1 for unrestricted) to its plan; a key
+// change retires the whole map at once.
 type rulePlans struct {
 	mu      sync.RWMutex
 	epochs  uint64
-	toggles uint8
 	byDelta map[int]*compiledPlan
-}
-
-// Toggle-fingerprint bits: the engine settings a cached plan depends on.
-// Indexing and cost planning are both required for the cache to engage at
-// all, but they belong in the key so a toggle flip mid-flight can never
-// resurrect a plan built under different settings; Naive mode is included
-// because it shares the plan path.
-const (
-	planToggleIndexing = 1 << iota
-	planToggleCost
-	planToggleNaive
-)
-
-// planToggles folds the plan-relevant engine settings into the cache key's
-// toggle byte.
-func (e *Engine) planToggles() uint8 {
-	var t uint8
-	if e.indexing {
-		t |= planToggleIndexing
-	}
-	if e.costPlanning {
-		t |= planToggleCost
-	}
-	if e.mode == Naive {
-		t |= planToggleNaive
-	}
-	return t
 }
 
 // FNV-1a over the body relations' stats epochs — the stats half of the cache
@@ -101,15 +71,16 @@ func (e *Engine) ruleStatsKey(r *Rule) uint64 {
 }
 
 // cachedPlan returns the rule's compiled plan for the given delta variant,
-// planning (with the cost catalog) and publishing on miss. The first plan
-// published under a key wins: concurrent planners that lose the publish race
-// adopt the winner, so every hit for one key is pointer-identical.
+// planning and publishing on miss. The first plan published under a key wins:
+// concurrent planners that lose the publish race adopt the winner, so every
+// hit for one key is pointer-identical. stats may be nil for callers outside
+// a run (no counters are recorded then).
 func (e *Engine) cachedPlan(r *Rule, deltaAtom int, stats *Stats) *compiledPlan {
 	rp := e.planCache[r]
-	epochs, toggles := e.ruleStatsKey(r), e.planToggles()
+	epochs := e.ruleStatsKey(r)
 
 	rp.mu.RLock()
-	if rp.epochs == epochs && rp.toggles == toggles {
+	if rp.epochs == epochs {
 		if p, ok := rp.byDelta[deltaAtom]; ok {
 			rp.mu.RUnlock()
 			if stats != nil {
@@ -120,13 +91,13 @@ func (e *Engine) cachedPlan(r *Rule, deltaAtom int, stats *Stats) *compiledPlan 
 	}
 	rp.mu.RUnlock()
 
-	p := &compiledPlan{steps: planRule(r, deltaAtom, e.costCatalog())}
+	p := &compiledPlan{steps: planRule(r, deltaAtom, e.catalog())}
 	if stats != nil {
 		stats.PlanCacheMisses++
 	}
 	rp.mu.Lock()
-	if rp.epochs != epochs || rp.toggles != toggles || rp.byDelta == nil {
-		rp.epochs, rp.toggles = epochs, toggles
+	if rp.epochs != epochs || rp.byDelta == nil {
+		rp.epochs = epochs
 		rp.byDelta = make(map[int]*compiledPlan, len(r.Body)+1)
 	}
 	if prev, ok := rp.byDelta[deltaAtom]; ok {
@@ -136,20 +107,4 @@ func (e *Engine) cachedPlan(r *Rule, deltaAtom int, stats *Stats) *compiledPlan 
 	}
 	rp.mu.Unlock()
 	return p
-}
-
-// plan returns the execution order for one evaluation pass of r: the identity
-// plan when indexing is off (the seed scan path), a freshly planned
-// cardinality-only order when cost planning is off (the differential
-// reference — exactly the pre-cost planner, re-run on every call), and the
-// cached cost-aware plan otherwise. stats may be nil for callers outside a
-// run (no counters are recorded then).
-func (e *Engine) plan(r *Rule, deltaAtom int, stats *Stats) []planStep {
-	if !e.indexing {
-		return identityPlan(r)
-	}
-	if !e.costPlanning {
-		return planRule(r, deltaAtom, e.catalog())
-	}
-	return e.cachedPlan(r, deltaAtom, stats).steps
 }

@@ -28,7 +28,7 @@ func planCacheEngine(t *testing.T, facts int) *Engine {
 }
 
 // TestPlanCachePointerIdentity pins the cache's hit contract: repeated
-// lookups under an unchanged (stats epochs, toggles) key return the same
+// lookups under an unchanged stats-epoch key return the same
 // *compiledPlan, and a hit is counted while the plan is served.
 func TestPlanCachePointerIdentity(t *testing.T) {
 	e := planCacheEngine(t, 64)
@@ -135,8 +135,7 @@ func TestPlanCacheEpochBumpCountsMisses(t *testing.T) {
 // TestPlanCacheConcurrentPointerIdentity is the -race workout for the cache:
 // many goroutines race cold lookups of the same rule variants. Losers of the
 // publish race must adopt the winner's plan, so every goroutine observes the
-// same pointer per (rule, delta) pair — and later toggling cost planning off
-// and on mid-flight never panics or serves a plan across the toggle key.
+// same pointer per (rule, delta) pair.
 func TestPlanCacheConcurrentPointerIdentity(t *testing.T) {
 	e := planCacheEngine(t, 64)
 	rules := e.analysis.Program.Rules
@@ -161,35 +160,4 @@ func TestPlanCacheConcurrentPointerIdentity(t *testing.T) {
 			}
 		}
 	}
-}
-
-// TestPlanCacheToggleFingerprint pins the toggle half of the cache key: a
-// plan compiled under one toggle byte is never served under another, and
-// flipping back recompiles rather than resurrecting (the whole map retires
-// on any key change).
-func TestPlanCacheToggleFingerprint(t *testing.T) {
-	e := planCacheEngine(t, 32)
-	r := e.analysis.Program.Rules[0]
-	p1 := e.cachedPlan(r, -1, nil)
-
-	e.SetMode(Naive)
-	var s Stats
-	p2 := e.cachedPlan(r, -1, &s)
-	if s.PlanCacheMisses != 1 || s.PlanCacheHits != 0 {
-		t.Fatalf("toggle flip should force a miss, stats %+v", s)
-	}
-	if again := e.cachedPlan(r, -1, &s); again != p2 {
-		t.Fatal("post-toggle plan not pointer-stable")
-	}
-
-	e.SetMode(SemiNaive)
-	s = Stats{}
-	p3 := e.cachedPlan(r, -1, &s)
-	if s.PlanCacheMisses != 1 {
-		t.Fatalf("flipping back should recompile (old map retired), stats %+v", s)
-	}
-	if p3 == p2 {
-		t.Fatal("plan survived across a toggle change")
-	}
-	_ = p1
 }

@@ -35,10 +35,9 @@ import (
 //
 // Within a run the choice is boundness-driven — atoms whose join columns are
 // already bound come first (they can be answered by an index probe). Ties
-// between equally-bound atoms break by estimated matches per probe when the
-// catalog carries per-column distinct counts (cost-aware planning,
-// cylog.SetCostPlanning), then by cardinality, then by source position so
-// plans are deterministic and stable.
+// between equally-bound atoms break by estimated matches per probe from the
+// catalog's per-column distinct counts, then by cardinality, then by source
+// position so plans are deterministic and stable.
 
 // planStep is one body literal in execution order.
 type planStep struct {
@@ -60,9 +59,9 @@ type planStep struct {
 
 // planCatalog supplies the planner with the catalog facts it needs: which
 // relations are open, the current cardinality of a relation (the selectivity
-// estimate for unbound atoms), and — when cost-aware planning is active —
-// per-column distinct-count estimates. A nil distinct leaves the planner
-// cardinality-only, the reference behaviour of SetCostPlanning(false).
+// estimate for unbound atoms), and per-column distinct-count estimates. A nil
+// distinct (the planner tests' static catalogs) leaves the planner
+// cardinality-only.
 type planCatalog struct {
 	isOpen   func(predicate string) bool
 	card     func(predicate string) int
@@ -211,17 +210,6 @@ func planShardAtom(steps []planStep, isOpen func(string) bool) int {
 	return -1
 }
 
-// identityPlan returns the body in source order with no probe columns — the
-// seed scan-evaluation path, used when indexing is disabled and as the
-// reference side of differential tests.
-func identityPlan(r *Rule) []planStep {
-	steps := make([]planStep, len(r.Body))
-	for i, lit := range r.Body {
-		steps[i] = planStep{lit: lit, bodyIndex: i}
-	}
-	return steps
-}
-
 // pickAtom returns the index into run of the atom to schedule next: the delta
 // atom if present, otherwise the atom with the most bound term positions.
 // Equally-bound atoms order by estimated matches per probe when the catalog
@@ -296,10 +284,10 @@ func bindAtomVars(a *Atom, bound map[string]bool) {
 
 // Binding-row slot schemas
 //
-// The columnar evaluation path replaces the map[string]Value binding with a
-// flat []Value row: every variable of a rule is assigned a fixed slot, and
-// each literal's terms are pre-resolved to slot references so the hot join
-// loop never touches a map or a variable name. The schema is static per rule
+// The engine binds rule variables in a flat []Value row: every variable of a
+// rule is assigned a fixed slot, and each literal's terms are pre-resolved to
+// slot references so the hot join loop never touches a map or a variable
+// name. The schema is static per rule
 // (it depends only on the rule text, not on the plan or the delta variant), so
 // the engine builds it once at construction and shares it across concurrent
 // rule evaluations.
@@ -312,9 +300,8 @@ const (
 	slotAnon = -2
 )
 
-// maxRowSlots is the widest rule the columnar path supports: boundness is a
-// uint64 bitmask, one bit per slot. Rules with more variables (none exist in
-// practice) transparently fall back to the map-binding path.
+// maxRowSlots is the widest rule the engine supports: boundness is a uint64
+// bitmask, one bit per slot. Analyze rejects rules with more variables.
 const maxRowSlots = 64
 
 // termRef is one literal term resolved against a rule's slot schema: either a
@@ -326,8 +313,7 @@ type termRef struct {
 }
 
 // value reads the term's value under a binding row (the row's slot values
-// plus its bound-slot mask), reporting whether it is bound — the row-path
-// counterpart of termValue.
+// plus its bound-slot mask), reporting whether it is bound.
 func (ref termRef) value(row []relstore.Value, mask uint64) (relstore.Value, bool) {
 	switch ref.slot {
 	case slotConstant:
@@ -343,7 +329,7 @@ func (ref termRef) value(row []relstore.Value, mask uint64) (relstore.Value, boo
 }
 
 // rowSchema is the compact variable→slot assignment of one rule plus the
-// pre-resolved term references of every literal (and the head), so columnar
+// pre-resolved term references of every literal (and the head), so
 // evaluation addresses values by position only.
 type rowSchema struct {
 	// vars maps slot -> variable name (the analyzer's inventory order).
@@ -359,13 +345,8 @@ type rowSchema struct {
 }
 
 // newRowSchema assigns slots for the rule's variable inventory (as computed by
-// the analyzer) and resolves every literal. It returns nil when the rule has
-// more variables than the bitmask supports, signalling the engine to fall back
-// to map bindings for this rule.
+// the analyzer, which caps it at maxRowSlots) and resolves every literal.
 func newRowSchema(r *Rule, vars []string) *rowSchema {
-	if len(vars) > maxRowSlots {
-		return nil
-	}
 	rs := &rowSchema{
 		vars:  vars,
 		slots: make(map[string]int, len(vars)),

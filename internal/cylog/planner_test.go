@@ -3,7 +3,6 @@ package cylog
 import (
 	"fmt"
 	"testing"
-	"testing/quick"
 )
 
 // testCatalog builds a planCatalog from static cardinalities and an open set.
@@ -151,24 +150,6 @@ pending(S) :- sentence(S), translated(S, _), !done(S), S > 0.
 	}
 }
 
-func TestPlannerIdentityPlanPreservesBody(t *testing.T) {
-	p := MustParse(`
-rel a(x: int).
-rel b(x: int).
-rel out(x: int).
-out(X) :- b(X), a(X), X > 0.
-`)
-	steps := identityPlan(p.Rules[0])
-	if got := planOrder(steps); got[0] != 0 || got[1] != 1 || got[2] != 2 {
-		t.Fatalf("identity order = %v", got)
-	}
-	for _, s := range steps {
-		if s.probeCols != nil {
-			t.Errorf("identity plan should carry no probe columns, got %v", s.probeCols)
-		}
-	}
-}
-
 func TestEngineIndexHitsCounted(t *testing.T) {
 	src := `
 rel edge(a: int, b: int).
@@ -179,9 +160,6 @@ reach(X, Z) :- reach(X, Y), edge(Y, Z).
 	e, err := NewEngine(MustParse(src))
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !e.IndexingEnabled() {
-		t.Fatal("indexing should be enabled by default")
 	}
 	// Enough edges to clear the auto-index threshold.
 	for i := 0; i < 4*autoIndexMinRows; i++ {
@@ -203,20 +181,6 @@ reach(X, Z) :- reach(X, Y), edge(Y, Z).
 			e.Database().Relation("edge").IndexedColumns())
 	}
 
-	// The scan path reports scans and no probes.
-	e2, _ := NewEngine(MustParse(src))
-	e2.SetIndexing(false)
-	for i := 0; i < 4*autoIndexMinRows; i++ {
-		e2.AddFact("edge", i, i+1)
-	}
-	e2.Run()
-	s2 := e2.Stats()
-	if s2.IndexProbes != 0 || s2.IndexHits != 0 {
-		t.Errorf("scan path should not probe: stats = %+v", s2)
-	}
-	if s2.FullScans == 0 {
-		t.Errorf("scan path should report full scans: stats = %+v", s2)
-	}
 }
 
 func TestEngineSmallRelationsAreNotIndexed(t *testing.T) {
@@ -238,91 +202,6 @@ reach(X, Z) :- reach(X, Y), edge(Y, Z).
 	if len(e.Database().Relation("edge").IndexedColumns()) != 0 {
 		t.Errorf("tiny relation should not be auto-indexed: %v",
 			e.Database().Relation("edge").IndexedColumns())
-	}
-}
-
-// TestEngineIndexedAndScanFixpointsAgree is the differential test of the
-// tentpole: on randomized programs the planned, index-probing pipeline must
-// derive byte-identical fixpoints to the source-order scan path.
-func TestEngineIndexedAndScanFixpointsAgree(t *testing.T) {
-	src := `
-rel edge(a: int, b: int).
-rel label(a: int, l: string).
-rel reach(a: int, b: int).
-rel tagged(a: int, b: int, l: string).
-rel far(a: int, b: int).
-reach(X, Y) :- edge(X, Y).
-reach(X, Z) :- reach(X, Y), edge(Y, Z).
-tagged(X, Y, L) :- reach(X, Y), label(Y, L).
-far(X, Y) :- reach(X, Y), !edge(X, Y), X != Y.
-`
-	labels := []string{"red", "green", "blue"}
-	f := func(edges []uint8, labeled []uint8) bool {
-		fingerprint := func(indexing bool) string {
-			e, err := NewEngine(MustParse(src))
-			if err != nil {
-				return "parse-error"
-			}
-			e.SetIndexing(indexing)
-			for i := 0; i+1 < len(edges); i += 2 {
-				e.AddFact("edge", int(edges[i]%16), int(edges[i+1]%16))
-			}
-			for _, n := range labeled {
-				e.AddFact("label", int(n%16), labels[int(n)%len(labels)])
-			}
-			if _, err := e.Run(); err != nil {
-				return "run-error"
-			}
-			out := ""
-			for _, rel := range []string{"reach", "tagged", "far"} {
-				out += rel + ":"
-				for _, tup := range e.Facts(rel) {
-					out += tup.Key() + ";"
-				}
-			}
-			return out
-		}
-		return fingerprint(true) == fingerprint(false)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Error(err)
-	}
-}
-
-// TestEngineIndexedAndScanRequestsAgree checks the other observable output of
-// evaluation — open task requests — is order-insensitive too, i.e. barrier
-// handling preserves request generation exactly.
-func TestEngineIndexedAndScanRequestsAgree(t *testing.T) {
-	src := `
-rel sentence(sid: int, text: string).
-open rel translated(sid: int, text: string) key(sid) asks "translate".
-rel pending(sid: int).
-pending(S) :- sentence(S, _), translated(S, _).
-`
-	f := func(sids []uint8) bool {
-		requests := func(indexing bool) string {
-			e, err := NewEngine(MustParse(src))
-			if err != nil {
-				return "parse-error"
-			}
-			e.SetIndexing(indexing)
-			for _, s := range sids {
-				e.AddFact("sentence", int(s%32), fmt.Sprintf("s%d", s))
-			}
-			reqs, err := e.Run()
-			if err != nil {
-				return "run-error"
-			}
-			out := ""
-			for _, r := range reqs {
-				out += r.ID + ";"
-			}
-			return out
-		}
-		return requests(true) == requests(false)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Error(err)
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"github.com/crowd4u/crowd4u-go/internal/cylog"
+	"github.com/crowd4u/crowd4u-go/internal/cylog/reference"
 	"github.com/crowd4u/crowd4u-go/internal/project"
 	"github.com/crowd4u/crowd4u-go/internal/task"
 )
@@ -81,7 +82,9 @@ func backendFingerprint(e *cylog.Engine) string {
 // driveBackendLoop runs the crowd loop on one storage configuration and
 // returns the per-round fingerprints. Each round commits through
 // GenerateTasksFromCyLog/SubmitResult — the same path the service layer uses,
-// so a disk-backed project exercises Maintain (eviction) at every commit.
+// so a disk-backed project exercises Maintain (eviction) at every commit —
+// and every commit must leave the facts and pending requests of the
+// from-scratch reference.
 func driveBackendLoop(t *testing.T, storage StorageOptions, seed int64, edges int) []string {
 	t.Helper()
 	p := New()
@@ -107,6 +110,11 @@ func driveBackendLoop(t *testing.T, storage StorageOptions, seed int64, edges in
 		created, err := p.GenerateTasksFromCyLog(id)
 		if err != nil {
 			t.Fatal(err)
+		}
+		// Task generation commits the previous round's answers: the engine
+		// is at a fixpoint here.
+		if err := reference.Check(eng, reference.BaseFacts(eng)); err != nil {
+			t.Fatalf("%s backend, round %d: %v", storage.Backend, round, err)
 		}
 		answered := 0
 		for _, tk := range created {

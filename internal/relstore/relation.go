@@ -196,8 +196,9 @@ type Relation struct {
 	// pager, when non-nil, is the paging backend hook installed at creation
 	// by a Backend that can move this relation's contents between memory and
 	// secondary storage (see backend.go). Every content-touching public
-	// method calls page() first, so a paged-out relation faults back in
-	// transparently before any read or write. The field is written once at
+	// method takes its lock through lockResident or rlockResident, so a
+	// paged-out relation faults back in transparently before any read or
+	// write. The field is written once at
 	// construction and never mutated, so the hot-path check is a single nil
 	// comparison — relations of the MemoryBackend (pager == nil) behave
 	// byte-for-byte like the pre-seam storage.
@@ -219,6 +220,35 @@ type Relation struct {
 func (r *Relation) page() {
 	if r.pager != nil {
 		r.pager.ensure(r)
+	}
+}
+
+// lockResident takes the write lock over resident contents. An eviction
+// (Maintain, or a rebalance after another relation faults in) can take the
+// lock between page() and this caller and drop the contents again; a write
+// into the dropped contents would then be replaced by the older segment at
+// the next fault-in. So the paged flag is re-checked under the lock, and a
+// relation found paged out is unlocked, faulted in and locked again.
+func (r *Relation) lockResident() {
+	for {
+		r.page()
+		r.mu.Lock()
+		if !r.paged.Load() {
+			return
+		}
+		r.mu.Unlock()
+	}
+}
+
+// rlockResident is lockResident for the read lock.
+func (r *Relation) rlockResident() {
+	for {
+		r.page()
+		r.mu.RLock()
+		if !r.paged.Load() {
+			return
+		}
+		r.mu.RUnlock()
 	}
 }
 
@@ -326,8 +356,7 @@ func (r *Relation) Schema() *Schema { return r.schema }
 // Len returns the number of tuples (the relation's cardinality; query
 // planners use it as the base selectivity estimate).
 func (r *Relation) Len() int {
-	r.page()
-	r.mu.RLock()
+	r.rlockResident()
 	defer r.mu.RUnlock()
 	return r.count
 }
@@ -372,8 +401,7 @@ func (r *Relation) CreateIndex(columns ...string) error {
 	if err != nil {
 		return err
 	}
-	r.page()
-	r.mu.Lock()
+	r.lockResident()
 	defer r.mu.Unlock()
 	ix := newIndex(cols, r.count)
 	r.forEachLocked(func(t Tuple) bool {
@@ -452,8 +480,7 @@ func (r *Relation) EnsureIndexAt(positions []int) error {
 	if err := r.checkPositions(positions); err != nil {
 		return err
 	}
-	r.page()
-	r.mu.Lock()
+	r.lockResident()
 	defer r.mu.Unlock()
 	k := indexKey(positions)
 	if _, ok := r.indexes[k]; ok {
@@ -518,8 +545,7 @@ func (r *Relation) insertWithSupport(t Tuple, base bool, derived int32) (bool, e
 		return false, err
 	}
 	h := ct.Hash()
-	r.page()
-	r.mu.Lock()
+	r.lockResident()
 	defer r.mu.Unlock()
 	bump := func(s *stored) {
 		s.base = s.base || base
@@ -557,8 +583,7 @@ func (r *Relation) insertSupported(t Tuple, base bool) (bool, error) {
 		return false, err
 	}
 	h := ct.Hash()
-	r.page()
-	r.mu.Lock()
+	r.lockResident()
 	defer r.mu.Unlock()
 	bump := func(s *stored) {
 		if base {
@@ -633,8 +658,7 @@ func (r *Relation) Delete(t Tuple) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	r.page()
-	r.mu.Lock()
+	r.lockResident()
 	defer r.mu.Unlock()
 	return r.removeLocked(ct, nil), nil
 }
@@ -651,8 +675,7 @@ func (r *Relation) DecDerived(t Tuple) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	r.page()
-	r.mu.Lock()
+	r.lockResident()
 	defer r.mu.Unlock()
 	return r.removeLocked(ct, func(s *stored) bool {
 		if s.derived > 0 {
@@ -719,8 +742,7 @@ func (r *Relation) removeLocked(ct Tuple, decide func(*stored) bool) bool {
 // re-derives the survivors with fresh counts. Indexes are rebuilt over the
 // survivors.
 func (r *Relation) ClearDerived() int {
-	r.page()
-	r.mu.Lock()
+	r.lockResident()
 	defer r.mu.Unlock()
 	removed := 0
 	rows := make(map[uint64]stored, len(r.rows))
@@ -782,8 +804,7 @@ func (r *Relation) ClearDerived() int {
 // CyLog engine's retraction snapshots use — one pass instead of a per-tuple
 // Support probe.
 func (r *Relation) ScanSupport(fn func(t Tuple, base bool, derived int) bool) {
-	r.page()
-	r.mu.RLock()
+	r.rlockResident()
 	defer r.mu.RUnlock()
 	for h, s := range r.rows {
 		if !fn(s.t, s.base, int(s.derived)) {
@@ -805,8 +826,7 @@ func (r *Relation) Support(t Tuple) (base bool, derived int, ok bool) {
 	if err != nil {
 		return false, 0, false
 	}
-	r.page()
-	r.mu.RLock()
+	r.rlockResident()
 	defer r.mu.RUnlock()
 	h := ct.Hash()
 	if fs, found := r.rows[h]; found {
@@ -849,8 +869,7 @@ func (r *Relation) Contains(t Tuple) bool {
 	if err != nil {
 		return false
 	}
-	r.page()
-	r.mu.RLock()
+	r.rlockResident()
 	defer r.mu.RUnlock()
 	h := ct.Hash()
 	if fs, ok := r.rows[h]; ok {
@@ -868,8 +887,7 @@ func (r *Relation) Contains(t Tuple) bool {
 
 // All returns every tuple in deterministic (sorted) order.
 func (r *Relation) All() []Tuple {
-	r.page()
-	r.mu.RLock()
+	r.rlockResident()
 	out := make([]Tuple, 0, r.count)
 	r.forEachLocked(func(t Tuple) bool {
 		out = append(out, t)
@@ -883,8 +901,7 @@ func (r *Relation) All() []Tuple {
 // Scan calls fn for every tuple until fn returns false. Iteration order is
 // unspecified; fn must not call back into the relation's mutating methods.
 func (r *Relation) Scan(fn func(Tuple) bool) {
-	r.page()
-	r.mu.RLock()
+	r.rlockResident()
 	defer r.mu.RUnlock()
 	r.forEachLocked(fn)
 }
@@ -982,8 +999,7 @@ func (r *Relation) ScanEqAt(positions []int, vals []Value, fn func(Tuple) bool) 
 		return true
 	}
 
-	r.page()
-	r.mu.RLock()
+	r.rlockResident()
 	defer r.mu.RUnlock()
 	if ix := r.lookup(positions); ix != nil {
 		ix.probe(HashValues(vals...), func(t Tuple) bool {
@@ -1015,8 +1031,7 @@ func (r *Relation) ContainsAt(positions []int, vals []Value) (bool, error) {
 
 // Select returns every tuple satisfying pred, in deterministic order.
 func (r *Relation) Select(pred func(Tuple) bool) []Tuple {
-	r.page()
-	r.mu.RLock()
+	r.rlockResident()
 	out := make([]Tuple, 0)
 	r.forEachLocked(func(t Tuple) bool {
 		if pred(t) {
@@ -1069,8 +1084,7 @@ func (r *Relation) Project(columns ...string) ([]Tuple, error) {
 	}
 	seen := make(map[string]bool)
 	var out []Tuple
-	r.page()
-	r.mu.RLock()
+	r.rlockResident()
 	r.forEachLocked(func(t Tuple) bool {
 		p := t.Project(positions...)
 		k := p.Key()
@@ -1087,8 +1101,7 @@ func (r *Relation) Project(columns ...string) ([]Tuple, error) {
 
 // Clear removes all tuples. Indexes remain defined but empty.
 func (r *Relation) Clear() {
-	r.page()
-	r.mu.Lock()
+	r.lockResident()
 	defer r.mu.Unlock()
 	if r.count == 0 {
 		return
@@ -1110,8 +1123,7 @@ func (r *Relation) Clear() {
 // statistics state (distinct-count estimates, drift markers and stats epoch)
 // so a snapshot plans exactly like its source.
 func (r *Relation) Clone() *Relation {
-	r.page()
-	r.mu.RLock()
+	r.rlockResident()
 	colSets := make([][]int, 0, len(r.indexes))
 	for _, ix := range r.indexes {
 		colSets = append(colSets, append([]int(nil), ix.cols...))

@@ -19,8 +19,8 @@ package relstore
 // from are within the drift bound of the current ones.
 //
 // Maintenance is O(arity) map operations per physical tuple add/remove,
-// unconditional: statistics are storage-level truth, and the planner toggle
-// (cylog.SetCostPlanning) decides only whether anyone consumes them.
+// unconditional: statistics are storage-level truth, whether or not a planner
+// consumes them.
 
 // statsDriftSlack is the additive slack of the drift rule: small relations
 // may drift by up to ~slack/2 rows without bumping, so the epoch is quiet
@@ -128,8 +128,7 @@ func (r *Relation) StatsEpoch() uint64 {
 // acceptable for selectivity estimation, which only needs the right order of
 // magnitude.
 func (r *Relation) ColumnDistinct(col int) int {
-	r.page()
-	r.mu.RLock()
+	r.rlockResident()
 	defer r.mu.RUnlock()
 	if col < 0 || col >= len(r.colCounts) {
 		return 0

@@ -44,8 +44,8 @@ func loadCrowdTC(b *testing.B, e *cylog.Engine, edges int) {
 // benchOracleLoopDurable drives the round-based crowd loop by hand — run,
 // answer a wave of requests into a batch, commit through RunIncremental,
 // append the drained journal to the WAL — mirroring the cylog benchmark's
-// engine configuration (retraction off, sequential, incremental answering)
-// so the delta against its incremental-10k baseline isolates WAL cost.
+// engine configuration (sequential evaluation) so the delta against its
+// incremental-10k baseline isolates WAL cost.
 func benchOracleLoopDurable(b *testing.B, edges, wave int, policy SyncPolicy) {
 	b.Helper()
 	b.ReportAllocs()
@@ -55,9 +55,7 @@ func benchOracleLoopDurable(b *testing.B, edges, wave int, policy SyncPolicy) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		e.SetRetraction(false)
 		e.SetParallelism(1)
-		e.SetIncrementalAnswering(true)
 		l, err := Open(b.TempDir(), Options{Policy: policy})
 		if err != nil {
 			b.Fatal(err)

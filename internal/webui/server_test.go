@@ -15,7 +15,6 @@ import (
 	"github.com/crowd4u/crowd4u-go/internal/project"
 	"github.com/crowd4u/crowd4u-go/internal/task"
 	"github.com/crowd4u/crowd4u-go/internal/worker"
-	"github.com/crowd4u/crowd4u-go/internal/workload"
 )
 
 func newTestServer(t *testing.T) (*Server, *platform.Platform, *crowdsim.Crowd) {
@@ -58,6 +57,43 @@ func TestDashboardAndNotFound(t *testing.T) {
 	}
 }
 
+// translationCyLog is a two-sentence subtitle translation program: workers
+// translate each sentence, then check the translation (sequential
+// collaboration).
+const translationCyLog = `
+rel sentence(sid: int, text: string).
+open rel translated(sid: int, text: string) key(sid) asks "Translate this subtitle line into the target language" scheme "sequential".
+open rel checked(sid: int, ok: bool) key(sid) asks "Is this translation faithful and fluent?".
+rel pendingTranslation(sid: int).
+rel pendingCheck(sid: int, text: string).
+rel final(sid: int, text: string).
+
+pendingTranslation(S) :- sentence(S, _), translated(S, _).
+pendingCheck(S, T) :- translated(S, T), checked(S, _).
+final(S, T) :- translated(S, T), checked(S, true).
+
+sentence(1, "Welcome to the morning news.").
+sentence(2, "The river crossed the flood line last night.").
+`
+
+// translationProject registers translationCyLog with translation-skilled,
+// team-based factors.
+func translationProject() project.Description {
+	return project.Description{
+		Name:        "Video subtitle translation",
+		Requester:   "demo",
+		Summary:     "Translate video subtitles; workers improve each other's contributions.",
+		Scheme:      task.Sequential,
+		CyLogSource: translationCyLog,
+		Factors: project.DesiredFactors{
+			Constraints: task.Constraints{
+				RequiredSkill: "translation", MinSkill: 0.3,
+				UpperCriticalMass: 3, MinTeamSize: 2,
+			},
+		},
+	}
+}
+
 func TestProjectRegistrationForm(t *testing.T) {
 	s, p, _ := newTestServer(t)
 	if rec := get(t, s, "/admin/projects/new"); rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), "Desired human factors") {
@@ -67,7 +103,7 @@ func TestProjectRegistrationForm(t *testing.T) {
 		"name":                {"Subtitle translation"},
 		"requester":           {"mori"},
 		"scheme":              {"sequential"},
-		"cylog":               {workload.TranslationCyLog(workload.SubtitleSentences(2))},
+		"cylog":               {translationCyLog},
 		"required_skill":      {"translation"},
 		"min_skill":           {"0.3"},
 		"critical_mass":       {"3"},
@@ -156,7 +192,7 @@ func TestProjectFactorsUpdate(t *testing.T) {
 
 func TestWorkerPageAndInterestFlow(t *testing.T) {
 	s, p, _ := newTestServer(t)
-	admin, _ := p.RegisterProject(workload.TranslationProject(workload.SubtitleSentences(2)))
+	admin, _ := p.RegisterProject(translationProject())
 	created, err := p.GenerateTasksFromCyLog(admin.Description.ID)
 	if err != nil || len(created) == 0 {
 		t.Fatalf("task generation failed: %v", err)
@@ -264,7 +300,7 @@ func TestTaskPageAndAnswer(t *testing.T) {
 
 func TestJSONAPIAndCycle(t *testing.T) {
 	s, p, _ := newTestServer(t)
-	p.RegisterProject(workload.TranslationProject(workload.SubtitleSentences(2)))
+	p.RegisterProject(translationProject())
 
 	rec := get(t, s, "/api/projects")
 	var projects []projectJSON
@@ -322,7 +358,7 @@ func TestAPICycleWithoutCrowd(t *testing.T) {
 
 func TestSortedTeamsAndStepPrompt(t *testing.T) {
 	s, p, _ := newTestServer(t)
-	admin, _ := p.RegisterProject(workload.TranslationProject(workload.SubtitleSentences(2)))
+	admin, _ := p.RegisterProject(translationProject())
 	p.GenerateTasksFromCyLog(admin.Description.ID)
 	p.CollectInterest(s.Crowd)
 	p.AssignOpenTasks()
