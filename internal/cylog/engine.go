@@ -254,7 +254,7 @@ func NewEngineWith(p *Program, db *relstore.Database) (*Engine, error) {
 		db:             db,
 		parallelism:    defaultParallelism(),
 		shards:         defaultShards(),
-		staged:        make(map[string][]relstore.Tuple),
+		staged:         make(map[string][]relstore.Tuple),
 		rowSchemas:     make(map[*Rule]*rowSchema, len(p.Rules)),
 		pending:        make(map[string]OpenRequest),
 		requestStrata:  make(map[string]map[int]bool),
@@ -356,14 +356,15 @@ func defaultShards() int {
 
 // SetShards sets the number of hash-partitioned engine shards a stratum
 // fixpoint runs across. n == 1 selects the unsharded evaluation paths
-// (sequential or parallel per SetParallelism). n > 1 runs each stratum's semi-naive rounds on n
-// goroutine-confined shards: every round's delta frontier (and, on the
-// unrestricted first round, each rule's leading full scan) is partitioned on
-// relstore.ShardOf — the tuple's value hash — each shard evaluates only its
-// partition's rule variants, and at the round barrier the derived tuples
-// flow over channels into a single-writer merge that inserts head tuples,
-// admits open requests, and routes the next round's frontier back to the
-// shard owning each tuple's hash (Stats.ShardLocalTuples/ShardExchanges).
+// (sequential or parallel per SetParallelism). n > 1 runs each stratum's
+// semi-naive rounds on n goroutine-confined shards: every round's delta
+// frontier (and, on the unrestricted first round, each rule's leading full
+// scan) is partitioned on relstore.ShardOf — the tuple's value hash — each
+// shard evaluates only its partition's rule variants, and at the round
+// barrier the derived tuples flow over channels into a single-writer merge
+// that inserts head tuples, admits open requests, and routes the next
+// round's frontier back to the shard owning each tuple's hash
+// (Stats.ShardLocalTuples/ShardExchanges).
 // n <= 0 restores the default (CYLOG_SHARDS or 1).
 //
 // Every shard count derives byte-identical fixpoints, open requests and
@@ -536,10 +537,11 @@ func (e *Engine) runFullLocked() ([]OpenRequest, error) {
 // retractBeforeFullLocked is the deletion pre-pass of a full run. It
 // over-deletes the derived relations the staged insertions can shrink — or,
 // when no completed fixpoint stands behind the current contents (fresh
-// engine, recovery after a failed run), every derived relation — and drops all pending requests so the full evaluation
-// re-admits exactly the live ones. It returns the pre-deletion snapshots of
-// the cleared relations for the post-run Stats diff, nil when nothing needed
-// clearing. Caller holds e.mu.
+// engine, recovery after a failed run), every derived relation — and drops
+// all pending requests so the full evaluation re-admits exactly the live
+// ones. It returns the pre-deletion snapshots of the cleared relations for
+// the post-run Stats diff, nil when nothing needed clearing. Caller holds
+// e.mu.
 func (e *Engine) retractBeforeFullLocked() map[string]map[string]snapshotEntry {
 	conservative := !e.ranOnce
 	var targets map[string]bool

@@ -411,4 +411,3 @@ func filterComparisonBatch(c *Comparison, refs [2]termRef, in *rowBatch) {
 	}
 	in.truncate(n)
 }
-

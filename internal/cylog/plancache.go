@@ -13,8 +13,9 @@ import (
 // the rule and delta variant and (b) the statistics of the closed positive
 // body relations (cardinalities and per-column distinct counts). The cache
 // keys on precisely those: per rule, a fingerprint of the body relations'
-// stats epochs guards a small deltaAtom→plan map. A stats-epoch bump anywhere in the rule's body changes
-// the fingerprint and atomically retires every plan cached under the old one
+// stats epochs guards a small deltaAtom→plan map. A stats-epoch bump
+// anywhere in the rule's body changes the fingerprint and atomically retires
+// every plan cached under the old one
 // — a stale plan is never served after a bump (the invariant the plan-cache
 // property tests assert).
 //

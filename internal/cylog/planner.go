@@ -287,10 +287,9 @@ func bindAtomVars(a *Atom, bound map[string]bool) {
 // The engine binds rule variables in a flat []Value row: every variable of a
 // rule is assigned a fixed slot, and each literal's terms are pre-resolved to
 // slot references so the hot join loop never touches a map or a variable
-// name. The schema is static per rule
-// (it depends only on the rule text, not on the plan or the delta variant), so
-// the engine builds it once at construction and shares it across concurrent
-// rule evaluations.
+// name. The schema is static per rule (it depends only on the rule text, not
+// on the plan or the delta variant), so the engine builds it once at
+// construction and shares it across concurrent rule evaluations.
 
 // Sentinel slot values for terms that do not name a row slot.
 const (

@@ -198,10 +198,10 @@ type Relation struct {
 	// secondary storage (see backend.go). Every content-touching public
 	// method takes its lock through lockResident or rlockResident, so a
 	// paged-out relation faults back in transparently before any read or
-	// write. The field is written once at
-	// construction and never mutated, so the hot-path check is a single nil
-	// comparison — relations of the MemoryBackend (pager == nil) behave
-	// byte-for-byte like the pre-seam storage.
+	// write. The field is written once at construction and never mutated, so
+	// the hot-path check is a single nil comparison — relations of the
+	// MemoryBackend (pager == nil) behave byte-for-byte like the pre-seam
+	// storage.
 	pager relationPager
 	// paged reports that the contents (tuple buckets, index contents,
 	// distinct-count maps) have been dropped and live only in the backend's
