@@ -112,25 +112,24 @@ func checkRounds(t *testing.T, w workload, cfg config, a, b, picks []uint8, roun
 }
 
 // runDifferential quick-checks the workload over random inputs and answer
-// picks on every configuration of the matrix.
+// picks, one subtest per configuration of the matrix.
 func runDifferential(t *testing.T, w workload, rounds, maxCount int) {
 	t.Helper()
-	f := func(a, b, picks []uint8) bool {
-		if len(picks) == 0 {
-			picks = []uint8{0}
-		}
-		if len(picks) > 6 {
-			picks = picks[:6]
-		}
-		for _, cfg := range matrix() {
-			if !checkRounds(t, w, cfg, a, b, picks, rounds) {
-				return false
+	for _, cfg := range matrix() {
+		t.Run(cfg.String(), func(t *testing.T) {
+			f := func(a, b, picks []uint8) bool {
+				if len(picks) == 0 {
+					picks = []uint8{0}
+				}
+				if len(picks) > 6 {
+					picks = picks[:6]
+				}
+				return checkRounds(t, w, cfg, a, b, picks, rounds)
 			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: maxCount}); err != nil {
-		t.Error(err)
+			if err := quick.Check(f, &quick.Config{MaxCount: maxCount}); err != nil {
+				t.Error(err)
+			}
+		})
 	}
 }
 
@@ -239,25 +238,27 @@ func TestGuardedReachMatchesReference(t *testing.T) {
 		if !cfg.incremental {
 			continue // one Run; the commit path does not matter
 		}
-		e, err := cylog.NewEngine(cylog.MustParse(guardedReachProgram))
-		if err != nil {
-			t.Fatal(err)
-		}
-		e.SetParallelism(cfg.parallelism)
-		e.SetShards(cfg.shards)
-		for i := 0; i < 400; i++ {
-			base := (i / 8) * 9
-			e.AddFact("edge", base+i%8, base+i%8+1)
-		}
-		e.AddFact("blocked", 4)
-		if _, err := e.Run(); err != nil {
-			t.Fatal(err)
-		}
-		if e.Stats().DeltaHashProbes == 0 {
-			t.Errorf("%s: the guarded delta recorded no frontier probes", cfg)
-		}
-		if err := reference.Check(e, reference.BaseFacts(e)); err != nil {
-			t.Errorf("%s: %v", cfg, err)
-		}
+		t.Run(fmt.Sprintf("par%d/shards%d", cfg.parallelism, cfg.shards), func(t *testing.T) {
+			e, err := cylog.NewEngine(cylog.MustParse(guardedReachProgram))
+			if err != nil {
+				t.Fatal(err)
+			}
+			e.SetParallelism(cfg.parallelism)
+			e.SetShards(cfg.shards)
+			for i := 0; i < 400; i++ {
+				base := (i / 8) * 9
+				e.AddFact("edge", base+i%8, base+i%8+1)
+			}
+			e.AddFact("blocked", 4)
+			if _, err := e.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if e.Stats().DeltaHashProbes == 0 {
+				t.Error("the guarded delta recorded no frontier probes")
+			}
+			if err := reference.Check(e, reference.BaseFacts(e)); err != nil {
+				t.Error(err)
+			}
+		})
 	}
 }

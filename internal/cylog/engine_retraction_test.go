@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"github.com/crowd4u/crowd4u-go/internal/cylog"
+	"github.com/crowd4u/crowd4u-go/internal/cylog/reference"
 )
 
 // approveRejectProgram is the canonical stale-negation workload: every item
@@ -272,5 +273,65 @@ func TestRetractionConcurrentStaging(t *testing.T) {
 			t.Fatalf("shards=%d: pending = %v", shards, e.PendingRequests())
 		}
 		checkReference(t, e)
+	}
+}
+
+// TestShardedConcurrentStagingRace is the -race workout for sharding:
+// worker goroutines stage answers into shared batches while the main loop
+// commits them through sharded, parallel incremental runs — batched answers,
+// retraction of stale negations and sharding together under concurrent
+// ingestion pressure.
+func TestShardedConcurrentStagingRace(t *testing.T) {
+	e, err := cylog.NewEngine(cylog.MustParse(approveRejectProgram))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.SetShards(4)
+	e.SetParallelism(2)
+	const items = 60
+	for n := 1; n <= items; n++ {
+		e.AddFact("item", n)
+	}
+	reqs, err := e.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for rounds := 0; len(reqs) > 0 && rounds < 40; rounds++ {
+		batch := e.NewAnswerBatch()
+		var wg sync.WaitGroup
+		const stagers = 4
+		for w := 0; w < stagers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i, r := range reqs {
+					if i%stagers != w {
+						continue
+					}
+					switch r.Relation {
+					case "approve":
+						batch.Answer(r.ID, map[string]any{"ok": true}) //nolint:errcheck
+					case "review":
+						batch.Answer(r.ID, map[string]any{"note": "checked"}) //nolint:errcheck
+					}
+				}
+			}(w)
+		}
+		wg.Wait()
+		if reqs, err = e.RunIncremental(batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := len(e.Facts("approved")); got != items {
+		t.Fatalf("approved = %d, want %d", got, items)
+	}
+	if got := len(e.Facts("rejected")); got != 0 {
+		t.Fatalf("every rejection should be retracted, rejected = %v", e.Facts("rejected"))
+	}
+	if got := len(e.PendingRequests()); got != 0 {
+		t.Fatalf("pending = %v", e.PendingRequests())
+	}
+	if err := reference.Check(e, reference.BaseFacts(e)); err != nil {
+		t.Error(err)
 	}
 }
