@@ -2,6 +2,7 @@ package cylog_test
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -15,7 +16,10 @@ import (
 // exactly the facts and pending requests that the from-scratch reference
 // evaluator (package reference) derives from the same base facts. Each
 // differential drives one program through crowd rounds on every engine
-// configuration of the matrix and checks the engine after every round.
+// configuration of the matrix and checks the engine after every round. Every
+// round must also derive as many facts (Stats().DerivedFacts) as the
+// sequential, unsharded engine in the same commit mode: partitioning and the
+// worker pool must not change how much work a round does.
 
 // config is one engine configuration of the differential matrix.
 type config struct {
@@ -30,11 +34,11 @@ func (c config) String() string {
 	return fmt.Sprintf("par%d/shards%d/incremental=%v", c.parallelism, c.shards, c.incremental)
 }
 
-// matrix is {par 1, 4} x {shards 1, 4} x {incremental, full}.
+// matrix is {par 1, 4} x {shards 1, 2, 4} x {incremental, full}.
 func matrix() []config {
 	var out []config
 	for _, par := range []int{1, 4} {
-		for _, shards := range []int{1, 4} {
+		for _, shards := range []int{1, 2, 4} {
 			for _, inc := range []bool{true, false} {
 				out = append(out, config{parallelism: par, shards: shards, incremental: inc})
 			}
@@ -60,8 +64,9 @@ type workload struct {
 // checkRounds runs the workload on one configuration — a full Run, then up
 // to rounds answer rounds, each answering the pending requests the picks
 // select — and checks the engine against the reference after the first run
-// and after every round. It reports whether every check passed.
-func checkRounds(t *testing.T, w workload, cfg config, a, b, picks []uint8, rounds int) bool {
+// and after every round. It returns each run's DerivedFacts and whether every
+// check passed.
+func checkRounds(t *testing.T, w workload, cfg config, a, b, picks []uint8, rounds int) ([]int, bool) {
 	t.Helper()
 	e, err := cylog.NewEngine(cylog.MustParse(w.program))
 	if err != nil {
@@ -77,17 +82,19 @@ func checkRounds(t *testing.T, w workload, cfg config, a, b, picks []uint8, roun
 	if w.seed != nil {
 		w.seed(a, b, add)
 	}
+	var derived []int
 	reqs, err := e.Run()
 	for round := 1; ; round++ {
 		if err != nil {
 			t.Fatal(err)
 		}
+		derived = append(derived, e.Stats().DerivedFacts)
 		if err := reference.Check(e, reference.BaseFacts(e)); err != nil {
 			t.Logf("%s: round %d: %v", cfg, round-1, err)
-			return false
+			return derived, false
 		}
 		if round > rounds || len(reqs) == 0 {
-			return true
+			return derived, true
 		}
 		batch := e.NewAnswerBatch()
 		for _, p := range picks {
@@ -112,7 +119,9 @@ func checkRounds(t *testing.T, w workload, cfg config, a, b, picks []uint8, roun
 }
 
 // runDifferential quick-checks the workload over random inputs and answer
-// picks, one subtest per configuration of the matrix.
+// picks, one subtest per configuration of the matrix. Each input also runs on
+// par1/shards1 in the same commit mode, whose per-round DerivedFacts the
+// configuration must match.
 func runDifferential(t *testing.T, w workload, rounds, maxCount int) {
 	t.Helper()
 	for _, cfg := range matrix() {
@@ -124,7 +133,20 @@ func runDifferential(t *testing.T, w workload, rounds, maxCount int) {
 				if len(picks) > 6 {
 					picks = picks[:6]
 				}
-				return checkRounds(t, w, cfg, a, b, picks, rounds)
+				derived, ok := checkRounds(t, w, cfg, a, b, picks, rounds)
+				if !ok || (cfg.parallelism == 1 && cfg.shards == 1) {
+					return ok
+				}
+				base := config{parallelism: 1, shards: 1, incremental: cfg.incremental}
+				want, ok := checkRounds(t, w, base, a, b, picks, rounds)
+				if !ok {
+					return false
+				}
+				if !slices.Equal(derived, want) {
+					t.Logf("%s: DerivedFacts per round %v, %s derived %v", cfg, derived, base, want)
+					return false
+				}
+				return true
 			}
 			if err := quick.Check(f, &quick.Config{MaxCount: maxCount}); err != nil {
 				t.Error(err)

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"github.com/crowd4u/crowd4u-go/internal/cylog"
-	"github.com/crowd4u/crowd4u-go/internal/cylog/reference"
 )
 
 // approveRejectProgram is the canonical stale-negation workload: every item
@@ -214,66 +213,59 @@ func TestRetractionFromScratchDifferential(t *testing.T) {
 // TestRetractionConcurrentStaging is the -race workout for retraction: worker
 // goroutines stage answers into shared batches while the main loop commits
 // them through RunIncremental, each commit retracting the freshly approved
-// items' rejections while the next wave stages against the engine lock — on
-// the unsharded engine and on four shards with a two-worker pool.
+// items' rejections while the next wave stages against the engine lock.
 func TestRetractionConcurrentStaging(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		e, err := cylog.NewEngine(cylog.MustParse(approveRejectProgram))
-		if err != nil {
-			t.Fatal(err)
-		}
-		e.SetShards(shards)
-		if shards > 1 {
-			e.SetParallelism(2)
-		}
-		const items = 60
-		for n := 1; n <= items; n++ {
-			e.AddFact("item", n)
-		}
-		reqs, err := e.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for rounds := 0; len(reqs) > 0 && rounds < 40; rounds++ {
-			batch := e.NewAnswerBatch()
-			var wg sync.WaitGroup
-			const stagers = 4
-			for w := 0; w < stagers; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					for i, r := range reqs {
-						if i%stagers != w {
-							continue
-						}
-						switch r.Relation {
-						case "approve":
-							batch.Answer(r.ID, map[string]any{"ok": true}) //nolint:errcheck
-						case "review":
-							// Review answers race against the approval that
-							// withdraws their request: both staging-time and
-							// commit-time rejections must stay per-item.
-							batch.Answer(r.ID, map[string]any{"note": "checked"}) //nolint:errcheck
-						}
-					}
-				}(w)
-			}
-			wg.Wait()
-			if reqs, err = e.RunIncremental(batch); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if got := len(e.Facts("approved")); got != items {
-			t.Fatalf("shards=%d: approved = %d, want %d", shards, got, items)
-		}
-		if got := len(e.Facts("rejected")); got != 0 {
-			t.Fatalf("shards=%d: every rejection should be retracted, rejected = %v", shards, e.Facts("rejected"))
-		}
-		if got := len(e.PendingRequests()); got != 0 {
-			t.Fatalf("shards=%d: pending = %v", shards, e.PendingRequests())
-		}
-		checkReference(t, e)
+	e, err := cylog.NewEngine(cylog.MustParse(approveRejectProgram))
+	if err != nil {
+		t.Fatal(err)
 	}
+	const items = 60
+	for n := 1; n <= items; n++ {
+		e.AddFact("item", n)
+	}
+	reqs, err := e.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for rounds := 0; len(reqs) > 0 && rounds < 40; rounds++ {
+		batch := e.NewAnswerBatch()
+		var wg sync.WaitGroup
+		const stagers = 4
+		for w := 0; w < stagers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i, r := range reqs {
+					if i%stagers != w {
+						continue
+					}
+					switch r.Relation {
+					case "approve":
+						batch.Answer(r.ID, map[string]any{"ok": true}) //nolint:errcheck
+					case "review":
+						// Review answers race against the approval that
+						// withdraws their request: both staging-time and
+						// commit-time rejections must stay per-item.
+						batch.Answer(r.ID, map[string]any{"note": "checked"}) //nolint:errcheck
+					}
+				}
+			}(w)
+		}
+		wg.Wait()
+		if reqs, err = e.RunIncremental(batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := len(e.Facts("approved")); got != items {
+		t.Fatalf("approved = %d, want %d", got, items)
+	}
+	if got := len(e.Facts("rejected")); got != 0 {
+		t.Fatalf("every rejection should be retracted, rejected = %v", e.Facts("rejected"))
+	}
+	if got := len(e.PendingRequests()); got != 0 {
+		t.Fatalf("pending = %v", e.PendingRequests())
+	}
+	checkReference(t, e)
 }
 
 // TestShardedConcurrentStagingRace is the -race workout for sharding:
@@ -331,7 +323,5 @@ func TestShardedConcurrentStagingRace(t *testing.T) {
 	if got := len(e.PendingRequests()); got != 0 {
 		t.Fatalf("pending = %v", e.PendingRequests())
 	}
-	if err := reference.Check(e, reference.BaseFacts(e)); err != nil {
-		t.Error(err)
-	}
+	checkReference(t, e)
 }

@@ -52,16 +52,14 @@ type planStep struct {
 	probeCols []int
 	// estMatches is the cost planner's estimate of how many tuples this step
 	// matches per input binding — |R| / Π distinct(probe column), rounded up —
-	// which the columnar join uses to pre-size its output batch. 0 means no
-	// estimate (catalog without distinct counts, or an empty relation).
+	// which the columnar join uses to pre-size its output batch; 0 for an
+	// empty relation.
 	estMatches int
 }
 
 // planCatalog supplies the planner with the catalog facts it needs: which
 // relations are open, the current cardinality of a relation (the selectivity
-// estimate for unbound atoms), and per-column distinct-count estimates. A nil
-// distinct (the planner tests' static catalogs) leaves the planner
-// cardinality-only.
+// estimate for unbound atoms), and per-column distinct-count estimates.
 type planCatalog struct {
 	isOpen   func(predicate string) bool
 	card     func(predicate string) int
@@ -71,12 +69,8 @@ type planCatalog struct {
 // estMatchesPerProbe estimates how many tuples of the atom's relation match
 // one input binding with the given columns bound: the relation's cardinality
 // divided by the product of the bound columns' distinct counts — the uniform
-// independence assumption every textbook selectivity model starts from. It
-// returns -1 when the catalog has no distinct counts.
+// independence assumption every textbook selectivity model starts from.
 func estMatchesPerProbe(cat planCatalog, a *Atom, probeCols []int) float64 {
-	if cat.distinct == nil {
-		return -1
-	}
 	est := float64(cat.card(a.Predicate))
 	for _, c := range probeCols {
 		if d := cat.distinct(a.Predicate, c); d > 1 {
@@ -212,10 +206,10 @@ func planShardAtom(steps []planStep, isOpen func(string) bool) int {
 
 // pickAtom returns the index into run of the atom to schedule next: the delta
 // atom if present, otherwise the atom with the most bound term positions.
-// Equally-bound atoms order by estimated matches per probe when the catalog
-// carries distinct counts (real selectivity: a probe on a near-unique column
-// of a large relation beats one fanning out over a skewed column of a small
-// one), then by smaller relation cardinality, then by source position.
+// Equally-bound atoms order by estimated matches per probe (real
+// selectivity: a probe on a near-unique column of a large relation beats one
+// fanning out over a skewed column of a small one), then by smaller relation
+// cardinality, then by source position.
 func pickAtom(r *Rule, run []int, deltaAtom int, bound map[string]bool, cat planCatalog) int {
 	type score struct {
 		runIndex  int
@@ -244,7 +238,7 @@ func pickAtom(r *Rule, run []int, deltaAtom int, bound map[string]bool, cat plan
 		if a.boundCols != b.boundCols {
 			return a.boundCols > b.boundCols
 		}
-		if a.est >= 0 && b.est >= 0 && a.est != b.est {
+		if a.est != b.est {
 			return a.est < b.est
 		}
 		if a.card != b.card {
