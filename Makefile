@@ -44,7 +44,7 @@ COVERPROFILE ?= cover.out
 LOADSIM_ARGS      ?= -items 400 -workers 32 -commit-interval 10ms -queue 1024 -seed 1
 PLATFORM_BENCHOUT ?= platform_bench.out
 
-.PHONY: build test test-sequential test-sharded test-disk-backend bench-test lint vet fmt staticcheck bench benchcheck loadcheck cover crashcheck crashcheck-content fuzz linkcheck ci
+.PHONY: build test test-sequential test-disk-backend bench-test lint vet fmt staticcheck bench benchcheck loadcheck cover crashcheck crashcheck-content fuzz linkcheck ci
 
 build:
 	$(GO) build $(PKGS)
@@ -52,22 +52,15 @@ build:
 test:
 	$(GO) test -race $(PKGS)
 
-# Forces every engine through the sequential evaluation path; CI runs both
-# this and `test`, so the differential tests check both paths against the
-# from-scratch reference evaluator.
+# Forces every engine onto one worker (the stratum loop runs its tasks
+# inline); CI runs both this and `test`, so the differential tests check the
+# pool and the one-worker loop against the from-scratch reference evaluator.
 # Scoped to the packages that construct engines — only they read
 # CYLOG_PARALLELISM, so re-running the rest would duplicate `test` verbatim.
 ENGINEPKGS := ./internal/cylog/ ./internal/platform/ ./internal/crowdsim/ ./internal/api/
 
 test-sequential:
 	CYLOG_PARALLELISM=1 $(GO) test -race $(ENGINEPKGS)
-
-# Forces every engine through the hash-partitioned sharded evaluator (4
-# shards), so the whole suite doubles as a differential check that sharding is
-# behaviourally invisible. Same package scope as test-sequential: only these
-# packages construct engines and read CYLOG_SHARDS.
-test-sharded:
-	CYLOG_SHARDS=4 $(GO) test -race $(ENGINEPKGS)
 
 # Forces every platform-managed engine onto the disk-paged relstore backend
 # with a byte budget small enough that base relations actually page in and
@@ -150,16 +143,17 @@ crashcheck-content:
 	$(GO) run ./cmd/walcheck -iterations $(CRASH_ITERS) -seed $(CRASH_SEED) -backend "$(CRASH_BACKEND)" -content-fuzz
 
 # Coverage-guided fuzzing smoke for the untrusted-input surfaces: the binary
-# snapshot importer and the CyLog parser. Go allows one -fuzz target per
-# invocation, hence two runs. Crashers are saved under the package's
+# snapshot importer, the CyLog parser and the WebSocket frame reader. Go
+# allows one -fuzz target per invocation, hence one run per target. Crashers are saved under the package's
 # testdata/fuzz/ — commit them; they become permanent regression seeds.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzImportDatabaseBinary$$' -fuzztime $(FUZZTIME) ./internal/relstore/
 	$(GO) test -run '^$$' -fuzz '^FuzzParser$$' -fuzztime $(FUZZTIME) ./internal/cylog/
+	$(GO) test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime $(FUZZTIME) ./internal/api/wire/
 
 # Validates relative links (files and heading anchors) in README.md,
 # EXPERIMENTS.md and docs/; no network access.
 linkcheck:
 	$(GO) test -run TestMarkdownLinks -count=1 ./internal/docs/
 
-ci: build lint test test-sequential test-sharded test-disk-backend bench-test linkcheck benchcheck cover crashcheck crashcheck-content
+ci: build lint test test-sequential test-disk-backend bench-test linkcheck benchcheck cover crashcheck crashcheck-content

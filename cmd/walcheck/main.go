@@ -118,11 +118,6 @@ type scenario struct {
 	edges     int
 	policy    wal.SyncPolicy
 	snapEvery int
-	// shards, when > 0, runs the engine hash-partitioned across that many
-	// evaluation shards. Recovery must replay into the same fixpoint
-	// regardless of the shard count — sharding is evaluation-side only and
-	// never touches the log format.
-	shards int
 	// killAt, when > 0, SIGKILLs the process immediately before the killAt-th
 	// physical WAL write.
 	killAt int
@@ -204,9 +199,6 @@ func (s scenario) run() (string, int, error) {
 		return "", 0, err
 	}
 	eng := p.Engine(id)
-	if s.shards > 0 {
-		eng.SetShards(s.shards)
-	}
 
 	// Seed the edge chains. Inserts already recovered from the log
 	// deduplicate silently, so re-seeding after a crash is a no-op.
@@ -321,7 +313,6 @@ func main() {
 		iterations  = flag.Int("iterations", 5, "randomized kill points to test")
 		policyFlag  = flag.Int("policy", 0, "fsync policy (child mode): 0=always 1=interval 2=off")
 		snapEvery   = flag.Int("snapshot-every", 0, "snapshot cadence in appended records (child mode)")
-		shards      = flag.Int("shards", 0, "engine shard count (0 = cycle 1,2,4 across iterations)")
 		killAt      = flag.Int("kill-write", 0, "self-kill before this WAL write (child mode)")
 		contentFuzz = flag.Bool("content-fuzz", false, "fuzz answer values: adversarial string labels per iteration, stats included in the differential")
 		contentSalt = flag.Int64("content-salt", 0, "content-fuzz label salt (child mode)")
@@ -331,7 +322,7 @@ func main() {
 
 	if *child {
 		s := scenario{dir: *dir, seed: *seed, edges: *edges,
-			policy: wal.SyncPolicy(*policyFlag), snapEvery: *snapEvery, shards: *shards, killAt: *killAt,
+			policy: wal.SyncPolicy(*policyFlag), snapEvery: *snapEvery, killAt: *killAt,
 			content: *contentFuzz, salt: *contentSalt, backend: *backend}
 		digest, writes, err := s.run()
 		if err != nil {
@@ -342,22 +333,20 @@ func main() {
 		return
 	}
 
-	if err := drive(*seed, *edges, *iterations, *shards, *contentFuzz, *backend); err != nil {
+	if err := drive(*seed, *edges, *iterations, *contentFuzz, *backend); err != nil {
 		fmt.Fprintln(os.Stderr, "walcheck: FAIL:", err)
 		os.Exit(1)
 	}
 }
 
 // drive runs the parent protocol: reference digest, then per-iteration
-// randomized child crash + in-process recovery + differential. shards pins
-// the engine shard count for every run; 0 cycles 1, 2, 4 across iterations so
-// the default CI invocation covers recovery into sharded fixpoints too.
-// content switches every run to the content-fuzz scenario with a fresh label
+// randomized child crash + in-process recovery + differential. content
+// switches every run to the content-fuzz scenario with a fresh label
 // salt per iteration. backend pins the relstore backend for the crash and
 // recovery runs; "" cycles memory and disk so the default CI invocation also
 // proves disk-backed recovery lands on the memory backend's exact
 // fingerprint (references always run on memory — that is the differential).
-func drive(seed int64, edges, iterations, shards int, content bool, backend string) error {
+func drive(seed int64, edges, iterations int, content bool, backend string) error {
 	self, err := os.Executable()
 	if err != nil {
 		return err
@@ -372,10 +361,6 @@ func drive(seed int64, edges, iterations, shards int, content bool, backend stri
 	for iter := 0; iter < iterations; iter++ {
 		policy := wal.SyncPolicy(rng.Intn(3))
 		snapEvery := rng.Intn(4) // 0 disables snapshots
-		iterShards := shards
-		if iterShards == 0 {
-			iterShards = []int{1, 2, 4}[iter%3]
-		}
 		salt := rng.Int63()
 		iterBackend := backend
 		if iterBackend == "" {
@@ -386,7 +371,7 @@ func drive(seed int64, edges, iterations, shards int, content bool, backend stri
 		// Reference: the uninterrupted run under this iteration's exact
 		// configuration. Its write count bounds the kill offset; its digest
 		// is what every crashed-and-recovered run must reproduce.
-		ref := scenario{dir: iterDir + "-ref", seed: seed, edges: edges, policy: policy, snapEvery: snapEvery, shards: iterShards,
+		ref := scenario{dir: iterDir + "-ref", seed: seed, edges: edges, policy: policy, snapEvery: snapEvery,
 			content: content, salt: salt}
 		refDigest, refWrites, err := ref.run()
 		if err != nil {
@@ -402,7 +387,6 @@ func drive(seed int64, edges, iterations, shards int, content bool, backend stri
 			"-child", "-dir", crashDir,
 			"-seed", fmt.Sprint(seed), "-edges", fmt.Sprint(edges),
 			"-policy", fmt.Sprint(int(policy)), "-snapshot-every", fmt.Sprint(snapEvery),
-			"-shards", fmt.Sprint(iterShards),
 			"-kill-write", fmt.Sprint(kill),
 			"-backend", iterBackend,
 		}
@@ -421,7 +405,7 @@ func drive(seed int64, edges, iterations, shards int, content bool, backend stri
 
 		// Recover in this process from whatever the kill left behind and
 		// resume the identical scenario to quiescence.
-		resume := scenario{dir: crashDir, seed: seed, edges: edges, policy: policy, snapEvery: snapEvery, shards: iterShards,
+		resume := scenario{dir: crashDir, seed: seed, edges: edges, policy: policy, snapEvery: snapEvery,
 			content: content, salt: salt, backend: iterBackend}
 		gotDigest, _, err := resume.run()
 		if err != nil {
@@ -429,11 +413,11 @@ func drive(seed int64, edges, iterations, shards int, content bool, backend stri
 				iter, kill, refWrites, policy, snapEvery, err)
 		}
 		if gotDigest != refDigest {
-			return fmt.Errorf("iteration %d: recovered digest %s != reference %s (seed=%d kill=%d/%d policy=%s snapshot-every=%d shards=%d backend=%s)",
-				iter, gotDigest[:12], refDigest[:12], seed, kill, refWrites, policy, snapEvery, iterShards, iterBackend)
+			return fmt.Errorf("iteration %d: recovered digest %s != reference %s (seed=%d kill=%d/%d policy=%s snapshot-every=%d backend=%s)",
+				iter, gotDigest[:12], refDigest[:12], seed, kill, refWrites, policy, snapEvery, iterBackend)
 		}
-		fmt.Printf("walcheck: iteration %d ok — killed at write %d/%d, policy=%s, snapshot-every=%d, shards=%d, backend=%s, digest %s\n",
-			iter, kill, refWrites, policy, snapEvery, iterShards, iterBackend, refDigest[:12])
+		fmt.Printf("walcheck: iteration %d ok — killed at write %d/%d, policy=%s, snapshot-every=%d, backend=%s, digest %s\n",
+			iter, kill, refWrites, policy, snapEvery, iterBackend, refDigest[:12])
 	}
 	mode := "answers"
 	if content {

@@ -485,8 +485,13 @@ func (s *Server) handleAllEvents(w http.ResponseWriter, r *http.Request) {
 }
 
 // serveEvents upgrades to WebSocket and streams events until the client
-// disconnects, the subscriber is cancelled, or the server closes.
+// disconnects, the subscriber is cancelled, or the server closes. It
+// subscribes before the upgrade: the client's dial returns as soon as the 101
+// response is flushed, so every event published after that must already find
+// the subscription. A failed upgrade cancels it through the deferred cancel.
 func (s *Server) serveEvents(w http.ResponseWriter, r *http.Request, id project.ID) {
+	ch, cancel := s.hub.subscribe(id)
+	defer cancel()
 	conn, err := wire.UpgradeWebSocket(w, r)
 	if err != nil {
 		// A pre-hijack failure leaves w usable, so a plain HTTP error works.
@@ -497,8 +502,6 @@ func (s *Server) serveEvents(w http.ResponseWriter, r *http.Request, id project.
 		}
 		return
 	}
-	ch, cancel := s.hub.subscribe(id)
-	defer cancel()
 	defer conn.Close()
 	// Reader: the only expected client frames are pings and close. Its exit
 	// (close frame or dropped TCP connection) cancels the subscription,

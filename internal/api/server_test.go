@@ -138,7 +138,7 @@ func TestProjectLifecycleAndFeed(t *testing.T) {
 		t.Fatalf("status: missing engine stats: %+v", st.Stats)
 	}
 
-	// Paginated feed: offsets shard the request set without overlap.
+	// Paginated feed: offsets split the request set without overlap.
 	var page1, page2 TaskFeed
 	do(t, "GET", ts.URL+"/api/v1/projects/labels/tasks?limit=3", nil, &page1)
 	do(t, "GET", ts.URL+"/api/v1/projects/labels/tasks?limit=3&offset=3", nil, &page2)
@@ -346,6 +346,39 @@ func TestEventStream(t *testing.T) {
 		}
 	case <-deadline:
 		t.Fatal("no fixpoint event within 5s")
+	}
+}
+
+// TestEventStreamDeliversEventsAfterDial pins the subscribe-before-upgrade
+// order of the event endpoints: an event recorded right after DialEvents
+// returns must reach the stream. The client's dial returns once the 101
+// response arrives, so a server that subscribed only after flushing it lost
+// every event published in between.
+func TestEventStreamDeliversEventsAfterDial(t *testing.T) {
+	ts, p := newTestService(t, Options{})
+	for i := 0; i < 200; i++ {
+		stream, err := DialEvents(ts.URL, "labels")
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := fmt.Sprintf("probe %d", i)
+		p.Record(platform.Event{Kind: "probe", Project: "labels", Message: want})
+		got := make(chan EventMessage, 1)
+		go func() {
+			if msg, err := stream.Next(); err == nil {
+				got <- msg
+			}
+		}()
+		select {
+		case msg := <-got:
+			if msg.Kind != "probe" || msg.Message != want {
+				t.Fatalf("dial %d: got %+v, want the %q probe", i, msg, want)
+			}
+		case <-time.After(2 * time.Second):
+			stream.Close()
+			t.Fatalf("dial %d: the event recorded after DialEvents returned never arrived", i)
+		}
+		stream.Close()
 	}
 }
 

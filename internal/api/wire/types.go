@@ -41,7 +41,7 @@ type TaskView struct {
 type TaskFeed struct {
 	Tasks []TaskView `json:"tasks"`
 	// Total is the full pending count; Offset/Limit echo the request so
-	// workers can shard the feed between them.
+	// workers can divide the feed between them.
 	Total  int `json:"total"`
 	Offset int `json:"offset"`
 	Limit  int `json:"limit"`

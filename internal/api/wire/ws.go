@@ -177,44 +177,48 @@ func (c *Conn) WriteText(payload []byte) error {
 	return c.writeFrame(opText, payload)
 }
 
-// writeFrame emits a single FIN frame, masking when this end is a client.
+// writeFrame emits a single FIN frame in one write, masking when this end is
+// a client.
 func (c *Conn) writeFrame(opcode byte, payload []byte) error {
+	var maskKey [4]byte
+	if c.client {
+		if _, err := rand.Read(maskKey[:]); err != nil {
+			return err
+		}
+	}
+	frame := appendFrame(make([]byte, 0, 14+len(payload)), opcode, payload, c.client, maskKey)
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	header := make([]byte, 0, 14)
-	header = append(header, 0x80|opcode)
+	_, err := c.conn.Write(frame)
+	return err
+}
+
+// appendFrame appends one FIN frame carrying payload to buf: the header with
+// the length in its shortest encoding, then the payload, masked with maskKey
+// when mask is set (RFC 6455 §5.2, §5.3).
+func appendFrame(buf []byte, opcode byte, payload []byte, mask bool, maskKey [4]byte) []byte {
+	buf = append(buf, 0x80|opcode)
 	maskBit := byte(0)
-	if c.client {
+	if mask {
 		maskBit = 0x80
 	}
 	switch n := len(payload); {
 	case n < 126:
-		header = append(header, maskBit|byte(n))
+		buf = append(buf, maskBit|byte(n))
 	case n <= 0xFFFF:
-		header = append(header, maskBit|126, byte(n>>8), byte(n))
+		buf = append(buf, maskBit|126, byte(n>>8), byte(n))
 	default:
-		header = append(header, maskBit|127)
-		var ext [8]byte
-		binary.BigEndian.PutUint64(ext[:], uint64(n))
-		header = append(header, ext[:]...)
+		buf = append(buf, maskBit|127)
+		buf = binary.BigEndian.AppendUint64(buf, uint64(n))
 	}
-	if c.client {
-		var maskKey [4]byte
-		if _, err := rand.Read(maskKey[:]); err != nil {
-			return err
-		}
-		header = append(header, maskKey[:]...)
-		masked := make([]byte, len(payload))
-		for i, b := range payload {
-			masked[i] = b ^ maskKey[i%4]
-		}
-		payload = masked
+	if !mask {
+		return append(buf, payload...)
 	}
-	if _, err := c.conn.Write(header); err != nil {
-		return err
+	buf = append(buf, maskKey[:]...)
+	for i, b := range payload {
+		buf = append(buf, b^maskKey[i%4])
 	}
-	_, err := c.conn.Write(payload)
-	return err
+	return buf
 }
 
 // ReadText reads the next text message, transparently answering pings and
@@ -244,18 +248,31 @@ func (c *Conn) ReadText() ([]byte, error) {
 	}
 }
 
-// readFrame reads one frame, rejecting fragmentation and unmasking when the
-// peer masked.
+// readFrame reads one frame and unmasks its payload. It rejects what RFC 6455
+// forbids or this protocol does not use: nonzero reserved bits (§5.2; no
+// extension is ever negotiated), a frame masked the wrong way for its
+// direction (§5.1: every client frame is masked, no server frame is),
+// fragmentation, control frames over 125 bytes (§5.5) and payloads over
+// maxFramePayload.
 func (c *Conn) readFrame() (byte, []byte, error) {
 	var h [2]byte
 	if _, err := io.ReadFull(c.br, h[:]); err != nil {
 		return 0, nil, err
+	}
+	if h[0]&0x70 != 0 {
+		return 0, nil, fmt.Errorf("api: websocket frame with reserved bits %#x set", h[0]&0x70)
 	}
 	if h[0]&0x80 == 0 {
 		return 0, nil, errors.New("api: fragmented websocket frames are not supported")
 	}
 	opcode := h[0] & 0x0F
 	masked := h[1]&0x80 != 0
+	if masked == c.client {
+		if c.client {
+			return 0, nil, errors.New("api: masked websocket frame from the server")
+		}
+		return 0, nil, errors.New("api: unmasked websocket frame from the client")
+	}
 	length := uint64(h[1] & 0x7F)
 	switch length {
 	case 126:
@@ -270,6 +287,9 @@ func (c *Conn) readFrame() (byte, []byte, error) {
 			return 0, nil, err
 		}
 		length = binary.BigEndian.Uint64(ext[:])
+	}
+	if opcode&0x8 != 0 && length > 125 {
+		return 0, nil, fmt.Errorf("api: websocket control frame of %d bytes exceeds 125", length)
 	}
 	if length > maxFramePayload {
 		return 0, nil, fmt.Errorf("api: websocket frame of %d bytes exceeds limit", length)

@@ -72,7 +72,7 @@ func (c *ServiceClient) Status() (wire.ProjectStatus, error) {
 	return out, err
 }
 
-// Tasks fetches one page of the open-request feed. Workers shard the feed
+// Tasks fetches one page of the open-request feed. Workers divide the feed
 // between themselves by offset.
 func (c *ServiceClient) Tasks(offset, limit int) (wire.TaskFeed, error) {
 	var out wire.TaskFeed

@@ -10,20 +10,20 @@ import (
 	"github.com/crowd4u/crowd4u-go/internal/cylog/reference"
 )
 
-// The differentials: whatever path the engine takes — sequential, parallel
-// or sharded stratum evaluation, full or delta-seeded runs, retraction,
-// hashed delta frontiers, cost-planned and cached join orders — it must leave
+// The differentials: whatever path the engine takes — one worker or a pool
+// splitting large variants, full or delta-seeded runs, retraction, hashed
+// delta frontiers, cost-planned and cached join orders — it must leave
 // exactly the facts and pending requests that the from-scratch reference
 // evaluator (package reference) derives from the same base facts. Each
 // differential drives one program through crowd rounds on every engine
 // configuration of the matrix and checks the engine after every round. Every
 // round must also derive as many facts (Stats().DerivedFacts) as the
-// sequential, unsharded engine in the same commit mode: partitioning and the
-// worker pool must not change how much work a round does.
+// one-worker engine in the same commit mode: the worker pool must not change
+// how much work a round does.
 
 // config is one engine configuration of the differential matrix.
 type config struct {
-	parallelism, shards int
+	parallelism int
 	// incremental commits each round's answers as a batch through
 	// RunIncremental; otherwise they are answered one at a time and the
 	// round runs the full fixpoint with Run.
@@ -31,17 +31,16 @@ type config struct {
 }
 
 func (c config) String() string {
-	return fmt.Sprintf("par%d/shards%d/incremental=%v", c.parallelism, c.shards, c.incremental)
+	return fmt.Sprintf("par%d/incremental=%v", c.parallelism, c.incremental)
 }
 
-// matrix is {par 1, 4} x {shards 1, 2, 4} x {incremental, full}.
+// matrix is {par 1, 2, 4} x {incremental, full}. par2 is what the service
+// runs on a two-core host; par4 gives the pool more workers than cores.
 func matrix() []config {
 	var out []config
-	for _, par := range []int{1, 4} {
-		for _, shards := range []int{1, 2, 4} {
-			for _, inc := range []bool{true, false} {
-				out = append(out, config{parallelism: par, shards: shards, incremental: inc})
-			}
+	for _, par := range []int{1, 2, 4} {
+		for _, inc := range []bool{true, false} {
+			out = append(out, config{parallelism: par, incremental: inc})
 		}
 	}
 	return out
@@ -73,7 +72,6 @@ func checkRounds(t *testing.T, w workload, cfg config, a, b, picks []uint8, roun
 		t.Fatal(err)
 	}
 	e.SetParallelism(cfg.parallelism)
-	e.SetShards(cfg.shards)
 	add := func(rel string, vals ...any) {
 		if err := e.AddFact(rel, vals...); err != nil {
 			t.Fatal(err)
@@ -120,7 +118,7 @@ func checkRounds(t *testing.T, w workload, cfg config, a, b, picks []uint8, roun
 
 // runDifferential quick-checks the workload over random inputs and answer
 // picks, one subtest per configuration of the matrix. Each input also runs on
-// par1/shards1 in the same commit mode, whose per-round DerivedFacts the
+// par1 in the same commit mode, whose per-round DerivedFacts the
 // configuration must match.
 func runDifferential(t *testing.T, w workload, rounds, maxCount int) {
 	t.Helper()
@@ -134,10 +132,10 @@ func runDifferential(t *testing.T, w workload, rounds, maxCount int) {
 					picks = picks[:6]
 				}
 				derived, ok := checkRounds(t, w, cfg, a, b, picks, rounds)
-				if !ok || (cfg.parallelism == 1 && cfg.shards == 1) {
+				if !ok || cfg.parallelism == 1 {
 					return ok
 				}
-				base := config{parallelism: 1, shards: 1, incremental: cfg.incremental}
+				base := config{parallelism: 1, incremental: cfg.incremental}
 				want, ok := checkRounds(t, w, base, a, b, picks, rounds)
 				if !ok {
 					return false
@@ -260,13 +258,12 @@ func TestGuardedReachMatchesReference(t *testing.T) {
 		if !cfg.incremental {
 			continue // one Run; the commit path does not matter
 		}
-		t.Run(fmt.Sprintf("par%d/shards%d", cfg.parallelism, cfg.shards), func(t *testing.T) {
+		t.Run(fmt.Sprintf("par%d", cfg.parallelism), func(t *testing.T) {
 			e, err := cylog.NewEngine(cylog.MustParse(guardedReachProgram))
 			if err != nil {
 				t.Fatal(err)
 			}
 			e.SetParallelism(cfg.parallelism)
-			e.SetShards(cfg.shards)
 			for i := 0; i < 400; i++ {
 				base := (i / 8) * 9
 				e.AddFact("edge", base+i%8, base+i%8+1)

@@ -76,8 +76,8 @@ type Stats struct {
 	// requestSinkFor for the atoms that skip it.
 	RequestChecks int
 	// ParallelTasks counts the evaluation work units (rule variants and their
-	// shards) dispatched during parallel stratum evaluation; it stays zero
-	// when the engine runs sequentially.
+	// splits) dispatched to the worker pool; it stays zero when the engine
+	// runs on one worker.
 	ParallelTasks int
 	// SkippedStrata counts the strata RunIncremental skipped outright because
 	// none of their positive inputs (Analysis.StratumInputs) gained tuples
@@ -88,14 +88,6 @@ type Stats struct {
 	// batches, Answer/AnswerFact, AddFact) whose consequences the run
 	// derives. Always zero for a full Run.
 	SeededDeltas int
-	// ShardLocalTuples and ShardExchanges split the frontier tuples the
-	// sharded evaluator routed at round barriers: a tuple derived by the
-	// shard that also owns its hash is retained locally (ShardLocalTuples),
-	// one whose hash places it on another shard crosses the exchange
-	// (ShardExchanges). Their sum equals the new tuples derived by sharded
-	// strata; both stay zero unless SetShards(n > 1) is active.
-	ShardLocalTuples int
-	ShardExchanges   int
 	// RetractedTuples counts the derived tuples the retraction phase removed
 	// for good this run: tuples whose every derivation was invalidated (for
 	// example by a fact landing in a relation they negate) and that the
@@ -140,22 +132,18 @@ type Engine struct {
 	mu       sync.Mutex
 	analysis *Analysis
 	db       *relstore.Database
-	// parallelism is the worker-pool size for stratum evaluation; 1 selects
-	// the sequential path. Set at construction from CYLOG_PARALLELISM or
-	// runtime.GOMAXPROCS, overridable via SetParallelism.
+	// parallelism is the worker-pool size for stratum evaluation; at 1 the
+	// pool runs every task inline. Set at construction from
+	// CYLOG_PARALLELISM or runtime.GOMAXPROCS, overridable via
+	// SetParallelism.
 	parallelism int
-	// shards is the number of hash-partitioned engine shards a stratum
-	// fixpoint runs across; 1 (the default, or CYLOG_SHARDS at construction)
-	// keeps the unsharded evaluation paths byte-for-byte — the differential
-	// reference of the sharding tests, mirroring SetParallelism(1).
-	shards int
 	// bookkeeper guards the single-writer invariant of evaluation-side
 	// bookkeeping: admitRequests and stageDelta mutate the pending/staged
 	// maps without finer locking because exactly one goroutine — the one
-	// holding e.mu, which is also the sharded/parallel merge writer — may
-	// ever run them. The guard turns a future violation (e.g. a refactor
-	// moving request admission into shard goroutines) into an immediate
-	// panic instead of silent map corruption.
+	// holding e.mu, which is also the merge writer of stratum evaluation —
+	// may ever run them. The guard turns a future violation (e.g. a refactor
+	// moving request admission into pool workers) into an immediate panic
+	// instead of silent map corruption.
 	bookkeeper atomic.Int32
 	// rowSchemas holds each rule's variable→slot schema for binding rows.
 	// Built once at construction, read-only afterwards, so concurrent rule
@@ -253,7 +241,6 @@ func NewEngineWith(p *Program, db *relstore.Database) (*Engine, error) {
 		analysis:       analysis,
 		db:             db,
 		parallelism:    defaultParallelism(),
-		shards:         defaultShards(),
 		staged:         make(map[string][]relstore.Tuple),
 		rowSchemas:     make(map[*Rule]*rowSchema, len(p.Rules)),
 		pending:        make(map[string]OpenRequest),
@@ -301,7 +288,7 @@ func NewEngineWith(p *Program, db *relstore.Database) (*Engine, error) {
 
 // defaultParallelism resolves the worker-pool size for new engines: the
 // CYLOG_PARALLELISM environment variable when it holds a positive integer
-// (the hook CI uses to force-run the whole suite sequentially), otherwise
+// (the hook CI uses to force-run the whole suite on one worker), otherwise
 // runtime.GOMAXPROCS.
 func defaultParallelism() int {
 	if s := os.Getenv("CYLOG_PARALLELISM"); s != "" {
@@ -312,19 +299,18 @@ func defaultParallelism() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// SetParallelism sets the number of workers evaluating rule variants of a
-// fixpoint round concurrently. n == 1 selects the sequential evaluation path
-// (every variant evaluated and merged in turn, exactly the pre-parallel
-// engine — the reference side of differential tests). n > 1 evaluates the
-// round's variants, sharded over their restricted tuple sets, on a bounded
-// pool of n workers against a read-only view of the database, then applies
-// all derived tuples and open requests in a single-threaded merge step.
-// n <= 0 restores the default (CYLOG_PARALLELISM or runtime.GOMAXPROCS).
+// SetParallelism sets the number of workers evaluating the rule variants of
+// a fixpoint round. Every round evaluates its variants against a read-only
+// view of the database — on a bounded pool of n workers, with large variants
+// split over their restricted tuple sets, or inline when n == 1 — then
+// applies all derived tuples and open requests in a single-threaded merge
+// step. n <= 0 restores the default (CYLOG_PARALLELISM or
+// runtime.GOMAXPROCS).
 //
-// Both settings derive byte-identical fixpoints and open requests: facts and
-// requests are sets deduplicated on insert, and the merge step applies worker
-// output in plan order, so request IDs and relation contents never depend on
-// worker scheduling.
+// Every worker count derives byte-identical fixpoints and open requests:
+// facts and requests are sets deduplicated on insert, and the merge step
+// applies worker output in plan order, so request IDs and relation contents
+// never depend on worker scheduling.
 func (e *Engine) SetParallelism(n int) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -339,55 +325,6 @@ func (e *Engine) Parallelism() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.parallelism
-}
-
-// defaultShards resolves the shard count for new engines: the CYLOG_SHARDS
-// environment variable when it holds a positive integer (the hook the CI
-// matrix uses to force every engine through the sharded evaluator),
-// otherwise 1 — sharding is opt-in until the exchange is networked.
-func defaultShards() int {
-	if s := os.Getenv("CYLOG_SHARDS"); s != "" {
-		if n, err := strconv.Atoi(s); err == nil && n >= 1 {
-			return n
-		}
-	}
-	return 1
-}
-
-// SetShards sets the number of hash-partitioned engine shards a stratum
-// fixpoint runs across. n == 1 selects the unsharded evaluation paths
-// (sequential or parallel per SetParallelism). n > 1 runs each stratum's
-// semi-naive rounds on n goroutine-confined shards: every round's delta
-// frontier (and, on the unrestricted first round, each rule's leading full
-// scan) is partitioned on relstore.ShardOf — the tuple's value hash — each
-// shard evaluates only its partition's rule variants, and at the round
-// barrier the derived tuples flow over channels into a single-writer merge
-// that inserts head tuples, admits open requests, and routes the next
-// round's frontier back to the shard owning each tuple's hash
-// (Stats.ShardLocalTuples/ShardExchanges).
-// n <= 0 restores the default (CYLOG_SHARDS or 1).
-//
-// Every shard count derives byte-identical fixpoints, open requests and
-// request IDs: relations and requests are sets deduplicated on insert, the
-// shards of one round collectively evaluate exactly the unsharded round's
-// variants (a partition covers every frontier tuple exactly once), and the
-// merge applies shard output in shard-then-plan order. Sharding composes
-// with incremental answering, retraction and WAL journaling; within each
-// shard, rule variants evaluate on a worker pool of SetParallelism size.
-func (e *Engine) SetShards(n int) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if n <= 0 {
-		n = defaultShards()
-	}
-	e.shards = n
-}
-
-// Shards returns the current shard count for stratum evaluation.
-func (e *Engine) Shards() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.shards
 }
 
 // Database returns the engine's backing database (shared, not a copy); the
@@ -472,11 +409,10 @@ func (e *Engine) StagedDeltas() int {
 // claimBookkeeper asserts the single-writer invariant of request and
 // delta-staging bookkeeping: the pending/requestStrata/staged maps have
 // exactly one writer at a time — the goroutine holding e.mu, which during
-// evaluation is the merge side of the sequential, parallel and sharded
-// loops. Shard and pool workers must never reach these maps; a violation
-// panics immediately (a corrupted pending set would otherwise surface as a
-// nondeterministic fixpoint long after the race). Returns the release func,
-// for `defer e.claimBookkeeper()()`.
+// evaluation is the merge side of the stratum loop. Pool workers must never
+// reach these maps; a violation panics immediately (a corrupted pending set
+// would otherwise surface as a nondeterministic fixpoint long after the
+// race). Returns the release func, for `defer e.claimBookkeeper()()`.
 func (e *Engine) claimBookkeeper() func() {
 	if !e.bookkeeper.CompareAndSwap(0, 1) {
 		panic("cylog: concurrent request/delta bookkeeping writers; evaluation must funnel admissions through the single merge goroutine")
@@ -1137,8 +1073,6 @@ func (e *Engine) RunToFixpointWithOracle(oracle func(OpenRequest) (map[string]an
 		total.DeltaHashProbes += s.DeltaHashProbes
 		total.RequestChecks += s.RequestChecks
 		total.ParallelTasks += s.ParallelTasks
-		total.ShardLocalTuples += s.ShardLocalTuples
-		total.ShardExchanges += s.ShardExchanges
 		total.SkippedStrata += s.SkippedStrata
 		total.SeededDeltas += s.SeededDeltas
 		total.RetractedTuples += s.RetractedTuples
@@ -1167,115 +1101,31 @@ func (e *Engine) RunToFixpointWithOracle(oracle func(OpenRequest) (map[string]an
 	return total, nil
 }
 
-// runStratum evaluates one stratum's rules to a local fixpoint, dispatching
-// to the sequential or the parallel evaluation loop depending on the
-// configured parallelism. idx is the stratum's index, recorded as the origin
-// of every open request the stratum admits (retraction drops and re-admits
-// requests per origin stratum). A nil seed selects the full pass: the first
-// iteration evaluates every rule without delta restriction. A non-nil seed
-// selects the incremental pass: the first iteration evaluates only delta
-// variants restricted to the seeded tuples (staged answers and the deltas of
-// earlier strata), so unchanged inputs are never re-joined. When derived is
-// non-nil, every tuple the stratum derives is accumulated into it per
-// relation, for seeding the strata downstream.
-func (e *Engine) runStratum(idx int, rules []*Rule, seed, derived map[string][]relstore.Tuple, stats *Stats) error {
-	if e.shards > 1 {
-		return e.runStratumSharded(idx, rules, seed, derived, stats, e.shards)
-	}
-	if e.parallelism > 1 {
-		return e.runStratumParallel(idx, rules, seed, derived, stats, e.parallelism)
-	}
-	return e.runStratumSequential(idx, rules, seed, derived, stats)
-}
-
-// runStratumSequential is the sequential fixpoint loop: every rule variant is
-// evaluated and its derivations merged in turn, so facts derived by an
-// earlier rule of an iteration are already visible to later rules of the same
-// iteration. SetParallelism(1) selects exactly this path. Head tuples are
-// inserted with InsertDerived on every path, so deletion propagation can tell
-// derived-only tuples from base facts.
-func (e *Engine) runStratumSequential(idx int, rules []*Rule, seed, derived map[string][]relstore.Tuple, stats *Stats) error {
-	// delta holds the facts newly derived in the previous iteration, per
-	// relation. For the first iteration of a full pass delta is conceptually
-	// "everything", which we implement by evaluating rules without delta
-	// restriction; an incremental pass starts from the seed deltas instead.
-	delta := seed
-	full := seed == nil
-	for {
-		stats.Iterations++
-		newDelta := make(map[string][]relstore.Tuple)
-		derivedThisIteration := 0
-		for _, r := range rules {
-			variants := e.ruleVariants(r, delta, full)
-			for _, v := range variants {
-				stats.RuleEvaluations++
-				sink := &requestSink{}
-				tuples, err := e.evaluateRule(r, v, stats, sink)
-				if err != nil {
-					return err
-				}
-				head := e.db.Relation(r.Head.Predicate)
-				for _, t := range tuples {
-					added, err := head.InsertDerived(t)
-					if err != nil {
-						return fmt.Errorf("cylog: rule %s produced a tuple that does not match the schema of %s: %w", r, r.Head.Predicate, err)
-					}
-					if added {
-						derivedThisIteration++
-						newDelta[r.Head.Predicate] = append(newDelta[r.Head.Predicate], t)
-					}
-				}
-				e.admitRequests(sink.reqs, idx)
-			}
-		}
-		stats.DerivedFacts += derivedThisIteration
-		accumulateDerived(derived, newDelta)
-		if derivedThisIteration == 0 {
-			return nil
-		}
-		delta = newDelta
-		full = false
-	}
-}
-
-// accumulateDerived folds one iteration's new tuples into the stratum's
-// derived accumulator (a no-op for full runs, which pass derived == nil).
-func accumulateDerived(derived, newDelta map[string][]relstore.Tuple) {
-	if derived == nil {
-		return
-	}
-	for rel, ts := range newDelta {
-		derived[rel] = append(derived[rel], ts...)
-	}
-}
-
-// evalTask is one unit of parallel evaluation work: a rule variant, possibly
-// restricted to one shard of its delta (or first-atom) tuple set.
-type evalTask struct {
-	rule *Rule
-	v    ruleVariant
-}
-
-// evalOutput is what a worker hands back to the merge step.
-type evalOutput struct {
-	tuples   []relstore.Tuple
-	requests []OpenRequest
-	stats    Stats
-	err      error
-}
-
-// runStratumParallel evaluates each fixpoint iteration's rule variants
-// concurrently on a bounded worker pool. Workers treat the database as a
+// runStratum evaluates one stratum's rules to a local fixpoint. idx is the
+// stratum's index, recorded as the origin of every open request the stratum
+// admits (retraction drops and re-admits requests per origin stratum). A nil
+// seed selects the full pass: the first iteration evaluates every rule
+// without delta restriction. A non-nil seed selects the incremental pass: the
+// first iteration evaluates only delta variants restricted to the seeded
+// tuples (staged answers and the deltas of earlier strata), so unchanged
+// inputs are never re-joined. When derived is non-nil, every tuple the
+// stratum derives is accumulated into it per relation, for seeding the strata
+// downstream.
+//
+// Each iteration evaluates its rule variants on the worker pool
+// (evaluateTasks; inline at one worker). Workers treat the database as a
 // read-only snapshot: no tuple is inserted while they run (relstore's
 // read-only view guarantee makes concurrent scans, probes and index
 // auto-creation safe), and every mutation — head-tuple inserts, delta
 // accumulation, open-request admission — happens afterwards in a
-// single-threaded merge that applies worker output in plan order. Because
-// relations and requests are sets deduplicated on insert, the fixpoint and
-// the request IDs are byte-identical to the sequential path; only the
-// distribution of work across iterations (and with it the per-counter Stats
-// breakdown) may differ.
-func (e *Engine) runStratumParallel(idx int, rules []*Rule, seed, derived map[string][]relstore.Tuple, stats *Stats, workers int) error {
+// single-threaded merge that applies worker output in plan order. Head tuples
+// are inserted with InsertDerived, so deletion propagation can tell
+// derived-only tuples from base facts. Because relations and requests are
+// sets deduplicated on insert, the fixpoint and the request IDs are
+// byte-identical for every worker count; only the distribution of work
+// across iterations (and with it the per-counter Stats breakdown) may differ.
+func (e *Engine) runStratum(idx int, rules []*Rule, seed, derived map[string][]relstore.Tuple, stats *Stats) error {
+	workers := e.parallelism
 	delta := seed
 	full := seed == nil
 	for {
@@ -1284,12 +1134,12 @@ func (e *Engine) runStratumParallel(idx int, rules []*Rule, seed, derived map[st
 		for _, r := range rules {
 			for _, v := range e.ruleVariants(r, delta, full) {
 				stats.RuleEvaluations++
-				for _, sv := range e.shardVariant(r, v, workers, stats) {
-					tasks = append(tasks, evalTask{rule: r, v: sv})
-				}
+				tasks = e.splitVariant(tasks, r, v, workers, stats)
 			}
 		}
-		stats.ParallelTasks += len(tasks)
+		if workers > 1 {
+			stats.ParallelTasks += len(tasks)
+		}
 		outputs := e.evaluateTasks(tasks, workers)
 
 		newDelta := make(map[string][]relstore.Tuple)
@@ -1323,9 +1173,35 @@ func (e *Engine) runStratumParallel(idx int, rules []*Rule, seed, derived map[st
 	}
 }
 
+// accumulateDerived folds one iteration's new tuples into the stratum's
+// derived accumulator (a no-op for full runs, which pass derived == nil).
+func accumulateDerived(derived, newDelta map[string][]relstore.Tuple) {
+	if derived == nil {
+		return
+	}
+	for rel, ts := range newDelta {
+		derived[rel] = append(derived[rel], ts...)
+	}
+}
+
+// evalTask is one unit of evaluation work: a rule variant, possibly
+// restricted to one split of its delta (or first-atom) tuple set.
+type evalTask struct {
+	rule *Rule
+	v    ruleVariant
+}
+
+// evalOutput is what a worker hands back to the merge step.
+type evalOutput struct {
+	tuples   []relstore.Tuple
+	requests []OpenRequest
+	stats    Stats
+	err      error
+}
+
 // evaluateTasks runs the iteration's tasks on at most `workers` goroutines
-// and returns their outputs indexed like tasks. A single task runs inline to
-// avoid pool overhead on small iterations.
+// and returns their outputs indexed like tasks. At one worker, or for a
+// single task, the tasks run inline to avoid pool overhead.
 func (e *Engine) evaluateTasks(tasks []evalTask, workers int) []evalOutput {
 	outputs := make([]evalOutput, len(tasks))
 	runOne := func(i int) {
@@ -1334,7 +1210,7 @@ func (e *Engine) evaluateTasks(tasks []evalTask, workers int) []evalOutput {
 		tuples, err := e.evaluateRule(tasks[i].rule, tasks[i].v, &local, sink)
 		outputs[i] = evalOutput{tuples: tuples, requests: sink.reqs, stats: local, err: err}
 	}
-	if len(tasks) <= 1 {
+	if workers <= 1 || len(tasks) <= 1 {
 		for i := range tasks {
 			runOne(i)
 		}
@@ -1362,51 +1238,51 @@ func (e *Engine) evaluateTasks(tasks []evalTask, workers int) []evalOutput {
 	return outputs
 }
 
-// minShardTuples is the smallest restricted-tuple slice worth splitting into
-// parallel shards; below it, per-task overhead outweighs the parallelism.
-const minShardTuples = 128
+// minSplitTuples is the smallest restricted-tuple slice worth splitting
+// across workers; below it, per-task overhead outweighs the parallelism.
+const minSplitTuples = 128
 
-// shardVariant splits one rule variant into independent work units by
-// partitioning the tuples its restricted atom binds from. For a delta variant
-// that is the delta frontier; for a full pass it is the relation of the atom
-// the planner would schedule first, provided that atom is a closed positive
-// atom with no bound probe columns (restricting a probe-answerable atom would
-// trade an index lookup for shard scans). The union of the shards' results
-// equals the unsharded result: downstream joins, filters and request
-// generation are per-binding, and the restricted atom contributes every tuple
-// exactly once across shards.
-func (e *Engine) shardVariant(r *Rule, v ruleVariant, workers int, stats *Stats) []ruleVariant {
+// splitVariant appends one rule variant's work units to tasks. At one worker
+// that is the variant whole. On a pool it splits the variant by chunking the
+// tuples its restricted atom binds from: for a delta variant that is the delta
+// frontier; for a full pass it is the relation of the atom the planner would
+// schedule first, provided that atom is a closed positive atom with no bound
+// probe columns (restricting a probe-answerable atom would trade an index
+// lookup for chunk scans). The union of the chunks' results equals the whole
+// variant's result: downstream joins, filters and request generation are
+// per-binding, and the restricted atom contributes every tuple exactly once
+// across chunks.
+func (e *Engine) splitVariant(tasks []evalTask, r *Rule, v ruleVariant, workers int, stats *Stats) []evalTask {
+	if workers <= 1 {
+		return append(tasks, evalTask{rule: r, v: v})
+	}
 	atom, tuples := v.deltaAtom, v.deltaTuples
 	if atom < 0 {
-		atom, tuples = e.shardableFullScan(r, stats)
-		if atom < 0 {
-			return []ruleVariant{v}
-		}
+		atom, tuples = e.splittableFullScan(r, stats)
 	}
-	if len(tuples) < 2*minShardTuples {
-		return []ruleVariant{v}
+	if atom < 0 || len(tuples) < 2*minSplitTuples {
+		return append(tasks, evalTask{rule: r, v: v})
 	}
-	shards := workers
-	if max := len(tuples) / minShardTuples; shards > max {
-		shards = max
+	chunks := workers
+	if max := len(tuples) / minSplitTuples; chunks > max {
+		chunks = max
 	}
-	out := make([]ruleVariant, 0, shards)
-	for s := 0; s < shards; s++ {
-		lo, hi := len(tuples)*s/shards, len(tuples)*(s+1)/shards
-		out = append(out, ruleVariant{deltaAtom: atom, deltaTuples: tuples[lo:hi]})
+	for c := 0; c < chunks; c++ {
+		lo, hi := len(tuples)*c/chunks, len(tuples)*(c+1)/chunks
+		tasks = append(tasks, evalTask{rule: r, v: ruleVariant{deltaAtom: atom, deltaTuples: tuples[lo:hi]}})
 	}
-	return out
+	return tasks
 }
 
-// shardableFullScan picks the atom a full evaluation pass can be partitioned
-// on — the first-evaluated body literal, when it is a closed positive atom
+// splittableFullScan picks the atom a full evaluation pass can be split on —
+// the first-evaluated body literal, when it is a closed positive atom
 // answered by an unbound full scan — and returns its body index and the
-// relation's tuples. It returns -1 when the pass is not shardable (leading
+// relation's tuples. It returns -1 when the pass cannot be split (leading
 // barrier, open atom, or a probe-answerable first atom). Forcing the chosen
 // atom first via the delta-restriction mechanism reproduces the plan the
 // planner would pick anyway, since the delta atom always leads its run.
-func (e *Engine) shardableFullScan(r *Rule, stats *Stats) (int, []relstore.Tuple) {
-	idx := planShardAtom(e.cachedPlan(r, -1, stats).steps, func(p string) bool { return e.analysis.OpenRelations[p] })
+func (e *Engine) splittableFullScan(r *Rule, stats *Stats) (int, []relstore.Tuple) {
+	idx := planSplitAtom(e.cachedPlan(r, -1, stats).steps, func(p string) bool { return e.analysis.OpenRelations[p] })
 	if idx < 0 {
 		return -1, nil
 	}
@@ -1531,11 +1407,10 @@ func (s *requestSink) add(req OpenRequest) {
 }
 
 // admitRequests merges request candidates into the pending set, skipping ids
-// already answered. It runs only on the merge side — sequential evaluation
-// admits after each variant, parallel evaluation after the iteration barrier,
-// both in plan order — so the pending map is deterministic and identical
-// between the two paths (duplicate candidates carry identical content,
-// making first-wins order-insensitive). Every admission records the stratum
+// already answered. It runs only on the merge side, after the iteration
+// barrier and in plan order, so the pending map is deterministic and
+// identical for every worker count (duplicate candidates carry identical
+// content, making first-wins order-insensitive). Every admission records the stratum
 // as an origin of the request, even for ids already pending: retraction
 // withdraws a request only when every origin stratum stopped generating it.
 // Admission also clears a withdrawal — a request whose guard vanished and

@@ -9,7 +9,7 @@ import (
 )
 
 // Benchmarks for the evaluation pipeline: planned, index-probing semi-naive
-// joins over binding rows, sequentially (SetParallelism(1), so the numbers
+// joins over binding rows, on one worker (SetParallelism(1), so the numbers
 // stay comparable across hosts regardless of GOMAXPROCS) and on a 4-worker
 // pool (*-par4). BENCH_cylog.json records baseline numbers; EXPERIMENTS.md §1
 // keeps the ratios of the ablations these benchmarks used to carry.
@@ -180,7 +180,7 @@ func BenchmarkGuardedReach(b *testing.B) {
 	b.Run("delta-hashed-10k", func(b *testing.B) { benchGuardedReach(b, 10000) })
 }
 
-// oracleLoopEngine returns a sequential engine over the crowdTCProgram
+// oracleLoopEngine returns a one-worker engine over the crowdTCProgram
 // workload (defined with its loaders in engine_incremental_test.go): a
 // 10-chain transitive closure whose chain endpoints each need a human
 // approval.
@@ -240,48 +240,6 @@ func benchOracleLoop(b *testing.B, edges, wave int) {
 func BenchmarkOracleLoop(b *testing.B) {
 	b.Run("incremental-1k", func(b *testing.B) { benchOracleLoop(b, 1000, 10) })
 	b.Run("incremental-10k", func(b *testing.B) { benchOracleLoop(b, 10000, 100) })
-}
-
-// benchOracleLoopSharded is the oracle loop under hash-partitioned
-// evaluation, fanned across `shards` engine shards with frontier exchange at
-// round barriers. shards=1 stays on the unsharded path, so the shards1
-// entries measure the dispatch overhead of the setting itself — they should
-// track the OracleLoop numbers — while shards2/4 measure partitioned
-// evaluation.
-func benchOracleLoopSharded(b *testing.B, edges, wave, shards int) {
-	b.Helper()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		e := oracleLoopEngine(b, edges, relstore.NewDatabase())
-		e.SetShards(shards)
-		b.StartTimer()
-		total, err := e.RunToFixpointWithOracle(waveOracle(wave), 1000)
-		b.StopTimer()
-		if err != nil {
-			b.Fatal(err)
-		}
-		checkOracleLoop(b, e, total, edges)
-		routed := total.ShardLocalTuples + total.ShardExchanges
-		if shards > 1 && routed == 0 {
-			b.Fatal("sharded loop routed no frontier tuples")
-		}
-		if shards == 1 && routed != 0 {
-			b.Fatalf("unsharded loop reported shard traffic: %+v", total)
-		}
-		b.StartTimer()
-	}
-}
-
-// BenchmarkOracleLoopSharded measures hash-partitioned fixpoints on the crowd
-// loop at 1k and 10k scale, shards 1/2/4. BENCH_cylog.json records the
-// baselines.
-func BenchmarkOracleLoopSharded(b *testing.B) {
-	for _, shards := range []int{1, 2, 4} {
-		shards := shards
-		b.Run(fmt.Sprintf("shards%d-1k", shards), func(b *testing.B) { benchOracleLoopSharded(b, 1000, 10, shards) })
-		b.Run(fmt.Sprintf("shards%d-10k", shards), func(b *testing.B) { benchOracleLoopSharded(b, 10000, 100, shards) })
-	}
 }
 
 // benchOracleLoopDisk is the oracle loop on a storage backend: the engine's

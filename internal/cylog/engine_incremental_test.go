@@ -11,11 +11,11 @@ import (
 // TestEngineIncrementalDifferential is the differential quick-check of the
 // batched answer pipeline: across random edge/node sets and random answer
 // subsets, every round's facts and pending requests — committed through
-// RunIncremental or through Answer + Run, on every parallelism and shard
-// count of the matrix — equal the reference's from-scratch fixpoint. Label
-// answers shrink unlabeled through its negation, so the same check is the
-// retraction differential, and the shard and worker counts of the matrix
-// make it the sharded and parallel differential too.
+// RunIncremental or through Answer + Run, on every worker count of the
+// matrix — equal the reference's from-scratch fixpoint. Label answers shrink
+// unlabeled through its negation, so the same check is the retraction
+// differential, and the worker counts of the matrix make it the parallel
+// differential too.
 func TestEngineIncrementalDifferential(t *testing.T) {
 	runDifferential(t, workload{program: cylog.IncrementalProgram, seed: seedGraph, answer: labelAnswer}, 3, 8)
 }

@@ -26,11 +26,11 @@ unreached(N) :- node(N), !reach(_, N).
 labeled(N, T) :- node(N), label(N, T).
 `
 
-// TestEngineParallelShardsLargeDeltas drives an input big enough to split
-// delta frontiers and full scans into shards, and asserts both that sharding
+// TestEngineParallelSplitsLargeDeltas drives an input big enough to split
+// delta frontiers and full scans into chunks, and asserts both that splitting
 // actually engaged (ParallelTasks exceeds the variant count) and that the
-// fixpoint still matches the sequential engine exactly.
-func TestEngineParallelShardsLargeDeltas(t *testing.T) {
+// fixpoint still matches the one-worker engine exactly.
+func TestEngineParallelSplitsLargeDeltas(t *testing.T) {
 	const src = `
 rel edge(a: int, b: int).
 rel reach(a: int, b: int).
@@ -43,12 +43,8 @@ reach(X, Z) :- reach(X, Y), edge(Y, Z).
 			t.Fatal(err)
 		}
 		e.SetParallelism(parallelism)
-		// Pin shards=1: this test asserts parallel-path internals
-		// (ParallelTasks from contiguous variant splits), which the sharded
-		// evaluator replaces wholesale under a CYLOG_SHARDS>1 run.
-		e.SetShards(1)
 		// 200 disjoint chains of length 10: deltas stay in the thousands for
-		// several iterations, well above minShardTuples.
+		// several iterations, well above minSplitTuples.
 		for i := 0; i < 2000; i++ {
 			base := (i / 10) * 11
 			e.AddFact("edge", base+i%10, base+i%10+1)
@@ -61,7 +57,7 @@ reach(X, Z) :- reach(X, Y), edge(Y, Z).
 	seq, par := build(1), build(4)
 	sf, pf := seq.Facts("reach"), par.Facts("reach")
 	if len(sf) != len(pf) {
-		t.Fatalf("reach facts differ: sequential %d, parallel %d", len(sf), len(pf))
+		t.Fatalf("reach facts differ: one worker %d, four workers %d", len(sf), len(pf))
 	}
 	for i := range sf {
 		if !sf[i].Equal(pf[i]) {
@@ -70,10 +66,10 @@ reach(X, Z) :- reach(X, Y), edge(Y, Z).
 	}
 	ss, ps := seq.Stats(), par.Stats()
 	if ss.ParallelTasks != 0 {
-		t.Errorf("sequential run dispatched %d parallel tasks", ss.ParallelTasks)
+		t.Errorf("one-worker run dispatched %d parallel tasks", ss.ParallelTasks)
 	}
 	if ps.ParallelTasks <= ps.RuleEvaluations {
-		t.Errorf("parallel run should shard large variants: %d tasks for %d evaluations",
+		t.Errorf("parallel run should split large variants: %d tasks for %d evaluations",
 			ps.ParallelTasks, ps.RuleEvaluations)
 	}
 	if ss.DerivedFacts != ps.DerivedFacts {
@@ -84,7 +80,8 @@ reach(X, Z) :- reach(X, Y), edge(Y, Z).
 // TestEngineParallelRaceStress is the -race workout: many strata with
 // overlapping head relations (several rules deriving the same head, negation
 // forcing stratum boundaries), evaluated with a large worker pool so rule
-// variants and shards run concurrently against the shared database view.
+// variants and their chunks run concurrently against the shared database
+// view.
 func TestEngineParallelRaceStress(t *testing.T) {
 	src := `
 rel item(i: int, grp: int).
@@ -139,7 +136,7 @@ lonely(I) :- item(I, _), !linked(I, _), !linked(_, I).
 }
 
 // TestEngineParallelismConfiguration covers the SetParallelism contract and
-// the CYLOG_PARALLELISM default used by CI to force sequential runs.
+// the CYLOG_PARALLELISM default used by CI to force one-worker runs.
 func TestEngineParallelismConfiguration(t *testing.T) {
 	e, err := NewEngine(MustParse(translationProgram))
 	if err != nil {
@@ -173,8 +170,8 @@ func TestEngineParallelismConfiguration(t *testing.T) {
 }
 
 // TestEngineParallelOpenRequestWorkflow re-runs the sequential-collaboration
-// workflow end to end on the parallel engine: request generation, answering
-// and re-derivation must behave exactly as in sequential mode.
+// workflow end to end on a four-worker engine: request generation, answering
+// and re-derivation must behave exactly as on one worker.
 func TestEngineParallelOpenRequestWorkflow(t *testing.T) {
 	e, err := NewEngine(MustParse(sequentialWorkflowProgram))
 	if err != nil {
@@ -205,4 +202,28 @@ func TestEngineParallelOpenRequestWorkflow(t *testing.T) {
 	if len(e.PendingRequests()) != 0 {
 		t.Errorf("pending = %v", e.PendingRequests())
 	}
+}
+
+// TestBookkeeperSingleWriterGuard pins the single-writer invariant of request
+// bookkeeping: stageDelta and admitRequests mutate the pending/staged maps
+// with no lock of their own, relying on a single evaluation/ingestion
+// goroutine — the merge side of the stratum loop, never a pool worker. A
+// second concurrent claim panics instead of silently corrupting request IDs.
+func TestBookkeeperSingleWriterGuard(t *testing.T) {
+	e, err := NewEngine(MustParse(differentialProgram))
+	if err != nil {
+		t.Fatal(err)
+	}
+	release := e.claimBookkeeper()
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("second claimBookkeeper while claimed should panic")
+			}
+		}()
+		e.claimBookkeeper()
+	}()
+	release()
+	// After release the claim cycle works again.
+	e.claimBookkeeper()()
 }

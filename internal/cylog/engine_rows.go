@@ -218,8 +218,8 @@ const deltaHashMinTuples = 16
 // When probeCols names bound term positions and the relation carries (or
 // earns, via the auto-indexing policy) a matching composite index, each row
 // is answered with an equality probe — O(matches) instead of O(|relation|).
-// Restricted evaluation (the semi-naive delta frontier, or a parallel
-// full-scan shard) cannot use the relation's indexes; when the atom is
+// Restricted evaluation (the semi-naive delta frontier, or a chunk of a
+// split full scan) cannot use the relation's indexes; when the atom is
 // reached with bound columns and enough rows, the restricted tuples are
 // instead hashed per round on those columns so each row probes in O(matches)
 // like an indexed base relation, and otherwise the (small) frontier is

@@ -82,12 +82,12 @@ func estMatchesPerProbe(cat planCatalog, a *Atom, probeCols []int) float64 {
 
 // planRule orders the body of r for one evaluation pass. deltaAtom is the
 // body index of the atom restricted to an explicit tuple set — the semi-naive
-// delta frontier, a seed delta of an incremental run, or a shard of a
-// parallel full scan — and -1 for an unrestricted pass. Within its run the
-// restricted atom is always scheduled first, since its tuple set is the
-// smallest and most selective input of the pass (for full-scan shards the
-// engine only restricts the atom this planner would have scheduled first
-// anyway, so the plan is unchanged).
+// delta frontier, a seed delta of an incremental run, or a chunk of a split
+// full scan — and -1 for an unrestricted pass. Within its run the restricted
+// atom is always scheduled first, since its tuple set is the smallest and
+// most selective input of the pass (for full-scan chunks the engine only
+// restricts the atom this planner would have scheduled first anyway, so the
+// plan is unchanged).
 //
 // Seeded incremental passes widen what deltaAtom can point at: a recursive
 // fixpoint only restricts in-stratum (closed, derived) atoms, but a seed
@@ -183,18 +183,17 @@ func stepEstimate(cat planCatalog, a *Atom, probeCols []int) int {
 	return n
 }
 
-// planShardAtom returns the body index of the atom an unrestricted
-// evaluation pass can be partitioned on — the plan's first step, when it is a
+// planSplitAtom returns the body index of the atom an unrestricted
+// evaluation pass can be split on — the plan's first step, when it is a
 // closed positive atom answered by an unbound full scan — or -1 when the pass
 // must stay whole (leading barrier, open atom, or a probe-answerable first
-// atom, whose restriction would trade an index lookup for partition scans).
-// Both partitioned evaluators lean on this: the parallel path splits the
-// atom's relation into contiguous shards, the sharded path into hash
-// partitions. It takes the already-computed plan (so shard-prefix decisions
-// share the engine's compiled-plan cache instead of replanning); restricting
-// the returned atom via the delta mechanism reproduces that plan exactly,
-// since a restricted atom always leads its run.
-func planShardAtom(steps []planStep, isOpen func(string) bool) int {
+// atom, whose restriction would trade an index lookup for chunk scans). The
+// worker pool splits the atom's relation into contiguous chunks. It takes the
+// already-computed plan (so split decisions share the engine's compiled-plan
+// cache instead of replanning); restricting the returned atom via the delta
+// mechanism reproduces that plan exactly, since a restricted atom always
+// leads its run.
+func planSplitAtom(steps []planStep, isOpen func(string) bool) int {
 	if len(steps) == 0 {
 		return -1
 	}

@@ -14,7 +14,7 @@ import (
 // StorageOptions selects the relstore backend new project engines are built
 // on. The zero value (backend "") means "memory" unless the CYLOG_BACKEND
 // environment variable says otherwise — the same env-over-default pattern the
-// engine uses for CYLOG_PARALLELISM / CYLOG_SHARDS, so the whole test matrix
+// engine uses for CYLOG_PARALLELISM, so the whole test matrix
 // can be pushed onto the disk backend without touching call sites.
 type StorageOptions struct {
 	// Backend is "memory" or "disk" ("" = memory).

@@ -44,7 +44,7 @@ func loadCrowdTC(b *testing.B, e *cylog.Engine, edges int) {
 // benchOracleLoopDurable drives the round-based crowd loop by hand — run,
 // answer a wave of requests into a batch, commit through RunIncremental,
 // append the drained journal to the WAL — mirroring the cylog benchmark's
-// engine configuration (sequential evaluation) so the delta against its
+// engine configuration (one worker) so the delta against its
 // incremental-10k baseline isolates WAL cost.
 func benchOracleLoopDurable(b *testing.B, edges, wave int, policy SyncPolicy) {
 	b.Helper()
