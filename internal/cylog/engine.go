@@ -1275,22 +1275,27 @@ func (e *Engine) splitVariant(tasks []evalTask, r *Rule, v ruleVariant, workers 
 }
 
 // splittableFullScan picks the atom a full evaluation pass can be split on —
-// the first-evaluated body literal, when it is a closed positive atom
+// the first step of the rule's cached plan, when it is a closed positive atom
 // answered by an unbound full scan — and returns its body index and the
 // relation's tuples. It returns -1 when the pass cannot be split (leading
-// barrier, open atom, or a probe-answerable first atom). Forcing the chosen
-// atom first via the delta-restriction mechanism reproduces the plan the
-// planner would pick anyway, since the delta atom always leads its run.
+// barrier, open atom, or a probe-answerable first atom, whose restriction
+// would trade an index lookup for chunk scans). Forcing the chosen atom first
+// via the delta-restriction mechanism reproduces the cached plan, since the
+// delta atom always leads its run.
 func (e *Engine) splittableFullScan(r *Rule, stats *Stats) (int, []relstore.Tuple) {
-	idx := planSplitAtom(e.cachedPlan(r, -1, stats).steps, func(p string) bool { return e.analysis.OpenRelations[p] })
-	if idx < 0 {
+	steps := e.cachedPlan(r, -1, stats).steps
+	if len(steps) == 0 {
 		return -1, nil
 	}
-	rel := e.db.Relation(r.Body[idx].(*Atom).Predicate)
+	a, ok := steps[0].lit.(*Atom)
+	if !ok || a.Negated || e.analysis.OpenRelations[a.Predicate] || len(steps[0].probeCols) > 0 {
+		return -1, nil
+	}
+	rel := e.db.Relation(a.Predicate)
 	if rel == nil {
 		return -1, nil
 	}
-	return idx, rel.All()
+	return steps[0].bodyIndex, rel.All()
 }
 
 // ruleVariant describes which body atom (if any) is restricted to the delta

@@ -183,26 +183,6 @@ func stepEstimate(cat planCatalog, a *Atom, probeCols []int) int {
 	return n
 }
 
-// planSplitAtom returns the body index of the atom an unrestricted
-// evaluation pass can be split on — the plan's first step, when it is a
-// closed positive atom answered by an unbound full scan — or -1 when the pass
-// must stay whole (leading barrier, open atom, or a probe-answerable first
-// atom, whose restriction would trade an index lookup for chunk scans). The
-// worker pool splits the atom's relation into contiguous chunks. It takes the
-// already-computed plan (so split decisions share the engine's compiled-plan
-// cache instead of replanning); restricting the returned atom via the delta
-// mechanism reproduces that plan exactly, since a restricted atom always
-// leads its run.
-func planSplitAtom(steps []planStep, isOpen func(string) bool) int {
-	if len(steps) == 0 {
-		return -1
-	}
-	if a, ok := steps[0].lit.(*Atom); ok && !a.Negated && !isOpen(a.Predicate) && len(steps[0].probeCols) == 0 {
-		return steps[0].bodyIndex
-	}
-	return -1
-}
-
 // pickAtom returns the index into run of the atom to schedule next: the delta
 // atom if present, otherwise the atom with the most bound term positions.
 // Equally-bound atoms order by estimated matches per probe (real

@@ -163,6 +163,25 @@ func TestRelationInsertSchemaMismatch(t *testing.T) {
 	}
 }
 
+// TestRelationInsertAll pins InsertAll's count and its stop at the first
+// schema error: duplicates are not counted, and the tuples before the bad one
+// stay inserted.
+func TestRelationInsertAll(t *testing.T) {
+	r := NewRelation("t", MustSchema("id:int"))
+	r.MustInsert(1)
+	added, err := r.InsertAll([]Tuple{NewTuple(1), NewTuple(2), NewTuple(3), NewTuple(2)})
+	if err != nil || added != 2 {
+		t.Fatalf("InsertAll = %d, %v; want 2 new tuples", added, err)
+	}
+	added, err = r.InsertAll([]Tuple{NewTuple(4), NewTuple("not-an-int"), NewTuple(5)})
+	if err == nil || added != 1 {
+		t.Fatalf("InsertAll = %d, %v; want 1 new tuple, then the schema error", added, err)
+	}
+	if got := r.String(); got != "t(id int) [4 tuples]" {
+		t.Errorf("String() = %q", got)
+	}
+}
+
 func TestRelationDelete(t *testing.T) {
 	r := newWorkerRelation(t)
 	ok, err := r.Delete(NewTuple(2, "bob", "en", 0.7))
