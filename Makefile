@@ -144,8 +144,9 @@ crashcheck-content:
 
 # Coverage-guided fuzzing smoke for the untrusted-input surfaces: the binary
 # snapshot importer, the CyLog parser and the WebSocket frame reader. Go
-# allows one -fuzz target per invocation, hence one run per target. Crashers are saved under the package's
-# testdata/fuzz/ — commit them; they become permanent regression seeds.
+# allows one -fuzz target per invocation, hence one run per target. Crashers
+# are saved under the package's testdata/fuzz/ — commit them; they become
+# permanent regression seeds.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzImportDatabaseBinary$$' -fuzztime $(FUZZTIME) ./internal/relstore/
 	$(GO) test -run '^$$' -fuzz '^FuzzParser$$' -fuzztime $(FUZZTIME) ./internal/cylog/

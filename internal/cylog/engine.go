@@ -1121,9 +1121,10 @@ func (e *Engine) RunToFixpointWithOracle(oracle func(OpenRequest) (map[string]an
 // single-threaded merge that applies worker output in plan order. Head tuples
 // are inserted with InsertDerived, so deletion propagation can tell
 // derived-only tuples from base facts. Because relations and requests are
-// sets deduplicated on insert, the fixpoint and the request IDs are
-// byte-identical for every worker count; only the distribution of work
-// across iterations (and with it the per-counter Stats breakdown) may differ.
+// sets deduplicated on insert, the fixpoint, the request IDs and the
+// iterations are identical for every worker count; only the per-counter
+// Stats breakdown (ParallelTasks, scans versus probes inside split variants)
+// may differ.
 func (e *Engine) runStratum(idx int, rules []*Rule, seed, derived map[string][]relstore.Tuple, stats *Stats) error {
 	workers := e.parallelism
 	delta := seed
@@ -1185,7 +1186,7 @@ func accumulateDerived(derived, newDelta map[string][]relstore.Tuple) {
 }
 
 // evalTask is one unit of evaluation work: a rule variant, possibly
-// restricted to one split of its delta (or first-atom) tuple set.
+// restricted to one chunk of its delta (or first-atom) tuple set.
 type evalTask struct {
 	rule *Rule
 	v    ruleVariant

@@ -75,6 +75,11 @@ reach(X, Z) :- reach(X, Y), edge(Y, Z).
 	if ss.DerivedFacts != ps.DerivedFacts {
 		t.Errorf("derived facts differ: %d vs %d", ss.DerivedFacts, ps.DerivedFacts)
 	}
+	// Both worker counts run the same evaluate-then-merge loop, so they take
+	// the same iterations.
+	if ss.Iterations != ps.Iterations {
+		t.Errorf("iterations differ: one worker %d, four workers %d", ss.Iterations, ps.Iterations)
+	}
 }
 
 // TestEngineParallelRaceStress is the -race workout: many strata with
