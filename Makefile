@@ -40,7 +40,9 @@ COVERPROFILE ?= cover.out
 # Service-layer load gate (`make loadcheck`): cmd/loadsim drives the HTTP
 # path closed-loop and its throughput + p99 answer→fixpoint latency are
 # gated against BENCH_platform.json. The parameters are pinned so runs are
-# comparable to the recorded baselines.
+# comparable to the recorded baselines. -commit-interval only starts the
+# deriver, which commits on arrival, and sets the 429 backoff hint; it does
+# not pace commits.
 LOADSIM_ARGS      ?= -items 400 -workers 32 -commit-interval 10ms -queue 1024 -seed 1
 PLATFORM_BENCHOUT ?= platform_bench.out
 

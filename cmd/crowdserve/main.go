@@ -35,7 +35,7 @@ func main() {
 	var (
 		addr           = flag.String("addr", "127.0.0.1:8080", "listen address")
 		queue          = flag.Int("queue", api.DefaultQueueCapacity, "ingress queue capacity per project (answers staged per round before 429)")
-		commitInterval = flag.Duration("commit-interval", 25*time.Millisecond, "background fixpoint cadence; 0 = commit only via POST .../fixpoint")
+		commitInterval = flag.Duration("commit-interval", 25*time.Millisecond, "> 0 starts the background deriver, which commits staged answers on arrival, and is the 429 backoff hint; 0 = commit only via POST .../fixpoint")
 		demo           = flag.Bool("demo", true, "register the demo labeling project at startup")
 		popSize        = flag.Int("population", 25, "simulated worker population backing the web UI")
 		seed           = flag.Int64("seed", 1, "crowd simulator seed")
@@ -84,8 +84,12 @@ func main() {
 	if backendName == "" {
 		backendName = "memory"
 	}
-	fmt.Fprintf(os.Stderr, "crowdserve: serving API + web UI on http://%s (queue %d, commit every %s, backend %s)\n",
-		*addr, *queue, *commitInterval, backendName)
+	deriver := "on arrival"
+	if *commitInterval <= 0 {
+		deriver = "via POST .../fixpoint only"
+	}
+	fmt.Fprintf(os.Stderr, "crowdserve: serving API + web UI on http://%s (queue %d, commits %s, backend %s)\n",
+		*addr, *queue, deriver, backendName)
 	if err := http.ListenAndServe(*addr, srv); err != nil {
 		fmt.Fprintln(os.Stderr, "crowdserve:", err)
 		os.Exit(1)

@@ -57,7 +57,7 @@ func main() {
 		projectID      = flag.String("project", "loadsim", "project id to create and load")
 		items          = flag.Int("items", 400, "items to seed (one open request each)")
 		workers        = flag.Int("workers", 32, "concurrent simulated workers")
-		commitInterval = flag.Duration("commit-interval", 10*time.Millisecond, "background deriver cadence (self-hosted mode)")
+		commitInterval = flag.Duration("commit-interval", 10*time.Millisecond, "> 0 starts the background deriver, which commits on arrival, and is the 429 backoff hint (self-hosted mode)")
 		queue          = flag.Int("queue", 1024, "ingress queue capacity per project (self-hosted mode)")
 		seed           = flag.Int64("seed", 1, "crowd simulator seed")
 		timeout        = flag.Duration("timeout", 2*time.Minute, "abort the run after this long")

@@ -68,7 +68,7 @@ func TestProjectUpdateCommitInterval(t *testing.T) {
 		t.Fatalf("description interval = %s, want 400ms", admin.Description.CommitInterval)
 	}
 
-	// Zero returns the project to the server-wide cadence. (Decode into a
+	// Zero returns the project to committing on arrival. (Decode into a
 	// fresh struct: commit_interval_ms is omitempty, so zero is absent.)
 	zero := int64(0)
 	var reset ProjectStatus
@@ -92,17 +92,23 @@ func TestProjectUpdateCommitInterval(t *testing.T) {
 }
 
 // TestPerProjectCommitCadence drives two projects through the background
-// deriver: "fast" rides the server-wide tick, "slow" overrides it with a much
-// longer interval. With answers staged steadily into both, the fast project
-// must commit strictly more rounds than the slow one, and the slow one must
-// still commit at least once — its answers are derived on its own cadence,
-// not starved and not hurried. Margins are wide (15ms vs 250ms over ~750ms of
-// staging) so scheduler noise cannot flip the comparison.
+// deriver: "fast" commits on arrival, "slow" sets a 250ms commit interval.
+// With answers staged steadily into both, the fast project must commit
+// strictly more rounds than the slow one, the slow one must commit every
+// answer — the last ones after staging stops, when only the deriver's timer
+// can wake it — and consecutive slow commits must be at least the interval
+// apart, less cadenceJitter.
 func TestPerProjectCommitCadence(t *testing.T) {
+	// cadenceJitter allows for clock granularity between the deriver's
+	// reading of the previous commit's end and the events' timestamps.
+	const (
+		slowInterval  = 250 * time.Millisecond
+		cadenceJitter = 5 * time.Millisecond
+	)
 	p := platform.New()
 	for _, d := range []project.Description{
 		{ID: "fast", Name: "Fast", CyLogSource: labelingProgram},
-		{ID: "slow", Name: "Slow", CyLogSource: labelingProgram, CommitInterval: 250 * time.Millisecond},
+		{ID: "slow", Name: "Slow", CyLogSource: labelingProgram, CommitInterval: slowInterval},
 	} {
 		if _, err := p.RegisterProject(d); err != nil {
 			t.Fatal(err)
@@ -111,10 +117,14 @@ func TestPerProjectCommitCadence(t *testing.T) {
 
 	var mu sync.Mutex
 	commits := map[string]int{}
+	var slowAt []time.Time
 	cancel := p.Subscribe(func(e platform.Event) {
 		if e.Kind == "fixpoint" {
 			mu.Lock()
 			commits[string(e.Project)]++
+			if e.Project == "slow" {
+				slowAt = append(slowAt, e.At)
+			}
 			mu.Unlock()
 		}
 	})
@@ -125,7 +135,7 @@ func TestPerProjectCommitCadence(t *testing.T) {
 	t.Cleanup(func() { ts.Close(); srv.Close() })
 
 	// Seed items and collect each project's open requests with a manual
-	// fixpoint (commits via POST .../fixpoint bypass the deriver cadence and
+	// fixpoint (commits via POST .../fixpoint ignore commit intervals and
 	// are excluded from the comparison below by resetting the counters).
 	ids := map[string][]string{}
 	for _, id := range []string{"fast", "slow"} {
@@ -144,6 +154,7 @@ func TestPerProjectCommitCadence(t *testing.T) {
 	}
 	mu.Lock()
 	commits = map[string]int{}
+	slowAt = nil
 	mu.Unlock()
 
 	// Stage one answer into each project every 30ms: both always have work,
@@ -159,26 +170,30 @@ func TestPerProjectCommitCadence(t *testing.T) {
 		time.Sleep(30 * time.Millisecond)
 	}
 
-	// Let the slow project's final interval elapse.
+	// Nothing is staged from here on, so only the deriver's timer can commit
+	// the answers the slow project's last interval held back.
 	deadline := time.Now().Add(5 * time.Second)
-	for {
-		mu.Lock()
-		slow := commits["slow"]
-		mu.Unlock()
-		if slow >= 1 || time.Now().After(deadline) {
-			break
-		}
+	for p.StagedAnswers("slow") > 0 && time.Now().Before(deadline) {
 		time.Sleep(10 * time.Millisecond)
+	}
+	if got := len(p.Engine("slow").Facts("labeled")); got != 25 {
+		t.Fatalf("slow project derived %d of 25 answers: its held-back round never committed", got)
 	}
 
 	mu.Lock()
 	fast, slow := commits["fast"], commits["slow"]
+	at := append([]time.Time(nil), slowAt...)
 	mu.Unlock()
 	if slow < 1 {
 		t.Fatalf("slow project never committed via the deriver (fast=%d)", fast)
 	}
 	if fast <= slow {
 		t.Fatalf("cadence override had no effect: fast committed %d rounds, slow %d", fast, slow)
+	}
+	for i := 1; i < len(at); i++ {
+		if gap := at[i].Sub(at[i-1]); gap < slowInterval-cadenceJitter {
+			t.Errorf("slow commits %d and %d are %s apart, want at least %s", i-1, i, gap, slowInterval-cadenceJitter)
+		}
 	}
 }
 

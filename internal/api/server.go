@@ -3,8 +3,9 @@
 // crowd loop into the HTTP service the paper's workers actually hit. Worker
 // answers are staged through the platform's round-based ingress
 // (Platform.StageAnswer → the engine's concurrent-safe AnswerBatch) and
-// committed by a background deriver loop, so submission is cheap and
-// lock-free on the hot path while the fixpoint runs at its own cadence.
+// committed by a background group-commit deriver: staging wakes it, it
+// commits at once, and whatever arrives during a commit forms the next
+// round, so submission stays cheap while rounds grow with load.
 //
 // Backpressure: when a project's staging round holds QueueCapacity answers
 // the fixpoint loop has fallen behind, and further submissions are refused
@@ -46,15 +47,15 @@ type Options struct {
 	// QueueCapacity bounds each project's staged-but-uncommitted answers;
 	// submissions beyond it get 429. Zero means DefaultQueueCapacity.
 	QueueCapacity int
-	// CommitInterval is the background deriver's cadence: every interval,
-	// each project with staged answers or facts gets a round commit
-	// (incremental fixpoint + WAL). Zero disables the deriver — rounds then commit only
-	// via POST .../fixpoint, which is what the differential tests use to
-	// make round boundaries deterministic.
+	// CommitInterval > 0 starts the background deriver, which commits a
+	// round (incremental fixpoint + WAL) for a project as soon as answers or
+	// facts are staged for it; the interval does not delay commits. It is
+	// the default RetryAfter hint. Zero disables the deriver — rounds then
+	// commit only via POST .../fixpoint, which is what the differential
+	// tests use to make round boundaries deterministic.
 	CommitInterval time.Duration
 	// RetryAfter is the backoff suggested on 429 responses. Zero defaults
-	// to CommitInterval (one deriver tick frees the whole queue), or 100ms
-	// when the deriver is off.
+	// to CommitInterval, or 100ms when the deriver is off.
 	RetryAfter time.Duration
 	// UI, when set, serves every path outside /api/v1/ — the server-rendered
 	// internal/webui front end rides on the same listener as the API.
@@ -135,52 +136,76 @@ func (s *Server) Close() {
 	s.wg.Wait()
 }
 
-// deriveLoop is the background fixpoint pump: every CommitInterval tick it
-// commits one round for each project with staged answers or staged facts
-// whose own cadence has elapsed. A project may override the server-wide interval through
-// Description.CommitInterval (POST/PATCH carry it as commit_interval_ms);
-// overrides are rounded up to the tick granularity, since the base ticker is
-// the only clock. One loop serves every project, so commits for different
-// projects are serialized — matching the single-writer WAL discipline —
-// while staging stays fully concurrent.
+// deriveLoop is the background fixpoint pump, a group-commit deriver. It
+// sleeps until the platform signals staged work (Platform.Staged) and then
+// commits one round for each project with staged answers or facts. Work
+// staged while a commit runs signals again and forms the next round, which
+// is committed as soon as the pass returns: rounds grow with load by
+// themselves and no answer waits for a clock. A project whose description
+// sets CommitInterval (commit_interval_ms over the API) is committed at most
+// once per that interval, measured from the end of its previous deriver
+// commit; the timer wakes the loop when the earliest such project comes due.
+// One loop serves every project, so commits for different projects are
+// serialized — matching the single-writer WAL discipline — while staging
+// stays fully concurrent.
 func (s *Server) deriveLoop() {
 	defer s.wg.Done()
-	ticker := time.NewTicker(s.opts.CommitInterval)
-	defer ticker.Stop()
+	// The timer runs only while some project is held back by its interval.
+	timer := time.NewTimer(time.Hour)
+	rearm(timer, 0)
+	defer timer.Stop()
 	lastCommit := make(map[project.ID]time.Time)
 	for {
 		select {
 		case <-s.stop:
 			return
-		case now := <-ticker.C:
-			for _, a := range s.p.Projects.All() {
-				id := a.Description.ID
-				// Facts POSTed to /facts land in the engine directly, not in
-				// the round's batch: they need a commit too, or an idle
-				// project would never derive them.
-				eng := s.p.Engine(id)
-				if eng == nil || (s.p.StagedAnswers(id) == 0 && eng.StagedDeltas() == 0) {
+		case <-s.p.Staged():
+		case <-timer.C:
+		}
+		var next time.Duration // until the earliest held-back project is due
+		for _, a := range s.p.Projects.All() {
+			id := a.Description.ID
+			// Facts POSTed to /facts land in the engine directly, not in
+			// the round's batch: they need a commit too, or an idle project
+			// would never derive them.
+			eng := s.p.Engine(id)
+			if eng == nil || (s.p.StagedAnswers(id) == 0 && eng.StagedDeltas() == 0) {
+				continue
+			}
+			if last, ok := lastCommit[id]; ok && a.Description.CommitInterval > 0 {
+				if wait := a.Description.CommitInterval - time.Since(last); wait > 0 {
+					if next == 0 || wait < next {
+						next = wait
+					}
 					continue
 				}
-				if iv := a.Description.CommitInterval; iv > s.opts.CommitInterval {
-					// Half a tick of slack so an interval that is an exact
-					// multiple of the tick fires on its own tick instead of
-					// slipping one further on scheduler jitter.
-					if last, ok := lastCommit[id]; ok && now.Sub(last) < iv-s.opts.CommitInterval/2 {
-						continue
-					}
-				}
-				lastCommit[id] = now
-				if _, err := s.p.CommitRound(id); err != nil {
-					// Record through the platform event log, not the hub
-					// directly: the failure must reach the durable audit
-					// trail (Platform.Events, reconnecting subscribers) as
-					// well as currently connected WebSocket clients — the
-					// hub gets it via the server's platform subscription.
-					s.p.Record(platform.Event{Kind: "commit-error", Project: id, Message: err.Error()})
-				}
 			}
+			if _, err := s.p.CommitRound(id); err != nil {
+				// Record through the platform event log, not the hub
+				// directly: the failure must reach the durable audit
+				// trail (Platform.Events, reconnecting subscribers) as
+				// well as currently connected WebSocket clients — the
+				// hub gets it via the server's platform subscription.
+				s.p.Record(platform.Event{Kind: "commit-error", Project: id, Message: err.Error()})
+			}
+			lastCommit[id] = time.Now()
 		}
+		rearm(timer, next)
+	}
+}
+
+// rearm stops t, discards a fire nobody received, and starts it for d; d <= 0
+// leaves it stopped. go.mod targets Go 1.22, whose timers buffer one fire in
+// their channel, so a Reset without the drain could deliver a stale fire.
+func rearm(t *time.Timer, d time.Duration) {
+	if !t.Stop() {
+		select {
+		case <-t.C:
+		default:
+		}
+	}
+	if d > 0 {
+		t.Reset(d)
 	}
 }
 
@@ -294,7 +319,9 @@ func (s *Server) handleProjectStatus(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleProjectUpdate applies the mutable slice of a project's description;
-// today that is the commit-cadence override. Absent fields are left alone.
+// today that is commit_interval_ms, the minimum spacing between the
+// project's deriver commits (0 commits on arrival like every other project).
+// Absent fields are left alone.
 func (s *Server) handleProjectUpdate(w http.ResponseWriter, r *http.Request) {
 	id := project.ID(r.PathValue("id"))
 	var req UpdateProjectRequest
@@ -429,8 +456,7 @@ func (s *Server) handleAnswer(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleFact(w http.ResponseWriter, r *http.Request) {
 	id := project.ID(r.PathValue("id"))
-	eng, err := s.engineFor(id)
-	if err != nil {
+	if _, err := s.engineFor(id); err != nil {
 		s.writeError(w, err)
 		return
 	}
@@ -443,15 +469,15 @@ func (s *Server) handleFact(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorBody{Code: "bad-request", Error: "relation is required"})
 		return
 	}
-	if err := eng.AddFact(req.Relation, req.Values...); err != nil {
+	if err := s.p.AddFact(id, req.Relation, req.Values...); err != nil {
 		writeJSON(w, http.StatusBadRequest, errorBody{Code: "invalid-fact", Error: err.Error()})
 		return
 	}
-	// Facts take effect at the next round commit (deriver tick or explicit
-	// fixpoint), exactly like a direct AddFact before RunIncremental. The
-	// deriver commits for staged facts alone, so an idle project derives
-	// them too — once its first fixpoint has run (before it nothing is
-	// staged, and the first commit is an explicit POST .../fixpoint).
+	// Facts take effect at the next round commit (the deriver's, which the
+	// fact wakes, or an explicit fixpoint), exactly like a direct AddFact
+	// before RunIncremental. Before the project's first fixpoint nothing is
+	// staged: the fact is loaded, and the first commit is an explicit
+	// POST .../fixpoint.
 	writeJSON(w, http.StatusAccepted, map[string]any{"ok": true})
 }
 

@@ -127,8 +127,8 @@ type ProjectStatus struct {
 	Summary         string `json:"summary,omitempty"`
 	HasEngine       bool   `json:"has_engine"`
 	PendingRequests int    `json:"pending_requests"`
-	// CommitIntervalMS is the project's background-commit cadence override
-	// (0 = the server-wide interval).
+	// CommitIntervalMS is the minimum spacing between the project's
+	// background commits (0 = commit on arrival).
 	CommitIntervalMS int64          `json:"commit_interval_ms,omitempty"`
 	Queue            *QueueStatus   `json:"queue,omitempty"`
 	Stats            *StatsView     `json:"stats,omitempty"`
@@ -148,16 +148,16 @@ type CreateProjectRequest struct {
 	// Backend overrides the platform-wide relstore backend for this project:
 	// "" (platform default), "memory" or "disk".
 	Backend string `json:"backend,omitempty"`
-	// CommitIntervalMS overrides the server's background-commit cadence for
-	// this project, in milliseconds (0 = server default). Overrides are
-	// rounded up to the deriver's tick granularity.
+	// CommitIntervalMS is the minimum spacing between this project's
+	// background commits, in milliseconds, measured from the end of the
+	// previous one (0 = commit on arrival).
 	CommitIntervalMS int64 `json:"commit_interval_ms,omitempty"`
 }
 
 // UpdateProjectRequest is the body of PATCH /api/v1/projects/{id}. Only
 // non-nil fields are applied.
 type UpdateProjectRequest struct {
-	// CommitIntervalMS replaces the project's commit-cadence override in
-	// milliseconds; 0 returns the project to the server-wide interval.
+	// CommitIntervalMS replaces the project's minimum commit spacing in
+	// milliseconds; 0 returns the project to committing on arrival.
 	CommitIntervalMS *int64 `json:"commit_interval_ms,omitempty"`
 }

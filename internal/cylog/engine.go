@@ -167,6 +167,17 @@ type Engine struct {
 	ranOnce bool
 	// pending holds open requests not yet answered, keyed by request id.
 	pending map[string]OpenRequest
+	// pendingView is the ID-sorted pending set as published by the last
+	// operation that changed it (publishPendingLocked, before that operation
+	// releases e.mu). A published slice is never modified, so PendingRequests
+	// hands it out without taking the lock.
+	pendingView atomic.Pointer[[]OpenRequest]
+	// pendingTouched holds the ids whose membership in pending changed since
+	// the last publication, so publishing merges them into the previous view
+	// instead of re-sorting every request; pendingRebuild asks for a full
+	// re-sort after the whole map was replaced. Both are written under e.mu.
+	pendingTouched map[string]struct{}
+	pendingRebuild bool
 	// requestStrata maps each pending request id to the strata whose rules
 	// generated it. When the retraction phase recomputes a stratum it drops
 	// that stratum's requests first and lets the recompute re-admit the ones
@@ -250,7 +261,9 @@ func NewEngineWith(p *Program, db *relstore.Database) (*Engine, error) {
 		planRels:       make(map[*Rule][]*relstore.Relation, len(p.Rules)),
 		planCache:      make(map[*Rule]*rulePlans, len(p.Rules)),
 		statsEpochSeen: make(map[string]uint64),
+		pendingTouched: make(map[string]struct{}),
 	}
+	e.pendingView.Store(&[]OpenRequest{})
 	for _, r := range p.Rules {
 		e.rowSchemas[r] = newRowSchema(r, analysis.RuleVars[r])
 	}
@@ -431,11 +444,18 @@ func (e *Engine) Facts(relation string) []relstore.Tuple {
 
 // Run evaluates the program to a fixpoint: every stratum in order, each to a
 // local fixpoint. It returns the open requests that are currently pending
-// (newly generated ones plus previously generated but still unanswered ones).
+// (newly generated ones plus previously generated but still unanswered ones),
+// sorted by ID. The slice is the published view PendingRequests returns too:
+// it is shared and must not be modified.
 func (e *Engine) Run() ([]OpenRequest, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.runFullLocked()
+	err := e.runFullLocked()
+	pending := e.publishPendingLocked()
+	if err != nil {
+		return nil, err
+	}
+	return pending, nil
 }
 
 // runFullLocked is the full fixpoint: every stratum re-evaluated from its
@@ -444,8 +464,9 @@ func (e *Engine) Run() ([]OpenRequest, error) {
 // the staged insertions) are over-deleted down to their base facts and every
 // pending request is dropped; the full evaluation then re-derives the
 // survivors and re-admits the live requests, so the result is exactly the
-// from-scratch fixpoint of the current facts. Caller holds e.mu.
-func (e *Engine) runFullLocked() ([]OpenRequest, error) {
+// from-scratch fixpoint of the current facts. Caller holds e.mu and
+// publishes the pending view afterwards.
+func (e *Engine) runFullLocked() error {
 	stats := Stats{}
 	old := e.retractBeforeFullLocked()
 	for i, stratum := range e.analysis.Strata {
@@ -453,7 +474,7 @@ func (e *Engine) runFullLocked() ([]OpenRequest, error) {
 			// A partial run leaves the database between fixpoints; force the
 			// next run onto the full path so staged deltas cannot under-seed.
 			e.ranOnce = false
-			return nil, err
+			return err
 		}
 	}
 	for rel, snap := range old {
@@ -467,7 +488,7 @@ func (e *Engine) runFullLocked() ([]OpenRequest, error) {
 	// Even with no rules at all, open relations referenced by rules would be
 	// the only request source; requests were collected during rule evaluation.
 	e.finishRun(&stats)
-	return e.pendingSorted(), nil
+	return nil
 }
 
 // retractBeforeFullLocked is the deletion pre-pass of a full run. It
@@ -577,8 +598,9 @@ func (e *Engine) fullRetractionTargets(changed map[string]bool) map[string]bool 
 // upstream retraction — is recomputed instead of delta-seeded
 // (recomputeStratumLocked), and its net deletions propagate alongside the
 // insertions. Falls back to the full path when no fixpoint has completed yet
-// (a fresh engine, or after a failed run). Caller holds e.mu.
-func (e *Engine) runIncrementalLocked() ([]OpenRequest, error) {
+// (a fresh engine, or after a failed run). Caller holds e.mu and publishes
+// the pending view afterwards.
+func (e *Engine) runIncrementalLocked() error {
 	if !e.ranOnce {
 		return e.runFullLocked()
 	}
@@ -594,13 +616,13 @@ func (e *Engine) runIncrementalLocked() ([]OpenRequest, error) {
 		case e.stratumNeedsRetraction(i, ins, del):
 			if err := e.recomputeStratumLocked(i, stratum, ins, del, &stats); err != nil {
 				e.ranOnce = false
-				return nil, err
+				return err
 			}
 		case deltaReaches(ins, e.analysis.StratumInputs[i]):
 			derived := make(map[string][]relstore.Tuple)
 			if err := e.runStratum(i, stratum, ins, derived, &stats); err != nil {
 				e.ranOnce = false
-				return nil, err
+				return err
 			}
 			for rel, ts := range derived {
 				ins[rel] = append(ins[rel], ts...)
@@ -610,7 +632,7 @@ func (e *Engine) runIncrementalLocked() ([]OpenRequest, error) {
 		}
 	}
 	e.finishRun(&stats)
-	return e.pendingSorted(), nil
+	return nil
 }
 
 // stratumNeedsRetraction reports whether stratum i must be recomputed rather
@@ -776,6 +798,7 @@ func (e *Engine) dropAllRequestsLocked() {
 	}
 	e.pending = make(map[string]OpenRequest)
 	e.requestStrata = make(map[string]map[int]bool)
+	e.pendingRebuild = true
 }
 
 // dropStratumRequestsLocked removes stratum idx from every pending request's
@@ -793,6 +816,7 @@ func (e *Engine) dropStratumRequestsLocked(idx int) {
 		delete(e.requestStrata, id)
 		if _, ok := e.pending[id]; ok {
 			delete(e.pending, id)
+			e.touchPendingLocked(id)
 			e.withdrawn[id] = true
 		}
 	}
@@ -852,6 +876,9 @@ func deltaReaches(delta map[string][]relstore.Tuple, inputs map[string]bool) boo
 // Seeding only sees facts ingested through the engine (batches, Answer,
 // AnswerFact, AddFact); a fact inserted directly into Database() is invisible
 // to it — follow such writes with a full Run.
+//
+// Like Run, it returns the published pending view, sorted by ID: the slice is
+// shared and must not be modified.
 func (e *Engine) RunIncremental(batch *AnswerBatch) ([]OpenRequest, error) {
 	if batch != nil {
 		if batch.engine != e {
@@ -868,24 +895,79 @@ func (e *Engine) RunIncremental(batch *AnswerBatch) ([]OpenRequest, error) {
 	if batch != nil {
 		batch.applyLocked()
 	}
-	return e.runIncrementalLocked()
+	err := e.runIncrementalLocked()
+	pending := e.publishPendingLocked()
+	if err != nil {
+		return nil, err
+	}
+	return pending, nil
 }
 
-func (e *Engine) pendingSorted() []OpenRequest {
-	out := make([]OpenRequest, 0, len(e.pending))
-	for _, r := range e.pending {
-		out = append(out, r)
+// PendingRequests returns the currently pending open requests, sorted by ID,
+// without re-running evaluation and without taking the engine lock: it reads
+// the view the last pending-set change published. A call that overlaps a
+// run, an answer or a replay sees the set from before it, so it linearizes
+// before that operation. The slice is shared by every caller and must not be
+// modified.
+func (e *Engine) PendingRequests() []OpenRequest {
+	return *e.pendingView.Load()
+}
+
+// publishPendingLocked brings the published view up to date with the pending
+// map and returns it. Every exported operation that can change the pending
+// set calls it before releasing e.mu. Only the touched ids are sorted; each
+// is located in the previous view by binary search and the untouched runs
+// between them are copied whole, so a change to Δ of P requests costs
+// O(Δ log P) comparisons plus one copy instead of a sort of all P. A full
+// rebuild is left for runs that dropped every request. Caller holds e.mu.
+func (e *Engine) publishPendingLocked() []OpenRequest {
+	if !e.pendingRebuild && len(e.pendingTouched) == 0 {
+		return *e.pendingView.Load()
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	out := make([]OpenRequest, 0, len(e.pending))
+	if e.pendingRebuild {
+		for _, r := range e.pending {
+			out = append(out, r)
+		}
+		sortRequests(out)
+	} else {
+		ids := make([]string, 0, len(e.pendingTouched))
+		for id := range e.pendingTouched {
+			ids = append(ids, id)
+		}
+		sort.Strings(ids)
+		prev := *e.pendingView.Load()
+		for _, id := range ids {
+			i := sort.Search(len(prev), func(k int) bool { return prev[k].ID >= id })
+			out = append(out, prev[:i]...)
+			if prev = prev[i:]; len(prev) > 0 && prev[0].ID == id {
+				prev = prev[1:]
+			}
+			if r, ok := e.pending[id]; ok {
+				out = append(out, r)
+			}
+		}
+		out = append(out, prev...)
+	}
+	// A fresh map, not clear: ranging over a cleared map still walks every
+	// bucket a full run's admissions grew it to.
+	e.pendingRebuild = false
+	e.pendingTouched = make(map[string]struct{})
+	e.pendingView.Store(&out)
 	return out
 }
 
-// PendingRequests returns the currently pending open requests without
-// re-running evaluation.
-func (e *Engine) PendingRequests() []OpenRequest {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.pendingSorted()
+// touchPendingLocked records that id joined or left the pending map, for the
+// next publishPendingLocked; a pending full rebuild needs no record. Caller
+// holds e.mu.
+func (e *Engine) touchPendingLocked(id string) {
+	if !e.pendingRebuild {
+		e.pendingTouched[id] = struct{}{}
+	}
+}
+
+func sortRequests(rs []OpenRequest) {
+	sort.Slice(rs, func(i, j int) bool { return rs[i].ID < rs[j].ID })
 }
 
 // Answer supplies a worker's answer for an open request: the fact formed by
@@ -897,6 +979,7 @@ func (e *Engine) PendingRequests() []OpenRequest {
 func (e *Engine) Answer(requestID string, openValues map[string]any) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	defer e.publishPendingLocked()
 	req, ok := e.pending[requestID]
 	if !ok {
 		return fmt.Errorf("%w: %s", e.missingRequestErrLocked(requestID), requestID)
@@ -932,6 +1015,7 @@ func (e *Engine) missingRequestErrLocked(id string) error {
 // bookkeeping. Caller holds e.mu.
 func (e *Engine) closePendingLocked(id string) {
 	delete(e.pending, id)
+	e.touchPendingLocked(id)
 	delete(e.requestStrata, id)
 	delete(e.withdrawn, id)
 	e.answered[id] = true
@@ -1024,6 +1108,7 @@ func (e *Engine) AnswerFact(relation string, values ...any) error {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	defer e.publishPendingLocked()
 	added, err := e.db.Relation(relation).Insert(tuple)
 	if err != nil {
 		return err
@@ -1429,6 +1514,7 @@ func (e *Engine) admitRequests(reqs []OpenRequest, stratum int) {
 		}
 		if _, dup := e.pending[r.ID]; !dup {
 			e.pending[r.ID] = r
+			e.touchPendingLocked(r.ID)
 			delete(e.withdrawn, r.ID)
 		}
 		origins := e.requestStrata[r.ID]

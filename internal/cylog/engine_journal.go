@@ -109,6 +109,7 @@ func (e *Engine) journalOp(kind OpKind, requestID, relation string, tuple relsto
 func (e *Engine) ReplayOps(ops []FactOp) (applied int, err error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	defer e.publishPendingLocked()
 	for i, op := range ops {
 		rel := e.db.Relation(op.Relation)
 		if rel == nil {

@@ -91,6 +91,9 @@ type Platform struct {
 	// cancel closure deletes.
 	subs    map[int]func(Event)
 	nextSub int
+	// staged holds at most one signal that work was left for CommitRound
+	// (see Staged).
+	staged chan struct{}
 }
 
 type requestRef struct {
@@ -115,6 +118,7 @@ func New() *Platform {
 		commits:     make(map[project.ID]*sync.Mutex),
 		nowFn:       time.Now,
 		storage:     DefaultStorageFromEnv(),
+		staged:      make(chan struct{}, 1),
 	}
 }
 
@@ -593,7 +597,13 @@ func (p *Platform) SubmitResult(taskID task.ID, result *task.Result) error {
 		p.record(Event{Kind: "cylog-answer-error", Project: ref.project, Task: taskID, Message: err.Error()})
 		return fmt.Errorf("platform: feeding result of task %s to CyLog: %w", taskID, err)
 	}
-	return p.persistRound(ref.project, eng)
+	err := p.persistRound(ref.project, eng)
+	// The answer is a staged delta of the engine now (unless no fixpoint has
+	// run yet); the deriver's commit derives it once this lock is released.
+	if eng.StagedDeltas() > 0 {
+		p.signalStaged()
+	}
+	return err
 }
 
 // answerFields maps a task result onto the open columns of the request that

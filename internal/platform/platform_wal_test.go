@@ -223,7 +223,7 @@ func TestAttachWALRequiresEngine(t *testing.T) {
 // TestConcurrentCommitRoundsSerialized hammers CommitRound from several
 // goroutines — mostly empty rounds racing the rounds that carry staged
 // answers — against a WAL-attached project, the commit pattern the HTTP
-// layer makes reachable (deriver ticks racing explicit POST .../fixpoint).
+// layer makes reachable (deriver commits racing explicit POST .../fixpoint).
 // Run under -race it is the regression gate for the per-project commit
 // mutex: without it, concurrent commits interleave into wal.Log.Append and
 // can publish a later round's "fixpoint" event before an earlier round's

@@ -96,6 +96,9 @@ func (p *Platform) StageAnswer(projectID project.ID, requestID string, values ma
 			p.retireRound(projectID, batch)
 			continue
 		}
+		if err == nil {
+			p.signalStaged()
+		}
 		return seq, err
 	}
 }
@@ -116,7 +119,46 @@ func (p *Platform) StageFact(projectID project.ID, relation string, values ...an
 			p.retireRound(projectID, batch)
 			continue
 		}
+		if err == nil {
+			p.signalStaged()
+		}
 		return seq, err
+	}
+}
+
+// AddFact ingests a base fact into the project's engine (Engine.AddFact). It
+// is staged as a seed delta and derived by the next commit; before the
+// project's first fixpoint it is only loaded, since the first commit
+// evaluates everything, and the deriver is not woken.
+func (p *Platform) AddFact(projectID project.ID, relation string, values ...any) error {
+	eng, err := p.engineFor(projectID)
+	if err != nil {
+		return err
+	}
+	if err := eng.AddFact(relation, values...); err != nil {
+		return err
+	}
+	if eng.StagedDeltas() > 0 {
+		p.signalStaged()
+	}
+	return nil
+}
+
+// Staged returns the channel a deriver waits on: it receives a value after
+// work is left for CommitRound — an answer or fact staged into a round
+// (StageAnswer, StageFact), a fact ingested into an engine (AddFact), or an
+// answer applied by SubmitResult. The channel holds at most one signal and
+// senders never block, so signals coalesce: a deriver that receives one and
+// then commits every project with staged work misses nothing, because work
+// staged after it looked signals again. One deriver per platform should
+// receive from it; a second would take signals meant for the first.
+func (p *Platform) Staged() <-chan struct{} { return p.staged }
+
+// signalStaged records that work was left for CommitRound; see Staged.
+func (p *Platform) signalStaged() {
+	select {
+	case p.staged <- struct{}{}:
+	default:
 	}
 }
 

@@ -66,8 +66,8 @@ type Description struct {
 	// Storage overrides the platform-wide relstore backend for this
 	// project's engine: "" (platform default), "memory" or "disk".
 	Storage string
-	// CommitInterval overrides the service layer's background deriver
-	// cadence for this project (0 = use the server-wide interval).
+	// CommitInterval is the minimum spacing between this project's commits
+	// by the service layer's background deriver (0 = commit on arrival).
 	CommitInterval time.Duration
 	// CreatedAt is when the project was registered.
 	CreatedAt time.Time
@@ -254,10 +254,10 @@ func (r *Registry) UpdateFactors(id ID, f DesiredFactors) (*Admin, error) {
 	return cloneAdmin(a), nil
 }
 
-// SetCommitInterval replaces the project's commit-cadence override (0 =
-// server default) and returns the updated admin record. The deriver loop in
-// internal/api reads the override on every tick, so the change takes effect
-// at the next tick without restarting anything.
+// SetCommitInterval replaces the project's minimum commit spacing (0 =
+// commit on arrival) and returns the updated admin record. The deriver loop
+// in internal/api reads it whenever it looks for staged work, so the change
+// takes effect without restarting anything.
 func (r *Registry) SetCommitInterval(id ID, iv time.Duration) (*Admin, error) {
 	if iv < 0 {
 		return nil, fmt.Errorf("project: commit interval must be non-negative")
