@@ -172,12 +172,9 @@ type Engine struct {
 	// releases e.mu). A published slice is never modified, so PendingRequests
 	// hands it out without taking the lock.
 	pendingView atomic.Pointer[[]OpenRequest]
-	// pendingTouched holds the ids whose membership in pending changed since
-	// the last publication, so publishing merges them into the previous view
-	// instead of re-sorting every request; pendingRebuild asks for a full
-	// re-sort after the whole map was replaced. Both are written under e.mu.
-	pendingTouched map[string]struct{}
-	pendingRebuild bool
+	// pendingDirty records that pending changed since the view was last
+	// published. Written under e.mu.
+	pendingDirty bool
 	// requestStrata maps each pending request id to the strata whose rules
 	// generated it. When the retraction phase recomputes a stratum it drops
 	// that stratum's requests first and lets the recompute re-admit the ones
@@ -261,7 +258,6 @@ func NewEngineWith(p *Program, db *relstore.Database) (*Engine, error) {
 		planRels:       make(map[*Rule][]*relstore.Relation, len(p.Rules)),
 		planCache:      make(map[*Rule]*rulePlans, len(p.Rules)),
 		statsEpochSeen: make(map[string]uint64),
-		pendingTouched: make(map[string]struct{}),
 	}
 	e.pendingView.Store(&[]OpenRequest{})
 	for _, r := range p.Rules {
@@ -798,7 +794,7 @@ func (e *Engine) dropAllRequestsLocked() {
 	}
 	e.pending = make(map[string]OpenRequest)
 	e.requestStrata = make(map[string]map[int]bool)
-	e.pendingRebuild = true
+	e.pendingDirty = true
 }
 
 // dropStratumRequestsLocked removes stratum idx from every pending request's
@@ -816,7 +812,7 @@ func (e *Engine) dropStratumRequestsLocked(idx int) {
 		delete(e.requestStrata, id)
 		if _, ok := e.pending[id]; ok {
 			delete(e.pending, id)
-			e.touchPendingLocked(id)
+			e.pendingDirty = true
 			e.withdrawn[id] = true
 		}
 	}
@@ -913,61 +909,23 @@ func (e *Engine) PendingRequests() []OpenRequest {
 	return *e.pendingView.Load()
 }
 
-// publishPendingLocked brings the published view up to date with the pending
-// map and returns it. Every exported operation that can change the pending
-// set calls it before releasing e.mu. Only the touched ids are sorted; each
-// is located in the previous view by binary search and the untouched runs
-// between them are copied whole, so a change to Δ of P requests costs
-// O(Δ log P) comparisons plus one copy instead of a sort of all P. A full
-// rebuild is left for runs that dropped every request. Caller holds e.mu.
+// publishPendingLocked publishes the pending map, sorted by ID, as the view
+// PendingRequests returns, if the map changed since the last publication, and
+// returns the view. Every exported operation that can change the pending set
+// calls it before releasing e.mu, so the sort runs once per change instead of
+// once per read. Caller holds e.mu.
 func (e *Engine) publishPendingLocked() []OpenRequest {
-	if !e.pendingRebuild && len(e.pendingTouched) == 0 {
+	if !e.pendingDirty {
 		return *e.pendingView.Load()
 	}
 	out := make([]OpenRequest, 0, len(e.pending))
-	if e.pendingRebuild {
-		for _, r := range e.pending {
-			out = append(out, r)
-		}
-		sortRequests(out)
-	} else {
-		ids := make([]string, 0, len(e.pendingTouched))
-		for id := range e.pendingTouched {
-			ids = append(ids, id)
-		}
-		sort.Strings(ids)
-		prev := *e.pendingView.Load()
-		for _, id := range ids {
-			i := sort.Search(len(prev), func(k int) bool { return prev[k].ID >= id })
-			out = append(out, prev[:i]...)
-			if prev = prev[i:]; len(prev) > 0 && prev[0].ID == id {
-				prev = prev[1:]
-			}
-			if r, ok := e.pending[id]; ok {
-				out = append(out, r)
-			}
-		}
-		out = append(out, prev...)
+	for _, r := range e.pending {
+		out = append(out, r)
 	}
-	// A fresh map, not clear: ranging over a cleared map still walks every
-	// bucket a full run's admissions grew it to.
-	e.pendingRebuild = false
-	e.pendingTouched = make(map[string]struct{})
+	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	e.pendingDirty = false
 	e.pendingView.Store(&out)
 	return out
-}
-
-// touchPendingLocked records that id joined or left the pending map, for the
-// next publishPendingLocked; a pending full rebuild needs no record. Caller
-// holds e.mu.
-func (e *Engine) touchPendingLocked(id string) {
-	if !e.pendingRebuild {
-		e.pendingTouched[id] = struct{}{}
-	}
-}
-
-func sortRequests(rs []OpenRequest) {
-	sort.Slice(rs, func(i, j int) bool { return rs[i].ID < rs[j].ID })
 }
 
 // Answer supplies a worker's answer for an open request: the fact formed by
@@ -1015,7 +973,7 @@ func (e *Engine) missingRequestErrLocked(id string) error {
 // bookkeeping. Caller holds e.mu.
 func (e *Engine) closePendingLocked(id string) {
 	delete(e.pending, id)
-	e.touchPendingLocked(id)
+	e.pendingDirty = true
 	delete(e.requestStrata, id)
 	delete(e.withdrawn, id)
 	e.answered[id] = true
@@ -1514,7 +1472,7 @@ func (e *Engine) admitRequests(reqs []OpenRequest, stratum int) {
 		}
 		if _, dup := e.pending[r.ID]; !dup {
 			e.pending[r.ID] = r
-			e.touchPendingLocked(r.ID)
+			e.pendingDirty = true
 			delete(e.withdrawn, r.ID)
 		}
 		origins := e.requestStrata[r.ID]

@@ -3,6 +3,7 @@ package cylog
 import (
 	"fmt"
 	"reflect"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -35,7 +36,7 @@ func pendingMapSorted(e *Engine) []OpenRequest {
 	for _, r := range e.pending {
 		out = append(out, r)
 	}
-	sortRequests(out)
+	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
 
@@ -157,7 +158,7 @@ func TestPendingViewFollowsEveryMutator(t *testing.T) {
 	}
 
 	// New items after a completed fixpoint make the full run retract first:
-	// every request is dropped and the view is rebuilt from scratch.
+	// every request is dropped and the live ones are re-admitted.
 	for n := 9; n <= 10; n++ {
 		if err := e.AddFact("item", n); err != nil {
 			t.Fatal(err)
