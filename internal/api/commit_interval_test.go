@@ -171,12 +171,15 @@ func TestPerProjectCommitCadence(t *testing.T) {
 	}
 
 	// Nothing is staged from here on, so only the deriver's timer can commit
-	// the answers the slow project's last interval held back.
+	// the answers the slow project's last interval held back. Wait for their
+	// derivation, not for the round to leave the queue: a commit detaches the
+	// round before its fixpoint derives it.
 	deadline := time.Now().Add(5 * time.Second)
-	for p.StagedAnswers("slow") > 0 && time.Now().Before(deadline) {
+	labeled := func() int { return len(p.Engine("slow").Facts("labeled")) }
+	for labeled() < 25 && time.Now().Before(deadline) {
 		time.Sleep(10 * time.Millisecond)
 	}
-	if got := len(p.Engine("slow").Facts("labeled")); got != 25 {
+	if got := labeled(); got != 25 {
 		t.Fatalf("slow project derived %d of 25 answers: its held-back round never committed", got)
 	}
 
