@@ -139,22 +139,29 @@ func (s *Server) Close() {
 // deriveLoop is the background fixpoint pump, a group-commit deriver. It
 // sleeps until the platform signals staged work (Platform.Staged) and then
 // commits one round for each project with staged answers or facts. Work
-// staged while a commit runs signals again and forms the next round, which
-// is committed as soon as the pass returns: rounds grow with load by
-// themselves and no answer waits for a clock. A project whose description
-// sets CommitInterval (commit_interval_ms over the API) is committed at most
-// once per that interval, measured from the end of its previous deriver
-// commit; the timer wakes the loop when the earliest such project comes due.
-// One loop serves every project, so commits for different projects are
-// serialized — matching the single-writer WAL discipline — while staging
-// stays fully concurrent.
+// staged while a commit runs signals again and forms the next round. That
+// round is held until as much time has passed since the previous commit
+// ended as the previous commit took, so under a burst a round collects the
+// stagers that queued behind the previous commit and commits hold the engine
+// at most half the time, while an answer arriving at an idle project commits
+// at once: rounds grow with load by themselves and no answer waits for a
+// clock. A project whose description sets CommitInterval (commit_interval_ms
+// over the API) is committed at most once per that interval, measured from
+// the end of its previous deriver commit; the timer wakes the loop when the
+// earliest held-back project comes due. One loop serves every project, so
+// commits for different projects are serialized — matching the single-writer
+// WAL discipline — while staging stays fully concurrent.
 func (s *Server) deriveLoop() {
 	defer s.wg.Done()
-	// The timer runs only while some project is held back by its interval.
+	// The timer runs only while some project is held back.
 	timer := time.NewTimer(time.Hour)
 	rearm(timer, 0)
 	defer timer.Stop()
-	lastCommit := make(map[project.ID]time.Time)
+	type commitMark struct {
+		end  time.Time
+		took time.Duration
+	}
+	last := make(map[project.ID]commitMark) // each project's previous deriver commit
 	for {
 		select {
 		case <-s.stop:
@@ -172,23 +179,25 @@ func (s *Server) deriveLoop() {
 			if eng == nil || (s.p.StagedAnswers(id) == 0 && eng.StagedDeltas() == 0) {
 				continue
 			}
-			if last, ok := lastCommit[id]; ok && a.Description.CommitInterval > 0 {
-				if wait := a.Description.CommitInterval - time.Since(last); wait > 0 {
+			if m, ok := last[id]; ok {
+				gap := max(a.Description.CommitInterval, m.took)
+				if wait := gap - time.Since(m.end); wait > 0 {
 					if next == 0 || wait < next {
 						next = wait
 					}
 					continue
 				}
 			}
-			if _, err := s.p.CommitRound(id); err != nil {
+			rc, err := s.p.CommitRound(id)
+			if err != nil {
 				// Record through the platform event log, not the hub
-				// directly: the failure must reach the durable audit
-				// trail (Platform.Events, reconnecting subscribers) as
-				// well as currently connected WebSocket clients — the
-				// hub gets it via the server's platform subscription.
+				// directly: the failure must reach the event log
+				// (Platform.Events) as well as currently connected
+				// WebSocket clients — the hub gets it via the server's
+				// platform subscription.
 				s.p.Record(platform.Event{Kind: "commit-error", Project: id, Message: err.Error()})
 			}
-			lastCommit[id] = time.Now()
+			last[id] = commitMark{end: time.Now(), took: rc.Duration}
 		}
 		rearm(timer, next)
 	}
