@@ -81,9 +81,17 @@ type Platform struct {
 	commits map[project.ID]*sync.Mutex
 	// wals holds each project's attached write-ahead log (nil map until the
 	// first AttachWAL); see platform_wal.go for the commit protocol.
-	wals   map[project.ID]*walBinding
-	events []Event
-	nowFn  func() time.Time
+	wals map[project.ID]*walBinding
+	// events is the retained event log, a ring of at most eventLogCapacity
+	// events whose oldest entry sits at eventsHead once it is full;
+	// eventsDropped counts the events overwritten since.
+	events        []Event
+	eventsHead    int
+	eventsDropped uint64
+	// infeasibleTasks counts the "infeasible" events recorded, which
+	// CycleReport reports whether or not the log still retains them.
+	infeasibleTasks int
+	nowFn           func() time.Time
 	// storage selects the relstore backend new project engines are built on
 	// (see storage.go); projects may override it per-description.
 	storage StorageOptions
@@ -138,10 +146,23 @@ func (p *Platform) now() time.Time {
 	return p.nowFn()
 }
 
+// eventLogCapacity bounds the event log Events returns. A served project
+// records a "fixpoint" event per commit (and a "wal-append" when durable), so
+// a log that kept every event would grow for as long as the process serves;
+// past the capacity the oldest event is overwritten. Subscribe sinks see
+// every event regardless.
+const eventLogCapacity = 4096
+
 func (p *Platform) record(e Event) {
 	p.mu.Lock()
 	e.At = p.nowFn()
-	p.events = append(p.events, e)
+	if len(p.events) < eventLogCapacity {
+		p.events = append(p.events, e)
+	} else {
+		p.events[p.eventsHead] = e
+		p.eventsHead = (p.eventsHead + 1) % eventLogCapacity
+		p.eventsDropped++
+	}
 	sinks := make([]func(Event), 0, len(p.subs))
 	for _, fn := range p.subs {
 		sinks = append(sinks, fn)
@@ -154,18 +175,27 @@ func (p *Platform) record(e Event) {
 	}
 }
 
-// Record appends an externally observed event to the platform's durable
-// event log (stamping the time) and fans it out to every Subscribe sink.
-// The service layer uses it for operational failures — e.g. "commit-error"
-// when a background round commit fails — so they reach both the audit log
-// read by Events and every live subscriber, not just one or the other.
+// Record appends an externally observed event to the platform's event log
+// (stamping the time) and fans it out to every Subscribe sink. The service
+// layer uses it for operational failures — e.g. "commit-error" when a
+// background round commit fails — so they reach both the log read by Events
+// and every live subscriber, not just one or the other.
 func (p *Platform) Record(e Event) { p.record(e) }
 
-// Events returns a copy of the platform event log.
+// Events returns a copy of the retained event log, oldest first: the last
+// eventLogCapacity events recorded (EventsDropped counts the older ones).
 func (p *Platform) Events() []Event {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return append([]Event(nil), p.events...)
+	out := append([]Event(nil), p.events[p.eventsHead:]...)
+	return append(out, p.events[:p.eventsHead]...)
+}
+
+// EventsDropped reports how many recorded events the log no longer retains.
+func (p *Platform) EventsDropped() uint64 {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.eventsDropped
 }
 
 // Engine returns the CyLog engine of a project (nil when the project has no
@@ -431,6 +461,9 @@ func (p *Platform) AssignOpenTasks() map[task.ID]assign.Team {
 			p.Projects.Notify(project.ID(t.ProjectID), "action-required",
 				fmt.Sprintf("task %s: no feasible team for the requested human factors; please relax the constraints", t.ID)) //nolint:errcheck
 			p.record(Event{Kind: "infeasible", Project: project.ID(t.ProjectID), Task: t.ID})
+			p.mu.Lock()
+			p.infeasibleTasks++
+			p.mu.Unlock()
 		case ok:
 			out[t.ID] = team
 			p.record(Event{Kind: "task-assigned", Project: project.ID(t.ProjectID), Task: t.ID,
@@ -641,7 +674,9 @@ func (p *Platform) SweepDeadlines() (reassigned []task.ID, expired []*task.Task)
 	return reassigned, expired
 }
 
-// CycleReport summarises one full deployment cycle.
+// CycleReport summarises one full deployment cycle. InfeasibleTasks counts
+// the infeasible assignment attempts since the platform started, this
+// cycle's included.
 type CycleReport struct {
 	GeneratedTasks  int
 	InterestPairs   int
@@ -711,11 +746,9 @@ func (p *Platform) RunCycle(crowd Crowd) (CycleReport, error) {
 	}
 	report.MeanQuality = mean(qualities)
 
-	for _, e := range p.Events() {
-		if e.Kind == "infeasible" {
-			report.InfeasibleTasks++
-		}
-	}
+	p.mu.Lock()
+	report.InfeasibleTasks = p.infeasibleTasks
+	p.mu.Unlock()
 	return report, nil
 }
 

@@ -553,3 +553,45 @@ func TestControllerSuggestionVisibleThroughPlatform(t *testing.T) {
 		}
 	}
 }
+
+// TestEventLogBounded commits more rounds than the event log retains: the log
+// must keep the newest eventLogCapacity events, oldest first, count the ones
+// it overwrote, and still hand every event to subscribers.
+func TestEventLogBounded(t *testing.T) {
+	p := New()
+	admin, err := p.RegisterProject(translationProject())
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := admin.Description.ID
+	fixpoints := 0
+	cancel := p.Subscribe(func(e Event) {
+		if e.Kind == "fixpoint" {
+			fixpoints++
+		}
+	})
+	defer cancel()
+	before := len(p.Events())
+	const commits = eventLogCapacity + 100
+	for i := 0; i < commits; i++ {
+		if _, err := p.CommitRound(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if fixpoints != commits {
+		t.Fatalf("subscriber saw %d fixpoint events, want %d", fixpoints, commits)
+	}
+	events := p.Events()
+	if len(events) != eventLogCapacity {
+		t.Fatalf("log retains %d events after %d commits, want %d", len(events), commits, eventLogCapacity)
+	}
+	if got, want := p.EventsDropped(), uint64(before+commits-eventLogCapacity); got != want {
+		t.Fatalf("EventsDropped = %d, want %d", got, want)
+	}
+	// Empty rounds are numbered 1, 2, ...: the log holds the newest rounds.
+	for i, e := range events {
+		if want := uint64(commits - eventLogCapacity + 1 + i); e.Kind != "fixpoint" || e.Round != want {
+			t.Fatalf("events[%d] = %s round %d, want fixpoint round %d", i, e.Kind, e.Round, want)
+		}
+	}
+}
