@@ -49,8 +49,9 @@ type Options struct {
 	QueueCapacity int
 	// CommitInterval > 0 starts the background deriver, which commits a
 	// round (incremental fixpoint + WAL) for a project as soon as answers or
-	// facts are staged for it; the interval does not delay commits. It is
-	// the default RetryAfter hint. Zero disables the deriver — rounds then
+	// facts are staged for it, holding a commit that would follow another
+	// back to back for as long as that one took; the interval does not delay
+	// commits. It is the default RetryAfter hint. Zero disables the deriver — rounds then
 	// commit only via POST .../fixpoint, which is what the differential
 	// tests use to make round boundaries deterministic.
 	CommitInterval time.Duration
@@ -139,29 +140,33 @@ func (s *Server) Close() {
 // deriveLoop is the background fixpoint pump, a group-commit deriver. It
 // sleeps until the platform signals staged work (Platform.Staged) and then
 // commits one round for each project with staged answers or facts. Work
-// staged while a commit runs signals again and forms the next round. That
-// round is held until as much time has passed since the previous commit
-// ended as the previous commit took, so under a burst a round collects the
-// stagers that queued behind the previous commit and commits hold the engine
-// at most half the time, while an answer arriving at an idle project commits
-// at once: rounds grow with load by themselves and no answer waits for a
-// clock. A project whose description sets CommitInterval (commit_interval_ms
-// over the API) is committed at most once per that interval, measured from
-// the end of its previous deriver commit; the timer wakes the loop when the
-// earliest held-back project comes due. One loop serves every project, so
-// commits for different projects are serialized — matching the single-writer
-// WAL discipline — while staging stays fully concurrent.
+// staged while a commit runs signals again and forms the next round. If that
+// round already holds work when the commit ends, the stagers are queueing
+// behind commits, and the round is held until as much time has passed as the
+// commit took: it collects the stagers that queued on the engine lock, and
+// back-to-back commits hold the engine at most half the time. Work that
+// arrives after a commit ended is committed at once. Rounds thus grow with
+// load by themselves and no answer waits for a clock. A project whose
+// description sets CommitInterval (commit_interval_ms over the API) is
+// committed at most once per that interval, measured from the end of its
+// previous deriver commit; the timer wakes the loop when the earliest
+// held-back project comes due. One loop serves every project, so commits for
+// different projects are serialized — matching the single-writer WAL
+// discipline — while staging stays fully concurrent.
 func (s *Server) deriveLoop() {
 	defer s.wg.Done()
 	// The timer runs only while some project is held back.
 	timer := time.NewTimer(time.Hour)
 	rearm(timer, 0)
 	defer timer.Stop()
+	// last holds each project's previous deriver commit: when it ended, and
+	// how long the next round is held after that end because the round was
+	// already staging then (zero when it was not).
 	type commitMark struct {
 		end  time.Time
-		took time.Duration
+		hold time.Duration
 	}
-	last := make(map[project.ID]commitMark) // each project's previous deriver commit
+	last := make(map[project.ID]commitMark)
 	for {
 		select {
 		case <-s.stop:
@@ -176,11 +181,15 @@ func (s *Server) deriveLoop() {
 			// the round's batch: they need a commit too, or an idle project
 			// would never derive them.
 			eng := s.p.Engine(id)
-			if eng == nil || (s.p.StagedAnswers(id) == 0 && eng.StagedDeltas() == 0) {
+			if eng == nil {
+				continue
+			}
+			staged := func() bool { return s.p.StagedAnswers(id) > 0 || eng.StagedDeltas() > 0 }
+			if !staged() {
 				continue
 			}
 			if m, ok := last[id]; ok {
-				gap := max(a.Description.CommitInterval, m.took)
+				gap := max(a.Description.CommitInterval, m.hold)
 				if wait := gap - time.Since(m.end); wait > 0 {
 					if next == 0 || wait < next {
 						next = wait
@@ -197,7 +206,11 @@ func (s *Server) deriveLoop() {
 				// platform subscription.
 				s.p.Record(platform.Event{Kind: "commit-error", Project: id, Message: err.Error()})
 			}
-			last[id] = commitMark{end: time.Now(), took: rc.Duration}
+			m := commitMark{end: time.Now()}
+			if staged() {
+				m.hold = rc.Duration
+			}
+			last[id] = m
 		}
 		rearm(timer, next)
 	}
