@@ -172,9 +172,10 @@ type Engine struct {
 	// releases e.mu). A published slice is never modified, so PendingRequests
 	// hands it out without taking the lock.
 	pendingView atomic.Pointer[[]OpenRequest]
-	// pendingDirty records that pending changed since the view was last
-	// published. Written under e.mu.
-	pendingDirty bool
+	// pendingChanged holds the ids that joined or left pending since the
+	// view was last published, so publishing merges them into the previous
+	// view instead of sorting every request again. Written under e.mu.
+	pendingChanged map[string]struct{}
 	// requestStrata maps each pending request id to the strata whose rules
 	// generated it. When the retraction phase recomputes a stratum it drops
 	// that stratum's requests first and lets the recompute re-admit the ones
@@ -258,6 +259,7 @@ func NewEngineWith(p *Program, db *relstore.Database) (*Engine, error) {
 		planRels:       make(map[*Rule][]*relstore.Relation, len(p.Rules)),
 		planCache:      make(map[*Rule]*rulePlans, len(p.Rules)),
 		statsEpochSeen: make(map[string]uint64),
+		pendingChanged: make(map[string]struct{}),
 	}
 	e.pendingView.Store(&[]OpenRequest{})
 	for _, r := range p.Rules {
@@ -791,10 +793,10 @@ func diffRetraction(r *relstore.Relation, old map[string]snapshotEntry, stats *S
 func (e *Engine) dropAllRequestsLocked() {
 	for id := range e.pending {
 		e.withdrawn[id] = true
+		e.pendingChanged[id] = struct{}{}
 	}
 	e.pending = make(map[string]OpenRequest)
 	e.requestStrata = make(map[string]map[int]bool)
-	e.pendingDirty = true
 }
 
 // dropStratumRequestsLocked removes stratum idx from every pending request's
@@ -812,7 +814,7 @@ func (e *Engine) dropStratumRequestsLocked(idx int) {
 		delete(e.requestStrata, id)
 		if _, ok := e.pending[id]; ok {
 			delete(e.pending, id)
-			e.pendingDirty = true
+			e.pendingChanged[id] = struct{}{}
 			e.withdrawn[id] = true
 		}
 	}
@@ -909,21 +911,40 @@ func (e *Engine) PendingRequests() []OpenRequest {
 	return *e.pendingView.Load()
 }
 
-// publishPendingLocked publishes the pending map, sorted by ID, as the view
-// PendingRequests returns, if the map changed since the last publication, and
-// returns the view. Every exported operation that can change the pending set
-// calls it before releasing e.mu, so the sort runs once per change instead of
-// once per read. Caller holds e.mu.
+// publishPendingLocked brings the published view up to date with the pending
+// map and returns it. Every exported operation that can change the pending
+// set calls it before releasing e.mu. Only the changed ids are sorted; each
+// is located in the previous view by binary search and the unchanged runs
+// between them are copied whole, so changing Δ of P requests costs
+// O(Δ log P) comparisons plus one copy of the view. A sort of all P on
+// every publication lies on the path of every answer's fixpoint, and cost
+// translate answers measurable latency (EXPERIMENTS.md §10). A full run
+// that drops every request records every id. Caller holds e.mu.
 func (e *Engine) publishPendingLocked() []OpenRequest {
-	if !e.pendingDirty {
+	if len(e.pendingChanged) == 0 {
 		return *e.pendingView.Load()
 	}
-	out := make([]OpenRequest, 0, len(e.pending))
-	for _, r := range e.pending {
-		out = append(out, r)
+	ids := make([]string, 0, len(e.pendingChanged))
+	for id := range e.pendingChanged {
+		ids = append(ids, id)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	e.pendingDirty = false
+	sort.Strings(ids)
+	prev := *e.pendingView.Load()
+	out := make([]OpenRequest, 0, len(e.pending))
+	for _, id := range ids {
+		i := sort.Search(len(prev), func(k int) bool { return prev[k].ID >= id })
+		out = append(out, prev[:i]...)
+		if prev = prev[i:]; len(prev) > 0 && prev[0].ID == id {
+			prev = prev[1:]
+		}
+		if r, ok := e.pending[id]; ok {
+			out = append(out, r)
+		}
+	}
+	out = append(out, prev...)
+	// A fresh map, not clear: ranging over a cleared map still walks every
+	// bucket a full run's admissions grew it to.
+	e.pendingChanged = make(map[string]struct{})
 	e.pendingView.Store(&out)
 	return out
 }
@@ -973,7 +994,7 @@ func (e *Engine) missingRequestErrLocked(id string) error {
 // bookkeeping. Caller holds e.mu.
 func (e *Engine) closePendingLocked(id string) {
 	delete(e.pending, id)
-	e.pendingDirty = true
+	e.pendingChanged[id] = struct{}{}
 	delete(e.requestStrata, id)
 	delete(e.withdrawn, id)
 	e.answered[id] = true
@@ -1472,7 +1493,7 @@ func (e *Engine) admitRequests(reqs []OpenRequest, stratum int) {
 		}
 		if _, dup := e.pending[r.ID]; !dup {
 			e.pending[r.ID] = r
-			e.pendingDirty = true
+			e.pendingChanged[r.ID] = struct{}{}
 			delete(e.withdrawn, r.ID)
 		}
 		origins := e.requestStrata[r.ID]

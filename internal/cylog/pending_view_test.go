@@ -158,7 +158,11 @@ func TestPendingViewFollowsEveryMutator(t *testing.T) {
 	}
 
 	// New items after a completed fixpoint make the full run retract first:
-	// every request is dropped and the live ones are re-admitted.
+	// every request is dropped and the live ones are re-admitted. Approving
+	// item 7 first leaves review|7 among the dropped requests that are not.
+	if err := e.Answer("approve|7", map[string]any{"ok": true}); err != nil {
+		t.Fatal(err)
+	}
 	for n := 9; n <= 10; n++ {
 		if err := e.AddFact("item", n); err != nil {
 			t.Fatal(err)
@@ -168,8 +172,8 @@ func TestPendingViewFollowsEveryMutator(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireViewIsPendingSet(t, e, "Run after AddFact")
-	want := []string{"approve|10", "approve|7", "approve|8", "approve|9",
-		"review|10", "review|3", "review|4", "review|5", "review|7", "review|8", "review|9"}
+	want := []string{"approve|10", "approve|8", "approve|9",
+		"review|10", "review|3", "review|4", "review|5", "review|8", "review|9"}
 	if got := requestIDList(e.PendingRequests()); !reflect.DeepEqual(got, want) {
 		t.Fatalf("final pending = %v, want %v", got, want)
 	}
