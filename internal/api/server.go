@@ -49,9 +49,8 @@ type Options struct {
 	QueueCapacity int
 	// CommitInterval > 0 starts the background deriver, which commits a
 	// round (incremental fixpoint + WAL) for a project as soon as answers or
-	// facts are staged for it, holding a commit that would follow another
-	// back to back for as long as that one took; the interval does not delay
-	// commits. It is the default RetryAfter hint. Zero disables the deriver — rounds then
+	// facts are staged for it; the interval does not delay commits. It is
+	// the default RetryAfter hint. Zero disables the deriver — rounds then
 	// commit only via POST .../fixpoint, which is what the differential
 	// tests use to make round boundaries deterministic.
 	CommitInterval time.Duration
@@ -140,33 +139,22 @@ func (s *Server) Close() {
 // deriveLoop is the background fixpoint pump, a group-commit deriver. It
 // sleeps until the platform signals staged work (Platform.Staged) and then
 // commits one round for each project with staged answers or facts. Work
-// staged while a commit runs signals again and forms the next round. If that
-// round already holds work when the commit ends, the stagers are queueing
-// behind commits, and the round is held until as much time has passed as the
-// commit took: it collects the stagers that queued on the engine lock, and
-// back-to-back commits hold the engine at most half the time. Work that
-// arrives after a commit ended is committed at once. Rounds thus grow with
-// load by themselves and no answer waits for a clock. A project whose
-// description sets CommitInterval (commit_interval_ms over the API) is
-// committed at most once per that interval, measured from the end of its
-// previous deriver commit; the timer wakes the loop when the earliest
-// held-back project comes due. One loop serves every project, so commits for
-// different projects are serialized — matching the single-writer WAL
-// discipline — while staging stays fully concurrent.
+// staged while a commit runs signals again and forms the next round, which
+// is committed as soon as the pass returns: rounds grow with load by
+// themselves and no answer waits for a clock. A project whose description
+// sets CommitInterval (commit_interval_ms over the API) is committed at most
+// once per that interval, measured from the end of its previous deriver
+// commit; the timer wakes the loop when the earliest such project comes due.
+// One loop serves every project, so commits for different projects are
+// serialized — matching the single-writer WAL discipline — while staging
+// stays fully concurrent.
 func (s *Server) deriveLoop() {
 	defer s.wg.Done()
-	// The timer runs only while some project is held back.
+	// The timer runs only while some project is held back by its interval.
 	timer := time.NewTimer(time.Hour)
 	rearm(timer, 0)
 	defer timer.Stop()
-	// last holds each project's previous deriver commit: when it ended, and
-	// how long the next round is held after that end because the round was
-	// already staging then (zero when it was not).
-	type commitMark struct {
-		end  time.Time
-		hold time.Duration
-	}
-	last := make(map[project.ID]commitMark)
+	lastCommit := make(map[project.ID]time.Time)
 	for {
 		select {
 		case <-s.stop:
@@ -181,24 +169,18 @@ func (s *Server) deriveLoop() {
 			// the round's batch: they need a commit too, or an idle project
 			// would never derive them.
 			eng := s.p.Engine(id)
-			if eng == nil {
+			if eng == nil || (s.p.StagedAnswers(id) == 0 && eng.StagedDeltas() == 0) {
 				continue
 			}
-			staged := func() bool { return s.p.StagedAnswers(id) > 0 || eng.StagedDeltas() > 0 }
-			if !staged() {
-				continue
-			}
-			if m, ok := last[id]; ok {
-				gap := max(a.Description.CommitInterval, m.hold)
-				if wait := gap - time.Since(m.end); wait > 0 {
+			if last, ok := lastCommit[id]; ok && a.Description.CommitInterval > 0 {
+				if wait := a.Description.CommitInterval - time.Since(last); wait > 0 {
 					if next == 0 || wait < next {
 						next = wait
 					}
 					continue
 				}
 			}
-			rc, err := s.p.CommitRound(id)
-			if err != nil {
+			if _, err := s.p.CommitRound(id); err != nil {
 				// Record through the platform event log, not the hub
 				// directly: the failure must reach the event log
 				// (Platform.Events) as well as currently connected
@@ -206,11 +188,7 @@ func (s *Server) deriveLoop() {
 				// platform subscription.
 				s.p.Record(platform.Event{Kind: "commit-error", Project: id, Message: err.Error()})
 			}
-			m := commitMark{end: time.Now()}
-			if staged() {
-				m.hold = rc.Duration
-			}
-			last[id] = m
+			lastCommit[id] = time.Now()
 		}
 		rearm(timer, next)
 	}
