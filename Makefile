@@ -144,14 +144,17 @@ crashcheck:
 crashcheck-content:
 	$(GO) run ./cmd/walcheck -iterations $(CRASH_ITERS) -seed $(CRASH_SEED) -backend "$(CRASH_BACKEND)" -content-fuzz
 
-# Coverage-guided fuzzing smoke for the untrusted-input surfaces: the binary
-# snapshot importer, the CyLog parser and the WebSocket frame reader. Go
-# allows one -fuzz target per invocation, hence one run per target. Crashers
-# are saved under the package's testdata/fuzz/ — commit them; they become
-# permanent regression seeds.
+# Coverage-guided fuzzing smoke for the untrusted-input surfaces — the binary
+# snapshot importer, the CyLog parser and the WebSocket frame reader — and for
+# counting maintenance, whose fact and answer streams must leave the engine
+# equal to the from-scratch reference, counts included. Go allows one -fuzz
+# target per invocation, hence one run per target. Crashers are saved under
+# the package's testdata/fuzz/ — commit them; they become permanent
+# regression seeds.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzImportDatabaseBinary$$' -fuzztime $(FUZZTIME) ./internal/relstore/
 	$(GO) test -run '^$$' -fuzz '^FuzzParser$$' -fuzztime $(FUZZTIME) ./internal/cylog/
+	$(GO) test -run '^$$' -fuzz '^FuzzRetractionDifferential$$' -fuzztime $(FUZZTIME) ./internal/cylog/
 	$(GO) test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime $(FUZZTIME) ./internal/api/wire/
 
 # Validates relative links (files and heading anchors) in README.md,

@@ -33,9 +33,9 @@ type Analysis struct {
 	DependsOn map[string][]string
 	// NegDependsOn maps a head relation to the body relations it references
 	// under negation — the relations whose growth can invalidate previously
-	// derived head tuples. The engine's retraction trigger itself works at
-	// stratum granularity through StratumNegInputs; this per-head view is the
-	// analysis surface for tooling, tests and finer-grained propagation.
+	// derived head tuples. The engine works at stratum granularity through
+	// StratumNegInputs; this per-head view is the analysis surface for
+	// tooling and tests.
 	NegDependsOn map[string][]string
 	// RuleVars maps each rule to its variable inventory: every named variable
 	// appearing in the rule, in first-appearance order (body literals in
@@ -45,21 +45,26 @@ type Analysis struct {
 	RuleVars map[*Rule][]string
 	// StratumInputs is the relation→stratum dependency map used by
 	// incremental evaluation, stored transposed: entry i holds the relations
-	// read by a *positive* body atom of some rule in Strata[i] — exactly the
-	// relations whose growth can yield new facts or new open requests there.
-	// RunIncremental skips stratum i outright when none of its inputs gained
-	// tuples since the last fixpoint. Negated atoms are deliberately
-	// excluded: a change under negation cannot be delta-seeded, so they are
-	// tracked separately in StratumNegInputs.
+	// read by a *positive* body atom of some rule in Strata[i]. Negated atoms
+	// are tracked separately in StratumNegInputs. RunIncremental skips
+	// stratum i outright when none of the relations in either map changed
+	// since the last fixpoint, and recomputes a recursive stratum when one of
+	// these lost tuples.
 	StratumInputs []map[string]bool
 	// StratumNegInputs is the negative twin of StratumInputs: entry i holds
 	// the relations read by a *negated* body atom of some rule in Strata[i].
-	// A change (insertion or deletion) in one of these relations means
-	// previously derived tuples of the stratum may have lost their
-	// justification (or blocked derivations may have become valid), so
-	// RunIncremental recomputes the affected heads instead of skipping or
-	// delta-seeding the stratum.
+	// A change (insertion or deletion) in one of these relations blocks or
+	// unblocks derivations of the stratum, so RunIncremental cannot skip it:
+	// it counts the derivations the change gains and loses, or recomputes the
+	// stratum when it is recursive.
 	StratumNegInputs []map[string]bool
+	// RecursiveStrata marks the strata whose heads form a cycle of positive
+	// dependencies (a head that depends on itself through rules of its own
+	// stratum). Counting cannot retract such support — a cycle keeps its
+	// counts after its base is gone — so RunIncremental recomputes a
+	// recursive stratum when it loses an input tuple or a negated input
+	// changes, and maintains every other stratum by counting.
+	RecursiveStrata []bool
 }
 
 // ruleVariableInventory collects the named variables of a rule in
@@ -229,7 +234,58 @@ func Analyze(p *Program) (*Analysis, error) {
 	a.Strata = strata
 	a.StratumInputs = stratumInputs(strata, false)
 	a.StratumNegInputs = stratumInputs(strata, true)
+	a.RecursiveStrata = make([]bool, len(strata))
+	for i, rules := range strata {
+		a.RecursiveStrata[i] = recursive(rules)
+	}
 	return a, nil
+}
+
+// recursive reports whether the rules of one stratum form a cycle of positive
+// dependencies among their heads: a depth-first search over the edges head →
+// in-stratum body relation that meets a relation still on its path.
+func recursive(rules []*Rule) bool {
+	deps := make(map[string][]string)
+	for _, r := range rules {
+		deps[r.Head.Predicate] = nil
+	}
+	for _, r := range rules {
+		for _, lit := range r.Body {
+			if atom, ok := lit.(*Atom); ok && !atom.Negated {
+				if _, inStratum := deps[atom.Predicate]; inStratum {
+					deps[r.Head.Predicate] = append(deps[r.Head.Predicate], atom.Predicate)
+				}
+			}
+		}
+	}
+	const (
+		onPath = 1
+		done   = 2
+	)
+	state := make(map[string]int, len(deps))
+	var cyclic func(rel string) bool
+	cyclic = func(rel string) bool {
+		switch state[rel] {
+		case onPath:
+			return true
+		case done:
+			return false
+		}
+		state[rel] = onPath
+		for _, d := range deps[rel] {
+			if cyclic(d) {
+				return true
+			}
+		}
+		state[rel] = done
+		return false
+	}
+	for rel := range deps {
+		if cyclic(rel) {
+			return true
+		}
+	}
+	return false
 }
 
 // stratumInputs computes, per stratum, the set of relations its rules read

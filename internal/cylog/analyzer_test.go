@@ -203,8 +203,8 @@ func TestAnalyzeStratumInputs(t *testing.T) {
 
 // TestAnalyzeStratumNegInputs pins the negative twin of the dependency map:
 // per stratum, exactly the relations read by a negated body atom — the
-// relations whose changes force the retraction machinery to recompute the
-// stratum's affected heads — plus the per-head NegDependsOn index.
+// relations whose changes block or unblock the stratum's derivations — plus
+// the per-head NegDependsOn index.
 func TestAnalyzeStratumNegInputs(t *testing.T) {
 	a := MustAnalyze(MustParse(incrementalProgram))
 	if len(a.StratumNegInputs) != len(a.Strata) {
@@ -231,6 +231,37 @@ func TestAnalyzeStratumNegInputs(t *testing.T) {
 	}
 	if deps := a.NegDependsOn["labeled"]; len(deps) != 0 {
 		t.Errorf("NegDependsOn[labeled] = %v, want none", deps)
+	}
+}
+
+// TestAnalyzeRecursiveStrata pins which strata the engine must recompute
+// instead of counting: those whose heads depend positively on themselves,
+// directly or through other heads of the stratum. Negation and dependencies
+// on lower strata never make a stratum recursive.
+func TestAnalyzeRecursiveStrata(t *testing.T) {
+	cases := []struct {
+		name string
+		src  string
+		want []bool
+	}{
+		{"chain", `rel a(x: int). rel b(x: int). rel c(x: int).
+b(X) :- a(X). c(X) :- b(X).`, []bool{false}},
+		{"self loop", `rel e(x: int, y: int). rel r(x: int, y: int).
+r(X, Y) :- e(X, Y). r(X, Z) :- r(X, Y), e(Y, Z).`, []bool{true}},
+		{"mutual", `rel e(x: int). rel p(x: int). rel q(x: int).
+p(X) :- e(X). p(X) :- q(X). q(X) :- p(X).`, []bool{true}},
+		{"negation above recursion", `rel e(x: int, y: int). rel n(x: int). rel r(x: int, y: int). rel u(x: int).
+r(X, Y) :- e(X, Y). r(X, Z) :- r(X, Y), e(Y, Z). u(N) :- n(N), !r(_, N).`, []bool{true, false}},
+	}
+	for _, c := range cases {
+		a := MustAnalyze(MustParse(c.src))
+		if fmt.Sprint(a.RecursiveStrata) != fmt.Sprint(c.want) {
+			t.Errorf("%s: RecursiveStrata = %v, want %v", c.name, a.RecursiveStrata, c.want)
+		}
+	}
+	a := MustAnalyze(MustParse(incrementalProgram))
+	if fmt.Sprint(a.RecursiveStrata) != "[true false false]" {
+		t.Errorf("incrementalProgram: RecursiveStrata = %v, want [true false false]", a.RecursiveStrata)
 	}
 }
 

@@ -19,7 +19,9 @@ import (
 // configuration of the matrix and checks the engine after every round. Every
 // round must also derive as many facts (Stats().DerivedFacts) as the
 // one-worker engine in the same commit mode: the worker pool must not change
-// how much work a round does.
+// how much work a round does. A program without recursive strata is
+// maintained by counting, so no incremental round of it may re-derive a
+// tuple (Stats().ReDerivedTuples).
 
 // config is one engine configuration of the differential matrix.
 type config struct {
@@ -56,8 +58,12 @@ type workload struct {
 	seed func(a, b []uint8, add addFunc)
 	// answer returns the open-column values a worker gives the request.
 	answer func(r cylog.OpenRequest) map[string]any
-	// between, when set, adds base facts in the same round as the answers.
+	// between, when set, adds base facts in the same round as the answers;
+	// rounds then go on while no request is pending.
 	between func(round int, a []uint8, add addFunc)
+	// counts also checks the stored derivation counts and request support
+	// against reference.Derivations after every round (checkCounts).
+	counts bool
 }
 
 // checkRounds runs the workload on one configuration — a full Run, then up
@@ -81,21 +87,36 @@ func checkRounds(t *testing.T, w workload, cfg config, a, b, picks []uint8, roun
 		w.seed(a, b, add)
 	}
 	var derived []int
+	recursive := slices.Contains(e.Analysis().RecursiveStrata, true)
 	reqs, err := e.Run()
 	for round := 1; ; round++ {
 		if err != nil {
 			t.Fatal(err)
 		}
-		derived = append(derived, e.Stats().DerivedFacts)
+		s := e.Stats()
+		derived = append(derived, s.DerivedFacts)
 		if err := reference.Check(e, reference.BaseFacts(e)); err != nil {
 			t.Logf("%s: round %d: %v", cfg, round-1, err)
 			return derived, false
 		}
-		if round > rounds || len(reqs) == 0 {
+		if w.counts {
+			if err := checkCounts(e); err != nil {
+				t.Logf("%s: round %d: %v", cfg, round-1, err)
+				return derived, false
+			}
+		}
+		if cfg.incremental && round > 1 && !recursive && s.ReDerivedTuples != 0 {
+			t.Logf("%s: round %d re-derived %d tuples of a program without recursive strata", cfg, round-1, s.ReDerivedTuples)
+			return derived, false
+		}
+		if round > rounds || (len(reqs) == 0 && w.between == nil) {
 			return derived, true
 		}
 		batch := e.NewAnswerBatch()
 		for _, p := range picks {
+			if len(reqs) == 0 {
+				break
+			}
 			r := reqs[int(p)%len(reqs)]
 			// A request picked twice is rejected the second time, on
 			// either path.
@@ -174,8 +195,10 @@ func labelAnswer(r cylog.OpenRequest) map[string]any {
 // several strata — recursion, negation over a derived relation, a comparison
 // and an open relation — with label answers over three rounds.
 func TestDifferentialProgramMatchesReference(t *testing.T) {
-	runDifferential(t, workload{program: cylog.DifferentialProgram, seed: seedGraph, answer: labelAnswer}, 3, 8)
+	runDifferential(t, differentialWorkload, 3, 8)
 }
+
+var differentialWorkload = workload{program: cylog.DifferentialProgram, seed: seedGraph, answer: labelAnswer}
 
 // TestSemiNaiveClosureMatchesReference checks the semi-naive delta variants
 // of a recursive rule against naive iteration over random graphs.

@@ -57,9 +57,12 @@ func (r OpenRequest) String() string {
 type Stats struct {
 	Iterations      int
 	RuleEvaluations int
-	DerivedFacts    int
-	JoinedBindings  int
-	OpenRequests    int
+	// DerivedFacts counts the tuples the run added to derived relations that
+	// they did not hold before the run. Tuples a recompute cleared and
+	// derived again count as ReDerivedTuples instead.
+	DerivedFacts   int
+	JoinedBindings int
+	OpenRequests   int
 	// IndexProbes counts equality lookups issued for body atoms with bound
 	// join columns; IndexHits counts the subset answered by a composite hash
 	// index rather than a scan. FullScans counts atom evaluations that fell
@@ -80,23 +83,22 @@ type Stats struct {
 	// runs on one worker.
 	ParallelTasks int
 	// SkippedStrata counts the strata RunIncremental skipped outright because
-	// none of their positive inputs (Analysis.StratumInputs) gained tuples
-	// since the last fixpoint. Always zero for a full Run.
+	// none of their inputs (Analysis.StratumInputs and StratumNegInputs)
+	// changed since the last fixpoint. Always zero for a full Run.
 	SkippedStrata int
 	// SeededDeltas counts the tuples RunIncremental seeded into the first
 	// delta frontiers — the facts ingested since the last fixpoint (answer
 	// batches, Answer/AnswerFact, AddFact) whose consequences the run
 	// derives. Always zero for a full Run.
 	SeededDeltas int
-	// RetractedTuples counts the derived tuples the retraction phase removed
-	// for good this run: tuples whose every derivation was invalidated (for
-	// example by a fact landing in a relation they negate) and that the
-	// re-derivation pass did not bring back.
+	// RetractedTuples counts the derived tuples this run removed: tuples
+	// whose every derivation was invalidated (for example by a fact landing
+	// in a relation they negate).
 	RetractedTuples int
-	// ReDerivedTuples counts the tuples the retraction phase over-deleted but
-	// that survived: they were cleared together with the genuinely
-	// invalidated tuples of their relation and re-derived from the remaining
-	// facts.
+	// ReDerivedTuples counts the tuples a recompute cleared but that survived
+	// it: a recursive stratum that must retract (docs/ARCHITECTURE.md §9) is
+	// cleared down to its base facts and re-derived, and so is every derived
+	// relation on a full run. Counting maintenance re-derives nothing.
 	ReDerivedTuples int
 	// PlanCacheHits and PlanCacheMisses count compiled-plan lookups served
 	// from the plan cache versus re-planned because no entry matched the
@@ -176,12 +178,13 @@ type Engine struct {
 	// view was last published, so publishing merges them into the previous
 	// view instead of sorting every request again. Written under e.mu.
 	pendingChanged map[string]struct{}
-	// requestStrata maps each pending request id to the strata whose rules
-	// generated it. When the retraction phase recomputes a stratum it drops
-	// that stratum's requests first and lets the recompute re-admit the ones
-	// still generated — requests whose guard vanished are withdrawn instead
-	// of dangling forever. Entries live exactly as long as the pending entry.
-	requestStrata map[string]map[int]bool
+	// requestSupport maps each pending request id to its support per origin
+	// stratum: the number of bindings of that stratum's rules that reach an
+	// open atom with the request's key and no fact for it. Counting
+	// maintenance adds and subtracts bindings; a request whose support drops
+	// to zero everywhere is withdrawn instead of dangling forever. Entries
+	// live exactly as long as the pending entry.
+	requestSupport map[string]map[int]int
 	// withdrawn remembers ids of requests the retraction machinery closed
 	// because their generating derivation vanished. Unlike answered ids they
 	// may be re-issued if the derivation returns; until then, answering one
@@ -253,7 +256,7 @@ func NewEngineWith(p *Program, db *relstore.Database) (*Engine, error) {
 		staged:         make(map[string][]relstore.Tuple),
 		rowSchemas:     make(map[*Rule]*rowSchema, len(p.Rules)),
 		pending:        make(map[string]OpenRequest),
-		requestStrata:  make(map[string]map[int]bool),
+		requestSupport: make(map[string]map[int]int),
 		withdrawn:      make(map[string]bool),
 		answered:       make(map[string]bool),
 		planRels:       make(map[*Rule][]*relstore.Relation, len(p.Rules)),
@@ -418,7 +421,7 @@ func (e *Engine) StagedDeltas() int {
 }
 
 // claimBookkeeper asserts the single-writer invariant of request and
-// delta-staging bookkeeping: the pending/requestStrata/staged maps have
+// delta-staging bookkeeping: the pending/requestSupport/staged maps have
 // exactly one writer at a time — the goroutine holding e.mu, which during
 // evaluation is the merge side of the stratum loop. Pool workers must never
 // reach these maps; a violation panics immediately (a corrupted pending set
@@ -456,17 +459,24 @@ func (e *Engine) Run() ([]OpenRequest, error) {
 	return pending, nil
 }
 
-// runFullLocked is the full fixpoint: every stratum re-evaluated from its
-// full relations. It is preceded by a deletion pre-pass: derived relations
-// that may have shrunk since the last fixpoint (fullRetractionTargets over
-// the staged insertions) are over-deleted down to their base facts and every
-// pending request is dropped; the full evaluation then re-derives the
-// survivors and re-admits the live requests, so the result is exactly the
-// from-scratch fixpoint of the current facts. Caller holds e.mu and
-// publishes the pending view afterwards.
+// runFullLocked is the full fixpoint: every derived relation is rebuilt from
+// base support (conservativeClearLocked), every pending request is dropped,
+// and every stratum is re-evaluated from its full relations, re-admitting the
+// live requests. The result, derivation counts and request support included,
+// is exactly the from-scratch fixpoint of the current facts whatever the
+// engine held before. Caller holds e.mu and publishes the pending view
+// afterwards.
 func (e *Engine) runFullLocked() error {
 	stats := Stats{}
-	old := e.retractBeforeFullLocked()
+	targets := make(map[string]bool, len(e.analysis.IDB))
+	for rel := range e.analysis.IDB {
+		targets[rel] = true
+	}
+	old := e.snapshotRelationsLocked(targets)
+	for rel := range targets {
+		e.conservativeClearLocked(rel)
+	}
+	e.dropAllRequestsLocked()
 	for i, stratum := range e.analysis.Strata {
 		if err := e.runStratum(i, stratum, nil, nil, &stats); err != nil {
 			// A partial run leaves the database between fixpoints; force the
@@ -483,50 +493,8 @@ func (e *Engine) runFullLocked() error {
 			diffRetraction(e.db.Relation(rel), snap, &stats)
 		}
 	}
-	// Even with no rules at all, open relations referenced by rules would be
-	// the only request source; requests were collected during rule evaluation.
 	e.finishRun(&stats)
 	return nil
-}
-
-// retractBeforeFullLocked is the deletion pre-pass of a full run. It
-// over-deletes the derived relations the staged insertions can shrink — or,
-// when no completed fixpoint stands behind the current contents (fresh
-// engine, recovery after a failed run), every derived relation — and drops
-// all pending requests so the full evaluation re-admits exactly the live
-// ones. It returns the pre-deletion snapshots of the cleared relations for
-// the post-run Stats diff, nil when nothing needed clearing. Caller holds
-// e.mu.
-func (e *Engine) retractBeforeFullLocked() map[string]map[string]snapshotEntry {
-	conservative := !e.ranOnce
-	var targets map[string]bool
-	if conservative {
-		targets = make(map[string]bool, len(e.analysis.IDB))
-		for rel := range e.analysis.IDB {
-			targets[rel] = true
-		}
-	} else {
-		changed := make(map[string]bool, len(e.staged))
-		for rel, ts := range e.staged {
-			if len(ts) > 0 {
-				changed[rel] = true
-			}
-		}
-		targets = e.fullRetractionTargets(changed)
-	}
-	if len(targets) == 0 {
-		return nil
-	}
-	old := e.snapshotRelationsLocked(targets)
-	for rel := range targets {
-		if conservative {
-			e.conservativeClearLocked(rel)
-		} else if r := e.db.Relation(rel); r != nil {
-			r.ClearDerived()
-		}
-	}
-	e.dropAllRequestsLocked()
-	return old
 }
 
 // conservativeClearLocked rebuilds a derived relation down to its
@@ -548,179 +516,91 @@ func (e *Engine) conservativeClearLocked(rel string) {
 	}
 }
 
-// fullRetractionTargets computes which derived relations may need to shrink
-// after the relations in changed gained tuples. Growth and shrinkage
-// propagate jointly: a head may grow when a positive dependency grows or a
-// negated one shrinks, and may shrink when a positive dependency shrinks or a
-// negated one grows. The shrink set is a (conservative) superset of the
-// relations whose from-scratch contents differ downwards; clearing a relation
-// that would not have shrunk only costs its re-derivation.
-func (e *Engine) fullRetractionTargets(changed map[string]bool) map[string]bool {
-	grow := make(map[string]bool, len(changed))
-	for rel := range changed {
-		grow[rel] = true
-	}
-	shrink := make(map[string]bool)
-	for again := true; again; {
-		again = false
-		for _, r := range e.analysis.Program.Rules {
-			h := r.Head.Predicate
-			for _, lit := range r.Body {
-				a, ok := lit.(*Atom)
-				if !ok {
-					continue
-				}
-				g, s := grow[a.Predicate], shrink[a.Predicate]
-				if a.Negated {
-					g, s = s, g
-				}
-				if g && !grow[h] {
-					grow[h] = true
-					again = true
-				}
-				if s && !shrink[h] {
-					shrink[h] = true
-					again = true
-				}
-			}
-		}
-	}
-	return shrink
-}
-
 // runIncrementalLocked evaluates only the consequences of the tuples staged
-// since the last fixpoint: the staged tuples seed the first delta frontiers,
-// each stratum whose inputs saw no change is skipped outright, and the tuples
-// a stratum derives join the delta pool for the strata after it. A stratum
-// whose *negated* inputs changed — or whose positive inputs lost tuples to an
-// upstream retraction — is recomputed instead of delta-seeded
-// (recomputeStratumLocked), and its net deletions propagate alongside the
-// insertions. Falls back to the full path when no fixpoint has completed yet
-// (a fresh engine, or after a failed run). Caller holds e.mu and publishes
-// the pending view afterwards.
+// since the last fixpoint. The staged tuples start the round's delta; each
+// stratum none of whose inputs changed is skipped outright, every other one
+// counts the derivations and requests the delta gains and loses (runStratum)
+// and adds its heads' net changes to the delta for the strata after it. A
+// recursive stratum that loses an input tuple or sees a negated input change
+// is recomputed instead (recomputeStratumLocked). Falls back to the full path
+// when no fixpoint has completed yet (a fresh engine, or after a failed run).
+// Caller holds e.mu and publishes the pending view afterwards.
 func (e *Engine) runIncrementalLocked() error {
 	if !e.ranOnce {
 		return e.runFullLocked()
 	}
 	stats := Stats{}
-	ins := e.staged
+	round := &delta{plus: e.staged}
 	e.clearStaged()
-	del := make(map[string][]relstore.Tuple)
-	for _, ts := range ins {
+	for _, ts := range round.plus {
 		stats.SeededDeltas += len(ts)
 	}
 	for i, stratum := range e.analysis.Strata {
-		switch {
-		case e.stratumNeedsRetraction(i, ins, del):
-			if err := e.recomputeStratumLocked(i, stratum, ins, del, &stats); err != nil {
-				e.ranOnce = false
-				return err
-			}
-		case deltaReaches(ins, e.analysis.StratumInputs[i]):
-			derived := make(map[string][]relstore.Tuple)
-			if err := e.runStratum(i, stratum, ins, derived, &stats); err != nil {
-				e.ranOnce = false
-				return err
-			}
-			for rel, ts := range derived {
-				ins[rel] = append(ins[rel], ts...)
-			}
-		default:
+		if !round.reaches(e.analysis.StratumInputs[i]) && !round.reaches(e.analysis.StratumNegInputs[i]) {
 			stats.SkippedStrata++
+			continue
+		}
+		var err error
+		if e.analysis.RecursiveStrata[i] && e.stratumNeedsRecompute(i, round) {
+			err = e.recomputeStratumLocked(i, stratum, round, &stats)
+		} else {
+			heads := newDelta()
+			err = e.runStratum(i, stratum, round, heads, &stats)
+			heads.cancel()
+			round.add(heads)
+		}
+		if err != nil {
+			e.ranOnce = false
+			return err
 		}
 	}
 	e.finishRun(&stats)
 	return nil
 }
 
-// stratumNeedsRetraction reports whether stratum i must be recomputed rather
-// than delta-seeded: some relation it reads under negation changed in either
-// direction (new tuples block derivations, deleted tuples unblock them), or
-// some relation it reads positively lost tuples — both invalidate previously
-// derived tuples in ways insert-only delta seeding cannot express.
-func (e *Engine) stratumNeedsRetraction(i int, ins, del map[string][]relstore.Tuple) bool {
-	if deltaReaches(del, e.analysis.StratumInputs[i]) {
-		return true
-	}
-	neg := e.analysis.StratumNegInputs[i]
-	return deltaReaches(ins, neg) || deltaReaches(del, neg)
-}
-
-// recomputeStratumLocked is the retraction phase of one stratum: the heads
-// whose derivations may have been invalidated (stratumRetractionTargets) are
-// over-deleted down to their base facts, the stratum's pending requests are
-// dropped, and the whole stratum is re-run to a local fixpoint from its
-// (already updated) inputs — re-deriving every surviving tuple, re-admitting
-// every still-generated request, and re-counting derivation support. The
-// snapshot diff then yields the net deletions and insertions, which extend
-// the del/ins pools for the strata downstream. Caller holds e.mu.
-func (e *Engine) recomputeStratumLocked(idx int, rules []*Rule, ins, del map[string][]relstore.Tuple, stats *Stats) error {
-	targets := stratumRetractionTargets(rules, ins, del)
-	old := e.snapshotRelationsLocked(targets)
-	for rel := range targets {
-		if r := e.db.Relation(rel); r != nil {
-			r.ClearDerived()
+// stratumNeedsRecompute reports whether a recursive stratum must be
+// recomputed rather than counted: some relation it reads positively lost
+// tuples, or some relation it reads under negation changed. Counting cannot
+// retract support that runs through a cycle; insertions alone it handles.
+func (e *Engine) stratumNeedsRecompute(i int, round *delta) bool {
+	for rel := range e.analysis.StratumInputs[i] {
+		if len(round.minus[rel]) > 0 {
+			return true
 		}
 	}
+	return round.reaches(e.analysis.StratumNegInputs[i])
+}
+
+// recomputeStratumLocked is the retraction phase of a recursive stratum:
+// every head of the stratum is cleared down to its base facts, the stratum's
+// request support is dropped, and the whole stratum is re-run to a local
+// fixpoint from its (already updated) inputs — re-deriving every surviving
+// tuple with exact counts and re-admitting every still-generated request.
+// The snapshot diff then yields the net deletions and insertions, which join
+// the round's delta for the strata downstream. Caller holds e.mu.
+func (e *Engine) recomputeStratumLocked(idx int, rules []*Rule, round *delta, stats *Stats) error {
+	heads := make(map[string]bool)
+	for _, r := range rules {
+		heads[r.Head.Predicate] = true
+	}
+	old := e.snapshotRelationsLocked(heads)
+	for rel := range heads {
+		e.db.Relation(rel).ClearDerived()
+	}
 	e.dropStratumRequestsLocked(idx)
-	derived := make(map[string][]relstore.Tuple)
-	if err := e.runStratum(idx, rules, nil, derived, stats); err != nil {
+	if err := e.runStratum(idx, rules, nil, nil, stats); err != nil {
 		return err
 	}
 	for rel, snap := range old {
 		deleted, inserted := diffRetraction(e.db.Relation(rel), snap, stats)
 		if len(deleted) > 0 {
-			del[rel] = append(del[rel], deleted...)
+			round.lose(rel, deleted...)
 		}
 		if len(inserted) > 0 {
-			ins[rel] = append(ins[rel], inserted...)
-		}
-	}
-	// Heads outside the cleared set grew monotonically during the recompute;
-	// their newly inserted tuples seed downstream exactly like a seeded run's.
-	for rel, ts := range derived {
-		if !targets[rel] {
-			ins[rel] = append(ins[rel], ts...)
+			round.plus[rel] = append(round.plus[rel], inserted...)
 		}
 	}
 	return nil
-}
-
-// stratumRetractionTargets computes which heads of one stratum must be
-// over-deleted and re-derived: heads of rules reading a changed relation
-// under negation, heads of rules positively reading a relation that lost
-// tuples, and transitively every in-stratum head depending on one of those
-// (stratification guarantees in-stratum dependencies are positive).
-func stratumRetractionTargets(rules []*Rule, ins, del map[string][]relstore.Tuple) map[string]bool {
-	changed := func(rel string) bool { return len(ins[rel]) > 0 || len(del[rel]) > 0 }
-	targets := make(map[string]bool)
-	for again := true; again; {
-		again = false
-		for _, r := range rules {
-			h := r.Head.Predicate
-			if targets[h] {
-				continue
-			}
-			for _, lit := range r.Body {
-				a, ok := lit.(*Atom)
-				if !ok {
-					continue
-				}
-				hit := false
-				if a.Negated {
-					hit = changed(a.Predicate)
-				} else {
-					hit = len(del[a.Predicate]) > 0 || targets[a.Predicate]
-				}
-				if hit {
-					targets[h] = true
-					again = true
-					break
-				}
-			}
-		}
-	}
-	return targets
 }
 
 // snapshotEntry is one tuple of a pre-retraction snapshot plus whether it
@@ -755,10 +635,11 @@ func (e *Engine) snapshotRelationsLocked(targets map[string]bool) map[string]map
 // diffRetraction compares a relation's pre-retraction snapshot with its
 // post-fixpoint contents: snapshot tuples that did not come back are the net
 // deletions (Stats.RetractedTuples), cleared non-base tuples that did are the
-// re-derived survivors (Stats.ReDerivedTuples), and tuples absent from the
-// snapshot are the net insertions. The relation is read with one unsorted
-// scan; only the (typically much smaller) net deltas are sorted, so the
-// deletion/insertion pools seeded downstream stay deterministic.
+// re-derived survivors (Stats.ReDerivedTuples, which the stratum loop had
+// counted as DerivedFacts), and tuples absent from the snapshot are the net
+// insertions. The relation is read with one unsorted scan; only the
+// (typically much smaller) net deltas are sorted, so the deletion/insertion
+// lists seeded downstream stay deterministic.
 func diffRetraction(r *relstore.Relation, old map[string]snapshotEntry, stats *Stats) (deleted, inserted []relstore.Tuple) {
 	seen := make(map[string]bool, len(old))
 	r.Scan(func(t relstore.Tuple) bool {
@@ -767,6 +648,7 @@ func diffRetraction(r *relstore.Relation, old map[string]snapshotEntry, stats *S
 			seen[k] = true
 			if !entry.base {
 				stats.ReDerivedTuples++
+				stats.DerivedFacts--
 			}
 			return true
 		}
@@ -787,36 +669,42 @@ func diffRetraction(r *relstore.Relation, old map[string]snapshotEntry, stats *S
 	return deleted, inserted
 }
 
-// dropAllRequestsLocked withdraws every pending request (full-path
-// retraction: the subsequent full evaluation re-admits exactly the live
-// ones). Caller holds e.mu.
+// dropAllRequestsLocked withdraws every pending request (a full run: the
+// evaluation that follows re-admits exactly the live ones). Caller holds
+// e.mu.
 func (e *Engine) dropAllRequestsLocked() {
 	for id := range e.pending {
 		e.withdrawn[id] = true
 		e.pendingChanged[id] = struct{}{}
 	}
 	e.pending = make(map[string]OpenRequest)
-	e.requestStrata = make(map[string]map[int]bool)
+	e.requestSupport = make(map[string]map[int]int)
 }
 
-// dropStratumRequestsLocked removes stratum idx from every pending request's
-// origin set; requests generated only by that stratum are withdrawn (the
+// dropStratumRequestsLocked drops stratum idx's support from every pending
+// request; requests supported only by that stratum are withdrawn (the
 // recompute re-admits the ones still generated). Caller holds e.mu.
 func (e *Engine) dropStratumRequestsLocked(idx int) {
-	for id, origins := range e.requestStrata {
-		if !origins[idx] {
+	for id, support := range e.requestSupport {
+		if _, ok := support[idx]; !ok {
 			continue
 		}
-		delete(origins, idx)
-		if len(origins) > 0 {
-			continue
+		delete(support, idx)
+		if len(support) == 0 {
+			e.withdrawLocked(id)
 		}
-		delete(e.requestStrata, id)
-		if _, ok := e.pending[id]; ok {
-			delete(e.pending, id)
-			e.pendingChanged[id] = struct{}{}
-			e.withdrawn[id] = true
-		}
+	}
+}
+
+// withdrawLocked closes a pending request whose support vanished. Unlike an
+// answered one it may be issued again if its support returns. Caller holds
+// e.mu.
+func (e *Engine) withdrawLocked(id string) {
+	delete(e.requestSupport, id)
+	if _, ok := e.pending[id]; ok {
+		delete(e.pending, id)
+		e.pendingChanged[id] = struct{}{}
+		e.withdrawn[id] = true
 	}
 }
 
@@ -848,24 +736,14 @@ func (e *Engine) finishRun(stats *Stats) {
 	}
 }
 
-// deltaReaches reports whether any relation with staged or derived delta
-// tuples is a positive input of the stratum.
-func deltaReaches(delta map[string][]relstore.Tuple, inputs map[string]bool) bool {
-	for rel, ts := range delta {
-		if len(ts) > 0 && inputs[rel] {
-			return true
-		}
-	}
-	return false
-}
-
 // RunIncremental applies the answer batch (when non-nil) and evaluates to the
 // next fixpoint, seeding the delta frontiers directly from the newly inserted
 // tuples — the batch's plus any staged by Answer/AnswerFact/AddFact since the
 // last run — instead of re-evaluating every stratum from its full relations.
-// Strata none of whose positive inputs gained tuples are skipped outright
-// (Stats.SkippedStrata). The fixpoint, the pending requests and their IDs are
-// byte-identical to a full Run; only the work differs. Per-item batch
+// Strata none of whose inputs changed are skipped outright
+// (Stats.SkippedStrata). The fixpoint, the derivation counts, the pending
+// requests and their IDs are byte-identical to a full Run; only the work
+// differs. Per-item batch
 // failures (e.g. a request answered after staging) are recorded in the
 // batch's Errors and do not abort the run. Before the first completed run,
 // and after a failed one, the batch is still applied but evaluation takes the
@@ -995,7 +873,7 @@ func (e *Engine) missingRequestErrLocked(id string) error {
 func (e *Engine) closePendingLocked(id string) {
 	delete(e.pending, id)
 	e.pendingChanged[id] = struct{}{}
-	delete(e.requestStrata, id)
+	delete(e.requestSupport, id)
 	delete(e.withdrawn, id)
 	e.answered[id] = true
 }
@@ -1166,38 +1044,39 @@ func (e *Engine) RunToFixpointWithOracle(oracle func(OpenRequest) (map[string]an
 }
 
 // runStratum evaluates one stratum's rules to a local fixpoint. idx is the
-// stratum's index, recorded as the origin of every open request the stratum
-// admits (retraction drops and re-admits requests per origin stratum). A nil
-// seed selects the full pass: the first iteration evaluates every rule
-// without delta restriction. A non-nil seed selects the incremental pass: the
-// first iteration evaluates only delta variants restricted to the seeded
-// tuples (staged answers and the deltas of earlier strata), so unchanged
-// inputs are never re-joined. When derived is non-nil, every tuple the
-// stratum derives is accumulated into it per relation, for seeding the strata
-// downstream.
+// stratum's index, recorded as the origin of the request support the stratum
+// counts. A nil seed selects the full pass: the first iteration evaluates
+// every rule without restriction. A non-nil seed selects the counting pass:
+// the first iteration evaluates only the variants restricted to the seed's
+// changes (the round's staged facts and the net changes of earlier strata),
+// so unchanged inputs are never re-joined. Every later iteration evaluates
+// the variants restricted to the changes the iteration before it made. When
+// heads is non-nil, each iteration's net changes are added to it, for
+// seeding the strata downstream.
 //
 // Each iteration evaluates its rule variants on the worker pool
 // (evaluateTasks; inline at one worker). Workers treat the database as a
-// read-only snapshot: no tuple is inserted while they run (relstore's
-// read-only view guarantee makes concurrent scans, probes and index
-// auto-creation safe), and every mutation — head-tuple inserts, delta
-// accumulation, open-request admission — happens afterwards in a
-// single-threaded merge that applies worker output in plan order. Head tuples
-// are inserted with InsertDerived, so deletion propagation can tell
-// derived-only tuples from base facts. Because relations and requests are
-// sets deduplicated on insert, the fixpoint, the request IDs and the
-// iterations are identical for every worker count; only the per-counter
-// Stats breakdown (ParallelTasks, scans versus probes inside split variants)
-// may differ.
-func (e *Engine) runStratum(idx int, rules []*Rule, seed, derived map[string][]relstore.Tuple, stats *Stats) error {
+// read-only snapshot: no tuple is inserted or removed while they run
+// (relstore's read-only view guarantee makes concurrent scans, probes and
+// index auto-creation safe), and every mutation — head-tuple counts, request
+// support, the next delta — happens afterwards in a single-threaded merge
+// that applies worker output in plan order (mergeOutputs). Because every
+// derivation is counted exactly once whichever task finds it, the fixpoint,
+// the counts, the request IDs and the iterations are identical for every
+// worker count; only the per-counter Stats breakdown (ParallelTasks, scans
+// versus probes inside split variants) may differ.
+func (e *Engine) runStratum(idx int, rules []*Rule, seed, heads *delta, stats *Stats) error {
 	workers := e.parallelism
-	delta := seed
-	full := seed == nil
+	d := seed
 	for {
 		stats.Iterations++
 		var tasks []evalTask
 		for _, r := range rules {
-			for _, v := range e.ruleVariants(r, delta, full) {
+			variants, err := e.ruleVariants(r, d)
+			if err != nil {
+				return err
+			}
+			for _, v := range variants {
 				stats.RuleEvaluations++
 				tasks = e.splitVariant(tasks, r, v, workers, stats)
 			}
@@ -1206,46 +1085,17 @@ func (e *Engine) runStratum(idx int, rules []*Rule, seed, derived map[string][]r
 			stats.ParallelTasks += len(tasks)
 		}
 		outputs := e.evaluateTasks(tasks, workers)
-
-		newDelta := make(map[string][]relstore.Tuple)
-		derivedThisIteration := 0
-		for i, out := range outputs {
-			if out.err != nil {
-				return out.err
-			}
-			stats.merge(out.stats)
-			r := tasks[i].rule
-			head := e.db.Relation(r.Head.Predicate)
-			for _, t := range out.tuples {
-				added, err := head.InsertDerived(t)
-				if err != nil {
-					return fmt.Errorf("cylog: rule %s produced a tuple that does not match the schema of %s: %w", r, r.Head.Predicate, err)
-				}
-				if added {
-					derivedThisIteration++
-					newDelta[r.Head.Predicate] = append(newDelta[r.Head.Predicate], t)
-				}
-			}
-			e.admitRequests(out.requests, idx)
+		next, err := e.mergeOutputs(idx, tasks, outputs, stats)
+		if err != nil {
+			return err
 		}
-		stats.DerivedFacts += derivedThisIteration
-		accumulateDerived(derived, newDelta)
-		if derivedThisIteration == 0 {
+		if next.empty() {
 			return nil
 		}
-		delta = newDelta
-		full = false
-	}
-}
-
-// accumulateDerived folds one iteration's new tuples into the stratum's
-// derived accumulator (a no-op for full runs, which pass derived == nil).
-func accumulateDerived(derived, newDelta map[string][]relstore.Tuple) {
-	if derived == nil {
-		return
-	}
-	for rel, ts := range newDelta {
-		derived[rel] = append(derived[rel], ts...)
+		if heads != nil {
+			heads.add(next)
+		}
+		d = next
 	}
 }
 
@@ -1259,7 +1109,7 @@ type evalTask struct {
 // evalOutput is what a worker hands back to the merge step.
 type evalOutput struct {
 	tuples   []relstore.Tuple
-	requests []OpenRequest
+	requests requestSink
 	stats    Stats
 	err      error
 }
@@ -1270,10 +1120,8 @@ type evalOutput struct {
 func (e *Engine) evaluateTasks(tasks []evalTask, workers int) []evalOutput {
 	outputs := make([]evalOutput, len(tasks))
 	runOne := func(i int) {
-		sink := &requestSink{}
-		var local Stats
-		tuples, err := e.evaluateRule(tasks[i].rule, tasks[i].v, &local, sink)
-		outputs[i] = evalOutput{tuples: tuples, requests: sink.reqs, stats: local, err: err}
+		out := &outputs[i]
+		out.tuples, out.err = e.evaluateRule(tasks[i].rule, tasks[i].v, &out.stats, &out.requests)
 	}
 	if workers <= 1 || len(tasks) <= 1 {
 		for i := range tasks {
@@ -1334,7 +1182,9 @@ func (e *Engine) splitVariant(tasks []evalTask, r *Rule, v ruleVariant, workers 
 	}
 	for c := 0; c < chunks; c++ {
 		lo, hi := len(tuples)*c/chunks, len(tuples)*(c+1)/chunks
-		tasks = append(tasks, evalTask{rule: r, v: ruleVariant{deltaAtom: atom, deltaTuples: tuples[lo:hi]}})
+		chunk := v
+		chunk.deltaAtom, chunk.deltaTuples = atom, tuples[lo:hi]
+		tasks = append(tasks, evalTask{rule: r, v: chunk})
 	}
 	return tasks
 }
@@ -1363,39 +1213,58 @@ func (e *Engine) splittableFullScan(r *Rule, stats *Stats) (int, []relstore.Tupl
 	return steps[0].bodyIndex, rel.All()
 }
 
-// ruleVariant describes which body atom (if any) is restricted to the delta
-// facts of its relation for one semi-naive evaluation pass.
+// ruleVariant describes one evaluation pass of a rule: which body atom (if
+// any) is restricted to an explicit tuple set, and how.
 type ruleVariant struct {
 	deltaAtom   int // index into rule body, -1 = no restriction (full evaluation)
 	deltaTuples []relstore.Tuple
+	// sign is +1 when the restricted tuples are gains (inserted tuples, or a
+	// negated atom's unblocked keys) and the pass finds derivations gained,
+	// -1 when they are losses and the pass finds derivations lost, and 0 for
+	// an unrestricted pass or a chunk of one (splitVariant), which reads
+	// every atom in the stored state.
+	sign int
+	// d is the change set a counting pass restricts to: atoms written after
+	// deltaAtom read their relation's old state from it.
+	d *delta
 }
 
 // ruleVariants returns the evaluation passes for a rule in this iteration:
-// the single unrestricted pass for a full first iteration, otherwise one
-// delta variant per positive body atom whose relation has frontier tuples.
-// The delta map's keys decide eligibility — newly derived in-stratum
-// relations during a fixpoint, or any seeded relation (answered open
-// relations, freshly added EDB facts, deltas of earlier strata) on the first
-// iteration of an incremental pass.
-func (e *Engine) ruleVariants(r *Rule, delta map[string][]relstore.Tuple, full bool) []ruleVariant {
-	if full {
-		return []ruleVariant{{deltaAtom: -1}}
+// the single unrestricted pass when d is nil (a full first iteration),
+// otherwise a gain and a loss variant per body atom whose relation changed
+// in d. A positive atom is restricted to its relation's inserted or removed
+// tuples; a negated atom to the keys whose match flipped (flippedKeys). The
+// coordinator prepares the old-state reads the variants need before any
+// worker runs. A rule with no body atom over a changed relation gains and
+// loses nothing in this iteration.
+func (e *Engine) ruleVariants(r *Rule, d *delta) ([]ruleVariant, error) {
+	if d == nil {
+		return []ruleVariant{{deltaAtom: -1}}, nil
 	}
 	var out []ruleVariant
 	for i, lit := range r.Body {
 		atom, ok := lit.(*Atom)
-		if !ok || atom.Negated {
+		if !ok || !d.changed(atom.Predicate) {
 			continue
 		}
-		d := delta[atom.Predicate]
-		if len(d) == 0 {
-			continue
+		gained, lost := d.plus[atom.Predicate], d.minus[atom.Predicate]
+		if atom.Negated {
+			var err error
+			if gained, lost, err = e.flippedKeys(r, atom, d); err != nil {
+				return nil, err
+			}
 		}
-		out = append(out, ruleVariant{deltaAtom: i, deltaTuples: d})
+		if len(gained) > 0 {
+			out = append(out, ruleVariant{deltaAtom: i, deltaTuples: gained, sign: 1, d: d})
+		}
+		if len(lost) > 0 {
+			out = append(out, ruleVariant{deltaAtom: i, deltaTuples: lost, sign: -1, d: d})
+		}
+		if len(gained) > 0 || len(lost) > 0 {
+			d.prepareOld(r, i)
+		}
 	}
-	// A rule with no body atom over a frontier relation cannot produce
-	// anything new in this iteration.
-	return out
+	return out, nil
 }
 
 // catalog returns the planner's view of the engine's database: open-relation
@@ -1436,73 +1305,95 @@ func (e *Engine) shouldProbe(rel *relstore.Relation, probeCols []int) bool {
 }
 
 // requestSink accumulates the open-request candidates produced while one rule
-// variant is evaluated, deduplicated locally by request id. Global
-// deduplication against pending and already-answered requests happens when
-// the single-threaded merge step admits the candidates (admitRequests), so
-// rule evaluation never writes shared engine state and variants can run
+// variant is evaluated, with the number of bindings behind each id: the
+// variant's gain or loss of support for the request. Admission against the
+// pending set, the answered ids and the support counts happens when the
+// single-threaded merge step applies the sink (admitRequests), so rule
+// evaluation never writes shared engine state and variants can run
 // concurrently.
 type requestSink struct {
-	seen map[string]bool
-	reqs []OpenRequest
+	index  map[string]int
+	reqs   []OpenRequest
+	counts []int
+}
+
+// bump counts one more binding for id and reports whether the sink already
+// held it; a first binding is recorded with add.
+func (s *requestSink) bump(id string) bool {
+	i, ok := s.index[id]
+	if ok {
+		s.counts[i]++
+	}
+	return ok
+}
+
+func (s *requestSink) add(req OpenRequest) {
+	if s.index == nil {
+		s.index = make(map[string]int)
+	}
+	s.index[req.ID] = len(s.reqs)
+	s.reqs = append(s.reqs, req)
+	s.counts = append(s.counts, 1)
 }
 
 // requestSinkFor returns the sink the positive atom at bodyIndex records
-// request candidates into under variant v, or nil when none of its bindings
-// can open a new request: v restricts an open atom to its seeded delta, and
-// the atom is that one or an open atom before it in source order. A request
-// at such an atom is determined by the literals written before it, which
-// never include the restricted delta. If those literals matched tuples that
-// all stood at the last fixpoint, the request was generated then or its key
-// had a fact, and open relations never shrink. If they matched a new tuple,
-// the variant restricting that tuple's own delta reaches the atom later in
-// source order, where request generation still runs. Skipping these checks
-// keeps a one-answer round from re-checking every pending request, and frees
-// the planner to hoist the delta atom (planRule).
-func (e *Engine) requestSinkFor(r *Rule, v ruleVariant, bodyIndex int, sink *requestSink) *requestSink {
-	if v.deltaAtom >= bodyIndex && e.analysis.OpenRelations[r.Body[v.deltaAtom].(*Atom).Predicate] {
+// request candidates into under variant v, or nil when the variant cannot
+// change any request's support there. A request's support at an open atom
+// counts the bindings of the literals written before it; a counting
+// variant changes only the bindings that involve its restricted atom, so it
+// counts requests at the open atoms written after that atom and nowhere
+// else — in particular not at a seeded open delta atom itself, so a
+// one-answer round does not re-check the pending requests. Unrestricted
+// passes and their chunks count at every open atom.
+func requestSinkFor(v ruleVariant, bodyIndex int, sink *requestSink) *requestSink {
+	if v.sign != 0 && bodyIndex <= v.deltaAtom {
 		return nil
 	}
 	return sink
 }
 
-func (s *requestSink) add(req OpenRequest) {
-	if s.seen == nil {
-		s.seen = make(map[string]bool)
-	}
-	if s.seen[req.ID] {
-		return
-	}
-	s.seen[req.ID] = true
-	s.reqs = append(s.reqs, req)
-}
-
-// admitRequests merges request candidates into the pending set, skipping ids
-// already answered. It runs only on the merge side, after the iteration
-// barrier and in plan order, so the pending map is deterministic and
-// identical for every worker count (duplicate candidates carry identical
-// content, making first-wins order-insensitive). Every admission records the stratum
-// as an origin of the request, even for ids already pending: retraction
-// withdraws a request only when every origin stratum stopped generating it.
-// Admission also clears a withdrawal — a request whose guard vanished and
-// later returned is re-issued under its old id.
-func (e *Engine) admitRequests(reqs []OpenRequest, stratum int) {
+// admitRequests applies one variant's request candidates to the support
+// counts of its stratum: each candidate's binding count is added, or
+// subtracted when lost is set. A request that gains support joins the
+// pending set (an id withdrawn earlier is issued again under the same id); a
+// request whose support drops to zero in every stratum is withdrawn. Ids
+// already answered are skipped: their key has a fact for good. A loss larger
+// than the recorded support means the counts are wrong and fails the run. It
+// runs only on the merge side, after the iteration barrier and in plan
+// order, so the pending map is deterministic and identical for every worker
+// count.
+func (e *Engine) admitRequests(s *requestSink, stratum int, lost bool) error {
 	defer e.claimBookkeeper()()
-	for _, r := range reqs {
+	for i, r := range s.reqs {
 		if e.answered[r.ID] {
 			continue
 		}
+		n := s.counts[i]
+		support := e.requestSupport[r.ID]
+		if lost {
+			if support[stratum] < n {
+				return fmt.Errorf("cylog: request %s lost %d bindings in stratum %d, which supported it with %d", r.ID, n, stratum, support[stratum])
+			}
+			if support[stratum] -= n; support[stratum] == 0 {
+				delete(support, stratum)
+			}
+			if len(support) == 0 {
+				e.withdrawLocked(r.ID)
+			}
+			continue
+		}
+		if support == nil {
+			support = make(map[int]int, 1)
+			e.requestSupport[r.ID] = support
+		}
+		support[stratum] += n
 		if _, dup := e.pending[r.ID]; !dup {
 			e.pending[r.ID] = r
 			e.pendingChanged[r.ID] = struct{}{}
 			delete(e.withdrawn, r.ID)
 		}
-		origins := e.requestStrata[r.ID]
-		if origins == nil {
-			origins = make(map[int]bool, 1)
-			e.requestStrata[r.ID] = origins
-		}
-		origins[stratum] = true
 	}
+	return nil
 }
 
 // maybeRequest records an open-request candidate in sink when the binding
@@ -1548,6 +1439,9 @@ func (e *Engine) maybeRequest(decl *Declaration, refs []termRef, row []relstore.
 		return
 	}
 	id := requestID(decl.Name, keyVals)
+	if sink.bump(id) {
+		return
+	}
 	var openCols []string
 	keySet := make(map[string]bool, len(keyCols))
 	for _, c := range keyCols {

@@ -212,8 +212,9 @@ func checkOracleLoop(b *testing.B, e *cylog.Engine, total cylog.Stats, edges int
 
 // benchOracleLoop measures the round-based crowd loop: `wave` approvals per
 // round, each round ingested as a batch through RunIncremental, which seeds
-// the round's deltas from the answers and recomputes the negated rejected
-// stratum to retract the approved endpoints' rejections.
+// the round's deltas from the answers and counts the derivations of the
+// negated rejected stratum they block, retracting the approved endpoints'
+// rejections.
 func benchOracleLoop(b *testing.B, edges, wave int) {
 	b.Helper()
 	b.ReportAllocs()

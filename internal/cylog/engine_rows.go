@@ -146,21 +146,26 @@ func (e *Engine) evaluateRule(r *Rule, v ruleVariant, stats *Stats, sink *reques
 		var err error
 		switch l := st.lit.(type) {
 		case *Atom:
-			refs := rs.atoms[l]
-			if l.Negated {
-				err = e.filterNegatedBatch(l, refs, st.probeCols, in, stats)
-				if err != nil {
-					return nil, err
-				}
-			} else {
+			// Atoms written after a counting variant's changed atom read
+			// their relation's old state.
+			var old *oldState
+			if v.sign != 0 && st.bodyIndex > v.deltaAtom {
+				old = v.d.olds[l.Predicate]
+			}
+			switch {
+			case st.keys:
+				in, err = e.joinAtomBatch(l, rs.negKeys[l].refs, st.probeCols, in, v.deltaTuples, nil, st.estMatches, stats, nil)
+			case l.Negated:
+				err = e.filterNegatedBatch(l, rs.atoms[l], st.probeCols, in, old, stats)
+			default:
 				var restrict []relstore.Tuple
 				if v.deltaAtom == st.bodyIndex {
 					restrict = v.deltaTuples
 				}
-				in, err = e.joinAtomBatch(l, refs, st.probeCols, in, restrict, st.estMatches, stats, e.requestSinkFor(r, v, st.bodyIndex, sink))
-				if err != nil {
-					return nil, err
-				}
+				in, err = e.joinAtomBatch(l, rs.atoms[l], st.probeCols, in, restrict, old, st.estMatches, stats, requestSinkFor(v, st.bodyIndex, sink))
+			}
+			if err != nil {
+				return nil, err
 			}
 		case *Comparison:
 			filterComparisonBatch(l, rs.comps[l], in)
@@ -218,16 +223,17 @@ const deltaHashMinTuples = 16
 // When probeCols names bound term positions and the relation carries (or
 // earns, via the auto-indexing policy) a matching composite index, each row
 // is answered with an equality probe — O(matches) instead of O(|relation|).
-// Restricted evaluation (the semi-naive delta frontier, or a chunk of a
-// split full scan) cannot use the relation's indexes; when the atom is
-// reached with bound columns and enough rows, the restricted tuples are
-// instead hashed per round on those columns so each row probes in O(matches)
-// like an indexed base relation, and otherwise the (small) frontier is
-// iterated directly. The probe callback captures a shared cursor instead of
-// the loop variable, so one closure serves the whole batch. estMatches is
-// the planner's matches-per-probe estimate for this step (0 = no estimate);
-// it only pre-sizes the output batch, never changes what is emitted.
-func (e *Engine) joinAtomBatch(a *Atom, refs []termRef, probeCols []int, in *rowBatch, restrict []relstore.Tuple, estMatches int, stats *Stats, sink *requestSink) (*rowBatch, error) {
+// Restricted evaluation (a delta, a negated atom's flipped keys, or a chunk
+// of a split full scan) cannot use the relation's indexes; the restricted
+// tuples form a frontier instead, hashed per call on the bound columns when
+// it is large enough (see newFrontier). old, when set, makes the step read
+// the relation's old state: probed or scanned tuples in old.skip are
+// ignored and the tuples in old.extra, a frontier of their own, are joined
+// too. The probe callback captures a shared cursor instead of the loop
+// variable, so one closure serves the whole batch. estMatches is the
+// planner's matches-per-probe estimate for this step (0 = no estimate); it
+// only pre-sizes the output batch, never changes what is emitted.
+func (e *Engine) joinAtomBatch(a *Atom, refs []termRef, probeCols []int, in *rowBatch, restrict []relstore.Tuple, old *oldState, estMatches int, stats *Stats, sink *requestSink) (*rowBatch, error) {
 	rel := e.db.Relation(a.Predicate)
 	if rel == nil {
 		return nil, fmt.Errorf("cylog: relation %q is not declared", a.Predicate)
@@ -247,24 +253,49 @@ func (e *Engine) joinAtomBatch(a *Atom, refs []termRef, probeCols []int, in *row
 		out.masks = make([]uint64, 0, rows)
 	}
 
-	if restrict == nil && len(probeCols) > 0 && e.shouldProbe(rel, probeCols) {
-		vals := make([]relstore.Value, len(probeCols))
-		var srcRow []relstore.Value
-		var srcMask uint64
-		matched := false
-		emit := func(t relstore.Tuple) bool {
-			if out.tryExtend(refs, t, srcRow, srcMask) {
-				matched = true
-				stats.JoinedBindings++
+	var restricted, extra frontier
+	var all []relstore.Tuple
+	probe := false
+	switch {
+	case restrict != nil:
+		restricted = newFrontier(restrict, probeCols, in.rows())
+	case len(probeCols) > 0 && e.shouldProbe(rel, probeCols):
+		probe = true
+	default:
+		all = rel.All()
+		stats.FullScans++
+	}
+	if old != nil {
+		extra = newFrontier(old.extra, probeCols, in.rows())
+	}
+
+	vals := make([]relstore.Value, len(probeCols))
+	var srcRow []relstore.Value
+	var srcMask uint64
+	matched := false
+	extend := func(t relstore.Tuple) {
+		if out.tryExtend(refs, t, srcRow, srcMask) {
+			matched = true
+			stats.JoinedBindings++
+		}
+	}
+	var emit func(relstore.Tuple) bool
+	if probe {
+		emit = func(t relstore.Tuple) bool {
+			if !old.skips(t) {
+				extend(t)
 			}
 			return true
 		}
-		for i := 0; i < in.rows(); i++ {
-			srcRow, srcMask = in.row(i), in.masks[i]
+	}
+	for i := 0; i < in.rows(); i++ {
+		srcRow, srcMask = in.row(i), in.masks[i]
+		matched = false
+		switch {
+		case probe:
 			for j, ti := range probeCols {
 				vals[j], _ = refs[ti].value(srcRow, srcMask)
 			}
-			matched = false
 			indexed, err := rel.ScanEqAt(probeCols, vals, emit)
 			if err != nil {
 				return nil, err
@@ -273,57 +304,19 @@ func (e *Engine) joinAtomBatch(a *Atom, refs []termRef, probeCols []int, in *row
 			if indexed {
 				stats.IndexHits++
 			}
-			if open {
-				e.maybeRequest(decl, refs, srcRow, srcMask, matched, sink)
+		case restrict != nil:
+			for _, t := range restricted.candidates(refs, probeCols, vals, srcRow, srcMask, stats) {
+				extend(t)
 			}
-		}
-		return out, nil
-	}
-
-	// Hashed delta frontier: key the restricted tuples on the atom's bound
-	// columns once, then answer every row with a bucket probe. Buckets keep
-	// insertion order and tryExtend re-verifies equality, so hash collisions
-	// are harmless.
-	if restrict != nil && len(probeCols) > 0 && in.rows() > 1 && len(restrict) >= deltaHashMinTuples {
-		frontier := make(map[uint64][]relstore.Tuple, len(restrict))
-		for _, t := range restrict {
-			h := t.HashAt(probeCols...)
-			frontier[h] = append(frontier[h], t)
-		}
-		vals := make([]relstore.Value, len(probeCols))
-		for i := 0; i < in.rows(); i++ {
-			srcRow, srcMask := in.row(i), in.masks[i]
-			for j, ti := range probeCols {
-				vals[j], _ = refs[ti].value(srcRow, srcMask)
-			}
-			matched := false
-			for _, t := range frontier[relstore.HashValues(vals...)] {
-				if out.tryExtend(refs, t, srcRow, srcMask) {
-					matched = true
-					stats.JoinedBindings++
+		default:
+			for _, t := range all {
+				if !old.skips(t) {
+					extend(t)
 				}
 			}
-			stats.DeltaHashProbes++
-			if open {
-				e.maybeRequest(decl, refs, srcRow, srcMask, matched, sink)
-			}
 		}
-		return out, nil
-	}
-
-	tuples := restrict
-	if tuples == nil {
-		tuples = rel.All()
-		stats.FullScans++
-	}
-	for i := 0; i < in.rows(); i++ {
-		srcRow, srcMask := in.row(i), in.masks[i]
-		matched := false
-		for _, t := range tuples {
-			if out.tryExtend(refs, t, srcRow, srcMask) {
-				matched = true
-				stats.JoinedBindings++
-			}
+		for _, t := range extra.candidates(refs, probeCols, vals, srcRow, srcMask, stats) {
+			extend(t)
 		}
 		if open {
 			e.maybeRequest(decl, refs, srcRow, srcMask, matched, sink)
@@ -332,57 +325,61 @@ func (e *Engine) joinAtomBatch(a *Atom, refs []termRef, probeCols []int, in *row
 	return out, nil
 }
 
+// frontier is an explicit tuple list a join step reads instead of (or on top
+// of) the relation: a restricted delta, a negated atom's flipped keys, or
+// the tuples an old-state read adds back. Lists of at least
+// deltaHashMinTuples tuples met by more than one row are keyed once on the
+// step's bound columns, so every row probes in O(matches) like an indexed
+// relation; buckets keep insertion order and tryExtend re-verifies equality,
+// so hash collisions are harmless. Smaller lists are scanned per row.
+type frontier struct {
+	tuples []relstore.Tuple
+	hashed map[uint64][]relstore.Tuple
+}
+
+func newFrontier(tuples []relstore.Tuple, probeCols []int, rows int) frontier {
+	f := frontier{tuples: tuples}
+	if len(probeCols) > 0 && rows > 1 && len(tuples) >= deltaHashMinTuples {
+		f.hashed = make(map[uint64][]relstore.Tuple, len(tuples))
+		for _, t := range tuples {
+			h := t.HashAt(probeCols...)
+			f.hashed[h] = append(f.hashed[h], t)
+		}
+	}
+	return f
+}
+
+// candidates returns the tuples that may match the binding row: the bucket
+// of the row's bound-column values (read into vals) when the list is
+// hashed, the whole list otherwise.
+func (f frontier) candidates(refs []termRef, probeCols []int, vals []relstore.Value, row []relstore.Value, mask uint64, stats *Stats) []relstore.Tuple {
+	if f.hashed == nil {
+		return f.tuples
+	}
+	for j, ti := range probeCols {
+		vals[j], _ = refs[ti].value(row, mask)
+	}
+	stats.DeltaHashProbes++
+	return f.hashed[relstore.HashValues(vals...)]
+}
+
 // filterNegatedBatch keeps only the rows for which no tuple of the negated
-// atom's relation matches, compacting the batch in place. Bound term
-// positions (probeCols) narrow the existence check to an indexed equality
-// probe when the relation has earned an index; any tuple matching the atom
-// necessarily agrees on the bound columns, so the restricted scan is
-// equivalent to the full one.
-func (e *Engine) filterNegatedBatch(a *Atom, refs []termRef, probeCols []int, in *rowBatch, stats *Stats) error {
+// atom's relation — in its old state when old is set — matches, compacting
+// the batch in place.
+func (e *Engine) filterNegatedBatch(a *Atom, refs []termRef, probeCols []int, in *rowBatch, old *oldState, stats *Stats) error {
 	rel := e.db.Relation(a.Predicate)
 	if rel == nil {
 		return nil
 	}
-	probe := len(probeCols) > 0 && e.shouldProbe(rel, probeCols)
-	var vals []relstore.Value
-	if probe {
-		vals = make([]relstore.Value, len(probeCols))
-	} else if in.rows() > 0 {
-		stats.FullScans++
+	if in.rows() == 0 {
+		return nil
 	}
-	// scratch receives the (discarded) trial extensions of the existence
-	// checks; reusing one batch keeps the filter allocation-free after the
-	// first hit.
-	scratch := &rowBatch{width: in.width}
-	var srcRow []relstore.Value
-	var srcMask uint64
-	matched := false
-	check := func(t relstore.Tuple) bool {
-		if scratch.tryExtend(refs, t, srcRow, srcMask) {
-			scratch.truncate(0)
-			matched = true
-			return false
-		}
-		return true
-	}
+	matches := e.negMatcher(rel, refs, probeCols, old, stats)
 	n := 0
 	for i := 0; i < in.rows(); i++ {
-		srcRow, srcMask = in.row(i), in.masks[i]
-		matched = false
-		if probe {
-			for j, ti := range probeCols {
-				vals[j], _ = refs[ti].value(srcRow, srcMask)
-			}
-			indexed, err := rel.ScanEqAt(probeCols, vals, check)
-			if err != nil {
-				return err
-			}
-			stats.IndexProbes++
-			if indexed {
-				stats.IndexHits++
-			}
-		} else {
-			rel.Scan(check)
+		matched, err := matches(in.row(i), in.masks[i])
+		if err != nil {
+			return err
 		}
 		if !matched {
 			in.keep(n, i)
@@ -391,6 +388,65 @@ func (e *Engine) filterNegatedBatch(a *Atom, refs []termRef, probeCols []int, in
 	}
 	in.truncate(n)
 	return nil
+}
+
+// negMatcher returns the existence check of a negated atom: does some tuple
+// of rel — in its old state when old is set — match the atom's terms under a
+// binding row? Bound term positions (probeCols) narrow the check to an
+// indexed equality probe when the relation has earned an index; any tuple
+// matching the atom necessarily agrees on the bound columns, so the
+// restricted scan is equivalent to the full one. Without an index the
+// relation is scanned per row, counted once as a full scan.
+func (e *Engine) negMatcher(rel *relstore.Relation, refs []termRef, probeCols []int, old *oldState, stats *Stats) func(row []relstore.Value, mask uint64) (bool, error) {
+	probe := len(probeCols) > 0 && e.shouldProbe(rel, probeCols)
+	var vals []relstore.Value
+	if probe {
+		vals = make([]relstore.Value, len(probeCols))
+	} else {
+		stats.FullScans++
+	}
+	// scratch receives the (discarded) trial extensions of the existence
+	// checks; reusing one batch keeps the check allocation-free after the
+	// first hit.
+	scratch := &rowBatch{}
+	var srcRow []relstore.Value
+	var srcMask uint64
+	matched := false
+	check := func(t relstore.Tuple) bool {
+		if !old.skips(t) && scratch.tryExtend(refs, t, srcRow, srcMask) {
+			scratch.truncate(0)
+			matched = true
+			return false
+		}
+		return true
+	}
+	return func(row []relstore.Value, mask uint64) (bool, error) {
+		srcRow, srcMask = row, mask
+		matched = false
+		if probe {
+			for j, ti := range probeCols {
+				vals[j], _ = refs[ti].value(row, mask)
+			}
+			indexed, err := rel.ScanEqAt(probeCols, vals, check)
+			if err != nil {
+				return false, err
+			}
+			stats.IndexProbes++
+			if indexed {
+				stats.IndexHits++
+			}
+		} else {
+			rel.Scan(check)
+		}
+		if !matched && old != nil {
+			for _, t := range old.extra {
+				if !check(t) {
+					break
+				}
+			}
+		}
+		return matched, nil
+	}
 }
 
 // filterComparisonBatch keeps the rows satisfying the comparison, compacting

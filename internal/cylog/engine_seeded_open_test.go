@@ -2,6 +2,7 @@ package cylog_test
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"github.com/crowd4u/crowd4u-go/internal/cylog"
@@ -59,22 +60,24 @@ func seededOpenAnswer(r cylog.OpenRequest) map[string]any {
 // fact); every round's facts and pending request ids must equal the
 // reference's on every configuration of the matrix.
 func TestSeededOpenDeltaDifferential(t *testing.T) {
-	runDifferential(t, workload{
-		program: seededOpenProgram,
-		seed: func(a, _ []uint8, add addFunc) {
-			add("a", 1)
-			for _, n := range a {
-				add("a", int(n%16))
-			}
-		},
-		answer: seededOpenAnswer,
-		between: func(round int, a []uint8, add addFunc) {
-			add("a", 16+round)
-			if round%2 == 0 && len(a) > 0 {
-				add("b", int(a[0]%16))
-			}
-		},
-	}, 4, 8)
+	runDifferential(t, seededOpenWorkload, 4, 8)
+}
+
+var seededOpenWorkload = workload{
+	program: seededOpenProgram,
+	seed: func(a, _ []uint8, add addFunc) {
+		add("a", 1)
+		for _, n := range a {
+			add("a", int(n%16))
+		}
+	},
+	answer: seededOpenAnswer,
+	between: func(round int, a []uint8, add addFunc) {
+		add("a", 16+round)
+		if round%2 == 0 && len(a) > 0 {
+			add("b", int(a[0]%16))
+		}
+	},
 }
 
 // labelingProgram and translateProgram are the served crowd programs:
@@ -184,8 +187,8 @@ func TestOneAnswerRequestChecksIndependentOfPending(t *testing.T) {
 // label is true, so every round also retracts the item from the negated
 // flagged stratum, as in crowdserve's labeling project. A warm-up round
 // before timing builds the indexes and plans the steady-state rounds reuse.
-// Labeled items shrink what the retraction recomputes, so the engine is
-// rebuilt (untimed) every roundsPerEngine rounds to keep ops alike.
+// The engine is rebuilt (untimed) every roundsPerEngine rounds, so every op
+// sees about the same number of pending requests.
 func BenchmarkSeededAnswerRound(b *testing.B) {
 	const roundsPerEngine = 32
 	for _, n := range []int{1000, 10000} {
@@ -200,6 +203,9 @@ func BenchmarkSeededAnswerRound(b *testing.B) {
 					e.SetParallelism(1)
 					answerOne(b, e, "label|1", map[string]any{"ok": true})
 					next = 1
+					// Collect the set-up's garbage now, so no collection
+					// it owes lands inside a timed round.
+					runtime.GC()
 					b.StartTimer()
 				}
 				next++

@@ -37,3 +37,17 @@ const (
 	IncrementalProgram        = incrementalProgram
 	SequentialWorkflowProgram = sequentialWorkflowProgram
 )
+
+// RequestSupport returns every request's support summed over its origin
+// strata, for the count checks against reference.Derivations.
+func (e *Engine) RequestSupport() map[string]int {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	out := make(map[string]int, len(e.requestSupport))
+	for id, support := range e.requestSupport {
+		for _, n := range support {
+			out[id] += n
+		}
+	}
+	return out
+}

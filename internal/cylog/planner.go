@@ -29,9 +29,10 @@ import (
 //
 // Those literals therefore act as barriers: they stay in source order, and
 // the planner greedily reorders only the runs of closed positive atoms
-// between them. The one exception is an open atom restricted to its seeded
-// delta (the answers of an incremental run), which generates no requests
-// (requestSinkFor) and is hoisted (planRule).
+// between them. The exceptions are the restricted atoms of counting
+// variants: an open atom restricted to its seeded delta (the answers of an
+// incremental run), which generates no requests (requestSinkFor), and the
+// flipped keys of a changed negated atom; both are hoisted (planRule).
 //
 // Within a run the choice is boundness-driven — atoms whose join columns are
 // already bound come first (they can be answered by an index probe). Ties
@@ -55,6 +56,10 @@ type planStep struct {
 	// which the columnar join uses to pre-size its output batch; 0 for an
 	// empty relation.
 	estMatches int
+	// keys marks the step that joins a negated delta atom's flipped keys
+	// (negKey tuples) instead of evaluating the atom; probeCols then index
+	// the key tuple, not the atom.
+	keys bool
 }
 
 // planCatalog supplies the planner with the catalog facts it needs: which
@@ -99,6 +104,13 @@ func estMatchesPerProbe(cat planCatalog, a *Atom, probeCols []int) float64 {
 // per pass. Negations and comparisons before it keep it behind them. The
 // move is safe because no request is generated at the hoisted atom or at an
 // open atom before it (requestSinkFor).
+//
+// A negated deltaAtom names a negated atom whose relation changed: the pass
+// is restricted to the keys whose match flipped (flippedKeys). The keys are
+// joined at the start of the atom's segment, like a seeded open delta, and
+// bind exactly the key variables — the ones bound at the atom's source
+// position — so the atoms before it probe on them. The negated atom itself
+// is not evaluated: its verdict is what made the key flip.
 func planRule(r *Rule, deltaAtom int, cat planCatalog) []planStep {
 	bound := make(map[string]bool)
 	steps := make([]planStep, 0, len(r.Body))
@@ -133,11 +145,34 @@ func planRule(r *Rule, deltaAtom int, cat planCatalog) []planStep {
 		steps = append(steps, step)
 	}
 
-	lead := openDeltaSegment(r, deltaAtom, cat)
+	// placeKeys joins a negated delta atom's flipped keys and binds the key
+	// variables.
+	placeKeys := func(i int) {
+		atom := r.Body[i].(*Atom)
+		step := planStep{lit: atom, bodyIndex: i, keys: true, estMatches: 1}
+		cols := negKeyColumns(r, i)
+		for p, c := range cols {
+			if v, ok := atom.Terms[c].(Variable); ok && bound[string(v)] {
+				step.probeCols = append(step.probeCols, p)
+			}
+		}
+		for _, c := range cols {
+			if v, ok := atom.Terms[c].(Variable); ok {
+				bound[string(v)] = true
+			}
+		}
+		steps = append(steps, step)
+	}
+
+	lead := deltaSegment(r, deltaAtom, cat)
 	for i, lit := range r.Body {
 		if i == lead {
 			// The previous literal, if any, was a barrier that flushed the run.
-			place(deltaAtom)
+			if r.Body[deltaAtom].(*Atom).Negated {
+				placeKeys(deltaAtom)
+			} else {
+				place(deltaAtom)
+			}
 		}
 		if i == deltaAtom && lead >= 0 {
 			continue
@@ -153,11 +188,15 @@ func planRule(r *Rule, deltaAtom int, cat planCatalog) []planStep {
 	return steps
 }
 
-// openDeltaSegment returns the body index a seeded open delta atom is hoisted
-// to — the first literal after the last negation or comparison preceding it
-// (0 when there is none) — or -1 when deltaAtom is not an open atom.
-func openDeltaSegment(r *Rule, deltaAtom int, cat planCatalog) int {
-	if deltaAtom < 0 || !cat.isOpen(r.Body[deltaAtom].(*Atom).Predicate) {
+// deltaSegment returns the body index a seeded open delta atom, or the keys
+// of a negated delta atom, are hoisted to — the first literal after the last
+// negation or comparison preceding the atom (0 when there is none) — or -1
+// when deltaAtom is neither (a closed delta atom leads its run instead).
+func deltaSegment(r *Rule, deltaAtom int, cat planCatalog) int {
+	if deltaAtom < 0 {
+		return -1
+	}
+	if a := r.Body[deltaAtom].(*Atom); !a.Negated && !cat.isOpen(a.Predicate) {
 		return -1
 	}
 	for i := deltaAtom - 1; i >= 0; i-- {
@@ -166,6 +205,20 @@ func openDeltaSegment(r *Rule, deltaAtom int, cat planCatalog) int {
 		}
 	}
 	return 0
+}
+
+// negKeyColumns returns the key of the negated atom at body index i: its
+// term positions holding constants or variables bound by the positive atoms
+// written before it, ascending. Whether the atom matches anything under a
+// binding depends only on the binding's values there.
+func negKeyColumns(r *Rule, i int) []int {
+	bound := make(map[string]bool)
+	for _, lit := range r.Body[:i] {
+		if a, ok := lit.(*Atom); ok && !a.Negated {
+			bindAtomVars(a, bound)
+		}
+	}
+	return probeColumns(r.Body[i].(*Atom), bound)
 }
 
 // stepEstimate converts the per-probe match estimate into the integer hint a
@@ -312,26 +365,58 @@ type rowSchema struct {
 	atoms map[*Atom][]termRef
 	// comps holds the left/right slot references of every comparison.
 	comps map[*Comparison][2]termRef
+	// negKeys holds the key of every negated atom (negKeyColumns).
+	negKeys map[*Atom]negKey
 	// head holds the head terms' slot references, in head column order.
 	head []termRef
+}
+
+// negKey is the key of a negated atom: the term positions bound at its
+// source position (negKeyColumns) and their term references, which read a
+// key tuple — the atom's tuple projected onto cols — into row slots.
+type negKey struct {
+	cols []int
+	refs []termRef
+}
+
+// bind writes the key tuple's variable values into row and returns the mask
+// of the slots it bound.
+func (k negKey) bind(key relstore.Tuple, row []relstore.Value) uint64 {
+	var mask uint64
+	for p, ref := range k.refs {
+		if ref.slot >= 0 {
+			row[ref.slot] = key[p]
+			mask |= uint64(1) << uint(ref.slot)
+		}
+	}
+	return mask
 }
 
 // newRowSchema assigns slots for the rule's variable inventory (as computed by
 // the analyzer, which caps it at maxRowSlots) and resolves every literal.
 func newRowSchema(r *Rule, vars []string) *rowSchema {
 	rs := &rowSchema{
-		vars:  vars,
-		slots: make(map[string]int, len(vars)),
-		atoms: make(map[*Atom][]termRef, len(r.Body)),
-		comps: make(map[*Comparison][2]termRef),
+		vars:    vars,
+		slots:   make(map[string]int, len(vars)),
+		atoms:   make(map[*Atom][]termRef, len(r.Body)),
+		comps:   make(map[*Comparison][2]termRef),
+		negKeys: make(map[*Atom]negKey),
 	}
 	for i, v := range vars {
 		rs.slots[v] = i
 	}
-	for _, lit := range r.Body {
+	for i, lit := range r.Body {
 		switch l := lit.(type) {
 		case *Atom:
-			rs.atoms[l] = rs.resolveTerms(l.Terms)
+			refs := rs.resolveTerms(l.Terms)
+			rs.atoms[l] = refs
+			if l.Negated {
+				k := negKey{cols: negKeyColumns(r, i)}
+				for _, c := range k.cols {
+					k.refs = append(k.refs, refs[c])
+				}
+				rs.negKeys[l] = k
+			}
 		case *Comparison:
 			rs.comps[l] = [2]termRef{rs.resolveTerm(l.Left), rs.resolveTerm(l.Right)}
 		}

@@ -17,6 +17,10 @@
 // that key yields a request, under the engine's id format. Open relations
 // never shrink and bindings only grow within a stratum, so the requests found
 // this way are exactly the engine's pending set.
+//
+// Derivations counts, over the fixpoint, what the engine's support counts
+// must hold: the body instantiations of every derived tuple and the bindings
+// behind every pending request.
 package reference
 
 import (
@@ -47,6 +51,9 @@ type evaluator struct {
 	program  *cylog.Program
 	db       map[string]relation
 	requests map[string]cylog.OpenRequest
+	// bindings, when set, counts per request id every binding that reaches
+	// an open atom with the request's key and no fact for it.
+	bindings map[string]int
 }
 
 // Evaluate computes the fixpoint of p over the program's own facts plus base:
@@ -54,6 +61,70 @@ type evaluator struct {
 // relation name. Tuples are coerced to the declared schemas, as the engine
 // stores them.
 func Evaluate(p *cylog.Program, base map[string][]relstore.Tuple) (*Fixpoint, error) {
+	ev, err := fixpoint(p, base)
+	if err != nil {
+		return nil, err
+	}
+	fp := &Fixpoint{Relations: make(map[string][]relstore.Tuple, len(ev.db))}
+	for name, rel := range ev.db {
+		fp.Relations[name] = sortedTuples(rel)
+	}
+	for _, r := range ev.requests {
+		fp.Requests = append(fp.Requests, r)
+	}
+	sort.Slice(fp.Requests, func(i, j int) bool { return fp.Requests[i].ID < fp.Requests[j].ID })
+	return fp, nil
+}
+
+// Counts is the support the engine must store for a fixpoint.
+type Counts struct {
+	// Tuples maps each derived relation to the derivation count of each of
+	// its tuples, keyed by relstore.Tuple.Key: the number of distinct
+	// instantiations of the bodies of its rules over the fixpoint, one per
+	// combination of tuples matched by the positive atoms that passes the
+	// negations and comparisons.
+	Tuples map[string]map[string]int
+	// Requests maps each pending request id to the number of its prefix
+	// bindings: bindings of the literals written before an open atom that
+	// reach the atom with the request's key and no fact for that key,
+	// summed over every open atom of every rule.
+	Requests map[string]int
+}
+
+// Derivations computes the fixpoint of p over base, as Evaluate does, and
+// counts its derivations: every rule body is matched once more over the
+// fixpoint, and every binding that reaches the head or an open atom is
+// counted.
+func Derivations(p *cylog.Program, base map[string][]relstore.Tuple) (*Counts, error) {
+	ev, err := fixpoint(p, base)
+	if err != nil {
+		return nil, err
+	}
+	ev.bindings = make(map[string]int)
+	c := &Counts{Tuples: make(map[string]map[string]int), Requests: ev.bindings}
+	for _, r := range p.Rules {
+		heads, err := ev.evalRule(r)
+		if err != nil {
+			return nil, err
+		}
+		counts := c.Tuples[r.Head.Predicate]
+		if counts == nil {
+			counts = make(map[string]int)
+			c.Tuples[r.Head.Predicate] = counts
+		}
+		for _, t := range heads {
+			ct, err := ev.coerce(r.Head.Predicate, t)
+			if err != nil {
+				return nil, err
+			}
+			counts[ct.Key()]++
+		}
+	}
+	return c, nil
+}
+
+// fixpoint evaluates p over its own facts plus base, stratum by stratum.
+func fixpoint(p *cylog.Program, base map[string][]relstore.Tuple) (*evaluator, error) {
 	analysis, err := cylog.Analyze(p)
 	if err != nil {
 		return nil, err
@@ -83,15 +154,7 @@ func Evaluate(p *cylog.Program, base map[string][]relstore.Tuple) (*Fixpoint, er
 			return nil, err
 		}
 	}
-	fp := &Fixpoint{Relations: make(map[string][]relstore.Tuple, len(ev.db))}
-	for name, rel := range ev.db {
-		fp.Relations[name] = sortedTuples(rel)
-	}
-	for _, r := range ev.requests {
-		fp.Requests = append(fp.Requests, r)
-	}
-	sort.Slice(fp.Requests, func(i, j int) bool { return fp.Requests[i].ID < fp.Requests[j].ID })
-	return fp, nil
+	return ev, nil
 }
 
 // runStratum re-evaluates every rule of the stratum over the full relations
@@ -123,13 +186,9 @@ func (ev *evaluator) runStratum(rules []*cylog.Rule) error {
 // insert coerces the values to the relation's schema and adds the tuple,
 // reporting whether it was new.
 func (ev *evaluator) insert(name string, vals []relstore.Value) (bool, error) {
-	d := ev.program.DeclarationFor(name)
-	if d == nil {
-		return false, fmt.Errorf("reference: relation %q is not declared", name)
-	}
-	t, err := d.Schema().Coerce(relstore.Tuple(vals))
+	t, err := ev.coerce(name, vals)
 	if err != nil {
-		return false, fmt.Errorf("reference: %s: %w", name, err)
+		return false, err
 	}
 	k := t.Key()
 	if _, ok := ev.db[name][k]; ok {
@@ -137,6 +196,20 @@ func (ev *evaluator) insert(name string, vals []relstore.Value) (bool, error) {
 	}
 	ev.db[name][k] = t
 	return true, nil
+}
+
+// coerce converts the values to the relation's schema, as the engine stores
+// them.
+func (ev *evaluator) coerce(name string, vals []relstore.Value) (relstore.Tuple, error) {
+	d := ev.program.DeclarationFor(name)
+	if d == nil {
+		return nil, fmt.Errorf("reference: relation %q is not declared", name)
+	}
+	t, err := d.Schema().Coerce(relstore.Tuple(vals))
+	if err != nil {
+		return nil, fmt.Errorf("reference: %s: %w", name, err)
+	}
+	return t, nil
 }
 
 // evalRule matches the body in source order and projects the head of every
@@ -262,6 +335,9 @@ func (ev *evaluator) request(a *cylog.Atom, b binding) {
 		}
 	}
 	id := requestID(d.Name, vals)
+	if ev.bindings != nil {
+		ev.bindings[id]++
+	}
 	if _, ok := ev.requests[id]; ok {
 		return
 	}

@@ -210,3 +210,48 @@ flagged(I) :- item(I), !labeled(I).
 		t.Error("Check with an invalid base should fail")
 	}
 }
+
+// TestDerivations pins the support counts over a hand-checked fixpoint: a
+// tuple derived by two rules, or by one rule through two edges, counts each
+// instantiation; a negation passes each binding once; a request counts every
+// prefix binding reaching the open atom, and a key with a fact counts none.
+func TestDerivations(t *testing.T) {
+	c, err := Derivations(cylog.MustParse(`
+rel edge(a: int, b: int).
+rel node(n: int).
+rel reach(a: int, b: int).
+rel h(n: int).
+rel unreached(n: int).
+open rel label(n: int, tag: string) key(n) asks "label".
+rel labeled(n: int).
+reach(X, Y) :- edge(X, Y).
+reach(X, Z) :- reach(X, Y), edge(Y, Z).
+h(X) :- node(X), edge(X, _).
+unreached(N) :- node(N), !reach(_, N).
+labeled(N) :- node(N), edge(N, _), label(N, _).
+`), map[string][]relstore.Tuple{
+		"edge":  tuples(row(1, 2), row(2, 3), row(1, 3)),
+		"node":  tuples(row(1), row(2), row(3), row(4)),
+		"label": tuples(row(2, "x")),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := func(vals ...any) string { return relstore.NewTuple(vals...).Key() }
+	want := map[string]map[string]int{
+		"reach":     {key(1, 2): 1, key(2, 3): 1, key(1, 3): 2},
+		"h":         {key(1): 2, key(2): 1},
+		"unreached": {key(1): 1, key(4): 1},
+		"labeled":   {key(2): 1},
+	}
+	if fmt.Sprint(c.Tuples) != fmt.Sprint(want) {
+		t.Errorf("Tuples = %v, want %v", c.Tuples, want)
+	}
+	if fmt.Sprint(c.Requests) != fmt.Sprint(map[string]int{"label|1": 2}) {
+		t.Errorf("Requests = %v, want label|1 from two bindings", c.Requests)
+	}
+	if _, err := Derivations(cylog.MustParse(`rel a(x: int). rel b(x: int). b(X) :- a(X).`),
+		map[string][]relstore.Tuple{"b": tuples(row(1))}); err == nil {
+		t.Error("base facts for a derived relation should fail")
+	}
+}

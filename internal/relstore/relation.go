@@ -1,6 +1,7 @@
 package relstore
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strconv"
@@ -528,9 +529,9 @@ func (r *Relation) Insert(t Tuple) (bool, error) {
 
 // InsertDerived adds the tuple with one unit of derivation support: a new
 // tuple is stored with derived count 1, an existing one has its count
-// incremented. It returns true when the tuple was physically new. This is the
-// counted insert the CyLog engine's merge step uses for rule-derived head
-// tuples when retraction is enabled.
+// incremented. It returns true when the tuple was physically new. The CyLog
+// engine's merge step calls it for every derivation a round gains, so the
+// count is the number of distinct derivations of the tuple.
 func (r *Relation) InsertDerived(t Tuple) (bool, error) {
 	return r.insertSupported(t, false)
 }
@@ -660,16 +661,18 @@ func (r *Relation) Delete(t Tuple) (bool, error) {
 	}
 	r.lockResident()
 	defer r.mu.Unlock()
-	return r.removeLocked(ct, nil), nil
+	_, removed := r.removeLocked(ct, nil)
+	return removed, nil
 }
 
 // DecDerived removes one unit of derivation support from the tuple equal to
-// t. A tuple whose derivation support reaches zero and that carries no base
+// t: the CyLog engine calls it for every derivation a round invalidates. A
+// tuple whose derivation support reaches zero and that carries no base
 // support is removed from the relation (and its indexes); it returns true
-// exactly in that case. Decrementing an absent tuple is a no-op. The CyLog
-// engine's stratum-granular retraction currently over-deletes with
-// ClearDerived and re-derives; DecDerived is the per-derivation primitive
-// for finer-grained (per-rule deletion variant) propagation.
+// exactly in that case. Decrementing a tuple that is absent, or whose
+// derivation count is already zero, fails with ErrSupportUnderflow and
+// changes nothing: the engine keeps counts exact, so either case means they
+// are wrong.
 func (r *Relation) DecDerived(t Tuple) (bool, error) {
 	ct, err := r.schema.Coerce(t)
 	if err != nil {
@@ -677,30 +680,41 @@ func (r *Relation) DecDerived(t Tuple) (bool, error) {
 	}
 	r.lockResident()
 	defer r.mu.Unlock()
-	return r.removeLocked(ct, func(s *stored) bool {
-		if s.derived > 0 {
-			s.derived--
+	underflow := false
+	found, removed := r.removeLocked(ct, func(s *stored) bool {
+		if s.derived <= 0 {
+			underflow = true
+			return false
 		}
-		return s.derived <= 0 && !s.base
-	}), nil
+		s.derived--
+		return s.derived == 0 && !s.base
+	})
+	if !found || underflow {
+		return false, fmt.Errorf("%w: %s%s has no derivation to remove", ErrSupportUnderflow, r.name, ct)
+	}
+	return removed, nil
 }
 
-// removeLocked locates the stored entry equal to ct and removes it. When
-// decide is non-nil it is applied to the entry first; a false verdict keeps
-// the (mutated) entry in place and reports no removal. Caller holds the write
-// lock.
-func (r *Relation) removeLocked(ct Tuple, decide func(*stored) bool) bool {
+// ErrSupportUnderflow reports a DecDerived of a tuple that is absent or has
+// no derivation support left.
+var ErrSupportUnderflow = errors.New("relstore: derivation support underflow")
+
+// removeLocked locates the stored entry equal to ct and removes it, reporting
+// whether an entry was found and whether it was removed. When decide is
+// non-nil it is applied to the entry first; a false verdict keeps the
+// (mutated) entry in place. Caller holds the write lock.
+func (r *Relation) removeLocked(ct Tuple, decide func(*stored) bool) (found, removed bool) {
 	h := ct.Hash()
 	fs, ok := r.rows[h]
 	if !ok {
-		return false
+		return false, false
 	}
 	var victim Tuple
 	bucket := r.overflow[h]
 	if storedEqual(fs.t, ct) {
 		if decide != nil && !decide(&fs) {
 			r.rows[h] = fs
-			return false
+			return true, false
 		}
 		victim = fs.t
 		if len(bucket) > 0 {
@@ -718,10 +732,10 @@ func (r *Relation) removeLocked(ct Tuple, decide func(*stored) bool) bool {
 			}
 		}
 		if found < 0 {
-			return false
+			return false, false
 		}
 		if decide != nil && !decide(&bucket[found]) {
-			return false
+			return true, false
 		}
 		victim = bucket[found].t
 		r.setOverflow(h, append(bucket[:found], bucket[found+1:]...))
@@ -732,15 +746,15 @@ func (r *Relation) removeLocked(ct Tuple, decide func(*stored) bool) bool {
 	}
 	r.statsRemoveLocked(victim)
 	r.version++
-	return true
+	return true, true
 }
 
 // ClearDerived removes every tuple with no base support and resets the
 // derivation counts of the survivors to zero, returning the number removed.
-// It is the over-deletion primitive of the CyLog engine's retraction phase:
-// a recomputed stratum clears its head relations down to their base facts and
-// re-derives the survivors with fresh counts. Indexes are rebuilt over the
-// survivors.
+// It is the over-deletion primitive of the CyLog engine's recompute of a
+// recursive stratum: the stratum clears its head relations down to their base
+// facts and re-derives the survivors with fresh counts. Indexes are rebuilt
+// over the survivors.
 func (r *Relation) ClearDerived() int {
 	r.lockResident()
 	defer r.mu.Unlock()

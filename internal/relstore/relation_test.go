@@ -2,6 +2,7 @@ package relstore
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math"
 	"strings"
@@ -689,10 +690,19 @@ func TestSupportCounting(t *testing.T) {
 	if got := r.SelectEq("id", NewTuple(1)[0]); len(got) != 0 {
 		t.Errorf("index still answers for removed tuple: %v", got)
 	}
-	// Decrementing an absent tuple is a no-op.
-	if removed, err := r.DecDerived(NewTuple(42)); removed || err != nil {
-		t.Errorf("DecDerived(absent) = (%v, %v)", removed, err)
+	// Decrementing an absent tuple, or a count already at zero, is an error
+	// that changes nothing.
+	if removed, err := r.DecDerived(NewTuple(42)); removed || !errors.Is(err, ErrSupportUnderflow) {
+		t.Errorf("DecDerived(absent) = (%v, %v), want ErrSupportUnderflow", removed, err)
 	}
+	r.MustInsert(7)
+	if removed, err := r.DecDerived(NewTuple(7)); removed || !errors.Is(err, ErrSupportUnderflow) {
+		t.Errorf("DecDerived(base tuple with no derivation) = (%v, %v), want ErrSupportUnderflow", removed, err)
+	}
+	if base, derived, ok := r.Support(NewTuple(7)); !base || derived != 0 || !ok {
+		t.Errorf("failed DecDerived changed the support record: (%v, %d, %v)", base, derived, ok)
+	}
+	r.Delete(NewTuple(7)) //nolint:errcheck
 
 	// Base support shields a tuple from derivation maintenance.
 	r.MustInsert(2)
