@@ -145,7 +145,8 @@ crashcheck-content:
 	$(GO) run ./cmd/walcheck -iterations $(CRASH_ITERS) -seed $(CRASH_SEED) -backend "$(CRASH_BACKEND)" -content-fuzz
 
 # Coverage-guided fuzzing smoke for the untrusted-input surfaces — the binary
-# snapshot importer, the CyLog parser and the WebSocket frame reader — and for
+# snapshot importer, the CyLog parser, the WebSocket frame reader and the JSON
+# request-body decoder — and for
 # counting maintenance, whose fact and answer streams must leave the engine
 # equal to the from-scratch reference, counts included. Go allows one -fuzz
 # target per invocation, hence one run per target. Crashers are saved under
@@ -156,6 +157,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParser$$' -fuzztime $(FUZZTIME) ./internal/cylog/
 	$(GO) test -run '^$$' -fuzz '^FuzzRetractionDifferential$$' -fuzztime $(FUZZTIME) ./internal/cylog/
 	$(GO) test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime $(FUZZTIME) ./internal/api/wire/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeJSON$$' -fuzztime $(FUZZTIME) ./internal/api/
 
 # Validates relative links (files and heading anchors) in README.md,
 # EXPERIMENTS.md and docs/; no network access.

@@ -12,7 +12,7 @@ pkg: github.com/crowd4u/crowd4u-go/internal/cylog
 cpu: Intel(R) Xeon(R) Processor @ 2.70GHz
 BenchmarkTransitiveClosure/seminaive-indexed-10k         	       1	 102021451 ns/op	117807760 B/op	    1477 allocs/op
 BenchmarkTransitiveClosure/seminaive-indexed-10k-4       	       1	 102021451 ns/op	117807760 B/op	    1477 allocs/op
-BenchmarkScanEq-4                                        	  902322	      1334 ns/op
+BenchmarkContainsAt/indexed-10000-4                      	  902322	      1334 ns/op
 PASS
 ok  	github.com/crowd4u/crowd4u-go/internal/cylog	12.3s
 `
@@ -32,18 +32,18 @@ func TestParseBenchOutput(t *testing.T) {
 	if m.nsPerOp != 102021451 || !m.hasAllocs || m.allocsPerOp != 1477 {
 		t.Errorf("metrics = %+v", m)
 	}
-	if ms[2].name != "ScanEq-4" || ms[2].hasAllocs {
-		t.Errorf("ScanEq parsed as %+v", ms[2])
+	if ms[2].name != "ContainsAt/indexed-10000-4" || ms[2].hasAllocs {
+		t.Errorf("ContainsAt parsed as %+v", ms[2])
 	}
 }
 
 func TestMatchBaselineStripsGomaxprocsSuffix(t *testing.T) {
 	base := map[string]baselineEntry{
 		"TransitiveClosure/seminaive-indexed-10k": {NsPerOp: 1},
-		"SelectEq/scan-10000":                     {NsPerOp: 2},
+		"ScanEqAt/scan-10000":                     {NsPerOp: 2},
 	}
 	// Exact match wins, including names whose last segment is numeric.
-	if e, key, ok := matchBaseline(base, "SelectEq/scan-10000"); !ok || key != "SelectEq/scan-10000" || e.NsPerOp != 2 {
+	if e, key, ok := matchBaseline(base, "ScanEqAt/scan-10000"); !ok || key != "ScanEqAt/scan-10000" || e.NsPerOp != 2 {
 		t.Errorf("exact numeric-suffix match failed: %v %q %v", e, key, ok)
 	}
 	// GOMAXPROCS suffix is stripped when the exact name is absent.
@@ -52,7 +52,7 @@ func TestMatchBaselineStripsGomaxprocsSuffix(t *testing.T) {
 	}
 	// On a multi-core host the numeric-suffix baseline is found by stripping
 	// the appended "-4" from "scan-10000-4".
-	if _, key, ok := matchBaseline(base, "SelectEq/scan-10000-4"); !ok || key != "SelectEq/scan-10000" {
+	if _, key, ok := matchBaseline(base, "ScanEqAt/scan-10000-4"); !ok || key != "ScanEqAt/scan-10000" {
 		t.Errorf("numeric-suffix strip failed: %q %v", key, ok)
 	}
 	if _, _, ok := matchBaseline(base, "Unknown/bench"); ok {

@@ -29,6 +29,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"strconv"
@@ -609,14 +610,16 @@ func (s *Server) writeOverloaded(w http.ResponseWriter) {
 	})
 }
 
-// decodeJSON decodes a request body, rejecting trailing garbage and unknown
-// payloads larger than 1 MiB.
+// decodeJSON decodes a request body of at most 1 MiB that holds exactly one
+// JSON document. Anything but whitespace after the document is rejected: the
+// next token must be io.EOF. (Decoder.More would miss a stray '}' or ']',
+// since it reports false before a closing delimiter.)
 func decodeJSON(r *http.Request, into any) error {
 	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, 1<<20))
 	if err := dec.Decode(into); err != nil {
 		return fmt.Errorf("invalid JSON body: %w", err)
 	}
-	if dec.More() {
+	if _, err := dec.Token(); err != io.EOF {
 		return errors.New("invalid JSON body: trailing data after document")
 	}
 	return nil

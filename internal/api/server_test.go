@@ -216,6 +216,16 @@ func TestErrorPaths(t *testing.T) {
 			raw: "{not json", status: http.StatusBadRequest, code: "bad-json"},
 		{name: "trailing garbage", method: "POST", path: "/api/v1/projects/labels/answers",
 			raw: `{"request_id":"x","values":{}} extra`, status: http.StatusBadRequest, code: "bad-json"},
+		{name: "trailing garbage brace", method: "POST", path: "/api/v1/projects/labels/answers",
+			raw: `{"request_id":"x","values":{}}}`, status: http.StatusBadRequest, code: "bad-json"},
+		{name: "trailing garbage bracket", method: "POST", path: "/api/v1/projects/labels/answers",
+			raw: `{"request_id":"x","values":{}}]`, status: http.StatusBadRequest, code: "bad-json"},
+		{name: "trailing garbage second document", method: "POST", path: "/api/v1/projects/labels/answers",
+			raw: `{"request_id":"x","values":{}} {}`, status: http.StatusBadRequest, code: "bad-json"},
+		{name: "fact trailing garbage brace", method: "POST", path: "/api/v1/projects/labels/facts",
+			raw: `{"relation":"item","values":[99]}}`, status: http.StatusBadRequest, code: "bad-json"},
+		{name: "fact trailing garbage bracket", method: "POST", path: "/api/v1/projects/labels/facts",
+			raw: `{"relation":"item","values":[99]}]`, status: http.StatusBadRequest, code: "bad-json"},
 		{name: "missing request id", method: "POST", path: "/api/v1/projects/labels/answers",
 			body: AnswerRequest{Values: map[string]any{"ok": true}}, status: http.StatusBadRequest, code: "bad-request"},
 		{name: "unknown project", method: "POST", path: "/api/v1/projects/ghost/answers",

@@ -257,9 +257,13 @@ func benchOracleLoopDisk(b *testing.B, edges, wave int, backend string) {
 	dir := b.TempDir()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		db, err := relstore.OpenBackend(backend, relstore.DiskOptions{Dir: dir, BudgetBytes: 4 << 10})
-		if err != nil {
-			b.Fatal(err)
+		var db relstore.Backend = relstore.NewMemoryBackend()
+		if backend == "disk" {
+			disk, err := relstore.NewDiskBackend(relstore.DiskOptions{Dir: dir, BudgetBytes: 4 << 10})
+			if err != nil {
+				b.Fatal(err)
+			}
+			db = disk
 		}
 		e := oracleLoopEngine(b, edges, relstore.NewDatabaseWith(db))
 		maintain := func() {

@@ -18,7 +18,7 @@ func newTranslationEngine(t *testing.T) *Engine {
 
 func TestEngineLoadsDeclarationsAndFacts(t *testing.T) {
 	e := newTranslationEngine(t)
-	if !e.Database().Has("sentence") || !e.Database().Has("translated") {
+	if e.Database().Relation("sentence") == nil || e.Database().Relation("translated") == nil {
 		t.Error("declared relations should exist")
 	}
 	if len(e.Facts("sentence")) != 2 {

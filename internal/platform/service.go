@@ -283,8 +283,8 @@ func (p *Platform) CommitRound(projectID project.ID) (RoundCommit, error) {
 	return rc, nil
 }
 
-// detachRound is takeRound without the defensive indirection: it removes and
-// returns the staging round (nil batch when none) and advances the sequence.
+// detachRound removes and returns the project's staging round (a nil batch
+// when none is staged) and advances the round sequence.
 func (p *Platform) detachRound(id project.ID) (*cylog.AnswerBatch, uint64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()

@@ -1,20 +1,18 @@
 package relstore
 
-import (
-	"fmt"
-	"io"
-)
+import "io"
 
 // Backend is the storage seam of a Database: it decides where relation
 // contents live and how database-level snapshots move in and out. The seam
-// deliberately governs lifecycle, paging and snapshot I/O only — Relation
-// stays a concrete struct and its insert/probe methods never dispatch through
-// an interface, so the hot join path pays nothing for pluggability (the
-// memory backend's relations carry a nil pager and behave byte-for-byte like
-// the pre-seam store).
+// governs relation creation, paging and snapshot I/O only. A relation lives
+// as long as its database, so there is no release hook. Relation stays a
+// concrete struct and its insert/probe methods never dispatch through an
+// interface, so the hot join path pays nothing for pluggability (the memory
+// backend's relations carry a nil pager).
 //
 // Backends are single-database: NewDatabaseWith attaches the backend exactly
-// once and attach panics on reuse.
+// once and attach panics on reuse. The two implementations are
+// NewMemoryBackend and NewDiskBackend; the platform picks one per project.
 type Backend interface {
 	// Name identifies the backend ("memory", "disk") in stats and logs.
 	Name() string
@@ -29,11 +27,6 @@ type Backend interface {
 	// backends install their pager hook here; the returned relation must be
 	// empty.
 	OpenRelation(name string, schema *Schema) (*Relation, error)
-
-	// ReleaseRelation forgets any backend state (segment files, residency
-	// accounting) for a dropped relation. Called by Database.Drop after the
-	// relation left the registry.
-	ReleaseRelation(name string)
 
 	// MarkVolatile exempts the named relation from paging — derived (IDB)
 	// relations are recomputed, not persisted, and the engine's evaluator
@@ -122,9 +115,6 @@ func (b *MemoryBackend) OpenRelation(name string, schema *Schema) (*Relation, er
 	return NewRelation(name, schema), nil
 }
 
-// ReleaseRelation implements Backend (no per-relation state to release).
-func (b *MemoryBackend) ReleaseRelation(string) {}
-
 // MarkVolatile implements Backend (nothing pages, so nothing to exempt).
 func (b *MemoryBackend) MarkVolatile(string) {}
 
@@ -153,18 +143,3 @@ func (b *MemoryBackend) Stats() BackendStats {
 
 // Close implements Backend as a no-op.
 func (b *MemoryBackend) Close() error { return nil }
-
-// OpenBackend constructs a backend by name: "memory" (or "") for the
-// in-memory store, "disk" for the disk-paged store rooted at opts.Dir. It is
-// the single switch the platform and command-line layers use to honor
-// CYLOG_BACKEND / -backend selections.
-func OpenBackend(kind string, opts DiskOptions) (Backend, error) {
-	switch kind {
-	case "", "memory":
-		return NewMemoryBackend(), nil
-	case "disk":
-		return NewDiskBackend(opts)
-	default:
-		return nil, fmt.Errorf("relstore: unknown backend %q (want memory or disk)", kind)
-	}
-}

@@ -150,9 +150,6 @@ func (b *DiskBackend) attach(d *Database) {
 	b.d = d
 }
 
-// Dir returns the segment directory.
-func (b *DiskBackend) Dir() string { return b.dir }
-
 // MarkVolatile implements Backend: the named relation, once created, is never
 // paged (IDB relations are recomputed by the engine, which also holds direct
 // pointers into them). Must run before the relation is created.
@@ -175,17 +172,6 @@ func (b *DiskBackend) OpenRelation(name string, schema *Schema) (*Relation, erro
 	r.lastTouch.Store(b.clock.Load())
 	b.entries[name] = &diskEntry{rel: r}
 	return r, nil
-}
-
-// ReleaseRelation implements Backend: forget the residency entry and delete
-// the segment of a dropped relation.
-func (b *DiskBackend) ReleaseRelation(name string) {
-	b.mu.Lock()
-	delete(b.entries, name)
-	delete(b.volatile, name)
-	b.mu.Unlock()
-	os.Remove(b.segPath(name))
-	os.Remove(b.segPath(name) + ".tmp")
 }
 
 // ensure implements relationPager: record the touch, fault in when paged out.

@@ -59,7 +59,7 @@ func TestDiskBackendWritesSurviveConcurrentEviction(t *testing.T) {
 			t.Errorf("%s holds %d tuples, want %d", r.Name(), got, inserts/2)
 		}
 		for i := k; i < inserts; i += 2 {
-			if !r.Contains(NewTuple(i)) {
+			if !contains(r, NewTuple(i)) {
 				t.Errorf("%s lost the insert of %d", r.Name(), i)
 				break
 			}

@@ -36,7 +36,7 @@ func TestDiskBackendEvictAndFault(t *testing.T) {
 		t.Fatalf("stats after evict = %+v, want 1 eviction, 1 segment write, 0 resident", s)
 	}
 	// First content access faults the segment back in, byte-exact.
-	if r.Len() != 100 || !r.Contains(NewTuple(7, "payload-1-7-0123456789abcdef")) {
+	if r.Len() != 100 || !contains(r, NewTuple(7, "payload-1-7-0123456789abcdef")) {
 		t.Fatal("faulted contents differ from what was evicted")
 	}
 	if r.paged.Load() {
@@ -172,32 +172,6 @@ func TestDiskBackendWipesStaleSegments(t *testing.T) {
 	}
 }
 
-func TestDiskBackendDropRemovesSegment(t *testing.T) {
-	b, err := NewDiskBackend(DiskOptions{Dir: t.TempDir(), BudgetBytes: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := NewDatabaseWith(b)
-	r := d.MustCreate("gone", MustSchema("x:int"))
-	r.MustInsert(1)
-	if err := b.Maintain(); err != nil {
-		t.Fatal(err)
-	}
-	seg := b.segPath("gone")
-	if _, err := os.Stat(seg); err != nil {
-		t.Fatalf("expected segment after eviction: %v", err)
-	}
-	if !d.Drop("gone") {
-		t.Fatal("Drop returned false")
-	}
-	if _, err := os.Stat(seg); !os.IsNotExist(err) {
-		t.Fatal("segment survived Drop")
-	}
-	if got := b.Stats().Relations; got != 0 {
-		t.Fatalf("stats count %d relations after Drop, want 0", got)
-	}
-}
-
 func TestDiskBackendSegmentCorruptionPanics(t *testing.T) {
 	b, err := NewDiskBackend(DiskOptions{Dir: t.TempDir(), BudgetBytes: 1})
 	if err != nil {
@@ -276,5 +250,80 @@ func TestDiskBackendImportSnapshotSpills(t *testing.T) {
 	}
 	if !bytes.Equal(fromMem.Bytes(), fromDisk.Bytes()) {
 		t.Fatal("snapshot re-exported from the disk backend differs from the memory backend's")
+	}
+}
+
+func TestDiskBackendOptionErrors(t *testing.T) {
+	if _, err := NewDiskBackend(DiskOptions{}); err == nil {
+		t.Error("NewDiskBackend without a directory: want error")
+	}
+	file := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewDiskBackend(DiskOptions{Dir: file}); err == nil {
+		t.Error("NewDiskBackend over a regular file: want error")
+	}
+	b, err := NewDiskBackend(DiskOptions{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.Stats().BudgetBytes != DefaultDiskBudgetBytes {
+		t.Errorf("budget = %d, want the default %d", b.Stats().BudgetBytes, DefaultDiskBudgetBytes)
+	}
+	if err := b.Close(); err != nil {
+		t.Error(err)
+	}
+}
+
+// failingWriter fails every write.
+type failingWriter struct{}
+
+func (failingWriter) Write([]byte) (int, error) { return 0, os.ErrClosed }
+
+// TestDiskBackendExportSnapshotErrors covers ExportSnapshot's explicit name
+// lists and its failures: an absent relation, a failing writer, and a paged
+// out relation whose segment is gone or damaged.
+func TestDiskBackendExportSnapshotErrors(t *testing.T) {
+	b, err := NewDiskBackend(DiskOptions{Dir: t.TempDir(), BudgetBytes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := NewDatabaseWith(b)
+	mem := NewDatabase()
+	for _, db := range []*Database{d, mem} {
+		fillRelation(t, db.MustCreate("b", MustSchema("x:int", "s:string")), 20, 1)
+		fillRelation(t, db.MustCreate("a", MustSchema("x:int", "s:string")), 20, 2)
+	}
+	if err := b.Maintain(); err != nil {
+		t.Fatal(err)
+	}
+	var fromDisk, fromMem bytes.Buffer
+	if err := d.ExportSnapshot([]string{"b", "a"}, &fromDisk); err != nil {
+		t.Fatal(err)
+	}
+	if err := mem.ExportSnapshot([]string{"a", "b"}, &fromMem); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(fromDisk.Bytes(), fromMem.Bytes()) {
+		t.Error("an explicit name list must export in sorted order, as the memory backend does")
+	}
+	if err := d.ExportSnapshot([]string{"missing"}, &bytes.Buffer{}); err == nil {
+		t.Error("exporting an absent relation: want error")
+	}
+	if err := d.ExportSnapshot(nil, failingWriter{}); err == nil {
+		t.Error("exporting into a failing writer: want error")
+	}
+	if err := os.WriteFile(b.segPath("a"), []byte("RS"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.ExportSnapshot(nil, &bytes.Buffer{}); err == nil {
+		t.Error("exporting from a segment with a bad header: want error")
+	}
+	if err := os.Remove(b.segPath("a")); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.ExportSnapshot(nil, &bytes.Buffer{}); err == nil {
+		t.Error("exporting from a missing segment: want error")
 	}
 }

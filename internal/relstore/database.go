@@ -54,31 +54,6 @@ func (d *Database) ImportSnapshot(rd io.Reader) ([]string, error) {
 	return d.backend.ImportSnapshot(rd)
 }
 
-// Create adds a new empty relation. It returns an error if a relation with the
-// same name already exists.
-func (d *Database) Create(name string, schema *Schema) (*Relation, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if _, exists := d.relations[name]; exists {
-		return nil, fmt.Errorf("relstore: relation %q already exists", name)
-	}
-	r, err := d.backend.OpenRelation(name, schema)
-	if err != nil {
-		return nil, err
-	}
-	d.relations[name] = r
-	return r, nil
-}
-
-// MustCreate is Create but panics on error; for static setup code and tests.
-func (d *Database) MustCreate(name string, schema *Schema) *Relation {
-	r, err := d.Create(name, schema)
-	if err != nil {
-		panic(err)
-	}
-	return r
-}
-
 // GetOrCreate returns the named relation, creating it with the given schema
 // when absent. It returns an error if the relation exists with a different
 // schema.
@@ -106,22 +81,6 @@ func (d *Database) Relation(name string) *Relation {
 	return d.relations[name]
 }
 
-// Has reports whether the named relation exists.
-func (d *Database) Has(name string) bool { return d.Relation(name) != nil }
-
-// Drop removes the named relation. It reports whether a relation was removed.
-func (d *Database) Drop(name string) bool {
-	d.mu.Lock()
-	if _, exists := d.relations[name]; !exists {
-		d.mu.Unlock()
-		return false
-	}
-	delete(d.relations, name)
-	d.mu.Unlock()
-	d.backend.ReleaseRelation(name)
-	return true
-}
-
 // Names returns the sorted names of all relations.
 func (d *Database) Names() []string {
 	d.mu.RLock()
@@ -132,53 +91,4 @@ func (d *Database) Names() []string {
 	d.mu.RUnlock()
 	sort.Strings(out)
 	return out
-}
-
-// TotalTuples returns the total number of tuples across all relations.
-func (d *Database) TotalTuples() int {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	n := 0
-	for _, r := range d.relations {
-		n += r.Len()
-	}
-	return n
-}
-
-// Snapshot returns a deep copy of the database. Snapshots let the platform
-// run what-if assignment rounds and let tests assert on intermediate states.
-func (d *Database) Snapshot() *Database {
-	d.mu.RLock()
-	rels := make([]*Relation, 0, len(d.relations))
-	for _, r := range d.relations {
-		rels = append(rels, r)
-	}
-	d.mu.RUnlock()
-
-	s := NewDatabase()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, r := range rels {
-		s.relations[r.Name()] = r.Clone()
-	}
-	return s
-}
-
-// Restore replaces the database contents with those of the snapshot.
-func (d *Database) Restore(snapshot *Database) {
-	copyOf := snapshot.Snapshot()
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	copyOf.mu.RLock()
-	defer copyOf.mu.RUnlock()
-	d.relations = make(map[string]*Relation, len(copyOf.relations))
-	for name, r := range copyOf.relations {
-		d.relations[name] = r
-	}
-}
-
-// String summarises the database.
-func (d *Database) String() string {
-	names := d.Names()
-	return fmt.Sprintf("Database[%d relations: %v, %d tuples]", len(names), names, d.TotalTuples())
 }

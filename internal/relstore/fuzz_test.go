@@ -11,7 +11,7 @@ import (
 func fuzzSeedExport(f *testing.F) []byte {
 	f.Helper()
 	d := NewDatabase()
-	r, err := d.Create("mixed", MustSchema("n:int", "s:string", "ok:bool"))
+	r, err := d.GetOrCreate("mixed", MustSchema("n:int", "s:string", "ok:bool"))
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -20,7 +20,7 @@ func fuzzSeedExport(f *testing.F) []byte {
 			f.Fatal(err)
 		}
 	}
-	if _, err := d.Create("empty", MustSchema("x:int")); err != nil {
+	if _, err := d.GetOrCreate("empty", MustSchema("x:int")); err != nil {
 		f.Fatal(err)
 	}
 	var buf bytes.Buffer

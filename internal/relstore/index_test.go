@@ -1,6 +1,7 @@
 package relstore
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -15,86 +16,77 @@ func newAssignRelation() *Relation {
 	return r
 }
 
+// sameTuples reports whether two sorted tuple lists are equal.
+func sameTuples(a, b []Tuple) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if !a[i].Equal(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
 func TestCompositeIndexLookup(t *testing.T) {
 	r := newAssignRelation()
-	cols := []string{"worker", "task"}
+	workerTask := []int{0, 1}
 	vals := []Value{String("alice"), Int(2)}
 
-	noIdx, err := r.SelectEqMulti(cols, vals)
+	noIdx, indexed, err := scanEqAt(r, workerTask, vals...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(noIdx) != 1 {
-		t.Fatalf("SelectEqMulti without index = %v", noIdx)
+	if len(noIdx) != 1 || indexed {
+		t.Fatalf("ScanEqAt without index = %v (indexed %v)", noIdx, indexed)
 	}
-	if err := r.CreateIndex("worker", "task"); err != nil {
+	if err := r.EnsureIndexAt(workerTask); err != nil {
 		t.Fatal(err)
 	}
-	if !r.HasIndex("worker", "task") || !r.HasIndex("task", "worker") {
-		t.Error("composite index should be order-insensitive")
+	if !r.HasIndexAt(workerTask) {
+		t.Error("HasIndexAt(worker, task) = false after EnsureIndexAt")
 	}
-	if r.HasIndex("worker") {
+	if r.HasIndexAt([]int{0}) || r.HasIndexAt([]int{1}) {
 		t.Error("a composite index is not a single-column index")
 	}
-	withIdx, err := r.SelectEqMulti(cols, vals)
+	withIdx, indexed, err := scanEqAt(r, workerTask, vals...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(withIdx) != 1 || !withIdx[0].Equal(noIdx[0]) {
-		t.Errorf("indexed SelectEqMulti = %v, want %v", withIdx, noIdx)
+	if !indexed || !sameTuples(withIdx, noIdx) {
+		t.Errorf("indexed ScanEqAt = %v (indexed %v), want %v", withIdx, indexed, noIdx)
 	}
-	// Column order in the query must not matter either.
-	swapped, err := r.SelectEqMulti([]string{"task", "worker"}, []Value{Int(2), String("alice")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(swapped) != 1 || !swapped[0].Equal(noIdx[0]) {
-		t.Errorf("swapped-column SelectEqMulti = %v", swapped)
+	// A probe on a subset of the indexed positions does not use the index.
+	if got, indexed, _ := scanEqAt(r, []int{0}, String("alice")); len(got) != 2 || indexed {
+		t.Errorf("ScanEqAt(worker) = %v (indexed %v), want 2 scanned rows", got, indexed)
 	}
 }
 
 func TestCompositeIndexMaintenance(t *testing.T) {
 	r := newAssignRelation()
-	if err := r.CreateIndex("worker", "task"); err != nil {
+	workerTask := []int{0, 1}
+	if err := r.EnsureIndexAt(workerTask); err != nil {
 		t.Fatal(err)
 	}
-	r.MustInsert("dave", 1, 0.4)
-	if got, _ := r.SelectEqMulti([]string{"worker", "task"}, []Value{String("dave"), Int(1)}); len(got) != 1 {
+	r.InsertDerived(NewTuple("dave", 1, 0.4)) //nolint:errcheck
+	if got, _, _ := scanEqAt(r, workerTask, String("dave"), Int(1)); len(got) != 1 {
 		t.Errorf("insert not reflected in index: %v", got)
 	}
-	if ok, _ := r.Delete(NewTuple("alice", 2, 0.5)); !ok {
-		t.Fatal("delete failed")
+	if removed, err := r.DecDerived(NewTuple("dave", 1, 0.4)); !removed || err != nil {
+		t.Fatalf("DecDerived = %v, %v", removed, err)
 	}
-	if got, _ := r.SelectEqMulti([]string{"worker", "task"}, []Value{String("alice"), Int(2)}); len(got) != 0 {
-		t.Errorf("delete not reflected in index: %v", got)
+	if got, _, _ := scanEqAt(r, workerTask, String("dave"), Int(1)); len(got) != 0 {
+		t.Errorf("removal not reflected in index: %v", got)
 	}
 	r.Clear()
-	if got, _ := r.SelectEqMulti([]string{"worker", "task"}, []Value{String("bob"), Int(1)}); len(got) != 0 {
+	if got, _, _ := scanEqAt(r, workerTask, String("bob"), Int(1)); len(got) != 0 {
 		t.Errorf("clear not reflected in index: %v", got)
 	}
 	// The index definition survives Clear and keeps working.
 	r.MustInsert("erin", 9, 1.0)
-	if got, _ := r.SelectEqMulti([]string{"worker", "task"}, []Value{String("erin"), Int(9)}); len(got) != 1 {
-		t.Errorf("index dead after clear: %v", got)
-	}
-}
-
-func TestCompositeIndexClone(t *testing.T) {
-	r := newAssignRelation()
-	r.CreateIndex("worker", "task")
-	r.CreateIndex("task")
-	c := r.Clone()
-	if !c.HasIndex("worker", "task") || !c.HasIndex("task") {
-		t.Fatalf("clone lost indexes: %v", c.IndexedColumns())
-	}
-	got, err := c.SelectEqMulti([]string{"worker", "task"}, []Value{String("bob"), Int(3)})
-	if err != nil || len(got) != 1 {
-		t.Errorf("clone composite lookup = %v (%v)", got, err)
-	}
-	// Mutating the clone must not affect the original.
-	c.MustInsert("zed", 7, 0.1)
-	if r.Len() == c.Len() {
-		t.Error("clone shares storage with original")
+	if got, indexed, _ := scanEqAt(r, workerTask, String("erin"), Int(9)); len(got) != 1 || !indexed {
+		t.Errorf("index dead after clear: %v (indexed %v)", got, indexed)
 	}
 }
 
@@ -106,14 +98,17 @@ func TestPositionBasedIndexAPI(t *testing.T) {
 	if err := r.EnsureIndexAt([]int{0, 1}); err != nil {
 		t.Fatal(err)
 	}
-	if !r.HasIndexAt([]int{0, 1}) || !r.HasIndex("worker", "task") {
-		t.Error("position-built index should be visible to both APIs")
+	if !r.HasIndexAt([]int{0, 1}) {
+		t.Error("EnsureIndexAt built no index")
 	}
 	if err := r.EnsureIndexAt([]int{0, 1}); err != nil {
 		t.Fatal(err)
 	}
-	if got := r.IndexedColumns(); len(got) != 1 {
-		t.Errorf("EnsureIndexAt created duplicates: %v", got)
+	if err := r.EnsureIndexAt([]int{2}); err != nil {
+		t.Fatal(err)
+	}
+	if len(r.indexes) != 2 {
+		t.Errorf("EnsureIndexAt created duplicates: %d indexes, want 2", len(r.indexes))
 	}
 	// The built index answers probes and stays maintained.
 	r.MustInsert("frank", 4, 0.2)
@@ -125,120 +120,142 @@ func TestPositionBasedIndexAPI(t *testing.T) {
 	if err := r.EnsureIndexAt([]int{1, 0}); err == nil {
 		t.Error("descending positions should fail")
 	}
+	if err := r.EnsureIndexAt([]int{1, 1}); err == nil {
+		t.Error("repeated positions should fail")
+	}
 	if err := r.EnsureIndexAt(nil); err == nil {
 		t.Error("empty positions should fail")
 	}
-	if r.HasIndexAt([]int{9}) {
-		t.Error("out-of-range position should report false")
+	if r.HasIndexAt([]int{9}) || r.HasIndexAt(nil) {
+		t.Error("invalid positions should report false")
 	}
 }
 
+// TestEnsureIndexIdempotent pins that re-ensuring an existing index keeps the
+// index it has instead of building (or filling) a second one, and that a
+// further index on other positions leaves the first one alone.
 func TestEnsureIndexIdempotent(t *testing.T) {
 	r := newAssignRelation()
-	if err := r.EnsureIndex("worker", "task"); err != nil {
+	if err := r.EnsureIndexAt([]int{0}); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.EnsureIndex("task", "worker"); err != nil {
+	first := r.lookup([]int{0})
+	if err := r.EnsureIndexAt([]int{0}); err != nil {
 		t.Fatal(err)
 	}
-	if got := r.IndexedColumns(); len(got) != 1 {
-		t.Errorf("EnsureIndex created duplicates: %v", got)
+	if err := r.EnsureIndexAt([]int{1, 2}); err != nil {
+		t.Fatal(err)
+	}
+	if r.lookup([]int{0}) != first {
+		t.Error("re-ensuring the index replaced it")
+	}
+	// Every tuple sits in the index once: a re-fill would yield duplicates.
+	n := 0
+	first.probe(HashValues(String("alice")), func(Tuple) bool { n++; return true })
+	if n != 2 {
+		t.Errorf("index holds %d entries for alice, want 2", n)
 	}
 }
 
+// TestIndexedColumnsMetadata pins HasIndexAt over every position set of a
+// ternary relation: none before any index, exactly the ensured ones after,
+// and the same ones after Clear, ClearDerived and a derived insert and
+// removal, which rebuild contents but keep definitions.
 func TestIndexedColumnsMetadata(t *testing.T) {
 	r := newAssignRelation()
-	if got := r.IndexedColumns(); len(got) != 0 {
-		t.Fatalf("fresh relation reports indexes: %v", got)
+	sets := [][]int{{0}, {1}, {2}, {0, 1}, {0, 2}, {1, 2}, {0, 1, 2}}
+	check := func(stage string, want ...int) {
+		t.Helper()
+		for i, s := range sets {
+			wanted := false
+			for _, w := range want {
+				wanted = wanted || w == i
+			}
+			if got := r.HasIndexAt(s); got != wanted {
+				t.Errorf("%s: HasIndexAt(%v) = %v, want %v", stage, s, got, wanted)
+			}
+		}
 	}
-	r.CreateIndex("score")
-	r.CreateIndex("task", "worker")
-	got := r.IndexedColumns()
-	if len(got) != 2 {
-		t.Fatalf("IndexedColumns = %v", got)
+	check("fresh")
+	if err := r.EnsureIndexAt([]int{2}); err != nil {
+		t.Fatal(err)
 	}
-	// Sets come back sorted by column position: (worker,task) then (score).
-	if got[0][0] != "worker" || got[0][1] != "task" || got[1][0] != "score" {
-		t.Errorf("IndexedColumns = %v", got)
+	if err := r.EnsureIndexAt([]int{0, 1}); err != nil {
+		t.Fatal(err)
 	}
+	check("ensured", 2, 3)
+	r.InsertDerived(NewTuple("dave", 5, 0.1)) //nolint:errcheck
+	if n := r.ClearDerived(); n != 1 {
+		t.Fatalf("ClearDerived removed %d tuples, want 1", n)
+	}
+	check("after ClearDerived", 2, 3)
+	r.Clear()
+	check("after Clear", 2, 3)
 }
 
 func TestScanEqEdgeCases(t *testing.T) {
 	r := newAssignRelation()
-	if _, err := r.ScanEq([]string{"worker"}, nil, func(Tuple) bool { return true }); err == nil {
-		t.Error("mismatched columns/values should fail")
+	if _, err := r.ScanEqAt([]int{0}, nil, func(Tuple) bool { return true }); err == nil {
+		t.Error("mismatched positions/values should fail")
 	}
-	if _, err := r.ScanEq(nil, nil, func(Tuple) bool { return true }); err == nil {
-		t.Error("zero columns should fail, not panic")
-	}
-	if _, err := r.SelectEqMulti(nil, nil); err == nil {
-		t.Error("SelectEqMulti with no columns should fail")
+	if _, err := r.ScanEqAt(nil, nil, func(Tuple) bool { return true }); err == nil {
+		t.Error("zero positions should fail, not panic")
 	}
 	if _, err := r.ScanEqAt([]int{5}, []Value{Int(1)}, func(Tuple) bool { return true }); err == nil {
 		t.Error("out-of-range position should fail")
 	}
+	if _, err := r.ScanEqAt([]int{-1}, []Value{Int(1)}, func(Tuple) bool { return true }); err == nil {
+		t.Error("negative position should fail")
+	}
 	if _, err := r.ScanEqAt([]int{1, 0}, []Value{Int(1), Int(2)}, func(Tuple) bool { return true }); err == nil {
 		t.Error("descending positions should fail")
 	}
-	if _, err := r.ScanEq([]string{"nope"}, []Value{Int(1)}, func(Tuple) bool { return true }); err == nil {
-		t.Error("unknown column should fail")
+	// A NaN probe matches nothing (probes use Equal, not set equality).
+	if got, _, _ := scanEqAt(r, []int{2}, Float(math.NaN())); len(got) != 0 {
+		t.Errorf("NaN probe matched %v", got)
 	}
-	if err := r.CreateIndex(); err == nil {
-		t.Error("CreateIndex with no columns should fail")
-	}
-	if r.HasIndex("nope") {
-		t.Error("HasIndex on unknown column should be false")
-	}
-	// Duplicate column with equal values collapses; with conflicting values
-	// nothing can match.
-	n := 0
-	if _, err := r.ScanEq([]string{"task", "task"}, []Value{Int(1), Int(1)}, func(Tuple) bool { n++; return true }); err != nil {
-		t.Fatal(err)
-	}
-	if n != 2 {
-		t.Errorf("duplicate equal constraint matched %d rows, want 2", n)
-	}
-	n = 0
-	if _, err := r.ScanEq([]string{"task", "task"}, []Value{Int(1), Int(2)}, func(Tuple) bool { n++; return true }); err != nil {
-		t.Fatal(err)
-	}
-	if n != 0 {
-		t.Errorf("conflicting constraint matched %d rows, want 0", n)
-	}
-	// Early termination stops the scan.
-	n = 0
-	r.ScanEq([]string{"task"}, []Value{Int(1)}, func(Tuple) bool { n++; return false })
-	if n != 1 {
-		t.Errorf("early-stop scanned %d rows, want 1", n)
+	// Early termination stops the scan and the index probe alike.
+	for _, indexed := range []bool{false, true} {
+		if indexed {
+			if err := r.EnsureIndexAt([]int{1}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		n := 0
+		r.ScanEqAt([]int{1}, []Value{Int(1)}, func(Tuple) bool { n++; return false }) //nolint:errcheck
+		if n != 1 {
+			t.Errorf("early stop (indexed %v) visited %d rows, want 1", indexed, n)
+		}
 	}
 }
 
-// TestSelectEqMultiMatchesScan quick-checks that indexed composite lookups
-// return exactly the tuples a predicate scan returns, over random data.
+// TestSelectEqMultiMatchesScan quick-checks that an indexed composite probe
+// returns exactly the tuples a predicate scan returns, over random data.
 func TestSelectEqMultiMatchesScan(t *testing.T) {
 	f := func(rows []uint8, probeA, probeB uint8) bool {
 		r := NewRelation("t", MustSchema("a:int", "b:int"))
 		for i := 0; i+1 < len(rows); i += 2 {
 			r.MustInsert(int(rows[i]%8), int(rows[i+1]%8))
 		}
-		if err := r.CreateIndex("a", "b"); err != nil {
-			return false
-		}
 		va, vb := Int(int64(probeA%8)), Int(int64(probeB%8))
-		indexed, err := r.SelectEqMulti([]string{"a", "b"}, []Value{va, vb})
-		if err != nil {
+		scanned, indexed, err := scanEqAt(r, []int{0, 1}, va, vb)
+		if err != nil || indexed {
 			return false
 		}
-		scanned := r.Select(func(t Tuple) bool { return t[0].Equal(va) && t[1].Equal(vb) })
-		if len(indexed) != len(scanned) {
+		if err := r.EnsureIndexAt([]int{0, 1}); err != nil {
 			return false
 		}
-		for i := range indexed {
-			if !indexed[i].Equal(scanned[i]) {
-				return false
+		probed, indexed, err := scanEqAt(r, []int{0, 1}, va, vb)
+		if err != nil || !indexed {
+			return false
+		}
+		var want []Tuple
+		for _, t := range r.All() {
+			if t[0].Equal(va) && t[1].Equal(vb) {
+				want = append(want, t)
 			}
 		}
-		return true
+		return sameTuples(scanned, want) && sameTuples(probed, want)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
@@ -259,12 +276,16 @@ func TestContainsAt(t *testing.T) {
 		t.Errorf("ContainsAt missing = %v, %v", found, err)
 	}
 	// Indexed probes answer the same way.
-	if err := r.CreateIndex("a"); err != nil {
+	if err := r.EnsureIndexAt([]int{0}); err != nil {
 		t.Fatal(err)
 	}
 	found, err = r.ContainsAt([]int{0}, []Value{Int(2)})
 	if err != nil || !found {
 		t.Errorf("ContainsAt indexed = %v, %v", found, err)
+	}
+	found, err = r.ContainsAt([]int{0}, []Value{Int(3)})
+	if err != nil || found {
+		t.Errorf("ContainsAt indexed missing = %v, %v", found, err)
 	}
 	// Contract violations surface as errors.
 	if _, err := r.ContainsAt([]int{1, 0}, []Value{Int(1), Int(2)}); err == nil {
@@ -277,50 +298,45 @@ func TestContainsAt(t *testing.T) {
 
 // TestIndexBucketPromotionOnDelete drives the first/overflow bucket split of
 // the inline-first index layout: several tuples sharing one indexed value
-// land in the same bucket, and deleting them in various orders must keep
+// land in the same bucket, and removing them in various orders must keep
 // probes exact (including promoting an overflow tuple to the inline slot).
 func TestIndexBucketPromotionOnDelete(t *testing.T) {
 	r := NewRelation("w", MustSchema("a:int", "b:int"))
-	if err := r.CreateIndex("a"); err != nil {
+	if err := r.EnsureIndexAt([]int{0}); err != nil {
 		t.Fatal(err)
 	}
 	for b := 0; b < 4; b++ {
-		r.MustInsert(7, b)
+		r.InsertDerived(NewTuple(7, b)) //nolint:errcheck
 	}
 	probe := func() []Tuple {
-		out, err := r.SelectEqMulti([]string{"a"}, []Value{Int(7)})
-		if err != nil {
-			t.Fatal(err)
+		out, indexed, err := scanEqAt(r, []int{0}, Int(7))
+		if err != nil || !indexed {
+			t.Fatalf("probe: indexed %v, err %v", indexed, err)
 		}
 		return out
+	}
+	remove := func(b int) {
+		t.Helper()
+		if removed, err := r.DecDerived(NewTuple(7, b)); !removed || err != nil {
+			t.Fatalf("DecDerived (7,%d) = %v, %v", b, removed, err)
+		}
 	}
 	if got := probe(); len(got) != 4 {
 		t.Fatalf("bucket = %v, want 4 tuples", got)
 	}
-	// Delete the first-inserted tuple: an overflow tuple must be promoted.
-	if ok, _ := r.Delete(NewTuple(7, 0)); !ok {
-		t.Fatal("delete (7,0) failed")
-	}
+	// Remove the first-inserted tuple: an overflow tuple must be promoted.
+	remove(0)
 	if got := probe(); len(got) != 3 {
-		t.Fatalf("after first delete: %v", got)
+		t.Fatalf("after first removal: %v", got)
 	}
-	// Delete from the middle of the overflow list.
-	if ok, _ := r.Delete(NewTuple(7, 2)); !ok {
-		t.Fatal("delete (7,2) failed")
-	}
-	got := probe()
-	if len(got) != 2 {
-		t.Fatalf("after second delete: %v", got)
-	}
-	want := []Tuple{NewTuple(7, 1), NewTuple(7, 3)}
-	for i := range want {
-		if !got[i].Equal(want[i]) {
-			t.Errorf("bucket[%d] = %v, want %v", i, got[i], want[i])
-		}
+	// Remove from the middle of the overflow list.
+	remove(2)
+	if got, want := probe(), []Tuple{NewTuple(7, 1), NewTuple(7, 3)}; !sameTuples(got, want) {
+		t.Fatalf("after second removal: %v, want %v", got, want)
 	}
 	// Drain the bucket entirely and reinsert.
-	r.Delete(NewTuple(7, 1))
-	r.Delete(NewTuple(7, 3))
+	remove(1)
+	remove(3)
 	if got := probe(); len(got) != 0 {
 		t.Fatalf("after drain: %v", got)
 	}

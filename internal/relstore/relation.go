@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -48,16 +46,6 @@ func (ix *index) probe(h uint64, fn func(Tuple) bool) {
 	}
 }
 
-// indexKey canonically names an index by its sorted column positions, so an
-// index on (a, b) and one on (b, a) are the same index.
-func indexKey(cols []int) string {
-	parts := make([]string, len(cols))
-	for i, c := range cols {
-		parts[i] = strconv.Itoa(c)
-	}
-	return strings.Join(parts, ",")
-}
-
 // HashValues combines the hashes of the values in order; a single value
 // hashes to its own hash so one-column composite indexes match the historic
 // per-column index layout. The combination is the same one composite indexes
@@ -79,8 +67,8 @@ func HashValues(vals ...Value) uint64 {
 // plus NaN == NaN. The former canonical-key layout rendered every NaN as the
 // same string, so NaN facts deduplicated; folding NaNs here preserves that —
 // without it a rule deriving a NaN fact would re-insert it every fixpoint
-// iteration and evaluation would never converge. Probe APIs (ScanEq*) keep
-// plain Equal semantics: a NaN probe matches nothing, as before.
+// iteration and evaluation would never converge. The probes (ScanEqAt,
+// ContainsAt) keep plain Equal semantics: a NaN probe matches nothing.
 func storedEqual(a, b Tuple) bool {
 	if len(a) != len(b) {
 		return false
@@ -144,7 +132,7 @@ type stored struct {
 }
 
 // Relation is a named, schema-typed set of tuples with optional hash indexes
-// on single columns or column combinations. All operations are safe for
+// on column positions, single or combined. All operations are safe for
 // concurrent use.
 //
 // Relations have set semantics: inserting a tuple equal to an existing one is
@@ -154,14 +142,13 @@ type stored struct {
 // (DecDerived, ClearDerived) remove tuples whose last support vanished — the
 // storage half of the CyLog engine's retraction machinery.
 //
-// Read-only view guarantee: as long as no Insert, InsertDerived, Delete,
-// DecDerived, DeleteWhere, Clear, ClearDerived or Restore runs, the tuple
-// set observed by readers is stable — any number
-// of goroutines may Scan, ScanEq/ScanEqAt, Select*, Project, All, Len and
-// Contains concurrently and all see the same contents. CreateIndex,
-// EnsureIndex and EnsureIndexAt are read-compatible: they change only access
-// paths, never contents, so they may race freely with readers (and each
-// other) without perturbing results. The CyLog engine's parallel evaluation
+// Read-only view guarantee: as long as no Insert, InsertDerived, DecDerived,
+// Clear or ClearDerived runs, the tuple set observed by readers is stable —
+// any number of goroutines may Scan, ScanSupport, ScanEqAt, ContainsAt,
+// Support, All and Len concurrently and all see the same contents.
+// EnsureIndexAt is read-compatible: it changes only access paths, never
+// contents, so it may race freely with readers (and with itself) without
+// perturbing results. The CyLog engine's parallel evaluation
 // phase relies on exactly this contract: workers share the live relations as
 // a logical snapshot and defer every tuple mutation to a single-threaded
 // merge step.
@@ -182,7 +169,7 @@ type Relation struct {
 	rows     map[uint64]stored
 	overflow map[uint64][]stored
 	count    int
-	indexes  map[string]*index // indexKey -> composite hash index
+	indexes  []*index // found by column positions (lookup)
 	version  uint64
 	// colCounts holds one value-hash refcount map per column; len(map) is the
 	// column's distinct-count estimate. markRows/markDistinct capture the row
@@ -342,7 +329,6 @@ func NewRelation(name string, schema *Schema) *Relation {
 		schema:   schema,
 		rows:     make(map[uint64]stored),
 		overflow: make(map[uint64][]stored),
-		indexes:  make(map[string]*index),
 	}
 	r.initStatsLocked()
 	return r
@@ -370,79 +356,6 @@ func (r *Relation) Version() uint64 {
 	return r.version
 }
 
-// columnPositions resolves column names to sorted, de-duplicated positions.
-func (r *Relation) columnPositions(columns []string) ([]int, error) {
-	if len(columns) == 0 {
-		return nil, fmt.Errorf("relstore: index on relation %q needs at least one column", r.name)
-	}
-	cols := make([]int, 0, len(columns))
-	for _, c := range columns {
-		ci := r.schema.ColumnIndex(c)
-		if ci < 0 {
-			return nil, fmt.Errorf("relstore: relation %q has no column %q", r.name, c)
-		}
-		cols = append(cols, ci)
-	}
-	sort.Ints(cols)
-	dedup := cols[:1]
-	for _, c := range cols[1:] {
-		if c != dedup[len(dedup)-1] {
-			dedup = append(dedup, c)
-		}
-	}
-	return dedup, nil
-}
-
-// CreateIndex builds (or rebuilds) a hash index on the named columns. A
-// single column gives the classic per-column index; multiple columns build a
-// composite index probed by SelectEqMulti. Indexes are maintained
-// incrementally by Insert, Delete and Clear, and carried over by Clone.
-func (r *Relation) CreateIndex(columns ...string) error {
-	cols, err := r.columnPositions(columns)
-	if err != nil {
-		return err
-	}
-	r.lockResident()
-	defer r.mu.Unlock()
-	ix := newIndex(cols, r.count)
-	r.forEachLocked(func(t Tuple) bool {
-		ix.insert(t)
-		return true
-	})
-	r.indexes[indexKey(cols)] = ix
-	return nil
-}
-
-// EnsureIndex creates an index on the named columns unless one already
-// exists. It is the idempotent variant used by the CyLog planner when it
-// decides a recurring bound join key deserves an index.
-func (r *Relation) EnsureIndex(columns ...string) error {
-	cols, err := r.columnPositions(columns)
-	if err != nil {
-		return err
-	}
-	r.mu.RLock()
-	_, ok := r.indexes[indexKey(cols)]
-	r.mu.RUnlock()
-	if ok {
-		return nil
-	}
-	return r.CreateIndex(columns...)
-}
-
-// HasIndex reports whether an index exists on exactly the named column set
-// (order-insensitive).
-func (r *Relation) HasIndex(columns ...string) bool {
-	cols, err := r.columnPositions(columns)
-	if err != nil {
-		return false
-	}
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	_, ok := r.indexes[indexKey(cols)]
-	return ok
-}
-
 // checkPositions validates that positions are strictly ascending and within
 // the schema arity — the contract of the position-based index and probe APIs.
 func (r *Relation) checkPositions(positions []int) error {
@@ -462,29 +375,27 @@ func (r *Relation) checkPositions(positions []int) error {
 }
 
 // HasIndexAt reports whether an index exists on exactly the given column
-// positions (strictly ascending). It is the allocation-free variant of
-// HasIndex for callers that already hold resolved positions.
+// positions (strictly ascending). It allocates nothing.
 func (r *Relation) HasIndexAt(positions []int) bool {
 	if r.checkPositions(positions) != nil {
 		return false
 	}
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	_, ok := r.indexes[indexKey(positions)]
-	return ok
+	return r.lookup(positions) != nil
 }
 
-// EnsureIndexAt creates an index on the given column positions (strictly
-// ascending) unless one already exists — EnsureIndex for callers that
-// already hold resolved positions.
+// EnsureIndexAt creates a hash index on the given column positions (strictly
+// ascending) unless one already exists. The CyLog planner calls it when a
+// recurring bound join key deserves an index. Indexes are maintained by every
+// mutation, and their definitions survive Clear, ClearDerived and paging.
 func (r *Relation) EnsureIndexAt(positions []int) error {
 	if err := r.checkPositions(positions); err != nil {
 		return err
 	}
 	r.lockResident()
 	defer r.mu.Unlock()
-	k := indexKey(positions)
-	if _, ok := r.indexes[k]; ok {
+	if r.lookup(positions) != nil {
 		return nil
 	}
 	ix := newIndex(append([]int(nil), positions...), r.count)
@@ -492,39 +403,17 @@ func (r *Relation) EnsureIndexAt(positions []int) error {
 		ix.insert(t)
 		return true
 	})
-	r.indexes[k] = ix
+	r.indexes = append(r.indexes, ix)
 	return nil
-}
-
-// IndexedColumns returns the column-name sets of all indexes, each sorted by
-// column position, the sets ordered deterministically. It is the index
-// metadata the CyLog planner and tests inspect.
-func (r *Relation) IndexedColumns() [][]string {
-	r.mu.RLock()
-	ixs := make([]*index, 0, len(r.indexes))
-	for _, ix := range r.indexes {
-		ixs = append(ixs, ix)
-	}
-	r.mu.RUnlock()
-	sort.Slice(ixs, func(i, j int) bool { return indexKey(ixs[i].cols) < indexKey(ixs[j].cols) })
-	out := make([][]string, len(ixs))
-	for i, ix := range ixs {
-		names := make([]string, len(ix.cols))
-		for j, c := range ix.cols {
-			names[j] = r.schema.Column(c).Name
-		}
-		out[i] = names
-	}
-	return out
 }
 
 // Insert adds the tuple (coerced to the schema types) with base support. It
 // returns true when the tuple was new, false when an equal tuple was already
 // present (in which case the existing tuple gains base support), and an error
 // when the tuple does not fit the schema. Base-supported tuples are never
-// removed by DecDerived or ClearDerived — only Delete/DeleteWhere/Clear can.
+// removed by DecDerived or ClearDerived — only Clear can.
 func (r *Relation) Insert(t Tuple) (bool, error) {
-	return r.insertSupported(t, true)
+	return r.insertWithSupport(t, true, 0)
 }
 
 // InsertDerived adds the tuple with one unit of derivation support: a new
@@ -533,13 +422,14 @@ func (r *Relation) Insert(t Tuple) (bool, error) {
 // engine's merge step calls it for every derivation a round gains, so the
 // count is the number of distinct derivations of the tuple.
 func (r *Relation) InsertDerived(t Tuple) (bool, error) {
-	return r.insertSupported(t, false)
+	return r.insertWithSupport(t, false, 1)
 }
 
-// insertWithSupport restores a tuple with its full support record in one
-// step: base membership plus `derived` units of derivation count. It is the
-// binary importer's O(1) alternative to calling InsertDerived in a loop —
-// essential because the loop bound would come from untrusted stream bytes.
+// insertWithSupport adds base support (when base is set) and `derived` units
+// of derivation count to the tuple equal to t, storing it when absent. It is
+// the one insert path: Insert and InsertDerived call it, and the binary
+// importer restores a tuple's whole support record in one call instead of a
+// loop whose bound would come from untrusted stream bytes.
 func (r *Relation) insertWithSupport(t Tuple, base bool, derived int32) (bool, error) {
 	ct, err := r.schema.Coerce(t)
 	if err != nil {
@@ -578,93 +468,6 @@ func (r *Relation) insertWithSupport(t Tuple, base bool, derived int32) (bool, e
 	return true, nil
 }
 
-func (r *Relation) insertSupported(t Tuple, base bool) (bool, error) {
-	ct, err := r.schema.Coerce(t)
-	if err != nil {
-		return false, err
-	}
-	h := ct.Hash()
-	r.lockResident()
-	defer r.mu.Unlock()
-	bump := func(s *stored) {
-		if base {
-			s.base = true
-		} else {
-			s.derived++
-		}
-	}
-	if fs, ok := r.rows[h]; ok {
-		if storedEqual(fs.t, ct) {
-			bump(&fs)
-			r.rows[h] = fs
-			return false, nil
-		}
-		bucket := r.overflow[h]
-		for i := range bucket {
-			if storedEqual(bucket[i].t, ct) {
-				bump(&bucket[i])
-				return false, nil
-			}
-		}
-		ns := stored{t: ct, base: base}
-		if !base {
-			ns.derived = 1
-		}
-		r.overflow[h] = append(bucket, ns)
-	} else {
-		ns := stored{t: ct, base: base}
-		if !base {
-			ns.derived = 1
-		}
-		r.rows[h] = ns
-	}
-	r.count++
-	for _, ix := range r.indexes {
-		ix.insert(ct)
-	}
-	r.statsInsertLocked(ct)
-	r.version++
-	return true, nil
-}
-
-// MustInsert inserts a tuple built from native Go values and panics on schema
-// mismatch. It is a convenience for tests and static fixtures.
-func (r *Relation) MustInsert(vals ...any) bool {
-	ok, err := r.Insert(NewTuple(vals...))
-	if err != nil {
-		panic(err)
-	}
-	return ok
-}
-
-// InsertAll inserts every tuple and returns the count of newly added tuples.
-func (r *Relation) InsertAll(tuples []Tuple) (int, error) {
-	added := 0
-	for _, t := range tuples {
-		ok, err := r.Insert(t)
-		if err != nil {
-			return added, err
-		}
-		if ok {
-			added++
-		}
-	}
-	return added, nil
-}
-
-// Delete removes the tuple equal to t regardless of its support. It returns
-// true when a tuple was removed.
-func (r *Relation) Delete(t Tuple) (bool, error) {
-	ct, err := r.schema.Coerce(t)
-	if err != nil {
-		return false, err
-	}
-	r.lockResident()
-	defer r.mu.Unlock()
-	_, removed := r.removeLocked(ct, nil)
-	return removed, nil
-}
-
 // DecDerived removes one unit of derivation support from the tuple equal to
 // t: the CyLog engine calls it for every derivation a round invalidates. A
 // tuple whose derivation support reaches zero and that carries no base
@@ -699,10 +502,10 @@ func (r *Relation) DecDerived(t Tuple) (bool, error) {
 // no derivation support left.
 var ErrSupportUnderflow = errors.New("relstore: derivation support underflow")
 
-// removeLocked locates the stored entry equal to ct and removes it, reporting
-// whether an entry was found and whether it was removed. When decide is
-// non-nil it is applied to the entry first; a false verdict keeps the
-// (mutated) entry in place. Caller holds the write lock.
+// removeLocked locates the stored entry equal to ct, applies decide to it and
+// removes it when decide returns true; a false verdict keeps the (mutated)
+// entry in place. It reports whether an entry was found and whether it was
+// removed. Caller holds the write lock.
 func (r *Relation) removeLocked(ct Tuple, decide func(*stored) bool) (found, removed bool) {
 	h := ct.Hash()
 	fs, ok := r.rows[h]
@@ -712,7 +515,7 @@ func (r *Relation) removeLocked(ct Tuple, decide func(*stored) bool) (found, rem
 	var victim Tuple
 	bucket := r.overflow[h]
 	if storedEqual(fs.t, ct) {
-		if decide != nil && !decide(&fs) {
+		if !decide(&fs) {
 			r.rows[h] = fs
 			return true, false
 		}
@@ -734,7 +537,7 @@ func (r *Relation) removeLocked(ct Tuple, decide func(*stored) bool) (found, rem
 		if found < 0 {
 			return false, false
 		}
-		if decide != nil && !decide(&bucket[found]) {
+		if !decide(&bucket[found]) {
 			return true, false
 		}
 		victim = bucket[found].t
@@ -864,41 +667,6 @@ func (r *Relation) setOverflow(h uint64, bucket []stored) {
 	r.overflow[h] = bucket
 }
 
-// DeleteWhere removes every tuple for which pred returns true and returns the
-// number removed.
-func (r *Relation) DeleteWhere(pred func(Tuple) bool) int {
-	victims := r.Select(pred)
-	n := 0
-	for _, t := range victims {
-		if ok, _ := r.Delete(t); ok {
-			n++
-		}
-	}
-	return n
-}
-
-// Contains reports whether an equal tuple is stored.
-func (r *Relation) Contains(t Tuple) bool {
-	ct, err := r.schema.Coerce(t)
-	if err != nil {
-		return false
-	}
-	r.rlockResident()
-	defer r.mu.RUnlock()
-	h := ct.Hash()
-	if fs, ok := r.rows[h]; ok {
-		if storedEqual(fs.t, ct) {
-			return true
-		}
-		for _, os := range r.overflow[h] {
-			if storedEqual(os.t, ct) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // All returns every tuple in deterministic (sorted) order.
 func (r *Relation) All() []Tuple {
 	r.rlockResident()
@@ -921,10 +689,9 @@ func (r *Relation) Scan(fn func(Tuple) bool) {
 }
 
 // lookup finds the index covering exactly the given column positions.
-// Callers must hold at least the read lock and pass sorted positions. The
-// candidates are compared positionally rather than through indexKey, so the
-// per-probe lookup allocates nothing (relations carry at most a handful of
-// indexes).
+// Callers must hold at least the read lock and pass sorted positions. A
+// relation carries at most a handful of indexes, so a linear walk comparing
+// positions is the whole lookup, and it allocates nothing.
 func (r *Relation) lookup(cols []int) *index {
 	for _, ix := range r.indexes {
 		if positionsEqual(ix.cols, cols) {
@@ -946,57 +713,13 @@ func positionsEqual(a, b []int) bool {
 	return true
 }
 
-// ScanEq calls fn for every tuple whose values at the given columns equal the
-// corresponding vals, until fn returns false. It probes an index covering
-// exactly that column set when one exists and falls back to a full scan
-// otherwise; it reports whether an index was used. Iteration order is
-// unspecified; fn must not call back into the relation's mutating methods.
-func (r *Relation) ScanEq(columns []string, vals []Value, fn func(Tuple) bool) (bool, error) {
-	if len(columns) != len(vals) {
-		return false, fmt.Errorf("relstore: ScanEq on %q got %d columns but %d values", r.name, len(columns), len(vals))
-	}
-	if len(columns) == 0 {
-		return false, fmt.Errorf("relstore: ScanEq on %q needs at least one column", r.name)
-	}
-	type probe struct {
-		pos int
-		val Value
-	}
-	probes := make([]probe, len(columns))
-	for i, c := range columns {
-		ci := r.schema.ColumnIndex(c)
-		if ci < 0 {
-			return false, fmt.Errorf("relstore: relation %q has no column %q", r.name, c)
-		}
-		probes[i] = probe{pos: ci, val: vals[i]}
-	}
-	sort.Slice(probes, func(i, j int) bool { return probes[i].pos < probes[j].pos })
-	// Collapse duplicate columns; conflicting constraints can never match.
-	dedup := probes[:1]
-	for _, p := range probes[1:] {
-		last := dedup[len(dedup)-1]
-		if p.pos == last.pos {
-			if !p.val.Equal(last.val) {
-				return false, nil
-			}
-			continue
-		}
-		dedup = append(dedup, p)
-	}
-	positions := make([]int, len(dedup))
-	probeVals := make([]Value, len(dedup))
-	for i, p := range dedup {
-		positions[i] = p.pos
-		probeVals[i] = p.val
-	}
-	return r.ScanEqAt(positions, probeVals, fn)
-}
-
-// ScanEqAt is ScanEq with pre-resolved column positions: it calls fn for
-// every tuple whose values at the given positions equal the corresponding
-// vals. Positions must be strictly ascending and in schema range. It is the
-// allocation-light primitive the CyLog join loop issues once per binding,
-// skipping the per-call name resolution and sort that ScanEq performs.
+// ScanEqAt calls fn for every tuple whose values at the given positions equal
+// the corresponding vals, until fn returns false. Positions must be strictly
+// ascending and in schema range. It probes an index covering exactly those
+// positions when one exists and scans otherwise, and reports whether an index
+// was used. It is the allocation-light primitive the CyLog join loop issues
+// once per binding. Iteration order is unspecified; fn must not call back
+// into the relation's mutating methods.
 func (r *Relation) ScanEqAt(positions []int, vals []Value, fn func(Tuple) bool) (bool, error) {
 	if len(positions) != len(vals) {
 		return false, fmt.Errorf("relstore: ScanEqAt on %q got %d positions and %d values", r.name, len(positions), len(vals))
@@ -1029,11 +752,10 @@ func (r *Relation) ScanEqAt(positions []int, vals []Value, fn func(Tuple) bool) 
 
 // ContainsAt reports whether any tuple's values at the given positions
 // (strictly ascending) equal the corresponding vals. It is the existence
-// probe of the position-based API family: callers holding resolved positions
-// and values — e.g. the CyLog engine checking whether an open relation
-// already has a fact for a request key — probe without re-boxing values into
-// tuples or resolving column names. An index covering exactly that column
-// set answers in O(1); otherwise the scan stops at the first match.
+// probe of ScanEqAt: the CyLog engine checks with it whether an open relation
+// already has a fact for a request key, without re-boxing values into a
+// tuple. An index covering exactly those positions answers in O(1);
+// otherwise the scan stops at the first match.
 func (r *Relation) ContainsAt(positions []int, vals []Value) (bool, error) {
 	found := false
 	_, err := r.ScanEqAt(positions, vals, func(Tuple) bool {
@@ -1041,76 +763,6 @@ func (r *Relation) ContainsAt(positions []int, vals []Value) (bool, error) {
 		return false
 	})
 	return found, err
-}
-
-// Select returns every tuple satisfying pred, in deterministic order.
-func (r *Relation) Select(pred func(Tuple) bool) []Tuple {
-	r.rlockResident()
-	out := make([]Tuple, 0)
-	r.forEachLocked(func(t Tuple) bool {
-		if pred(t) {
-			out = append(out, t)
-		}
-		return true
-	})
-	r.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
-	return out
-}
-
-// SelectEq returns every tuple whose named column equals v, in deterministic
-// order. It uses a hash index on the column when one exists, and otherwise
-// scans.
-func (r *Relation) SelectEq(column string, v Value) []Tuple {
-	out, err := r.SelectEqMulti([]string{column}, []Value{v})
-	if err != nil {
-		return nil
-	}
-	return out
-}
-
-// SelectEqMulti returns every tuple whose values at the named columns equal
-// the corresponding vals, in deterministic order. It probes a composite index
-// on exactly that column set when one exists, and otherwise scans.
-func (r *Relation) SelectEqMulti(columns []string, vals []Value) ([]Tuple, error) {
-	var out []Tuple
-	_, err := r.ScanEq(columns, vals, func(t Tuple) bool {
-		out = append(out, t)
-		return true
-	})
-	if err != nil {
-		return nil, err
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
-	return out, nil
-}
-
-// Project returns the distinct projection of the relation onto the named
-// columns, in deterministic order.
-func (r *Relation) Project(columns ...string) ([]Tuple, error) {
-	positions := make([]int, len(columns))
-	for i, c := range columns {
-		p := r.schema.ColumnIndex(c)
-		if p < 0 {
-			return nil, fmt.Errorf("relstore: relation %q has no column %q", r.name, c)
-		}
-		positions[i] = p
-	}
-	seen := make(map[string]bool)
-	var out []Tuple
-	r.rlockResident()
-	r.forEachLocked(func(t Tuple) bool {
-		p := t.Project(positions...)
-		k := p.Key()
-		if !seen[k] {
-			seen[k] = true
-			out = append(out, p)
-		}
-		return true
-	})
-	r.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
-	return out, nil
 }
 
 // Clear removes all tuples. Indexes remain defined but empty.
@@ -1129,53 +781,6 @@ func (r *Relation) Clear() {
 	}
 	r.statsRebuildLocked()
 	r.version++
-}
-
-// Clone returns a deep copy of the relation; the clone carries the same
-// indexed column sets, rebuilt over the copied tuples, preserves every
-// tuple's support record (base flag and derivation count), and inherits the
-// statistics state (distinct-count estimates, drift markers and stats epoch)
-// so a snapshot plans exactly like its source.
-func (r *Relation) Clone() *Relation {
-	r.rlockResident()
-	colSets := make([][]int, 0, len(r.indexes))
-	for _, ix := range r.indexes {
-		colSets = append(colSets, append([]int(nil), ix.cols...))
-	}
-	entries := make([]stored, 0, r.count)
-	for h, s := range r.rows {
-		entries = append(entries, s)
-		entries = append(entries, r.overflow[h]...)
-	}
-	markRows := r.markRows
-	markDistinct := append([]int(nil), r.markDistinct...)
-	epoch := r.statsEpoch.Load()
-	r.mu.RUnlock()
-
-	c := NewRelation(r.name, r.schema)
-	for _, cols := range colSets {
-		c.indexes[indexKey(cols)] = newIndex(cols, len(entries))
-	}
-	for _, s := range entries {
-		h := s.t.Hash()
-		if _, ok := c.rows[h]; ok {
-			c.overflow[h] = append(c.overflow[h], s)
-		} else {
-			c.rows[h] = s
-		}
-		c.count++
-		for _, ix := range c.indexes {
-			ix.insert(s.t)
-		}
-		for i := range s.t {
-			c.colCounts[i][s.t[i].Hash()]++
-		}
-	}
-	c.markRows = markRows
-	copy(c.markDistinct, markDistinct)
-	c.statsEpoch.Store(epoch)
-	c.version = 0
-	return c
 }
 
 // String summarises the relation.

@@ -1,7 +1,6 @@
 package relstore
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"math"
@@ -29,17 +28,8 @@ func TestSchemaBasics(t *testing.T) {
 	if s.Arity() != 4 {
 		t.Fatalf("Arity = %d, want 4", s.Arity())
 	}
-	if s.ColumnIndex("lang") != 2 {
-		t.Errorf("ColumnIndex(lang) = %d", s.ColumnIndex("lang"))
-	}
-	if s.ColumnIndex("missing") != -1 {
-		t.Errorf("ColumnIndex(missing) = %d", s.ColumnIndex("missing"))
-	}
-	if !s.HasColumn("name") || s.HasColumn("nope") {
-		t.Error("HasColumn misbehaves")
-	}
-	if got := s.Names(); strings.Join(got, ",") != "id,name,lang,skill" {
-		t.Errorf("Names() = %v", got)
+	if got := s.Columns(); got[2] != (Column{Name: "lang", Type: TypeString}) {
+		t.Errorf("Columns()[2] = %v", got[2])
 	}
 	if !s.Equal(workerSchema()) {
 		t.Error("identical schemas should be Equal")
@@ -91,6 +81,49 @@ func TestSchemaValidateAndCoerce(t *testing.T) {
 	if !withNull[0].IsNull() || !withNull[3].IsNull() {
 		t.Error("NULL values should be preserved")
 	}
+	// Each column type rejects what it cannot hold, in Validate and Coerce.
+	s = MustSchema("i:int", "f:float", "s:string", "b:bool")
+	ok := Tuple{Int(1), Float(2), String("x"), Bool(true)}
+	if err := s.Validate(ok); err != nil {
+		t.Fatalf("Validate(%v) = %v", ok, err)
+	}
+	// Numeric strings and numbers are accepted where the column type allows.
+	if err := s.Validate(Tuple{String("3"), Int(4), Int(5), String("true")}); err != nil {
+		t.Errorf("Validate of convertible values = %v", err)
+	}
+	if err := s.Validate(Tuple{Null(), Null(), Null(), Null()}); err != nil {
+		t.Errorf("Validate of NULLs = %v", err)
+	}
+	for _, bad := range []Tuple{
+		{String("x"), Float(2), String("x"), Bool(true)},
+		{Int(1), String("y"), String("x"), Bool(true)},
+		{Int(1), Float(2), String("x"), String("maybe")},
+	} {
+		if err := s.Validate(bad); err == nil {
+			t.Errorf("Validate(%v) accepted a value its column cannot hold", bad)
+		}
+		if _, err := s.Coerce(bad); err == nil {
+			t.Errorf("Coerce(%v) accepted a value its column cannot hold", bad)
+		}
+	}
+	if _, err := s.Coerce(Tuple{Int(1)}); err == nil {
+		t.Error("Coerce should reject a wrong arity")
+	}
+	got, err := s.Coerce(Tuple{Float(7.9), Int(2), Bool(false), Int(0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Tuple{Int(7), Float(2), String("false"), Bool(false)}
+	for i := range want {
+		if got[i].Type() != want[i].Type() || !got[i].Equal(want[i]) {
+			t.Errorf("Coerce column %d = %v (%s), want %v (%s)", i, got[i], got[i].Type(), want[i], want[i].Type())
+		}
+	}
+	// A column of type null keeps values as they are.
+	n := NewSchema(Column{Name: "any", Type: TypeNull})
+	if got, err := n.Coerce(Tuple{Int(3)}); err != nil || got[0].Type() != TypeInt {
+		t.Errorf("Coerce into a null column = %v, %v", got, err)
+	}
 }
 
 func TestTupleBasics(t *testing.T) {
@@ -108,11 +141,6 @@ func TestTupleBasics(t *testing.T) {
 	}
 	if a.Compare(c) >= 0 {
 		t.Error("expected a < c")
-	}
-	clone := a.Clone()
-	clone[0] = Int(99)
-	if !a[0].Equal(Int(1)) {
-		t.Error("Clone should not share backing storage")
 	}
 	if got := a.Project(2, 0); !got.Equal(NewTuple(2.5, 1)) {
 		t.Errorf("Project = %v", got)
@@ -164,86 +192,99 @@ func TestRelationInsertSchemaMismatch(t *testing.T) {
 	}
 }
 
-// TestRelationInsertAll pins InsertAll's count and its stop at the first
-// schema error: duplicates are not counted, and the tuples before the bad one
-// stay inserted.
-func TestRelationInsertAll(t *testing.T) {
-	r := NewRelation("t", MustSchema("id:int"))
-	r.MustInsert(1)
-	added, err := r.InsertAll([]Tuple{NewTuple(1), NewTuple(2), NewTuple(3), NewTuple(2)})
-	if err != nil || added != 2 {
-		t.Fatalf("InsertAll = %d, %v; want 2 new tuples", added, err)
-	}
-	added, err = r.InsertAll([]Tuple{NewTuple(4), NewTuple("not-an-int"), NewTuple(5)})
-	if err == nil || added != 1 {
-		t.Fatalf("InsertAll = %d, %v; want 1 new tuple, then the schema error", added, err)
-	}
-	if got := r.String(); got != "t(id int) [4 tuples]" {
-		t.Errorf("String() = %q", got)
-	}
-}
-
+// TestRelationDelete pins the removal of a tuple through its last
+// derivation: it leaves the relation and every probe, bumps the version, and
+// a second removal fails without touching the relation.
 func TestRelationDelete(t *testing.T) {
 	r := newWorkerRelation(t)
-	ok, err := r.Delete(NewTuple(2, "bob", "en", 0.7))
-	if err != nil || !ok {
-		t.Fatalf("Delete = %v,%v", ok, err)
+	dave := NewTuple(4, "dave", "en", 0.5)
+	r.InsertDerived(dave) //nolint:errcheck
+	v := r.Version()
+	removed, err := r.DecDerived(dave)
+	if err != nil || !removed {
+		t.Fatalf("DecDerived = %v, %v", removed, err)
 	}
-	if r.Len() != 2 || r.Contains(NewTuple(2, "bob", "en", 0.7)) {
-		t.Error("tuple still present after Delete")
+	if r.Len() != 3 || contains(r, dave) || r.Version() == v {
+		t.Errorf("after removal: Len %d, contains %v, version %d -> %d", r.Len(), contains(r, dave), v, r.Version())
 	}
-	ok, _ = r.Delete(NewTuple(2, "bob", "en", 0.7))
-	if ok {
-		t.Error("second delete should report false")
+	if found, _ := r.ContainsAt([]int{0}, []Value{Int(4)}); found {
+		t.Error("ContainsAt still finds the removed tuple")
+	}
+	v = r.Version()
+	removed, err = r.DecDerived(dave)
+	if removed || !errors.Is(err, ErrSupportUnderflow) {
+		t.Errorf("second DecDerived = %v, %v; want ErrSupportUnderflow", removed, err)
+	}
+	if r.Len() != 3 || r.Version() != v {
+		t.Errorf("failed removal changed the relation: Len %d, version %d -> %d", r.Len(), v, r.Version())
 	}
 }
 
-func TestRelationDeleteWhere(t *testing.T) {
-	r := newWorkerRelation(t)
-	n := r.DeleteWhere(func(t Tuple) bool { return t[2].AsString() == "en" })
-	if n != 2 || r.Len() != 1 {
-		t.Errorf("DeleteWhere removed %d, len %d", n, r.Len())
-	}
-}
-
+// TestRelationSelectEqWithAndWithoutIndex pins that a single-column ScanEqAt
+// returns the same rows by scan and by index, and that the index follows
+// derived inserts and removals.
 func TestRelationSelectEqWithAndWithoutIndex(t *testing.T) {
 	r := newWorkerRelation(t)
-	noIdx := r.SelectEq("lang", String("en"))
-	if len(noIdx) != 2 {
-		t.Fatalf("SelectEq without index = %d rows", len(noIdx))
+	lang := []int{2}
+	noIdx, indexed, err := scanEqAt(r, lang, String("en"))
+	if err != nil || indexed || len(noIdx) != 2 {
+		t.Fatalf("ScanEqAt without index = %v (indexed %v, err %v)", noIdx, indexed, err)
 	}
-	if err := r.CreateIndex("lang"); err != nil {
+	if err := r.EnsureIndexAt(lang); err != nil {
 		t.Fatal(err)
 	}
-	if !r.HasIndex("lang") {
-		t.Error("HasIndex(lang) = false after CreateIndex")
+	withIdx, indexed, err := scanEqAt(r, lang, String("en"))
+	if err != nil || !indexed || !sameTuples(withIdx, noIdx) {
+		t.Fatalf("indexed ScanEqAt = %v (indexed %v, err %v), want %v", withIdx, indexed, err, noIdx)
 	}
-	withIdx := r.SelectEq("lang", String("en"))
-	if len(withIdx) != len(noIdx) {
-		t.Fatalf("indexed result %d != scan result %d", len(withIdx), len(noIdx))
-	}
-	for i := range withIdx {
-		if !withIdx[i].Equal(noIdx[i]) {
-			t.Errorf("row %d differs: %v vs %v", i, withIdx[i], noIdx[i])
+	// The index stays exact across derived inserts and removals.
+	r.InsertDerived(NewTuple(5, "eve", "en", 0.5))   //nolint:errcheck
+	r.InsertDerived(NewTuple(6, "frank", "en", 0.4)) //nolint:errcheck
+	r.DecDerived(NewTuple(5, "eve", "en", 0.5))      //nolint:errcheck
+	got, _, _ := scanEqAt(r, lang, String("en"))
+	var want []Tuple
+	for _, tu := range r.All() {
+		if tu[2].Equal(String("en")) {
+			want = append(want, tu)
 		}
 	}
-	// Index stays correct across inserts and deletes.
-	r.MustInsert(5, "eve", "en", 0.5)
-	r.Delete(NewTuple(1, "alice", "en", 0.9))
-	got := r.SelectEq("lang", String("en"))
-	if len(got) != 2 {
-		t.Errorf("after mutations, indexed SelectEq = %d rows, want 2", len(got))
+	if len(got) != 3 || !sameTuples(got, want) {
+		t.Errorf("after mutations, indexed ScanEqAt = %v, want %v", got, want)
 	}
-	if r.SelectEq("missing", Int(1)) != nil {
-		t.Error("SelectEq on missing column should return nil")
+	if got, indexed, _ := scanEqAt(r, lang, String("fr")); len(got) != 0 || !indexed {
+		t.Errorf("indexed ScanEqAt of an absent value = %v (indexed %v)", got, indexed)
 	}
 }
 
+// TestRelationCreateIndexUnknownColumn pins that an index on a position the
+// schema does not have fails and leaves no index behind.
 func TestRelationCreateIndexUnknownColumn(t *testing.T) {
 	r := newWorkerRelation(t)
-	if err := r.CreateIndex("nope"); err == nil {
-		t.Error("expected error for unknown column")
+	for _, pos := range [][]int{{4}, {-1}, {0, 4}} {
+		if err := r.EnsureIndexAt(pos); err == nil {
+			t.Errorf("EnsureIndexAt(%v) on a 4-column relation: expected error", pos)
+		}
 	}
+	if len(r.indexes) != 0 || r.HasIndexAt([]int{0}) {
+		t.Errorf("failed EnsureIndexAt left %d indexes", len(r.indexes))
+	}
+}
+
+func ExampleRelation_ScanEqAt() {
+	r := NewRelation("worker", MustSchema("id:int", "lang:string"))
+	r.MustInsert(1, "en")
+	r.MustInsert(2, "ja")
+	r.MustInsert(3, "en")
+	_, err := r.ScanEqAt([]int{1}, []Value{String("en")}, func(t Tuple) bool {
+		fmt.Println(t)
+		return true
+	})
+	if err != nil {
+		fmt.Println(err)
+	}
+	// Unordered output:
+	// (1, "en")
+	// (3, "en")
 }
 
 func TestRelationAllDeterministicOrder(t *testing.T) {
@@ -277,46 +318,39 @@ func TestRelationScanEarlyStop(t *testing.T) {
 	}
 }
 
-func TestRelationSelectAndProject(t *testing.T) {
+// TestRelationClear pins Clear: it empties the relation and bumps the
+// version, the index definitions survive and answer for exactly the new
+// contents, and clearing an empty relation changes nothing.
+func TestRelationClear(t *testing.T) {
 	r := newWorkerRelation(t)
-	highSkill := r.Select(func(t Tuple) bool {
-		f, _ := t[3].AsFloat()
-		return f >= 0.8
-	})
-	if len(highSkill) != 2 {
-		t.Errorf("Select high skill = %d rows", len(highSkill))
-	}
-	langs, err := r.Project("lang")
-	if err != nil {
+	if err := r.EnsureIndexAt([]int{0}); err != nil {
 		t.Fatal(err)
 	}
-	if len(langs) != 2 {
-		t.Errorf("Project(lang) = %d distinct values, want 2", len(langs))
-	}
-	if _, err := r.Project("zzz"); err == nil {
-		t.Error("Project on unknown column should fail")
-	}
-}
-
-func TestRelationClearAndClone(t *testing.T) {
-	r := newWorkerRelation(t)
-	r.CreateIndex("id")
-	c := r.Clone()
+	v := r.Version()
 	r.Clear()
-	if r.Len() != 0 {
-		t.Error("Clear did not empty relation")
+	if r.Len() != 0 || r.Version() == v {
+		t.Fatalf("Clear left Len = %d, version %d -> %d", r.Len(), v, r.Version())
 	}
-	if c.Len() != 3 {
-		t.Error("Clone should be unaffected by Clear on the original")
+	if got, _, _ := scanEqAt(r, []int{0}, Int(3)); len(got) != 0 {
+		t.Errorf("index still answers after Clear: %v", got)
 	}
-	if got := c.SelectEq("id", Int(3)); len(got) != 1 {
-		t.Errorf("clone SelectEq = %d rows", len(got))
+	r.MustInsert(3, "carol", "ja", 0.8)
+	if got, indexed, _ := scanEqAt(r, []int{0}, Int(3)); len(got) != 1 || !indexed {
+		t.Errorf("index after Clear = %v (indexed %v), want the new tuple", got, indexed)
+	}
+	r.Clear()
+	v = r.Version()
+	r.Clear()
+	if r.Version() != v {
+		t.Error("clearing an empty relation must not bump the version")
 	}
 }
 
 func TestRelationConcurrentInserts(t *testing.T) {
 	r := NewRelation("nums", MustSchema("n:int", "worker:int"))
-	r.CreateIndex("n")
+	if err := r.EnsureIndexAt([]int{0}); err != nil {
+		t.Fatal(err)
+	}
 	var wg sync.WaitGroup
 	const workers, per = 8, 200
 	for w := 0; w < workers; w++ {
@@ -332,25 +366,37 @@ func TestRelationConcurrentInserts(t *testing.T) {
 	if r.Len() != workers*per {
 		t.Errorf("Len = %d, want %d", r.Len(), workers*per)
 	}
-	if rows := r.SelectEq("n", Int(10)); len(rows) != workers {
-		t.Errorf("SelectEq(n=10) = %d rows, want %d", len(rows), workers)
+	if rows, _, _ := scanEqAt(r, []int{0}, Int(10)); len(rows) != workers {
+		t.Errorf("ScanEqAt(n=10) = %d rows, want %d", len(rows), workers)
 	}
 }
 
+// TestRelationPropertyInsertDeleteRoundTrip quick-checks counted support:
+// every derivation of an id is one InsertDerived, the relation holds each id
+// once with its multiplicity as the count, and the id leaves with the
+// DecDerived of its last derivation, not before.
 func TestRelationPropertyInsertDeleteRoundTrip(t *testing.T) {
 	f := func(ids []int16) bool {
 		r := NewRelation("p", MustSchema("id:int"))
-		uniq := make(map[int16]bool)
+		mult := make(map[int16]int)
 		for _, id := range ids {
-			uniq[id] = true
-			r.MustInsert(int(id))
+			added, err := r.InsertDerived(NewTuple(int(id)))
+			if err != nil || added != (mult[id] == 0) {
+				return false
+			}
+			mult[id]++
 		}
-		if r.Len() != len(uniq) {
+		if r.Len() != len(mult) {
 			return false
 		}
-		for id := range uniq {
-			if ok, _ := r.Delete(NewTuple(int(id))); !ok {
+		for id, n := range mult {
+			if _, derived, ok := r.Support(NewTuple(int(id))); !ok || derived != n {
 				return false
+			}
+			for k := n; k > 0; k-- {
+				if removed, err := r.DecDerived(NewTuple(int(id))); err != nil || removed != (k == 1) {
+					return false
+				}
 			}
 		}
 		return r.Len() == 0
@@ -362,15 +408,12 @@ func TestRelationPropertyInsertDeleteRoundTrip(t *testing.T) {
 
 func TestDatabaseCreateAndLookup(t *testing.T) {
 	d := NewDatabase()
-	r := d.MustCreate("w", workerSchema())
-	if d.Relation("w") != r {
-		t.Error("Relation(w) should return the created relation")
+	r, err := d.GetOrCreate("w", workerSchema())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := d.Create("w", workerSchema()); err == nil {
-		t.Error("duplicate Create should fail")
-	}
-	if !d.Has("w") || d.Has("x") {
-		t.Error("Has misbehaves")
+	if d.Relation("w") != r || d.Relation("x") != nil {
+		t.Error("Relation should return the created relation and nil for an absent one")
 	}
 	got, err := d.GetOrCreate("w", workerSchema())
 	if err != nil || got != r {
@@ -383,242 +426,6 @@ func TestDatabaseCreateAndLookup(t *testing.T) {
 	if names := d.Names(); len(names) != 2 || names[0] != "t" || names[1] != "w" {
 		t.Errorf("Names = %v", names)
 	}
-	if !d.Drop("t") || d.Drop("t") {
-		t.Error("Drop misbehaves")
-	}
-}
-
-func TestDatabaseSnapshotRestore(t *testing.T) {
-	d := NewDatabase()
-	r := d.MustCreate("w", workerSchema())
-	r.MustInsert(1, "alice", "en", 0.9)
-	snap := d.Snapshot()
-	r.MustInsert(2, "bob", "en", 0.7)
-	d.MustCreate("extra", MustSchema("x:int"))
-	if snap.Relation("w").Len() != 1 {
-		t.Error("snapshot should not see later inserts")
-	}
-	if snap.Has("extra") {
-		t.Error("snapshot should not see later relations")
-	}
-	d.Restore(snap)
-	if d.Relation("w").Len() != 1 || d.Has("extra") {
-		t.Error("Restore did not roll back state")
-	}
-	if d.TotalTuples() != 1 {
-		t.Errorf("TotalTuples = %d", d.TotalTuples())
-	}
-}
-
-func TestDatabaseStringer(t *testing.T) {
-	d := NewDatabase()
-	d.MustCreate("a", MustSchema("x:int"))
-	if s := d.String(); !strings.Contains(s, "1 relations") {
-		t.Errorf("String() = %q", s)
-	}
-}
-
-func TestJoinNaturalSharedColumn(t *testing.T) {
-	d := NewDatabase()
-	w := d.MustCreate("worker", MustSchema("wid:int", "lang:string"))
-	a := d.MustCreate("assign", MustSchema("wid:int", "task:string"))
-	w.MustInsert(1, "en")
-	w.MustInsert(2, "ja")
-	a.MustInsert(1, "t1")
-	a.MustInsert(1, "t2")
-	a.MustInsert(3, "t3")
-	rows, schema, err := Join(w, a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if schema.Arity() != 3 {
-		t.Errorf("join schema = %s", schema)
-	}
-	if len(rows) != 2 {
-		t.Fatalf("join rows = %d, want 2 (%v)", len(rows), rows)
-	}
-	for _, row := range rows {
-		id, _ := row[0].AsInt()
-		if id != 1 {
-			t.Errorf("unexpected joined row %v", row)
-		}
-	}
-}
-
-func TestJoinCrossProductWhenNoSharedColumns(t *testing.T) {
-	d := NewDatabase()
-	a := d.MustCreate("a", MustSchema("x:int"))
-	b := d.MustCreate("b", MustSchema("y:int"))
-	a.MustInsert(1)
-	a.MustInsert(2)
-	b.MustInsert(10)
-	b.MustInsert(20)
-	rows, schema, err := Join(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 4 || schema.Arity() != 2 {
-		t.Errorf("cross product rows=%d schema=%s", len(rows), schema)
-	}
-}
-
-func TestUnionDifferenceIntersect(t *testing.T) {
-	d := NewDatabase()
-	a := d.MustCreate("a", MustSchema("x:int"))
-	b := d.MustCreate("b", MustSchema("x:int"))
-	for _, v := range []int{1, 2, 3} {
-		a.MustInsert(v)
-	}
-	for _, v := range []int{3, 4} {
-		b.MustInsert(v)
-	}
-	u, err := Union(a, b)
-	if err != nil || len(u) != 4 {
-		t.Errorf("Union = %v,%v", u, err)
-	}
-	diff, err := Difference(a, b)
-	if err != nil || len(diff) != 2 {
-		t.Errorf("Difference = %v,%v", diff, err)
-	}
-	inter, err := Intersect(a, b)
-	if err != nil || len(inter) != 1 {
-		t.Errorf("Intersect = %v,%v", inter, err)
-	}
-	c := d.MustCreate("c", MustSchema("y:string"))
-	if _, err := Union(a, c); err == nil {
-		t.Error("Union with mismatched schema should fail")
-	}
-	if _, err := Difference(a, c); err == nil {
-		t.Error("Difference with mismatched schema should fail")
-	}
-	if _, err := Intersect(a, c); err == nil {
-		t.Error("Intersect with mismatched schema should fail")
-	}
-}
-
-func TestAggregate(t *testing.T) {
-	r := newWorkerRelation(t)
-	count, err := Aggregate(r, "count", "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n, _ := count.AsInt(); n != 3 {
-		t.Errorf("count = %v", count)
-	}
-	sum, _ := Aggregate(r, "sum", "skill")
-	if f, _ := sum.AsFloat(); f < 2.39 || f > 2.41 {
-		t.Errorf("sum = %v", sum)
-	}
-	avg, _ := Aggregate(r, "avg", "skill")
-	if f, _ := avg.AsFloat(); f < 0.79 || f > 0.81 {
-		t.Errorf("avg = %v", avg)
-	}
-	min, _ := Aggregate(r, "min", "skill")
-	if f, _ := min.AsFloat(); f != 0.7 {
-		t.Errorf("min = %v", min)
-	}
-	max, _ := Aggregate(r, "max", "name")
-	if max.AsString() != "carol" {
-		t.Errorf("max name = %v", max)
-	}
-	if _, err := Aggregate(r, "median", "skill"); err == nil {
-		t.Error("unknown aggregate should fail")
-	}
-	if _, err := Aggregate(r, "sum", "missing"); err == nil {
-		t.Error("aggregate on missing column should fail")
-	}
-	empty := NewRelation("e", MustSchema("x:float"))
-	if v, _ := Aggregate(empty, "avg", "x"); !v.IsNull() {
-		t.Errorf("avg of empty relation = %v, want NULL", v)
-	}
-	if v, _ := Aggregate(empty, "min", "x"); !v.IsNull() {
-		t.Errorf("min of empty relation = %v, want NULL", v)
-	}
-}
-
-func TestCSVRoundTrip(t *testing.T) {
-	r := newWorkerRelation(t)
-	var buf bytes.Buffer
-	if err := ExportCSV(r, &buf); err != nil {
-		t.Fatal(err)
-	}
-	d := NewDatabase()
-	r2 := d.MustCreate("worker", workerSchema())
-	n, err := ImportCSV(r2, &buf, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 3 || r2.Len() != 3 {
-		t.Errorf("ImportCSV added %d rows", n)
-	}
-	a, b := r.All(), r2.All()
-	for i := range a {
-		if !a[i].Equal(b[i]) {
-			t.Errorf("row %d mismatch: %v vs %v", i, a[i], b[i])
-		}
-	}
-}
-
-func TestImportCSVWithoutHeaderAndBadRows(t *testing.T) {
-	d := NewDatabase()
-	r := d.MustCreate("t", MustSchema("id:int", "name:string"))
-	n, err := ImportCSV(r, strings.NewReader("1,alice\n2,bob\n"), false)
-	if err != nil || n != 2 {
-		t.Fatalf("ImportCSV = %d,%v", n, err)
-	}
-	_, err = ImportCSV(r, strings.NewReader("1,two,three\n"), false)
-	if err == nil {
-		t.Error("expected arity error")
-	}
-	_, err = ImportCSV(r, strings.NewReader("bad_header,name\n1,x\n"), true)
-	if err == nil {
-		t.Error("expected unknown header error")
-	}
-}
-
-func TestJSONRoundTrip(t *testing.T) {
-	r := newWorkerRelation(t)
-	var buf bytes.Buffer
-	if err := ExportJSON(r, &buf); err != nil {
-		t.Fatal(err)
-	}
-	d := NewDatabase()
-	r2, err := ImportJSON(d, &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r2.Name() != "worker" || r2.Len() != 3 {
-		t.Errorf("imported %q with %d rows", r2.Name(), r2.Len())
-	}
-	a, b := r.All(), r2.All()
-	for i := range a {
-		if !a[i].Equal(b[i]) {
-			t.Errorf("row %d mismatch: %v vs %v", i, a[i], b[i])
-		}
-	}
-}
-
-func TestImportJSONBadPayload(t *testing.T) {
-	d := NewDatabase()
-	if _, err := ImportJSON(d, strings.NewReader("{not json")); err == nil {
-		t.Error("expected decode error")
-	}
-	if _, err := ImportJSON(d, strings.NewReader(`{"name":"x","columns":[{"name":"a","type":"blob"}],"rows":[]}`)); err == nil {
-		t.Error("expected unknown type error")
-	}
-}
-
-func ExampleRelation_SelectEq() {
-	r := NewRelation("worker", MustSchema("id:int", "lang:string"))
-	r.MustInsert(1, "en")
-	r.MustInsert(2, "ja")
-	r.MustInsert(3, "en")
-	for _, t := range r.SelectEq("lang", String("en")) {
-		fmt.Println(t)
-	}
-	// Output:
-	// (1, "en")
-	// (3, "en")
 }
 
 // TestRelationNaNSetSemantics pins the set semantics of NaN facts: under the
@@ -647,14 +454,24 @@ func TestRelationNaNSetSemantics(t *testing.T) {
 	if r.Len() != 1 {
 		t.Fatalf("Len = %d, want 1", r.Len())
 	}
-	if !r.Contains(NewTuple(nan)) {
-		t.Error("Contains(NaN) should be true")
+	if !contains(r, NewTuple(nan)) {
+		t.Error("Support(NaN) should find the stored NaN")
 	}
-	if ok, err := r.Delete(NewTuple(nan)); !ok || err != nil {
-		t.Errorf("Delete(NaN): %v %v", ok, err)
+	// Removal finds a NaN tuple too: derivations of either payload count on
+	// the one stored NaN and its last one removes it.
+	d := NewRelation("d", MustSchema("x:float"))
+	d.InsertDerived(NewTuple(nan))      //nolint:errcheck
+	d.InsertDerived(NewTuple(otherNaN)) //nolint:errcheck
+	if _, derived, _ := d.Support(NewTuple(nan)); d.Len() != 1 || derived != 2 {
+		t.Fatalf("derived NaN: Len = %d, count %d; want 1 tuple counted twice", d.Len(), derived)
 	}
-	if r.Len() != 0 {
-		t.Errorf("Len after delete = %d", r.Len())
+	for k := 2; k > 0; k-- {
+		if removed, err := d.DecDerived(NewTuple(nan)); removed != (k == 1) || err != nil {
+			t.Errorf("DecDerived(NaN) with %d derivations = %v, %v", k, removed, err)
+		}
+	}
+	if d.Len() != 0 {
+		t.Errorf("Len after the last DecDerived = %d", d.Len())
 	}
 }
 
@@ -664,7 +481,7 @@ func TestRelationNaNSetSemantics(t *testing.T) {
 // API.
 func TestSupportCounting(t *testing.T) {
 	r := NewRelation("fact", MustSchema("id:int"))
-	if err := r.CreateIndex("id"); err != nil {
+	if err := r.EnsureIndexAt([]int{0}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -684,10 +501,10 @@ func TestSupportCounting(t *testing.T) {
 	if removed, _ := r.DecDerived(NewTuple(1)); !removed {
 		t.Error("last support gone: tuple should be removed")
 	}
-	if r.Contains(NewTuple(1)) || r.Len() != 0 {
+	if contains(r, NewTuple(1)) || r.Len() != 0 {
 		t.Fatalf("tuple should be gone, len=%d", r.Len())
 	}
-	if got := r.SelectEq("id", NewTuple(1)[0]); len(got) != 0 {
+	if got, _, _ := scanEqAt(r, []int{0}, Int(1)); len(got) != 0 {
 		t.Errorf("index still answers for removed tuple: %v", got)
 	}
 	// Decrementing an absent tuple, or a count already at zero, is an error
@@ -702,7 +519,6 @@ func TestSupportCounting(t *testing.T) {
 	if base, derived, ok := r.Support(NewTuple(7)); !base || derived != 0 || !ok {
 		t.Errorf("failed DecDerived changed the support record: (%v, %d, %v)", base, derived, ok)
 	}
-	r.Delete(NewTuple(7)) //nolint:errcheck
 
 	// Base support shields a tuple from derivation maintenance.
 	r.MustInsert(2)
@@ -715,7 +531,7 @@ func TestSupportCounting(t *testing.T) {
 	if removed, _ := r.DecDerived(NewTuple(2)); removed {
 		t.Error("base tuple must survive losing its derivations")
 	}
-	if !r.Contains(NewTuple(2)) {
+	if !contains(r, NewTuple(2)) {
 		t.Error("base tuple vanished")
 	}
 	// Insert over an existing derived tuple promotes it to base.
@@ -736,7 +552,7 @@ func TestSupportCounting(t *testing.T) {
 // exactly the survivors.
 func TestClearDerived(t *testing.T) {
 	r := NewRelation("fact", MustSchema("id:int"))
-	if err := r.CreateIndex("id"); err != nil {
+	if err := r.EnsureIndexAt([]int{0}); err != nil {
 		t.Fatal(err)
 	}
 	r.MustInsert(1)
@@ -748,7 +564,7 @@ func TestClearDerived(t *testing.T) {
 	if removed := r.ClearDerived(); removed != 39 {
 		t.Fatalf("ClearDerived removed %d, want 39", removed)
 	}
-	if r.Len() != 1 || !r.Contains(NewTuple(1)) {
+	if r.Len() != 1 || !contains(r, NewTuple(1)) {
 		t.Fatalf("survivors = %v", r.All())
 	}
 	if base, derived, ok := r.Support(NewTuple(1)); !base || derived != 0 || !ok {
@@ -757,11 +573,11 @@ func TestClearDerived(t *testing.T) {
 	if r.Version() == v {
 		t.Error("removal should bump the version")
 	}
-	if got := r.SelectEq("id", NewTuple(7)[0]); len(got) != 0 {
+	if got, _, _ := scanEqAt(r, []int{0}, Int(7)); len(got) != 0 {
 		t.Errorf("index still answers for cleared tuple: %v", got)
 	}
-	if got := r.SelectEq("id", NewTuple(1)[0]); len(got) != 1 {
-		t.Errorf("index lost the surviving tuple: %v", got)
+	if got, indexed, _ := scanEqAt(r, []int{0}, Int(1)); len(got) != 1 || !indexed {
+		t.Errorf("index lost the surviving tuple: %v (indexed %v)", got, indexed)
 	}
 	// A second clear finds nothing to remove and must not disturb contents or
 	// version.
@@ -774,24 +590,136 @@ func TestClearDerived(t *testing.T) {
 	}
 }
 
-// TestCloneCarriesSupport checks Clone preserves base flags and derivation
-// counts, so a cloned database retracts exactly like the original.
-func TestCloneCarriesSupport(t *testing.T) {
-	r := NewRelation("fact", MustSchema("id:int"))
-	r.MustInsert(1)
-	r.InsertDerived(NewTuple(2)) //nolint:errcheck
-	r.InsertDerived(NewTuple(2)) //nolint:errcheck
-	c := r.Clone()
-	if base, derived, ok := c.Support(NewTuple(1)); !base || derived != 0 || !ok {
-		t.Errorf("clone support(1) = (%v, %d, %v)", base, derived, ok)
+// collidingFloats are distinct values whose Value.Hash is the same: integral
+// floats past the int64 range hash by their out-of-range int64 conversion,
+// which is one value on amd64 and arm64 alike. Tuples of them share one row
+// bucket, so they drive the overflow half of every bucket walk.
+var collidingFloats = []float64{1e19, 1e20, 1e21, 1e22}
+
+// TestHashCollisionBuckets pins the relation's behaviour when distinct tuples
+// share a hash bucket: inserts, support lookups, removal from the inline slot
+// and from the overflow list, scans and ClearDerived must all treat each
+// tuple on its own.
+func TestHashCollisionBuckets(t *testing.T) {
+	r := NewRelation("c", MustSchema("x:float"))
+	if err := r.EnsureIndexAt([]int{0}); err != nil {
+		t.Fatal(err)
 	}
-	if base, derived, ok := c.Support(NewTuple(2)); base || derived != 2 || !ok {
-		t.Errorf("clone support(2) = (%v, %d, %v)", base, derived, ok)
+	for _, f := range collidingFloats {
+		if added, err := r.InsertDerived(NewTuple(f)); !added || err != nil {
+			t.Fatalf("InsertDerived(%g) = %v, %v", f, added, err)
+		}
 	}
-	if removed := c.ClearDerived(); removed != 1 {
-		t.Errorf("clone ClearDerived removed %d, want 1", removed)
+	r.MustInsert(1e21)              // base support on an overflow entry
+	r.InsertDerived(NewTuple(1e22)) //nolint:errcheck
+	if r.Len() != len(collidingFloats) {
+		t.Fatalf("Len = %d, want %d", r.Len(), len(collidingFloats))
 	}
-	if r.Len() != 2 {
-		t.Error("clearing the clone must not touch the original")
+	for _, tc := range []struct {
+		f       float64
+		base    bool
+		derived int
+	}{{1e19, false, 1}, {1e20, false, 1}, {1e21, true, 1}, {1e22, false, 2}} {
+		if base, derived, ok := r.Support(NewTuple(tc.f)); !ok || base != tc.base || derived != tc.derived {
+			t.Errorf("Support(%g) = (%v, %d, %v), want (%v, %d, true)", tc.f, base, derived, ok, tc.base, tc.derived)
+		}
+	}
+	// A tuple in the same bucket that is not stored is a miss everywhere.
+	if _, _, ok := r.Support(NewTuple(1e23)); ok {
+		t.Error("Support found an absent tuple of a shared bucket")
+	}
+	if _, err := r.DecDerived(NewTuple(1e23)); !errors.Is(err, ErrSupportUnderflow) {
+		t.Errorf("DecDerived(absent, shared bucket) = %v, want ErrSupportUnderflow", err)
+	}
+	// Scans and the index see every entry; early stop holds in the overflow.
+	seen := 0
+	r.ScanSupport(func(Tuple, bool, int) bool { seen++; return true })
+	if seen != len(collidingFloats) {
+		t.Errorf("ScanSupport visited %d, want %d", seen, len(collidingFloats))
+	}
+	for stop := 1; stop <= len(collidingFloats); stop++ {
+		n := 0
+		r.ScanSupport(func(Tuple, bool, int) bool { n++; return n < stop })
+		if n != stop {
+			t.Errorf("ScanSupport stopping after %d visited %d", stop, n)
+		}
+	}
+	// Keep the base entry's derivation; remove one overflow entry, then the
+	// inline one, which promotes the next overflow entry.
+	if removed, err := r.DecDerived(NewTuple(1e20)); !removed || err != nil {
+		t.Fatalf("DecDerived(1e20) = %v, %v", removed, err)
+	}
+	if removed, err := r.DecDerived(NewTuple(1e22)); removed || err != nil {
+		t.Fatalf("DecDerived(1e22) with two derivations = %v, %v", removed, err)
+	}
+	if removed, err := r.DecDerived(NewTuple(1e19)); !removed || err != nil {
+		t.Fatalf("DecDerived(1e19) = %v, %v", removed, err)
+	}
+	if got := r.All(); len(got) != 2 || !got[0].Equal(NewTuple(1e21)) || !got[1].Equal(NewTuple(1e22)) {
+		t.Fatalf("survivors = %v, want [1e21 1e22]", got)
+	}
+	for _, f := range []float64{1e21, 1e22} {
+		if got, indexed, _ := scanEqAt(r, []int{0}, Float(f)); len(got) != 1 || !indexed {
+			t.Errorf("index probe %g = %v (indexed %v)", f, got, indexed)
+		}
+	}
+	// ClearDerived keeps the base entry of the shared bucket only.
+	for _, f := range collidingFloats[:2] {
+		r.InsertDerived(NewTuple(f)) //nolint:errcheck
+	}
+	if removed := r.ClearDerived(); removed != 3 {
+		t.Fatalf("ClearDerived removed %d, want 3", removed)
+	}
+	if base, derived, ok := r.Support(NewTuple(1e21)); r.Len() != 1 || !ok || !base || derived != 0 {
+		t.Errorf("after ClearDerived: Len %d, Support(1e21) = (%v, %d, %v)", r.Len(), base, derived, ok)
+	}
+	// A ClearDerived that removes nothing resets the counts of entries held
+	// in a shared bucket without touching the version.
+	r.MustInsert(1e19)
+	r.InsertDerived(NewTuple(1e19)) //nolint:errcheck
+	v := r.Version()
+	if removed := r.ClearDerived(); removed != 0 || r.Version() != v {
+		t.Errorf("no-op ClearDerived removed %d, version %d -> %d", removed, v, r.Version())
+	}
+	if _, derived, _ := r.Support(NewTuple(1e19)); derived != 0 {
+		t.Errorf("count of a kept overflow entry = %d, want 0", derived)
+	}
+}
+
+// TestSupportMissesAndScanEarlyStop covers the lookups that find nothing:
+// Support of an absent or ill-typed tuple, ScanSupport and All of an empty
+// relation, and ScanSupport stopping at its first tuple.
+func TestSupportMissesAndScanEarlyStop(t *testing.T) {
+	r := newWorkerRelation(t)
+	if _, _, ok := r.Support(NewTuple(9, "zed", "en", 0.1)); ok {
+		t.Error("Support found an absent tuple")
+	}
+	if _, _, ok := r.Support(NewTuple("not-an-int", "x", "en", 0.1)); ok {
+		t.Error("Support found a tuple that does not fit the schema")
+	}
+	if _, _, ok := r.Support(NewTuple(1)); ok {
+		t.Error("Support found a tuple of the wrong arity")
+	}
+	n := 0
+	r.ScanSupport(func(_ Tuple, base bool, derived int) bool {
+		if !base || derived != 0 {
+			t.Errorf("base tuple reports (%v, %d)", base, derived)
+		}
+		n++
+		return false
+	})
+	if n != 1 {
+		t.Errorf("ScanSupport visited %d tuples after returning false", n)
+	}
+	empty := NewRelation("e", MustSchema("x:int"))
+	empty.ScanSupport(func(Tuple, bool, int) bool { t.Error("empty relation yielded a tuple"); return true })
+	if got := empty.All(); len(got) != 0 {
+		t.Errorf("All() of an empty relation = %v", got)
+	}
+	if _, err := r.DecDerived(NewTuple("x", "y", "z", "w")); err == nil || errors.Is(err, ErrSupportUnderflow) {
+		t.Errorf("DecDerived of an ill-typed tuple = %v, want a schema error", err)
+	}
+	if got := r.String(); got != "worker(id int, name string, lang string, skill float) [3 tuples]" {
+		t.Errorf("String() = %q", got)
 	}
 }

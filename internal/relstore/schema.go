@@ -11,47 +11,28 @@ type Column struct {
 	Type Type
 }
 
-// Schema is an ordered list of columns identified by name. Column names are
-// case-sensitive and must be unique within a schema.
+// Schema is an ordered list of columns; the store addresses them by
+// position. Column names are case-sensitive and must be unique within a
+// schema.
 type Schema struct {
-	cols  []Column
-	index map[string]int
+	cols []Column
 }
 
 // NewSchema builds a schema from the given columns. It panics if a column name
 // is duplicated or empty, because schemas are always constructed from static
 // program definitions and an invalid schema is a programming error.
 func NewSchema(cols ...Column) *Schema {
-	s := &Schema{cols: append([]Column(nil), cols...), index: make(map[string]int, len(cols))}
-	for i, c := range cols {
+	seen := make(map[string]bool, len(cols))
+	for _, c := range cols {
 		if c.Name == "" {
 			panic("relstore: empty column name")
 		}
-		if _, dup := s.index[c.Name]; dup {
+		if seen[c.Name] {
 			panic(fmt.Sprintf("relstore: duplicate column %q", c.Name))
 		}
-		s.index[c.Name] = i
+		seen[c.Name] = true
 	}
-	return s
-}
-
-// MustSchema builds a schema from "name:type" strings, e.g. "id:int",
-// "name:string". It panics on malformed specs; it is intended for tests and
-// static definitions.
-func MustSchema(specs ...string) *Schema {
-	cols := make([]Column, 0, len(specs))
-	for _, sp := range specs {
-		name, typ, ok := strings.Cut(sp, ":")
-		if !ok {
-			panic(fmt.Sprintf("relstore: malformed column spec %q (want name:type)", sp))
-		}
-		t, err := ParseType(typ)
-		if err != nil {
-			panic(err)
-		}
-		cols = append(cols, Column{Name: strings.TrimSpace(name), Type: t})
-	}
-	return NewSchema(cols...)
+	return &Schema{cols: append([]Column(nil), cols...)}
 }
 
 // Arity returns the number of columns.
@@ -59,29 +40,6 @@ func (s *Schema) Arity() int { return len(s.cols) }
 
 // Columns returns a copy of the column list.
 func (s *Schema) Columns() []Column { return append([]Column(nil), s.cols...) }
-
-// Column returns the i-th column.
-func (s *Schema) Column(i int) Column { return s.cols[i] }
-
-// ColumnIndex returns the position of the named column, or -1 when absent.
-func (s *Schema) ColumnIndex(name string) int {
-	if i, ok := s.index[name]; ok {
-		return i
-	}
-	return -1
-}
-
-// HasColumn reports whether the named column exists.
-func (s *Schema) HasColumn(name string) bool { return s.ColumnIndex(name) >= 0 }
-
-// Names returns the ordered column names.
-func (s *Schema) Names() []string {
-	out := make([]string, len(s.cols))
-	for i, c := range s.cols {
-		out[i] = c.Name
-	}
-	return out
-}
 
 // Equal reports whether two schemas have identical column names and types in
 // the same order.

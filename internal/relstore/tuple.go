@@ -18,13 +18,6 @@ func NewTuple(vals ...any) Tuple {
 	return t
 }
 
-// Clone returns a copy of the tuple.
-func (t Tuple) Clone() Tuple {
-	out := make(Tuple, len(t))
-	copy(out, t)
-	return out
-}
-
 // Equal reports element-wise equality.
 func (t Tuple) Equal(o Tuple) bool {
 	if len(t) != len(o) {

@@ -1,10 +1,11 @@
-// Package relstore implements an embedded, in-memory relational store used as
-// the storage substrate for the Crowd4U platform and its CyLog rule engine.
+// Package relstore implements an embedded relational store used as the
+// storage substrate for the Crowd4U platform and its CyLog rule engine.
 //
-// The store provides typed schemas, tuples, relations with hash indexes,
-// snapshot/restore, and relational-algebra helpers (selection, projection and
-// natural join). It intentionally supports only the operations CyLog and the
-// platform need, keeping the implementation dependency-free and deterministic.
+// The store provides typed schemas, tuples, relations with derivation counts
+// and position-keyed hash indexes, a binary snapshot codec, and memory and
+// disk-paged storage backends. It supports only the operations CyLog and the
+// platform call, keeping the implementation dependency-free and
+// deterministic.
 package relstore
 
 import (

@@ -230,6 +230,12 @@ func TestFromGo(t *testing.T) {
 		{nil, Null()},
 		{42, Int(42)},
 		{int64(7), Int(7)},
+		{int8(-8), Int(-8)},
+		{int16(16), Int(16)},
+		{int32(-32), Int(-32)},
+		{uint(1), Int(1)},
+		{uint32(32), Int(32)},
+		{uint64(64), Int(64)},
 		{3.5, Float(3.5)},
 		{float32(1.5), Float(1.5)},
 		{"hello", String("hello")},
