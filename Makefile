@@ -139,8 +139,8 @@ crashcheck:
 
 # Content-fuzz variant of the crash differential: answers carry adversarial
 # string values (separators, control bytes, NULs, long runs) and the
-# fingerprint additionally folds in per-column distinct-count statistics, so
-# corrupted stats restoration fails the diff too.
+# fingerprint additionally folds in each relation's row count, so a recovery
+# that miscounts rows fails the diff too.
 crashcheck-content:
 	$(GO) run ./cmd/walcheck -iterations $(CRASH_ITERS) -seed $(CRASH_SEED) -backend "$(CRASH_BACKEND)" -content-fuzz
 

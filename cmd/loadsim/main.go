@@ -25,15 +25,16 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"net"
 	"net/http"
 	"os"
+	"sort"
 	"sync"
 	"time"
 
 	"github.com/crowd4u/crowd4u-go/internal/api"
 	"github.com/crowd4u/crowd4u-go/internal/crowdsim"
-	"github.com/crowd4u/crowd4u-go/internal/metrics"
 	"github.com/crowd4u/crowd4u-go/internal/platform"
 	"github.com/crowd4u/crowd4u-go/internal/worker"
 )
@@ -304,8 +305,33 @@ func run(base, projectID string, items, workers int, seed int64, timeout time.Du
 		answers: len(samples),
 		wall:    wall,
 		perSec:  float64(len(samples)) / wall.Seconds(),
-		p50:     metrics.Percentile(samples, 0.50),
-		p99:     metrics.Percentile(samples, 0.99),
+		p50:     percentile(samples, 0.50),
+		p99:     percentile(samples, 0.99),
 		retries: retries,
 	}, nil
+}
+
+// percentile returns the p-quantile (0 <= p <= 1) of the sample, linearly
+// interpolated between the nearest ranks. An empty sample returns 0; the
+// input is not reordered.
+func percentile(xs []float64, p float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	sorted := append([]float64(nil), xs...)
+	sort.Float64s(sorted)
+	if p <= 0 {
+		return sorted[0]
+	}
+	if p >= 1 {
+		return sorted[len(sorted)-1]
+	}
+	pos := p * float64(len(sorted)-1)
+	lo := int(math.Floor(pos))
+	hi := int(math.Ceil(pos))
+	if lo == hi {
+		return sorted[lo]
+	}
+	frac := pos - float64(lo)
+	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }

@@ -248,6 +248,8 @@ func TestErrorPaths(t *testing.T) {
 			body: FactRequest{Relation: "nope", Values: []any{1}}, status: http.StatusBadRequest, code: "invalid-fact"},
 		{name: "derived fact rejected", method: "POST", path: "/api/v1/projects/labels/facts",
 			body: FactRequest{Relation: "labeled", Values: []any{1}}, status: http.StatusBadRequest, code: "invalid-fact"},
+		{name: "fact float past the int range", method: "POST", path: "/api/v1/projects/labels/facts",
+			raw: `{"relation":"item","values":[1e300]}`, status: http.StatusBadRequest, code: "invalid-fact"},
 		{name: "unknown route", method: "GET", path: "/api/v1/nope",
 			status: http.StatusNotFound, code: "not-found"},
 		{name: "events without upgrade", method: "GET", path: "/api/v1/projects/labels/events",

@@ -102,15 +102,10 @@ type Stats struct {
 	ReDerivedTuples int
 	// PlanCacheHits and PlanCacheMisses count compiled-plan lookups served
 	// from the plan cache versus re-planned because no entry matched the
-	// current (rule, stats epochs) key. In the steady state of an incremental
-	// oracle loop hits dominate — the cache's whole point.
+	// current (rule, cardinality buckets) key. In the steady state of an
+	// incremental oracle loop hits dominate — the cache's whole point.
 	PlanCacheHits   int
 	PlanCacheMisses int
-	// StatsEpochBumps counts the relstore stats-epoch advances observed
-	// across the engine's relations during this run: drifts of row counts or
-	// per-column distinct estimates past the storage threshold, each of which
-	// retires the cached plans of every rule reading that relation.
-	StatsEpochBumps int
 }
 
 // merge folds the join-side counters a worker accumulated into s. The
@@ -201,16 +196,13 @@ type Engine struct {
 	journal    []FactOp
 	// planRels maps each rule to the distinct relations of its closed
 	// positive body atoms, in first-appearance order — the relations whose
-	// statistics influence the rule's plan, polled for the cache key's stats
-	// fingerprint. Built once at construction, read-only afterwards.
+	// cardinalities influence the rule's plan, read for the cache key. Built
+	// once at construction, read-only afterwards.
 	planRels map[*Rule][]*relstore.Relation
 	// planCache holds each rule's cached compiled plans (see plancache.go).
 	// The outer map is built once at construction and never mutated; each
 	// rulePlans synchronises itself.
 	planCache map[*Rule]*rulePlans
-	// statsEpochSeen records each relation's stats epoch as of the last
-	// finishRun, so Stats.StatsEpochBumps can report the advances per run.
-	statsEpochSeen map[string]uint64
 }
 
 // Auto-indexing policy: relations smaller than autoIndexMinRows are cheap to
@@ -261,7 +253,6 @@ func NewEngineWith(p *Program, db *relstore.Database) (*Engine, error) {
 		answered:       make(map[string]bool),
 		planRels:       make(map[*Rule][]*relstore.Relation, len(p.Rules)),
 		planCache:      make(map[*Rule]*rulePlans, len(p.Rules)),
-		statsEpochSeen: make(map[string]uint64),
 		pendingChanged: make(map[string]struct{}),
 	}
 	e.pendingView.Store(&[]OpenRequest{})
@@ -710,24 +701,8 @@ func (e *Engine) withdrawLocked(id string) {
 
 // finishRun publishes the run's stats and marks the database at a fixpoint:
 // every staged tuple's consequences are now derived, so the staging buffer
-// resets. It also sweeps the relations' stats epochs against the last
-// observed values so StatsEpochBumps reports how many estimate-drift
-// invalidations this run triggered (each one retires a slice of the plan
-// cache).
+// resets.
 func (e *Engine) finishRun(stats *Stats) {
-	for _, d := range e.analysis.Program.Declarations {
-		rel := e.db.Relation(d.Name)
-		if rel == nil {
-			continue
-		}
-		cur := rel.StatsEpoch()
-		if last, ok := e.statsEpochSeen[d.Name]; ok {
-			stats.StatsEpochBumps += int(cur - last)
-		} else {
-			stats.StatsEpochBumps += int(cur)
-		}
-		e.statsEpochSeen[d.Name] = cur
-	}
 	stats.OpenRequests = len(e.pending)
 	e.lastStats = *stats
 	e.ranOnce = true
@@ -1021,7 +996,6 @@ func (e *Engine) RunToFixpointWithOracle(oracle func(OpenRequest) (map[string]an
 		total.ReDerivedTuples += s.ReDerivedTuples
 		total.PlanCacheHits += s.PlanCacheHits
 		total.PlanCacheMisses += s.PlanCacheMisses
-		total.StatsEpochBumps += s.StatsEpochBumps
 		total.OpenRequests = s.OpenRequests
 		if len(reqs) == 0 {
 			return total, nil
@@ -1268,20 +1242,13 @@ func (e *Engine) ruleVariants(r *Rule, d *delta) ([]ruleVariant, error) {
 }
 
 // catalog returns the planner's view of the engine's database: open-relation
-// membership, current cardinalities and relstore's per-column distinct-count
-// estimates.
+// membership and current cardinalities.
 func (e *Engine) catalog() planCatalog {
 	return planCatalog{
 		isOpen: func(p string) bool { return e.analysis.OpenRelations[p] },
 		card: func(p string) int {
 			if rel := e.db.Relation(p); rel != nil {
 				return rel.Len()
-			}
-			return 0
-		},
-		distinct: func(p string, col int) int {
-			if rel := e.db.Relation(p); rel != nil {
-				return rel.ColumnDistinct(col)
 			}
 			return 0
 		},

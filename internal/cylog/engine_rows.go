@@ -2,6 +2,7 @@ package cylog
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/crowd4u/crowd4u-go/internal/relstore"
 )
@@ -116,6 +117,14 @@ func (b *rowBatch) keep(n, i int) {
 	}
 }
 
+// reserve grows the batch's capacity to at least n rows.
+func (b *rowBatch) reserve(n int) {
+	if n > cap(b.masks) {
+		b.vals = slices.Grow(b.vals, n*b.width-len(b.vals))
+		b.masks = slices.Grow(b.masks, n-len(b.masks))
+	}
+}
+
 // truncate shrinks the batch to its first n rows.
 func (b *rowBatch) truncate(n int) {
 	b.vals = b.vals[:n*b.width]
@@ -154,7 +163,7 @@ func (e *Engine) evaluateRule(r *Rule, v ruleVariant, stats *Stats, sink *reques
 			}
 			switch {
 			case st.keys:
-				in, err = e.joinAtomBatch(l, rs.negKeys[l].refs, st.probeCols, in, v.deltaTuples, nil, st.estMatches, stats, nil)
+				in, err = e.joinAtomBatch(l, rs.negKeys[l].refs, st.probeCols, in, v.deltaTuples, nil, stats, nil)
 			case l.Negated:
 				err = e.filterNegatedBatch(l, rs.atoms[l], st.probeCols, in, old, stats)
 			default:
@@ -162,7 +171,7 @@ func (e *Engine) evaluateRule(r *Rule, v ruleVariant, stats *Stats, sink *reques
 				if v.deltaAtom == st.bodyIndex {
 					restrict = v.deltaTuples
 				}
-				in, err = e.joinAtomBatch(l, rs.atoms[l], st.probeCols, in, restrict, old, st.estMatches, stats, requestSinkFor(v, st.bodyIndex, sink))
+				in, err = e.joinAtomBatch(l, rs.atoms[l], st.probeCols, in, restrict, old, stats, requestSinkFor(v, st.bodyIndex, sink))
 			}
 			if err != nil {
 				return nil, err
@@ -206,8 +215,8 @@ func (e *Engine) evaluateRule(r *Rule, v ruleVariant, stats *Stats, sink *reques
 // the memory a single retained head tuple can pin).
 const headArenaChunk = 4096
 
-// joinPresizeMaxRows caps how many output rows a join pre-allocates from the
-// planner's estimate, bounding the damage of a wildly high estimate.
+// joinPresizeMaxRows caps how many output rows a join pre-allocates, bounding
+// the waste when few of the rows it sized for match.
 const joinPresizeMaxRows = 4096
 
 // deltaHashMinTuples is the smallest restricted tuple set worth hashing on
@@ -230,10 +239,13 @@ const deltaHashMinTuples = 16
 // the relation's old state: probed or scanned tuples in old.skip are
 // ignored and the tuples in old.extra, a frontier of their own, are joined
 // too. The probe callback captures a shared cursor instead of the loop
-// variable, so one closure serves the whole batch. estMatches is the
-// planner's matches-per-probe estimate for this step (0 = no estimate); it
-// only pre-sizes the output batch, never changes what is emitted.
-func (e *Engine) joinAtomBatch(a *Atom, refs []termRef, probeCols []int, in *rowBatch, restrict []relstore.Tuple, old *oldState, estMatches int, stats *Stats, sink *requestSink) (*rowBatch, error) {
+// variable, so one closure serves the whole batch. The output batch is
+// pre-sized from sizes the step already holds: one row per input row when
+// columns are bound, every scanned or restricted tuple per input row
+// otherwise, and nothing when there is no tuple to join. A probe's fan-out
+// shows only once the first row has joined, so that row's matches then size
+// the batch for the rest.
+func (e *Engine) joinAtomBatch(a *Atom, refs []termRef, probeCols []int, in *rowBatch, restrict []relstore.Tuple, old *oldState, stats *Stats, sink *requestSink) (*rowBatch, error) {
 	rel := e.db.Relation(a.Predicate)
 	if rel == nil {
 		return nil, fmt.Errorf("cylog: relation %q is not declared", a.Predicate)
@@ -243,28 +255,27 @@ func (e *Engine) joinAtomBatch(a *Atom, refs []termRef, probeCols []int, in *row
 	if open {
 		stats.RequestChecks += in.rows()
 	}
-	out := &rowBatch{width: in.width}
-	if estMatches > 0 {
-		rows := in.rows() * estMatches
-		if rows > joinPresizeMaxRows {
-			rows = joinPresizeMaxRows
-		}
-		out.vals = make([]relstore.Value, 0, rows*in.width)
-		out.masks = make([]uint64, 0, rows)
-	}
 
 	var restricted, extra frontier
 	var all []relstore.Tuple
 	probe := false
+	perRow := 1 // output rows to pre-size per input row
 	switch {
 	case restrict != nil:
 		restricted = newFrontier(restrict, probeCols, in.rows())
+		perRow = len(restrict)
 	case len(probeCols) > 0 && e.shouldProbe(rel, probeCols):
 		probe = true
 	default:
 		all = rel.All()
 		stats.FullScans++
+		perRow = len(all)
 	}
+	if len(probeCols) > 0 {
+		perRow = min(perRow, 1)
+	}
+	out := &rowBatch{width: in.width}
+	out.reserve(min(in.rows()*perRow, joinPresizeMaxRows))
 	if old != nil {
 		extra = newFrontier(old.extra, probeCols, in.rows())
 	}
@@ -320,6 +331,9 @@ func (e *Engine) joinAtomBatch(a *Atom, refs []termRef, probeCols []int, in *row
 		}
 		if open {
 			e.maybeRequest(decl, refs, srcRow, srcMask, matched, sink)
+		}
+		if i == 0 {
+			out.reserve(min(out.rows()*in.rows(), joinPresizeMaxRows))
 		}
 	}
 	return out, nil

@@ -1,6 +1,7 @@
 package cylog
 
 import (
+	"math/bits"
 	"sync"
 )
 
@@ -10,21 +11,21 @@ import (
 // variant is cheap per call, but the oracle loop's steady state would call it
 // for every rule variant of every fixpoint iteration of every round. Plans
 // only change when their inputs do, and the planner's inputs are exactly (a)
-// the rule and delta variant and (b) the statistics of the closed positive
-// body relations (cardinalities and per-column distinct counts). The cache
-// keys on precisely those: per rule, a fingerprint of the body relations'
-// stats epochs guards a small deltaAtom→plan map. A stats-epoch bump
-// anywhere in the rule's body changes the fingerprint and atomically retires
-// every plan cached under the old one
-// — a stale plan is never served after a bump (the invariant the plan-cache
-// property tests assert).
+// the rule and delta variant and (b) the cardinalities of the closed positive
+// body relations, which break ties between equally-bound atoms. The cache
+// keys on those: per rule, a fingerprint of the body relations' cardinality
+// buckets — the power of two each row count lies under (bits.Len) — guards a
+// small deltaAtom→plan map. A body relation crossing a power of two changes
+// the fingerprint and atomically retires every plan cached under the old one
+// — a stale plan is never served after a bucket change (the invariant the
+// plan-cache property tests assert).
 //
-// Staleness within an epoch is deliberate: relstore only bumps the epoch when
-// estimates drift past the threshold (see relstore's statsDrifted), so a
-// cached plan may run against slightly outdated estimates. That can only cost
-// performance, never correctness — reordering closed positive atoms between
-// barriers cannot change fixpoints or request IDs (the differential tests
-// check every plan shape against the from-scratch reference evaluator).
+// Staleness within a bucket is deliberate: two relations of one run may trade
+// places by size without either crossing a power of two, so a cached plan may
+// order them by outdated cardinalities. That can only cost performance, never
+// correctness — reordering closed positive atoms between barriers cannot
+// change fixpoints or request IDs (the differential tests check every plan
+// shape against the from-scratch reference evaluator).
 //
 // Concurrency: lookups happen on evaluation workers while the coordinator
 // holds e.mu; rulePlans carries its own RWMutex so concurrent lookups of the
@@ -38,35 +39,30 @@ type compiledPlan struct {
 	steps []planStep
 }
 
-// rulePlans caches one rule's compiled plans under the stats-epoch key that
+// rulePlans caches one rule's compiled plans under the cardinality key that
 // was current when they were built. byDelta maps the delta variant (body
 // index of the restricted atom, -1 for unrestricted) to its plan; a key
 // change retires the whole map at once.
 type rulePlans struct {
 	mu      sync.RWMutex
-	epochs  uint64
+	key     uint64
 	byDelta map[int]*compiledPlan
 }
 
-// FNV-1a over the body relations' stats epochs — the stats half of the cache
-// key. Same constants as relstore's tuple hashing.
+// FNV-1a over the body relations' cardinality buckets. Same constants as
+// relstore's tuple hashing.
 const (
 	planFNVOffset = 14695981039346656037
 	planFNVPrime  = 1099511628211
 )
 
-// ruleStatsKey fingerprints the current stats epochs of the relations whose
-// statistics influence the rule's plan (the closed positive body atoms'
-// relations, collected once at construction into planRels). Epochs are read
-// lock-free; any relation bumping its epoch changes the fingerprint.
-func (e *Engine) ruleStatsKey(r *Rule) uint64 {
+// rulePlanKey fingerprints the cardinality buckets of the relations whose
+// sizes influence the rule's plan (the closed positive body atoms'
+// relations, collected once at construction into planRels).
+func (e *Engine) rulePlanKey(r *Rule) uint64 {
 	h := uint64(planFNVOffset)
 	for _, rel := range e.planRels[r] {
-		x := rel.StatsEpoch()
-		for i := 0; i < 8; i++ {
-			h = (h ^ (x & 0xff)) * planFNVPrime
-			x >>= 8
-		}
+		h = (h ^ uint64(bits.Len(uint(rel.Len())))) * planFNVPrime
 	}
 	return h
 }
@@ -78,10 +74,10 @@ func (e *Engine) ruleStatsKey(r *Rule) uint64 {
 // a run (no counters are recorded then).
 func (e *Engine) cachedPlan(r *Rule, deltaAtom int, stats *Stats) *compiledPlan {
 	rp := e.planCache[r]
-	epochs := e.ruleStatsKey(r)
+	key := e.rulePlanKey(r)
 
 	rp.mu.RLock()
-	if rp.epochs == epochs {
+	if rp.key == key {
 		if p, ok := rp.byDelta[deltaAtom]; ok {
 			rp.mu.RUnlock()
 			if stats != nil {
@@ -97,8 +93,8 @@ func (e *Engine) cachedPlan(r *Rule, deltaAtom int, stats *Stats) *compiledPlan 
 		stats.PlanCacheMisses++
 	}
 	rp.mu.Lock()
-	if rp.epochs != epochs || rp.byDelta == nil {
-		rp.epochs = epochs
+	if rp.key != key || rp.byDelta == nil {
+		rp.key = key
 		rp.byDelta = make(map[int]*compiledPlan, len(r.Body)+1)
 	}
 	if prev, ok := rp.byDelta[deltaAtom]; ok {

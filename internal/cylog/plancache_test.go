@@ -1,6 +1,7 @@
 package cylog
 
 import (
+	"math/bits"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -9,7 +10,7 @@ import (
 )
 
 // planCacheEngine builds an engine over the standard differential program
-// with enough edge facts for the planner to have real statistics to chew on.
+// with the given number of edge facts (at most 16 of them distinct).
 func planCacheEngine(t *testing.T, facts int) *Engine {
 	t.Helper()
 	e, err := NewEngine(MustParse(differentialProgram))
@@ -28,7 +29,7 @@ func planCacheEngine(t *testing.T, facts int) *Engine {
 }
 
 // TestPlanCachePointerIdentity pins the cache's hit contract: repeated
-// lookups under an unchanged stats-epoch key return the same
+// lookups under an unchanged cardinality-bucket key return the same
 // *compiledPlan, and a hit is counted while the plan is served.
 func TestPlanCachePointerIdentity(t *testing.T) {
 	e := planCacheEngine(t, 64)
@@ -52,26 +53,26 @@ func TestPlanCachePointerIdentity(t *testing.T) {
 	}
 }
 
-// TestPlanCacheInvalidationProperty is the invalidation property test: after
-// any stats-epoch bump of a relation in the rule's body, the old plan is
+// cardBucket is the plan cache's cardinality bucket of a relation.
+func cardBucket(rel *relstore.Relation) int { return bits.Len(uint(rel.Len())) }
+
+// TestPlanCacheInvalidationProperty is the invalidation property test: once
+// a relation in the rule's body crosses a power of two, the old plan is
 // never served again — the next lookup misses, recompiles, and publishes
-// under the new key. Randomized over how much churn it takes to drift the
-// estimates past the bump threshold.
+// under the new key. Randomized over the tuples that grow the relation.
 func TestPlanCacheInvalidationProperty(t *testing.T) {
 	f := func(extra []uint16) bool {
 		e := planCacheEngine(t, 48)
 		r := e.analysis.Program.Rules[0] // reach(X,Y) :- edge(X,Y).
 		var s Stats
 		stale := e.cachedPlan(r, -1, &s)
-		keyBefore := e.ruleStatsKey(r)
+		keyBefore := e.rulePlanKey(r)
 
 		edge := e.db.Relation("edge")
-		epochBefore := edge.StatsEpoch()
-		// Churn the body relation until its stats epoch bumps. The drift
-		// threshold guarantees this terminates: row count grows without
-		// bound while the marker stays fixed.
-		i := 0
-		for edge.StatsEpoch() == epochBefore {
+		bucket := cardBucket(edge)
+		// Grow the body relation until its row count crosses a power of two;
+		// the values grow with i, so new tuples keep arriving.
+		for i := 0; cardBucket(edge) == bucket; i++ {
 			v := 1000 + i
 			if len(extra) > 0 {
 				v = 1000 + int(extra[i%len(extra)]) + i
@@ -79,26 +80,25 @@ func TestPlanCacheInvalidationProperty(t *testing.T) {
 			if _, err := edge.Insert(relstore.NewTuple(v, v+1)); err != nil {
 				t.Fatal(err)
 			}
-			i++
 		}
 
-		if got := e.ruleStatsKey(r); got == keyBefore {
-			t.Log("stats epoch bumped but the rule's cache key did not change")
+		if got := e.rulePlanKey(r); got == keyBefore {
+			t.Log("edge crossed a power of two but the rule's cache key did not change")
 			return false
 		}
 		var after Stats
 		fresh := e.cachedPlan(r, -1, &after)
 		if fresh == stale {
-			t.Log("stale plan served after a stats-epoch bump")
+			t.Log("stale plan served after a bucket change")
 			return false
 		}
 		if after.PlanCacheMisses == 0 || after.PlanCacheHits != 0 {
-			t.Logf("post-bump lookup should be a pure miss, stats %+v", after)
+			t.Logf("post-change lookup should be a pure miss, stats %+v", after)
 			return false
 		}
 		// The recompiled plan is now the published one.
 		if again := e.cachedPlan(r, -1, &after); again != fresh {
-			t.Log("post-bump plan not pointer-stable")
+			t.Log("post-change plan not pointer-stable")
 			return false
 		}
 		return true
@@ -108,27 +108,70 @@ func TestPlanCacheInvalidationProperty(t *testing.T) {
 	}
 }
 
-// TestPlanCacheEpochBumpCountsMisses asserts the same invariant black-box
-// through the run loop: any run that observes stats-epoch bumps
-// (StatsEpochBumps > 0) and evaluates rules must also record plan-cache
-// misses — a bump always retires cached plans before they can be reused.
-func TestPlanCacheEpochBumpCountsMisses(t *testing.T) {
+// TestPlanCacheGrowthWithinBucketHits pins the other half of the key: a body
+// relation that grows without crossing a power of two keeps the rule's
+// cached plan.
+func TestPlanCacheGrowthWithinBucketHits(t *testing.T) {
+	e := planCacheEngine(t, 48)
+	r := e.analysis.Program.Rules[0] // reach(X,Y) :- edge(X,Y).
+	edge := e.db.Relation("edge")
+	if got := edge.Len(); got != 16 {
+		t.Fatalf("edge holds %d tuples, want 16", got)
+	}
+	p := e.cachedPlan(r, -1, nil)
+	for v := 1000; edge.Len() < 31; v++ {
+		if _, err := edge.Insert(relstore.NewTuple(v, v+1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var s Stats
+	if got := e.cachedPlan(r, -1, &s); got != p || s.PlanCacheHits != 1 || s.PlanCacheMisses != 0 {
+		t.Fatalf("lookup after growth from 16 to 31 tuples: same plan %v, stats %+v; want a hit", got == p, s)
+	}
+}
+
+// TestPlanCacheShrinkAcrossBucketMisses covers a body relation that loses
+// rows: emptying it crosses every power of two below its size, so the next
+// lookup of a rule reading it is a pure miss.
+func TestPlanCacheShrinkAcrossBucketMisses(t *testing.T) {
+	e := planCacheEngine(t, 48)
+	r := e.analysis.Program.Rules[1] // reach(X, Z) :- reach(X, Y), edge(Y, Z).
+	stale := e.cachedPlan(r, -1, nil)
+	reach := e.db.Relation("reach")
+	if cardBucket(reach) == 0 {
+		t.Fatal("reach is empty before the shrink")
+	}
+	reach.Clear()
+	var s Stats
+	if got := e.cachedPlan(r, -1, &s); got == stale || s.PlanCacheMisses != 1 || s.PlanCacheHits != 0 {
+		t.Fatalf("lookup after reach emptied: stale plan %v, stats %+v; want a pure miss", got == stale, s)
+	}
+}
+
+// TestPlanCacheBucketChangeCountsMisses asserts the invalidation invariant
+// black-box through the run loop: a run whose base relation has crossed a
+// power of two since the previous run records plan-cache misses — the
+// change retires the cached plans before they can be reused.
+func TestPlanCacheBucketChangeCountsMisses(t *testing.T) {
 	e, err := NewEngine(MustParse(differentialProgram))
 	if err != nil {
 		t.Fatal(err)
 	}
+	edge := e.db.Relation("edge")
+	last := -1
 	for round := 0; round < 6; round++ {
 		for i := 0; i < 32; i++ {
 			e.AddFact("edge", round*100+i, round*100+i+1)
 		}
+		bucket := cardBucket(edge)
 		if _, err := e.Run(); err != nil {
 			t.Fatal(err)
 		}
-		s := e.Stats()
-		if s.StatsEpochBumps > 0 && s.PlanCacheMisses == 0 {
-			t.Fatalf("round %d: %d epoch bumps but zero plan-cache misses (stale plans reused), stats %+v",
-				round, s.StatsEpochBumps, s)
+		if s := e.Stats(); bucket != last && s.PlanCacheMisses == 0 {
+			t.Fatalf("round %d: edge moved to bucket %d but zero plan-cache misses (stale plans reused), stats %+v",
+				round, bucket, s)
 		}
+		last = bucket
 	}
 }
 

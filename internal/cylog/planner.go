@@ -1,10 +1,6 @@
 package cylog
 
-import (
-	"sort"
-
-	"github.com/crowd4u/crowd4u-go/internal/relstore"
-)
+import "github.com/crowd4u/crowd4u-go/internal/relstore"
 
 // This file implements the rule planner: a greedy join orderer in the style
 // of pattern-based Datalog engines (cf. janus-datalog's
@@ -36,9 +32,8 @@ import (
 //
 // Within a run the choice is boundness-driven — atoms whose join columns are
 // already bound come first (they can be answered by an index probe). Ties
-// between equally-bound atoms break by estimated matches per probe from the
-// catalog's per-column distinct counts, then by cardinality, then by source
-// position so plans are deterministic and stable.
+// between equally-bound atoms break by cardinality, then by source position
+// so plans are deterministic and stable.
 
 // planStep is one body literal in execution order.
 type planStep struct {
@@ -51,11 +46,6 @@ type planStep struct {
 	// steps. The engine turns them into indexed equality probes. Empty for
 	// comparisons and for atoms with no bound positions.
 	probeCols []int
-	// estMatches is the cost planner's estimate of how many tuples this step
-	// matches per input binding — |R| / Π distinct(probe column), rounded up —
-	// which the columnar join uses to pre-size its output batch; 0 for an
-	// empty relation.
-	estMatches int
 	// keys marks the step that joins a negated delta atom's flipped keys
 	// (negKey tuples) instead of evaluating the atom; probeCols then index
 	// the key tuple, not the atom.
@@ -63,26 +53,11 @@ type planStep struct {
 }
 
 // planCatalog supplies the planner with the catalog facts it needs: which
-// relations are open, the current cardinality of a relation (the selectivity
-// estimate for unbound atoms), and per-column distinct-count estimates.
+// relations are open and the current cardinality of a relation (the
+// tie-break between equally-bound atoms).
 type planCatalog struct {
-	isOpen   func(predicate string) bool
-	card     func(predicate string) int
-	distinct func(predicate string, col int) int
-}
-
-// estMatchesPerProbe estimates how many tuples of the atom's relation match
-// one input binding with the given columns bound: the relation's cardinality
-// divided by the product of the bound columns' distinct counts — the uniform
-// independence assumption every textbook selectivity model starts from.
-func estMatchesPerProbe(cat planCatalog, a *Atom, probeCols []int) float64 {
-	est := float64(cat.card(a.Predicate))
-	for _, c := range probeCols {
-		if d := cat.distinct(a.Predicate, c); d > 1 {
-			est /= float64(d)
-		}
-	}
-	return est
+	isOpen func(predicate string) bool
+	card   func(predicate string) int
 }
 
 // planRule orders the body of r for one evaluation pass. deltaAtom is the
@@ -120,13 +95,7 @@ func planRule(r *Rule, deltaAtom int, cat planCatalog) []planStep {
 		for len(run) > 0 {
 			best := pickAtom(r, run, deltaAtom, bound, cat)
 			atom := r.Body[run[best]].(*Atom)
-			probe := probeColumns(atom, bound)
-			steps = append(steps, planStep{
-				lit:        atom,
-				bodyIndex:  run[best],
-				probeCols:  probe,
-				estMatches: stepEstimate(cat, atom, probe),
-			})
+			steps = append(steps, planStep{lit: atom, bodyIndex: run[best], probeCols: probeColumns(atom, bound)})
 			bindAtomVars(atom, bound)
 			run = append(run[:best], run[best+1:]...)
 		}
@@ -138,7 +107,6 @@ func planRule(r *Rule, deltaAtom int, cat planCatalog) []planStep {
 		if atom, ok := r.Body[i].(*Atom); ok {
 			step.probeCols = probeColumns(atom, bound)
 			if !atom.Negated {
-				step.estMatches = stepEstimate(cat, atom, step.probeCols)
 				bindAtomVars(atom, bound)
 			}
 		}
@@ -149,7 +117,7 @@ func planRule(r *Rule, deltaAtom int, cat planCatalog) []planStep {
 	// variables.
 	placeKeys := func(i int) {
 		atom := r.Body[i].(*Atom)
-		step := planStep{lit: atom, bodyIndex: i, keys: true, estMatches: 1}
+		step := planStep{lit: atom, bodyIndex: i, keys: true}
 		cols := negKeyColumns(r, i)
 		for p, c := range cols {
 			if v, ok := atom.Terms[c].(Variable); ok && bound[string(v)] {
@@ -221,64 +189,23 @@ func negKeyColumns(r *Rule, i int) []int {
 	return probeColumns(r.Body[i].(*Atom), bound)
 }
 
-// stepEstimate converts the per-probe match estimate into the integer hint a
-// planStep carries: rounded up, at least 1 for any non-empty relation, and 0
-// when there is no estimate to give.
-func stepEstimate(cat planCatalog, a *Atom, probeCols []int) int {
-	est := estMatchesPerProbe(cat, a, probeCols)
-	if est <= 0 {
-		return 0
-	}
-	n := int(est)
-	if float64(n) < est {
-		n++
-	}
-	return n
-}
-
 // pickAtom returns the index into run of the atom to schedule next: the delta
 // atom if present, otherwise the atom with the most bound term positions.
-// Equally-bound atoms order by estimated matches per probe (real
-// selectivity: a probe on a near-unique column of a large relation beats one
-// fanning out over a skewed column of a small one), then by smaller relation
-// cardinality, then by source position.
+// Equally-bound atoms order by smaller relation cardinality, then by source
+// position (run lists body indexes in source order).
 func pickAtom(r *Rule, run []int, deltaAtom int, bound map[string]bool, cat planCatalog) int {
-	type score struct {
-		runIndex  int
-		boundCols int
-		est       float64
-		card      int
-		bodyIndex int
-	}
-	scores := make([]score, len(run))
+	best, bestBound, bestCard := -1, 0, 0
 	for i, bi := range run {
 		if bi == deltaAtom {
 			return i
 		}
 		atom := r.Body[bi].(*Atom)
-		probe := probeColumns(atom, bound)
-		scores[i] = score{
-			runIndex:  i,
-			boundCols: len(probe),
-			est:       estMatchesPerProbe(cat, atom, probe),
-			card:      cat.card(atom.Predicate),
-			bodyIndex: bi,
+		n, card := len(probeColumns(atom, bound)), cat.card(atom.Predicate)
+		if best < 0 || n > bestBound || (n == bestBound && card < bestCard) {
+			best, bestBound, bestCard = i, n, card
 		}
 	}
-	sort.Slice(scores, func(i, j int) bool {
-		a, b := scores[i], scores[j]
-		if a.boundCols != b.boundCols {
-			return a.boundCols > b.boundCols
-		}
-		if a.est != b.est {
-			return a.est < b.est
-		}
-		if a.card != b.card {
-			return a.card < b.card
-		}
-		return a.bodyIndex < b.bodyIndex
-	})
-	return scores[0].runIndex
+	return best
 }
 
 // probeColumns returns the term positions of the atom holding constants or

@@ -8,16 +8,14 @@ import (
 )
 
 // testCatalog builds a planCatalog from static cardinalities and an open set.
-// It reports no distinct counts, so every estimate is the cardinality.
 func testCatalog(card map[string]int, open ...string) planCatalog {
 	openSet := make(map[string]bool, len(open))
 	for _, o := range open {
 		openSet[o] = true
 	}
 	return planCatalog{
-		isOpen:   func(p string) bool { return openSet[p] },
-		card:     func(p string) int { return card[p] },
-		distinct: func(string, int) int { return 0 },
+		isOpen: func(p string) bool { return openSet[p] },
+		card:   func(p string) int { return card[p] },
 	}
 }
 

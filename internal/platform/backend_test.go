@@ -60,8 +60,7 @@ func backendTaskKey(tk *task.Task) string {
 }
 
 // backendFingerprint digests the durable observables of an engine: every
-// relation's tuples and the sorted pending request ids. The stats epoch is a
-// history counter and deliberately excluded.
+// relation's tuples and the sorted pending request ids.
 func backendFingerprint(e *cylog.Engine) string {
 	h := sha256.New()
 	for _, name := range e.Database().Names() {

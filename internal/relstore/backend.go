@@ -35,15 +35,16 @@ type Backend interface {
 	MarkVolatile(name string)
 
 	// ExportSnapshot writes the named relations (all when nil) as a
-	// database-level binary export — the RSB2 envelope of
+	// database-level binary export — the RSB1 envelope of
 	// ExportDatabaseBinary, byte-identical across backends for equal
 	// contents. A paging backend streams paged-out relations from their
 	// segments instead of faulting them in.
 	ExportSnapshot(names []string, w io.Writer) error
 
-	// ImportSnapshot reads a database-level binary export into the database,
-	// returning the imported relation names. A paging backend may spill
-	// relations as they arrive so the peak footprint stays near its budget.
+	// ImportSnapshot reads a database-level binary export (RSB1, or a legacy
+	// RSB2) into the database, returning the imported relation names. A
+	// paging backend may spill relations as they arrive so the peak
+	// footprint stays near its budget.
 	ImportSnapshot(rd io.Reader) ([]string, error)
 
 	// Maintain enforces the backend's resource policy (e.g. evicting cold
@@ -92,7 +93,7 @@ type relationPager interface {
 
 // MemoryBackend is the classic hash-bucketed in-memory store, extracted
 // behind the Backend seam. Relations live entirely on the heap for the
-// database's lifetime; snapshots go through the RSB2 codec directly.
+// database's lifetime; snapshots go through the binary codec directly.
 type MemoryBackend struct {
 	d *Database
 }
@@ -118,12 +119,12 @@ func (b *MemoryBackend) OpenRelation(name string, schema *Schema) (*Relation, er
 // MarkVolatile implements Backend (nothing pages, so nothing to exempt).
 func (b *MemoryBackend) MarkVolatile(string) {}
 
-// ExportSnapshot implements Backend via the RSB2 database export.
+// ExportSnapshot implements Backend via the database export.
 func (b *MemoryBackend) ExportSnapshot(names []string, w io.Writer) error {
 	return ExportDatabaseBinary(b.d, names, w)
 }
 
-// ImportSnapshot implements Backend via the RSB2 database import.
+// ImportSnapshot implements Backend via the database import.
 func (b *MemoryBackend) ImportSnapshot(rd io.Reader) ([]string, error) {
 	return ImportDatabaseBinary(b.d, rd)
 }

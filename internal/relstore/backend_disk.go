@@ -1,7 +1,6 @@
 package relstore
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"encoding/hex"
@@ -22,7 +21,7 @@ import (
 // directory and pins hot relations in memory by recent-touch accounting
 // against a configurable byte budget. A segment is one relation's ExportBinary
 // payload wrapped in a small CRC-checked envelope, so segment bytes are the
-// RSB2 relation encoding — snapshot export can stream a paged-out relation
+// RSB1 relation encoding — snapshot export can stream a paged-out relation
 // straight from its segment and produce output byte-identical to the memory
 // backend's.
 //
@@ -197,10 +196,10 @@ func (b *DiskBackend) fault(r *Relation) {
 	if err == nil {
 		var src *Relation
 		tmp := NewDatabase()
-		src, err = importBinary(tmp, bytes.NewReader(payload), binaryVersion2)
+		src, err = importBinary(tmp, bytes.NewReader(payload), false)
 		if err == nil {
-			// Adopt contents only; r keeps its own markers, epoch and
-			// version — the segment was written clean, so they agree.
+			// Adopt contents only; r keeps its own version — the segment
+			// was written clean, so they agree.
 			r.adoptContentsLocked(src)
 			r.paged.Store(false)
 		}
@@ -349,91 +348,32 @@ func (b *DiskBackend) evict(e *diskEntry) error {
 // in, so a snapshot of a mostly-cold database never materializes more than
 // one relation at a time.
 func (b *DiskBackend) ExportSnapshot(names []string, w io.Writer) error {
-	if names == nil {
-		names = b.d.Names()
-	} else {
-		names = append([]string(nil), names...)
-		sort.Strings(names)
-	}
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(binaryMagic); err != nil {
-		return err
-	}
-	var hdr []byte
-	hdr = binary.AppendUvarint(hdr, uint64(len(names)))
-	if _, err := bw.Write(hdr); err != nil {
-		return err
-	}
-	for _, name := range names {
-		r := b.d.Relation(name)
-		if r == nil {
-			return fmt.Errorf("relstore: binary export: relation %q does not exist", name)
-		}
-		streamed, err := b.streamSegment(r, bw)
-		if err != nil {
-			return err
-		}
-		if streamed {
-			continue
-		}
-		if err := ExportBinary(r, bw); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
+	return exportDatabase(b.d, names, w, b.exportRelation)
 }
 
-// streamSegment copies a paged-out relation's segment payload to w, holding
+// exportRelation copies a paged-out relation's segment payload to w, holding
 // the relation's read lock so a concurrent fault-in + mutation cannot make
-// the segment stale mid-copy. Reports whether it streamed.
-func (b *DiskBackend) streamSegment(r *Relation, w io.Writer) (bool, error) {
+// the segment stale mid-copy; a resident relation is encoded afresh.
+func (b *DiskBackend) exportRelation(r *Relation, w io.Writer) error {
 	r.mu.RLock()
-	defer r.mu.RUnlock()
 	if !r.paged.Load() {
-		return false, nil
+		r.mu.RUnlock()
+		return ExportBinary(r, w)
 	}
+	defer r.mu.RUnlock()
 	payload, err := b.readSegment(r.name)
 	if err != nil {
-		return false, err
+		return err
 	}
 	_, err = w.Write(payload)
-	return true, err
+	return err
 }
 
 // ImportSnapshot implements Backend: relations are decoded one at a time and
 // the budget is enforced between them, so importing a database larger than
 // memory peaks near budget + one relation.
 func (b *DiskBackend) ImportSnapshot(rd io.Reader) ([]string, error) {
-	br := asByteReader(rd)
-	magic := make([]byte, len(binaryMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("relstore: binary import: reading magic: %w", err)
-	}
-	version := 0
-	switch string(magic) {
-	case binaryMagic:
-		version = binaryVersion2
-	case binaryMagicV1:
-		version = binaryVersion1
-	default:
-		return nil, fmt.Errorf("relstore: binary import: bad magic %q (want %q or %q)", magic, binaryMagic, binaryMagicV1)
-	}
-	count, err := readUvarint(br, 1<<20)
-	if err != nil {
-		return nil, fmt.Errorf("relstore: binary import: reading relation count: %w", err)
-	}
-	names := make([]string, 0, count)
-	for i := uint64(0); i < count; i++ {
-		rel, err := importBinary(b.d, br, version)
-		if err != nil {
-			return nil, err
-		}
-		names = append(names, rel.Name())
-		if err := b.Maintain(); err != nil {
-			return nil, err
-		}
-	}
-	return names, nil
+	return importDatabase(b.d, rd, b.Maintain)
 }
 
 // Stats implements Backend. Residency bytes reflect the estimates of the last

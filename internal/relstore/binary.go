@@ -28,20 +28,14 @@ import (
 // retraction machinery keep working across a snapshot/restore cycle.
 
 // binaryMagic identifies a database-level binary export; the trailing digit is
-// the format version. Version 2 extends each relation's header with its
-// statistics state (stats epoch + drift markers, see stats.go) so cost-planner
-// inputs survive snapshot round-trips; version 1 payloads (no stats section)
-// are still imported for snapshots written before the extension.
+// the format version. Exports write version 1. Version 2 envelopes, written
+// while relations still kept planner statistics, carry a statistics section
+// in each relation header (an epoch, a row marker and one distinct marker per
+// column); the importer reads past it, so WAL snapshots from that time still
+// load.
 const (
-	binaryMagic   = "RSB2"
-	binaryMagicV1 = "RSB1"
-)
-
-// Per-relation payload versions, threaded through the importer so a database
-// envelope's magic decides how each relation is decoded.
-const (
-	binaryVersion1 = 1
-	binaryVersion2 = 2
+	binaryMagic       = "RSB1"
+	binaryMagicLegacy = "RSB2"
 )
 
 // Decoding sanity caps: a corrupt length prefix must not make the importer
@@ -154,11 +148,9 @@ type supportedTuple struct {
 	derived int
 }
 
-// ExportBinary writes one relation — schema, statistics state, tuples and
-// support records — to w. Tuples are written in canonical sorted order, so
-// exports are byte-identical for equal relation contents and equal statistics
-// state (the stats epoch and drift markers depend on mutation history, not
-// just on the final tuple set).
+// ExportBinary writes one relation — schema, tuples and support records — to
+// w. Tuples are written in canonical sorted order, so exports are
+// byte-identical for equal relation contents.
 func ExportBinary(r *Relation, w io.Writer) error {
 	rows := make([]supportedTuple, 0, r.Len())
 	r.ScanSupport(func(t Tuple, base bool, derived int) bool {
@@ -174,12 +166,6 @@ func ExportBinary(r *Relation, w io.Writer) error {
 	for _, c := range cols {
 		buf = appendString(buf, c.Name)
 		buf = append(buf, byte(c.Type))
-	}
-	epoch, markRows, markDistinct := r.statsMarkers()
-	buf = binary.AppendUvarint(buf, epoch)
-	buf = binary.AppendUvarint(buf, uint64(markRows))
-	for _, d := range markDistinct {
-		buf = binary.AppendUvarint(buf, uint64(d))
 	}
 	buf = binary.AppendUvarint(buf, uint64(len(rows)))
 	if _, err := w.Write(buf); err != nil {
@@ -212,15 +198,14 @@ func ExportBinary(r *Relation, w io.Writer) error {
 // database, creating the relation when absent (an existing relation must have
 // the same schema). Tuples restore with their support records: base tuples are
 // inserted as base facts and derivation counts are re-established, so
-// ClearDerived and Support behave exactly as on the exported relation. The
-// statistics state restores too: distinct-count estimates rebuild from the
-// inserted tuples and the exported drift markers are reinstated, so the stats
-// epoch keeps invalidating cached plans exactly as on the exported relation.
+// ClearDerived and Support behave exactly as on the exported relation.
 func ImportBinary(d *Database, rd io.Reader) (*Relation, error) {
-	return importBinary(d, asByteReader(rd), binaryVersion2)
+	return importBinary(d, asByteReader(rd), false)
 }
 
-func importBinary(d *Database, br byteReader, version int) (*Relation, error) {
+// importBinary decodes one relation payload; legacyStats reads past the
+// statistics section of an RSB2 relation header.
+func importBinary(d *Database, br byteReader, legacyStats bool) (*Relation, error) {
 	name, err := readString(br)
 	if err != nil {
 		return nil, fmt.Errorf("relstore: binary import: reading relation name: %w", err)
@@ -259,24 +244,12 @@ func importBinary(d *Database, br byteReader, version int) (*Relation, error) {
 	if err != nil {
 		return nil, err
 	}
-	var statsEpoch, statsRows uint64
-	var statsDistinct []int
-	if version >= binaryVersion2 {
-		statsEpoch, err = readUvarint(br, 1<<40)
-		if err != nil {
-			return nil, fmt.Errorf("relstore: binary import of %s: reading stats epoch: %w", name, err)
-		}
-		statsRows, err = readUvarint(br, 1<<40)
-		if err != nil {
-			return nil, fmt.Errorf("relstore: binary import of %s: reading stats row marker: %w", name, err)
-		}
-		statsDistinct = make([]int, arity)
-		for i := range statsDistinct {
-			v, err := readUvarint(br, 1<<40)
-			if err != nil {
-				return nil, fmt.Errorf("relstore: binary import of %s: reading stats distinct marker: %w", name, err)
+	if legacyStats {
+		// The epoch, the row marker, then one distinct marker per column.
+		for i := uint64(0); i < 2+arity; i++ {
+			if _, err := readUvarint(br, 1<<40); err != nil {
+				return nil, fmt.Errorf("relstore: binary import of %s: reading legacy statistics: %w", name, err)
 			}
-			statsDistinct[i] = int(v)
 		}
 	}
 	count, err := readUvarint(br, 1<<40)
@@ -312,9 +285,6 @@ func importBinary(d *Database, br byteReader, version int) (*Relation, error) {
 			}
 		}
 	}
-	if version >= binaryVersion2 {
-		rel.restoreStatsMarkers(statsEpoch, int(statsRows), statsDistinct)
-	}
 	return rel, nil
 }
 
@@ -323,6 +293,12 @@ func importBinary(d *Database, br byteReader, version int) (*Relation, error) {
 // ExportBinary payload, in sorted name order. Relations named but absent are
 // an error.
 func ExportDatabaseBinary(d *Database, names []string, w io.Writer) error {
+	return exportDatabase(d, names, w, ExportBinary)
+}
+
+// exportDatabase writes the envelope of ExportDatabaseBinary, encoding each
+// relation's payload through put.
+func exportDatabase(d *Database, names []string, w io.Writer, put func(*Relation, io.Writer) error) error {
 	if names == nil {
 		names = d.Names()
 	} else {
@@ -343,29 +319,31 @@ func ExportDatabaseBinary(d *Database, names []string, w io.Writer) error {
 		if r == nil {
 			return fmt.Errorf("relstore: binary export: relation %q does not exist", name)
 		}
-		if err := ExportBinary(r, bw); err != nil {
+		if err := put(r, bw); err != nil {
 			return err
 		}
 	}
 	return bw.Flush()
 }
 
-// ImportDatabaseBinary reads a database-level binary export into d, creating
-// relations as needed, and returns the names of the imported relations.
+// ImportDatabaseBinary reads a database-level binary export (RSB1, or a
+// legacy RSB2) into d, creating relations as needed, and returns the names of
+// the imported relations.
 func ImportDatabaseBinary(d *Database, rd io.Reader) ([]string, error) {
+	return importDatabase(d, rd, nil)
+}
+
+// importDatabase is ImportDatabaseBinary calling after, when non-nil, once
+// each relation is in.
+func importDatabase(d *Database, rd io.Reader, after func() error) ([]string, error) {
 	br := asByteReader(rd)
 	magic := make([]byte, len(binaryMagic))
 	if _, err := io.ReadFull(br, magic); err != nil {
 		return nil, fmt.Errorf("relstore: binary import: reading magic: %w", err)
 	}
-	version := 0
-	switch string(magic) {
-	case binaryMagic:
-		version = binaryVersion2
-	case binaryMagicV1:
-		version = binaryVersion1
-	default:
-		return nil, fmt.Errorf("relstore: binary import: bad magic %q (want %q or %q)", magic, binaryMagic, binaryMagicV1)
+	legacyStats := string(magic) == binaryMagicLegacy
+	if !legacyStats && string(magic) != binaryMagic {
+		return nil, fmt.Errorf("relstore: binary import: bad magic %q (want %q or %q)", magic, binaryMagic, binaryMagicLegacy)
 	}
 	count, err := readUvarint(br, 1<<20)
 	if err != nil {
@@ -373,11 +351,16 @@ func ImportDatabaseBinary(d *Database, rd io.Reader) ([]string, error) {
 	}
 	names := make([]string, 0, count)
 	for i := uint64(0); i < count; i++ {
-		rel, err := importBinary(d, br, version)
+		rel, err := importBinary(d, br, legacyStats)
 		if err != nil {
 			return nil, err
 		}
 		names = append(names, rel.Name())
+		if after != nil {
+			if err := after(); err != nil {
+				return nil, err
+			}
+		}
 	}
 	return names, nil
 }

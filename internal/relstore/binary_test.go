@@ -2,6 +2,7 @@ package relstore
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"strings"
 	"testing"
@@ -126,6 +127,34 @@ func TestRelationBinaryDeterministic(t *testing.T) {
 	}
 	if !bytes.Equal(b1.Bytes(), b2.Bytes()) {
 		t.Fatal("exports of equal contents differ")
+	}
+}
+
+// TestRelationBinaryDeterministicWithNaN exports a float relation holding a
+// NaN over and over: Compare orders NaN after every number, so the sorted
+// export cannot depend on the map iteration order that feeds the sort.
+func TestRelationBinaryDeterministicWithNaN(t *testing.T) {
+	r := NewRelation("f", MustSchema("x:float"))
+	r.MustInsert(math.NaN())
+	for i := 0; i < 40; i++ {
+		r.MustInsert(float64(i))
+	}
+	var first bytes.Buffer
+	if err := ExportBinary(r, &first); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 48; i++ {
+		var again bytes.Buffer
+		if err := ExportBinary(r, &again); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again.Bytes(), first.Bytes()) {
+			t.Fatalf("export %d differs from the first", i+2)
+		}
+	}
+	all := r.All()
+	if last := all[len(all)-1]; !last[0].isNaN() {
+		t.Fatalf("All ends with %v, want the NaN last", last)
 	}
 }
 
@@ -305,13 +334,45 @@ func TestImportTruncatedStream(t *testing.T) {
 	}
 }
 
+// legacySnapshot hand-builds an RSB2 database export, the envelope written
+// while relations kept planner statistics: each relation header carries a
+// statistics section (epoch, row marker, one distinct marker per column)
+// between its columns and its tuple count. The section spans
+// data[statsStart:statsEnd].
+func legacySnapshot(epoch uint64) (data []byte, statsStart, statsEnd int) {
+	data = append(data, binaryMagicLegacy...)
+	data = append(data, 1) // relation count
+	data = appendString(data, "legacy")
+	data = append(data, 2) // arity
+	data = appendString(data, "n")
+	data = append(data, byte(TypeInt))
+	data = appendString(data, "s")
+	data = append(data, byte(TypeString))
+	statsStart = len(data)
+	data = binary.AppendUvarint(data, epoch)
+	data = append(data, 3, 3, 2) // row marker, distinct markers of n and s
+	statsEnd = len(data)
+	data = append(data, 3) // tuple count
+	data = append(data, 1) // flags: base
+	data = AppendValueBinary(data, Int(1))
+	data = AppendValueBinary(data, String("a"))
+	data = append(data, 2, 3) // flags: derived, derivation count 3
+	data = AppendValueBinary(data, Int(2))
+	data = AppendValueBinary(data, String("b"))
+	data = append(data, 3, 2) // flags: base and derived, derivation count 2
+	data = AppendValueBinary(data, Int(3))
+	data = AppendValueBinary(data, String("b"))
+	return data, statsStart, statsEnd
+}
+
 // TestImportSnapshotLegacyAndCorrupt drives both backends' ImportSnapshot
-// through the legacy RSB1 envelope and through corrupt envelopes.
+// through a hand-built RSB1 envelope, the legacy RSB2 envelope and corrupt
+// envelopes.
 func TestImportSnapshotLegacyAndCorrupt(t *testing.T) {
 	// An RSB1 relation payload has no stats section: name, arity, one column,
 	// tuple count, then flags and values.
 	var v1 []byte
-	v1 = append(v1, binaryMagicV1...)
+	v1 = append(v1, binaryMagic...)
 	v1 = append(v1, 1)             // relation count
 	v1 = appendString(v1, "old")   // relation name
 	v1 = append(v1, 1)             // arity
@@ -330,10 +391,40 @@ func TestImportSnapshotLegacyAndCorrupt(t *testing.T) {
 			if !contains(d.Relation("old"), NewTuple(42)) {
 				t.Error("RSB1 tuple missing after import")
 			}
+			v2, statsStart, statsEnd := legacySnapshot(7)
+			names, err = d.ImportSnapshot(bytes.NewReader(v2))
+			if err != nil || len(names) != 1 || names[0] != "legacy" {
+				t.Fatalf("RSB2 import = %v, %v", names, err)
+			}
+			rel := d.Relation("legacy")
+			for _, want := range []struct {
+				t       Tuple
+				base    bool
+				derived int
+			}{
+				{NewTuple(1, "a"), true, 0},
+				{NewTuple(2, "b"), false, 3},
+				{NewTuple(3, "b"), true, 2},
+			} {
+				base, derived, ok := rel.Support(want.t)
+				if !ok || base != want.base || derived != want.derived {
+					t.Errorf("RSB2 %v support = (%v, %d, %v), want (%v, %d, true)", want.t, base, derived, ok, want.base, want.derived)
+				}
+			}
+			if rel.Len() != 3 {
+				t.Errorf("RSB2 import holds %d tuples, want 3", rel.Len())
+			}
+			for cut := statsStart; cut < statsEnd; cut++ {
+				if _, err := v.open(t).ImportSnapshot(bytes.NewReader(v2[:cut])); err == nil {
+					t.Errorf("RSB2 cut at %d inside the statistics section: want error", cut)
+				}
+			}
+			pastCap, _, _ := legacySnapshot(1<<40 + 1)
 			for name, data := range map[string][]byte{
-				"bad magic":        []byte("RSB9\x00"),
-				"huge count":       append([]byte(binaryMagic), 0xff, 0xff, 0xff, 0xff, 0x0f),
-				"unknown col type": append(append([]byte(nil), v1[:len(v1)-5]...), 99),
+				"bad magic":              []byte("RSB9\x00"),
+				"huge count":             append([]byte(binaryMagic), 0xff, 0xff, 0xff, 0xff, 0x0f),
+				"unknown col type":       append(append([]byte(nil), v1[:len(v1)-5]...), 99),
+				"statistic past its cap": pastCap,
 			} {
 				if _, err := v.open(t).ImportSnapshot(bytes.NewReader(data)); err == nil {
 					t.Errorf("%s: want error", name)

@@ -39,7 +39,7 @@ func NewDatabaseWith(b Backend) *Database {
 func (d *Database) Backend() Backend { return d.backend }
 
 // ExportSnapshot writes the named relations (all relations when names is nil)
-// as a database-level binary export (RSB2 envelope) through the backend, which
+// as a database-level binary export (RSB1 envelope) through the backend, which
 // may stream paged-out relations straight from their segments instead of
 // materializing them. The bytes are identical to ExportDatabaseBinary for
 // equal contents regardless of backend.

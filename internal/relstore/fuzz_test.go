@@ -5,9 +5,9 @@ import (
 	"testing"
 )
 
-// fuzzSeedExport builds a small database exercising every value kind plus
-// the v2 stats trailer, exported to bytes — the structurally valid seed the
-// fuzzer mutates from.
+// fuzzSeedExport builds a small database exercising the int, string and bool
+// value kinds, exported to bytes — the structurally valid seed the fuzzer
+// mutates from.
 func fuzzSeedExport(f *testing.F) []byte {
 	f.Helper()
 	d := NewDatabase()
@@ -43,8 +43,12 @@ func FuzzImportDatabaseBinary(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("RSB2"))
 	f.Add([]byte("RSB1"))
+	// Exports write RSB1, so a hand-built RSB2 snapshot seeds the path that
+	// reads past the legacy statistics section.
+	legacy, _, _ := legacySnapshot(7)
+	f.Add(legacy)
 	f.Add(seed[:len(seed)/2])
-	// Flip a byte inside the stats trailer / tuple area.
+	// Flip a byte inside the tuple area.
 	mut := append([]byte(nil), seed...)
 	mut[len(mut)/2] ^= 0xff
 	f.Add(mut)

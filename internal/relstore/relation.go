@@ -171,15 +171,6 @@ type Relation struct {
 	count    int
 	indexes  []*index // found by column positions (lookup)
 	version  uint64
-	// colCounts holds one value-hash refcount map per column; len(map) is the
-	// column's distinct-count estimate. markRows/markDistinct capture the row
-	// count and estimates at the last statsEpoch advance — the drift reference
-	// points. statsEpoch is atomic so planners poll it without the lock. See
-	// stats.go.
-	colCounts    []map[uint64]int32
-	markRows     int
-	markDistinct []int
-	statsEpoch   atomic.Uint64
 
 	// pager, when non-nil, is the paging backend hook installed at creation
 	// by a Backend that can move this relation's contents between memory and
@@ -191,10 +182,9 @@ type Relation struct {
 	// MemoryBackend (pager == nil) behave byte-for-byte like the pre-seam
 	// storage.
 	pager relationPager
-	// paged reports that the contents (tuple buckets, index contents,
-	// distinct-count maps) have been dropped and live only in the backend's
-	// segment file. Flipped only by the pager while holding mu; read
-	// lock-free on the fast path.
+	// paged reports that the contents (tuple buckets and index contents) have
+	// been dropped and live only in the backend's segment file. Flipped only
+	// by the pager while holding mu; read lock-free on the fast path.
 	paged atomic.Bool
 	// lastTouch is the backend's logical clock value at the most recent
 	// access — the recent-touch accounting behind hot-relation pinning.
@@ -240,11 +230,11 @@ func (r *Relation) rlockResident() {
 	}
 }
 
-// dropContentsLocked empties the tuple buckets, index contents and
-// distinct-count maps, keeping the index *definitions*, the statistics
-// markers, the stats epoch and the version — everything a paged-out relation
-// must still answer without its contents. Caller holds the write lock and is
-// responsible for having persisted the contents first.
+// dropContentsLocked empties the tuple buckets and index contents, keeping
+// the index *definitions* and the version — everything a paged-out relation
+// must still answer without its contents. Clear and a page-out share it.
+// Caller holds the write lock and, when paging out, is responsible for having
+// persisted the contents first.
 func (r *Relation) dropContentsLocked() {
 	r.rows = make(map[uint64]stored)
 	r.overflow = make(map[uint64][]stored)
@@ -253,21 +243,17 @@ func (r *Relation) dropContentsLocked() {
 		ix.first = make(map[uint64]Tuple)
 		ix.overflow = make(map[uint64][]Tuple)
 	}
-	for i := range r.colCounts {
-		r.colCounts[i] = make(map[uint64]int32)
-	}
 }
 
 // adoptContentsLocked replaces the relation's contents with those of src — a
 // freshly decoded twin with identical name, schema and tuple set — and
-// rebuilds this relation's indexes over them. Statistics markers, epoch and
-// version are left untouched: a fault-in restores exactly the state that was
-// paged out, so nothing observable moves. Caller holds the write lock.
+// rebuilds this relation's indexes over them. The version is left
+// untouched: a fault-in restores exactly the state that was paged out, so
+// nothing observable moves. Caller holds the write lock.
 func (r *Relation) adoptContentsLocked(src *Relation) {
 	r.rows = src.rows
 	r.overflow = src.overflow
 	r.count = src.count
-	r.colCounts = src.colCounts
 	for _, ix := range r.indexes {
 		ix.first = make(map[uint64]Tuple, r.count)
 		ix.overflow = make(map[uint64][]Tuple)
@@ -301,9 +287,6 @@ func (r *Relation) approxBytes() int64 {
 		return true
 	})
 	b += int64(r.count*len(r.indexes)) * indexOverhead
-	for _, m := range r.colCounts {
-		b += int64(len(m)) * 16
-	}
 	return b
 }
 
@@ -324,14 +307,12 @@ func (r *Relation) forEachLocked(fn func(Tuple) bool) {
 
 // NewRelation creates an empty relation with the given name and schema.
 func NewRelation(name string, schema *Schema) *Relation {
-	r := &Relation{
+	return &Relation{
 		name:     name,
 		schema:   schema,
 		rows:     make(map[uint64]stored),
 		overflow: make(map[uint64][]stored),
 	}
-	r.initStatsLocked()
-	return r
 }
 
 // Name returns the relation name.
@@ -463,7 +444,6 @@ func (r *Relation) insertWithSupport(t Tuple, base bool, derived int32) (bool, e
 	for _, ix := range r.indexes {
 		ix.insert(ct)
 	}
-	r.statsInsertLocked(ct)
 	r.version++
 	return true, nil
 }
@@ -547,7 +527,6 @@ func (r *Relation) removeLocked(ct Tuple, decide func(*stored) bool) (found, rem
 	for _, ix := range r.indexes {
 		ix.remove(victim)
 	}
-	r.statsRemoveLocked(victim)
 	r.version++
 	return true, true
 }
@@ -610,7 +589,6 @@ func (r *Relation) ClearDerived() int {
 		}
 		return true
 	})
-	r.statsRebuildLocked()
 	r.version++
 	return removed
 }
@@ -772,14 +750,7 @@ func (r *Relation) Clear() {
 	if r.count == 0 {
 		return
 	}
-	r.rows = make(map[uint64]stored)
-	r.overflow = make(map[uint64][]stored)
-	r.count = 0
-	for _, ix := range r.indexes {
-		ix.first = make(map[uint64]Tuple)
-		ix.overflow = make(map[uint64][]Tuple)
-	}
-	r.statsRebuildLocked()
+	r.dropContentsLocked()
 	r.version++
 }
 

@@ -74,35 +74,6 @@ func (s *Schema) String() string {
 	return b.String()
 }
 
-// Validate checks that a tuple conforms to the schema: correct arity and each
-// value either NULL or coercible to the declared column type.
-func (s *Schema) Validate(t Tuple) error {
-	if len(t) != len(s.cols) {
-		return fmt.Errorf("relstore: tuple arity %d does not match schema arity %d", len(t), len(s.cols))
-	}
-	for i, v := range t {
-		if v.IsNull() {
-			continue
-		}
-		c := s.cols[i]
-		switch c.Type {
-		case TypeInt, TypeFloat:
-			if !v.isNumeric() {
-				if _, ok := v.AsFloat(); !ok {
-					return fmt.Errorf("relstore: column %q expects %s, got %s", c.Name, c.Type, v.Type())
-				}
-			}
-		case TypeString:
-			// every value renders as a string
-		case TypeBool:
-			if _, ok := v.AsBool(); !ok {
-				return fmt.Errorf("relstore: column %q expects bool, got %s", c.Name, v.Type())
-			}
-		}
-	}
-	return nil
-}
-
 // Coerce returns a copy of the tuple with every value converted to the
 // declared column type (NULLs are preserved). It returns an error when a value
 // cannot be represented in the column type.

@@ -94,14 +94,19 @@ func (v Value) Type() Type { return v.t }
 // IsNull reports whether the value is NULL.
 func (v Value) IsNull() bool { return v.t == TypeNull }
 
-// AsInt returns the value as an int64. Floats are truncated; booleans map to
-// 0/1; strings are parsed when possible. The second return value reports
-// whether the conversion was exact enough to be meaningful.
+// AsInt returns the value as an int64. Floats are truncated toward zero, and
+// only a float in [-2^63, 2^63) converts: Go leaves int64() of a NaN or of
+// an out-of-range float to the implementation. Booleans map to 0/1; strings
+// are parsed when possible. The second return value reports whether the
+// conversion was exact enough to be meaningful.
 func (v Value) AsInt() (int64, bool) {
 	switch v.t {
 	case TypeInt:
 		return v.i, true
 	case TypeFloat:
+		if math.IsNaN(v.f) || v.f < -(1<<63) || v.f >= 1<<63 {
+			return 0, false
+		}
 		return int64(v.f), true
 	case TypeBool:
 		if v.b {
@@ -220,7 +225,8 @@ func (v Value) isNumeric() bool { return v.t == TypeInt || v.t == TypeFloat }
 func (v Value) isNaN() bool { return v.t == TypeFloat && math.IsNaN(v.f) }
 
 // Compare orders two values. NULL sorts before everything; mixed numeric types
-// compare numerically; otherwise values are compared within their type, and
+// compare numerically, with NaN after every other number and equal to itself
+// (as in PostgreSQL); otherwise values are compared within their type, and
 // across incomparable types the ordering falls back to the type id so that the
 // relation's ordering is total and deterministic.
 func (v Value) Compare(o Value) int {
@@ -242,8 +248,12 @@ func (v Value) Compare(o Value) int {
 			return -1
 		case a > b:
 			return 1
-		default:
+		case a == b, math.IsNaN(a) && math.IsNaN(b):
 			return 0
+		case math.IsNaN(a):
+			return 1
+		default:
+			return -1
 		}
 	}
 	if v.t != o.t {

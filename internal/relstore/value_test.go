@@ -38,6 +38,16 @@ func TestValueAsInt(t *testing.T) {
 	}{
 		{Int(7), 7, true},
 		{Float(7.9), 7, true},
+		{Float(-7.9), -7, true},
+		{Float(-9223372036854775808), math.MinInt64, true},
+		{Float(9.2e18), 9200000000000000000, true},
+		{Float(9223372036854775808), 0, false},
+		{Float(9.3e18), 0, false},
+		{Float(1e300), 0, false},
+		{Float(-1e300), 0, false},
+		{Float(math.Inf(1)), 0, false},
+		{Float(math.Inf(-1)), 0, false},
+		{Float(math.NaN()), 0, false},
 		{Bool(true), 1, true},
 		{Bool(false), 0, true},
 		{String("123"), 123, true},
@@ -140,6 +150,14 @@ func TestValueCompare(t *testing.T) {
 		{Null(), Int(0), -1},
 		{Int(0), Null(), 1},
 		{Null(), Null(), 0},
+		// NaN sorts after every other number and equals itself.
+		{Float(math.NaN()), Float(math.NaN()), 0},
+		{Float(math.NaN()), Float(math.Inf(1)), 1},
+		{Float(math.Inf(1)), Float(math.NaN()), -1},
+		{Float(math.NaN()), Int(math.MaxInt64), 1},
+		{Int(math.MinInt64), Float(math.NaN()), -1},
+		{Float(math.NaN()), Null(), 1},
+		{Float(math.NaN()), String(""), -1},
 	}
 	for _, c := range cases {
 		got := c.a.Compare(c.b)
@@ -193,6 +211,73 @@ func TestValueHashPropertyEqualImpliesSameHash(t *testing.T) {
 	_ = f
 	if err := quick.Check(g, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestValueCompareTotalOrderWithNaN checks that Compare is a total order
+// over numbers that include NaN: antisymmetric, transitive, and sorting NaN
+// after every other number. Sorting and exports rely on it.
+func TestValueCompareTotalOrderWithNaN(t *testing.T) {
+	num := func(x float64, asInt bool) Value {
+		if asInt {
+			return Int(int64(x))
+		}
+		return Float(x)
+	}
+	f := func(a, b, c float64, nanMask, intMask uint8) bool {
+		xs := [3]float64{a, b, c}
+		vs := make([]Value, 3)
+		for i, x := range xs {
+			if nanMask&(1<<i) != 0 {
+				x = math.NaN()
+			}
+			vs[i] = num(x, intMask&(1<<i) != 0 && !math.IsNaN(x) && math.Abs(x) < 1<<53)
+		}
+		for _, x := range vs {
+			if x.isNaN() && x.Compare(x) != 0 {
+				return false
+			}
+			for _, y := range vs {
+				if sign(x.Compare(y)) != -sign(y.Compare(x)) {
+					return false
+				}
+				if x.isNaN() && !y.isNaN() && x.Compare(y) <= 0 {
+					return false
+				}
+				for _, z := range vs {
+					if x.Compare(y) <= 0 && y.Compare(z) <= 0 && x.Compare(z) > 0 {
+						return false
+					}
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestValueAsIntFloatRangeProperty checks AsInt on arbitrary float bit
+// patterns: a float converts exactly when it is not NaN and lies in
+// [-2^63, 2^63), and then to its value truncated toward zero.
+func TestValueAsIntFloatRangeProperty(t *testing.T) {
+	f := func(bits uint64) bool {
+		x := math.Float64frombits(bits)
+		n, ok := Float(x).AsInt()
+		inRange := !math.IsNaN(x) && x >= -(1<<63) && x < 1<<63
+		if ok != inRange {
+			return false
+		}
+		return !ok && n == 0 || ok && float64(n) == math.Trunc(x)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Error(err)
+	}
+	for _, x := range []float64{-(1 << 63), math.Nextafter(1<<63, 0), 0.5, -0.5} {
+		if !f(math.Float64bits(x)) {
+			t.Errorf("AsInt(%v) breaks the range rule", x)
+		}
 	}
 }
 
