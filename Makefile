@@ -146,9 +146,11 @@ crashcheck-content:
 
 # Coverage-guided fuzzing smoke for the untrusted-input surfaces — the binary
 # snapshot importer, the CyLog parser, the WebSocket frame reader and the JSON
-# request-body decoder — and for
+# request-body decoder — for
 # counting maintenance, whose fact and answer streams must leave the engine
-# equal to the from-scratch reference, counts included. Go allows one -fuzz
+# equal to the from-scratch reference, counts included, and for the chunked
+# pending view, which must equal the sorted pending set after every
+# publication. Go allows one -fuzz
 # target per invocation, hence one run per target. Crashers are saved under
 # the package's testdata/fuzz/ — commit them; they become permanent
 # regression seeds.
@@ -158,6 +160,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzRetractionDifferential$$' -fuzztime $(FUZZTIME) ./internal/cylog/
 	$(GO) test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime $(FUZZTIME) ./internal/api/wire/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeJSON$$' -fuzztime $(FUZZTIME) ./internal/api/
+	$(GO) test -run '^$$' -fuzz '^FuzzPendingView$$' -fuzztime $(FUZZTIME) ./internal/cylog/
 
 # Validates relative links (files and heading anchors) in README.md,
 # EXPERIMENTS.md and docs/; no network access.

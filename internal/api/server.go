@@ -164,8 +164,8 @@ func (s *Server) deriveLoop() {
 		case <-timer.C:
 		}
 		var next time.Duration // until the earliest held-back project is due
-		for _, a := range s.p.Projects.All() {
-			id := a.Description.ID
+		for _, sc := range s.p.Projects.Schedules() {
+			id := sc.ID
 			// Facts POSTed to /facts land in the engine directly, not in
 			// the round's batch: they need a commit too, or an idle project
 			// would never derive them.
@@ -173,8 +173,8 @@ func (s *Server) deriveLoop() {
 			if eng == nil || (s.p.StagedAnswers(id) == 0 && eng.StagedDeltas() == 0) {
 				continue
 			}
-			if last, ok := lastCommit[id]; ok && a.Description.CommitInterval > 0 {
-				if wait := a.Description.CommitInterval - time.Since(last); wait > 0 {
+			if last, ok := lastCommit[id]; ok && sc.CommitInterval > 0 {
+				if wait := sc.CommitInterval - time.Since(last); wait > 0 {
 					if next == 0 || wait < next {
 						next = wait
 					}
@@ -362,14 +362,14 @@ func (s *Server) projectSummary(a *project.Admin) ProjectStatus {
 	}
 	if eng := s.p.Engine(id); eng != nil {
 		st.HasEngine = true
-		st.PendingRequests = len(eng.PendingRequests())
+		st.PendingRequests = eng.PendingView().Len()
 	}
 	return st
 }
 
 func (s *Server) handleTaskFeed(w http.ResponseWriter, r *http.Request) {
 	id := project.ID(r.PathValue("id"))
-	eng, err := s.engineFor(id)
+	eng, err := s.p.EngineFor(id)
 	if err != nil {
 		s.writeError(w, err)
 		return
@@ -379,16 +379,13 @@ func (s *Server) handleTaskFeed(w http.ResponseWriter, r *http.Request) {
 	if limit <= 0 {
 		limit = 100
 	}
-	pending := eng.PendingRequests()
-	feed := TaskFeed{Total: len(pending), Offset: offset, Limit: limit, Tasks: []TaskView{}}
-	if offset < len(pending) {
-		end := offset + limit
-		if end > len(pending) {
-			end = len(pending)
-		}
-		for _, req := range pending[offset:end] {
-			feed.Tasks = append(feed.Tasks, taskView(req))
-		}
+	// The page and the total come from one snapshot, so they agree even
+	// while a commit publishes the next one.
+	view := eng.PendingView()
+	page := view.Page(offset, limit)
+	feed := TaskFeed{Total: view.Len(), Offset: offset, Limit: limit, Tasks: make([]TaskView, 0, len(page))}
+	for _, req := range page {
+		feed.Tasks = append(feed.Tasks, taskView(req))
 	}
 	writeJSON(w, http.StatusOK, feed)
 }
@@ -457,7 +454,7 @@ func (s *Server) handleAnswer(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleFact(w http.ResponseWriter, r *http.Request) {
 	id := project.ID(r.PathValue("id"))
-	if _, err := s.engineFor(id); err != nil {
+	if _, err := s.p.EngineFor(id); err != nil {
 		s.writeError(w, err)
 		return
 	}
@@ -493,7 +490,7 @@ func (s *Server) handleFixpoint(w http.ResponseWriter, r *http.Request) {
 		Round:      rc.Seq,
 		Answers:    rc.Answers,
 		Skipped:    rc.Skipped,
-		Pending:    len(rc.Requests),
+		Pending:    rc.Pending.Len(),
 		DurationNS: rc.Duration.Nanoseconds(),
 	})
 }
@@ -561,19 +558,6 @@ func (s *Server) serveEvents(w http.ResponseWriter, r *http.Request, id project.
 }
 
 // ---- helpers -------------------------------------------------------------
-
-// engineFor mirrors platform's resolution so feed/fact handlers produce the
-// same error mapping as the staging paths.
-func (s *Server) engineFor(id project.ID) (*cylog.Engine, error) {
-	if _, ok := s.p.Projects.Get(id); !ok {
-		return nil, fmt.Errorf("%w: %s", project.ErrUnknownProject, id)
-	}
-	eng := s.p.Engine(id)
-	if eng == nil {
-		return nil, fmt.Errorf("%w: %s", platform.ErrNoEngine, id)
-	}
-	return eng, nil
-}
 
 // writeError maps platform/engine errors onto HTTP statuses. ErrRequestClosed
 // wraps ErrUnknownRequest, so the closed case must be tested first.

@@ -157,6 +157,55 @@ func TestProjectLifecycleAndFeed(t *testing.T) {
 	}
 }
 
+// TestFeedPagesMatchPendingRequests pages the feed of 300 pending requests,
+// after a round that closed some of them, with offsets and limits whose
+// windows straddle the published view's chunks (at most 128 requests each),
+// run past its end, or start beyond it. Every page must be the same window
+// of Engine.PendingRequests, and Total and the project status must count the
+// whole view.
+func TestFeedPagesMatchPendingRequests(t *testing.T) {
+	ts, p := newTestService(t, Options{})
+	eng := p.Engine("labels")
+	const items = 320
+	for i := 1; i <= items; i++ {
+		if err := eng.AddFact("item", i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	do(t, "POST", ts.URL+"/api/v1/projects/labels/fixpoint", nil, nil)
+	for i := 1; i <= items; i += 16 {
+		if _, err := p.StageAnswer("labels", fmt.Sprintf("label|%d", i), map[string]any{"ok": i%2 == 0}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var fp FixpointResponse
+	do(t, "POST", ts.URL+"/api/v1/projects/labels/fixpoint", nil, &fp)
+	pending := eng.PendingRequests()
+	if fp.Pending != items-items/16 || len(pending) != fp.Pending {
+		t.Fatalf("fixpoint reports %d pending and the engine %d, want %d", fp.Pending, len(pending), items-items/16)
+	}
+	var st ProjectStatus
+	do(t, "GET", ts.URL+"/api/v1/projects/labels", nil, &st)
+	if st.PendingRequests != len(pending) {
+		t.Fatalf("status counts %d pending requests, want %d", st.PendingRequests, len(pending))
+	}
+	for offset := 0; offset <= len(pending)+20; offset += 23 {
+		for _, limit := range []int{1, 50, 129, 400} {
+			var feed TaskFeed
+			do(t, "GET", fmt.Sprintf("%s/api/v1/projects/labels/tasks?offset=%d&limit=%d", ts.URL, offset, limit), nil, &feed)
+			want := pending[min(offset, len(pending)):min(offset+limit, len(pending))]
+			if feed.Total != len(pending) || feed.Offset != offset || feed.Limit != limit || len(feed.Tasks) != len(want) {
+				t.Fatalf("offset %d limit %d: total %d, %d tasks; want total %d, %d tasks", offset, limit, feed.Total, len(feed.Tasks), len(pending), len(want))
+			}
+			for i, tv := range feed.Tasks {
+				if tv.ID != want[i].ID {
+					t.Fatalf("offset %d limit %d: task %d is %s, want %s", offset, limit, i, tv.ID, want[i].ID)
+				}
+			}
+		}
+	}
+}
+
 func TestAnswerFlow(t *testing.T) {
 	ts, p := newTestService(t, Options{})
 	seedItems(t, ts.URL, 3)

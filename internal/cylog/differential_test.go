@@ -130,7 +130,8 @@ func checkRounds(t *testing.T, w workload, cfg config, a, b, picks []uint8, roun
 			w.between(round, a, add)
 		}
 		if cfg.incremental {
-			reqs, err = e.RunIncremental(batch)
+			_, err = e.RunIncremental(batch)
+			reqs = e.PendingRequests()
 		} else {
 			reqs, err = e.Run()
 		}

@@ -166,12 +166,12 @@ type Engine struct {
 	pending map[string]OpenRequest
 	// pendingView is the ID-sorted pending set as published by the last
 	// operation that changed it (publishPendingLocked, before that operation
-	// releases e.mu). A published slice is never modified, so PendingRequests
-	// hands it out without taking the lock.
-	pendingView atomic.Pointer[[]OpenRequest]
+	// releases e.mu). A published snapshot is never modified, so readers
+	// load it without taking the lock.
+	pendingView atomic.Pointer[PendingView]
 	// pendingChanged holds the ids that joined or left pending since the
-	// view was last published, so publishing merges them into the previous
-	// view instead of sorting every request again. Written under e.mu.
+	// view was last published, so publishing rebuilds only the chunks they
+	// fall in. Written under e.mu.
 	pendingChanged map[string]struct{}
 	// requestSupport maps each pending request id to its support per origin
 	// stratum: the number of bindings of that stratum's rules that reach an
@@ -255,7 +255,7 @@ func NewEngineWith(p *Program, db *relstore.Database) (*Engine, error) {
 		planCache:      make(map[*Rule]*rulePlans, len(p.Rules)),
 		pendingChanged: make(map[string]struct{}),
 	}
-	e.pendingView.Store(&[]OpenRequest{})
+	e.pendingView.Store(newPendingView(nil))
 	for _, r := range p.Rules {
 		e.rowSchemas[r] = newRowSchema(r, analysis.RuleVars[r])
 	}
@@ -437,17 +437,17 @@ func (e *Engine) Facts(relation string) []relstore.Tuple {
 // Run evaluates the program to a fixpoint: every stratum in order, each to a
 // local fixpoint. It returns the open requests that are currently pending
 // (newly generated ones plus previously generated but still unanswered ones),
-// sorted by ID. The slice is the published view PendingRequests returns too:
-// it is shared and must not be modified.
+// sorted by ID. The slice is the one PendingRequests returns for the
+// published view: it is shared and must not be modified.
 func (e *Engine) Run() ([]OpenRequest, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	err := e.runFullLocked()
-	pending := e.publishPendingLocked()
+	view := e.publishPendingLocked()
 	if err != nil {
 		return nil, err
 	}
-	return pending, nil
+	return view.All(), nil
 }
 
 // runFullLocked is the full fixpoint: every derived relation is rebuilt from
@@ -728,9 +728,10 @@ func (e *Engine) finishRun(stats *Stats) {
 // AnswerFact, AddFact); a fact inserted directly into Database() is invisible
 // to it — follow such writes with a full Run.
 //
-// Like Run, it returns the published pending view, sorted by ID: the slice is
-// shared and must not be modified.
-func (e *Engine) RunIncremental(batch *AnswerBatch) ([]OpenRequest, error) {
+// It returns the pending view the run published. Unlike Run it does not
+// flatten the view: a commit that changes a few of many pending requests
+// costs no copy of the rest.
+func (e *Engine) RunIncremental(batch *AnswerBatch) (*PendingView, error) {
 	if batch != nil {
 		if batch.engine != e {
 			return nil, errors.New("cylog: answer batch was staged against a different engine")
@@ -747,59 +748,55 @@ func (e *Engine) RunIncremental(batch *AnswerBatch) ([]OpenRequest, error) {
 		batch.applyLocked()
 	}
 	err := e.runIncrementalLocked()
-	pending := e.publishPendingLocked()
+	view := e.publishPendingLocked()
 	if err != nil {
 		return nil, err
 	}
-	return pending, nil
+	return view, nil
 }
 
-// PendingRequests returns the currently pending open requests, sorted by ID,
-// without re-running evaluation and without taking the engine lock: it reads
-// the view the last pending-set change published. A call that overlaps a
-// run, an answer or a replay sees the set from before it, so it linearizes
-// before that operation. The slice is shared by every caller and must not be
-// modified.
+// PendingView returns the published pending view without re-running
+// evaluation and without taking the engine lock. A call that overlaps a run,
+// an answer or a replay sees the set from before it, so it linearizes before
+// that operation. Read a page, the length and the requests of one load, so
+// that they agree with each other.
+func (e *Engine) PendingView() *PendingView {
+	return e.pendingView.Load()
+}
+
+// PendingRequests returns the currently pending open requests, sorted by ID:
+// PendingView().All(). The first call after a publication flattens the view
+// in O(P); the slice is cached with the view, shared by every caller and
+// must not be modified.
 func (e *Engine) PendingRequests() []OpenRequest {
-	return *e.pendingView.Load()
+	return e.pendingView.Load().All()
 }
 
 // publishPendingLocked brings the published view up to date with the pending
 // map and returns it. Every exported operation that can change the pending
-// set calls it before releasing e.mu. Only the changed ids are sorted; each
-// is located in the previous view by binary search and the unchanged runs
-// between them are copied whole, so changing Δ of P requests costs
-// O(Δ log P) comparisons plus one copy of the view. A sort of all P on
-// every publication lies on the path of every answer's fixpoint, and cost
-// translate answers measurable latency (EXPERIMENTS.md §10). A full run
-// that drops every request records every id. Caller holds e.mu.
-func (e *Engine) publishPendingLocked() []OpenRequest {
+// set calls it before releasing e.mu. Only the changed ids are sorted, and
+// only the chunks of the previous view they fall in are copied
+// (PendingView.publish), so changing Δ of P requests costs O(Δ log Δ) for
+// the sort plus O(P/pendingChunk + Δ·pendingChunk). Copying the whole view
+// on every publication was three quarters of the bytes a closed loop of
+// translate answers allocated (EXPERIMENTS.md §12). A full run that drops
+// every request records every id. Caller holds e.mu.
+func (e *Engine) publishPendingLocked() *PendingView {
+	view := e.pendingView.Load()
 	if len(e.pendingChanged) == 0 {
-		return *e.pendingView.Load()
+		return view
 	}
 	ids := make([]string, 0, len(e.pendingChanged))
 	for id := range e.pendingChanged {
 		ids = append(ids, id)
 	}
 	sort.Strings(ids)
-	prev := *e.pendingView.Load()
-	out := make([]OpenRequest, 0, len(e.pending))
-	for _, id := range ids {
-		i := sort.Search(len(prev), func(k int) bool { return prev[k].ID >= id })
-		out = append(out, prev[:i]...)
-		if prev = prev[i:]; len(prev) > 0 && prev[0].ID == id {
-			prev = prev[1:]
-		}
-		if r, ok := e.pending[id]; ok {
-			out = append(out, r)
-		}
-	}
-	out = append(out, prev...)
+	view = view.publish(ids, e.pending)
 	// A fresh map, not clear: ranging over a cleared map still walks every
 	// bucket a full run's admissions grew it to.
 	e.pendingChanged = make(map[string]struct{})
-	e.pendingView.Store(&out)
-	return out
+	e.pendingView.Store(view)
+	return view
 }
 
 // Answer supplies a worker's answer for an open request: the fact formed by
@@ -969,16 +966,16 @@ func (e *Engine) RunToFixpointWithOracle(oracle func(OpenRequest) (map[string]an
 	var total Stats
 	var batch *AnswerBatch
 	for round := 0; round < maxRounds; round++ {
-		var reqs []OpenRequest
 		var err error
 		if batch == nil {
-			reqs, err = e.Run()
+			_, err = e.Run()
 		} else {
-			reqs, err = e.RunIncremental(batch)
+			_, err = e.RunIncremental(batch)
 		}
 		if err != nil {
 			return total, err
 		}
+		reqs := e.PendingRequests()
 		s := e.Stats()
 		total.Iterations += s.Iterations
 		total.RuleEvaluations += s.RuleEvaluations

@@ -84,10 +84,11 @@ func TestAnswerBatchErrorPaths(t *testing.T) {
 
 	// The rejected items must not poison the rest: committing inserts both
 	// valid answers and derives the next stage's requests.
-	next, err := e.RunIncremental(b)
+	view, err := e.RunIncremental(b)
 	if err != nil {
 		t.Fatal(err)
 	}
+	next := view.All()
 	if got := len(e.Facts("translated")); got != 2 {
 		t.Errorf("translated = %v", e.Facts("translated"))
 	}

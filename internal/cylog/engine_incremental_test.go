@@ -39,7 +39,8 @@ func commitRound(t *testing.T, e *cylog.Engine, incremental bool, reqs []cylog.O
 	}
 	var err error
 	if incremental {
-		reqs, err = e.RunIncremental(batch)
+		_, err = e.RunIncremental(batch)
+		reqs = e.PendingRequests()
 	} else {
 		reqs, err = e.Run()
 	}
@@ -131,10 +132,11 @@ func TestEngineIncrementalFallbacks(t *testing.T) {
 	}
 	e.AddFact("node", 1)
 	e.AddFact("edge", 1, 2)
-	reqs, err := e.RunIncremental(nil)
+	view, err := e.RunIncremental(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	reqs := view.All()
 	if s := e.Stats(); s.SkippedStrata != 0 || s.SeededDeltas != 0 {
 		t.Errorf("first run should take the full path, stats = %+v", s)
 	}

@@ -140,10 +140,11 @@ rejected(N) :- reach(_, N), !approved(N).
 			t.Fatal(err)
 		}
 	}
-	liveReqs, err := live.RunIncremental(b)
+	liveView, err := live.RunIncremental(b)
 	if err != nil {
 		t.Fatal(err)
 	}
+	liveReqs := liveView.All()
 	ops := live.DrainJournal()
 	if len(ops) == 0 {
 		t.Fatal("no ops journaled")
@@ -179,10 +180,11 @@ rejected(N) :- reach(_, N), !approved(N).
 	if applied != 0 {
 		t.Fatalf("duplicate replay applied %d ops, want 0", applied)
 	}
-	recReqs, err = recovered.RunIncremental(nil)
+	recView, err := recovered.RunIncremental(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	recReqs = recView.All()
 	if got, want := dbFingerprint(recovered, recReqs), dbFingerprint(live, liveReqs); got != want {
 		t.Fatalf("after duplicate replay fingerprint differs:\n got %s\nwant %s", got, want)
 	}

@@ -169,10 +169,10 @@ confirmed(N) :- endpoint(N), confirm(N, true).
 	if err := e.AddFact("edge", 3, 1); err != nil {
 		t.Fatal(err)
 	}
-	reqs, err = e.RunIncremental(nil)
-	if err != nil {
+	if _, err = e.RunIncremental(nil); err != nil {
 		t.Fatal(err)
 	}
+	reqs = e.PendingRequests()
 	if got := len(e.Facts("endpoint")); got != 1 {
 		t.Fatalf("endpoint = %v, want only node 2", e.Facts("endpoint"))
 	}
@@ -257,9 +257,10 @@ func TestRetractionConcurrentStaging(t *testing.T) {
 			}(w)
 		}
 		wg.Wait()
-		if reqs, err = e.RunIncremental(batch); err != nil {
+		if _, err = e.RunIncremental(batch); err != nil {
 			t.Fatal(err)
 		}
+		reqs = e.PendingRequests()
 	}
 	if got := len(e.Facts("approved")); got != items {
 		t.Fatalf("approved = %d, want %d", got, items)

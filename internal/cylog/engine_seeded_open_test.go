@@ -182,35 +182,49 @@ func TestOneAnswerRequestChecksIndependentOfPending(t *testing.T) {
 }
 
 // BenchmarkSeededAnswerRound prices one answer's RunIncremental — the
-// engine's share of answer→fixpoint latency — on the labeling program with
-// 1k and 10k pending requests. Each op commits a one-answer round whose
-// label is true, so every round also retracts the item from the negated
-// flagged stratum, as in crowdserve's labeling project. A warm-up round
-// before timing builds the indexes and plans the steady-state rounds reuse.
-// The engine is rebuilt (untimed) every roundsPerEngine rounds, so every op
-// sees about the same number of pending requests.
+// engine's share of answer→fixpoint latency — with 1k and 10k pending
+// requests, on the two served programs:
+//   - label: each op commits a one-answer round whose label is true, so
+//     every round also retracts the item from the negated flagged stratum,
+//     as in crowdserve's labeling project;
+//   - translate: each op commits one translated answer, which closes its
+//     request and opens the sentence's checked request, so the pending count
+//     stays flat.
+//
+// Both close a request and publish the pending view. A warm-up round before
+// timing builds the indexes and plans the steady-state rounds reuse. The
+// engine is rebuilt (untimed) every roundsPerEngine rounds, so every op sees
+// about the same number of pending requests.
 func BenchmarkSeededAnswerRound(b *testing.B) {
 	const roundsPerEngine = 32
-	for _, n := range []int{1000, 10000} {
-		b.Run(fmt.Sprintf("label-%dk", n/1000), func(b *testing.B) {
-			b.ReportAllocs()
-			var e *cylog.Engine
-			next := roundsPerEngine
-			for i := 0; i < b.N; i++ {
-				if next >= roundsPerEngine {
-					b.StopTimer()
-					e = seededProgramEngine(b, labelingProgram, n)
-					e.SetParallelism(1)
-					answerOne(b, e, "label|1", map[string]any{"ok": true})
-					next = 1
-					// Collect the set-up's garbage now, so no collection
-					// it owes lands inside a timed round.
-					runtime.GC()
-					b.StartTimer()
+	for _, c := range []struct {
+		name, program, prefix string
+		vals                  func(k int) map[string]any
+	}{
+		{"label", labelingProgram, "label", func(int) map[string]any { return map[string]any{"ok": true} }},
+		{"translate", translateProgram, "translated", func(k int) map[string]any { return map[string]any{"text": fmt.Sprintf("t%d", k)} }},
+	} {
+		for _, n := range []int{1000, 10000} {
+			b.Run(fmt.Sprintf("%s-%dk", c.name, n/1000), func(b *testing.B) {
+				b.ReportAllocs()
+				var e *cylog.Engine
+				next := roundsPerEngine
+				for i := 0; i < b.N; i++ {
+					if next >= roundsPerEngine {
+						b.StopTimer()
+						e = seededProgramEngine(b, c.program, n)
+						e.SetParallelism(1)
+						answerOne(b, e, c.prefix+"|1", c.vals(1))
+						next = 1
+						// Collect the set-up's garbage now, so no collection
+						// it owes lands inside a timed round.
+						runtime.GC()
+						b.StartTimer()
+					}
+					next++
+					answerOne(b, e, fmt.Sprintf("%s|%d", c.prefix, next), c.vals(next))
 				}
-				next++
-				answerOne(b, e, fmt.Sprintf("label|%d", next), map[string]any{"ok": true})
-			}
-		})
+			})
+		}
 	}
 }

@@ -107,8 +107,9 @@ func FuzzRetractionDifferential(f *testing.F) {
 				// time; the batch records it and commits the rest.
 				batch.Answer(r.ID, p.answer(r)) //nolint:errcheck
 			}
-			reqs, err = e.RunIncremental(batch)
+			_, err = e.RunIncremental(batch)
 			check(round, err)
+			reqs = e.PendingRequests()
 		}
 	})
 }

@@ -2,7 +2,9 @@ package cylog
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
+	"runtime"
 	"sort"
 	"sync"
 	"testing"
@@ -46,6 +48,79 @@ func requireViewIsPendingSet(t *testing.T, e *Engine, step string) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("%s: PendingRequests = %v, want the sorted pending map %v", step, requestIDList(got), requestIDList(want))
 	}
+	if err := checkPendingView(e.PendingView()); err != nil {
+		t.Fatalf("%s: %v", step, err)
+	}
+}
+
+// checkPendingView checks a snapshot's layout and its reads against its
+// flattened requests:
+//   - every chunk is non-empty and strictly ID-sorted, and the chunks are in
+//     ID order;
+//   - every chunk holds between pendingChunk/2 and 2*pendingChunk requests,
+//     unless the whole view is smaller than pendingChunk/2 and is one chunk;
+//   - the prefix offsets count the chunks' requests;
+//   - Page(offset, limit) is the same window of All() at every offset, with
+//     limits up to pendingChunk+3 that cross chunk boundaries, and is empty
+//     at and past the end.
+func checkPendingView(v *PendingView) error {
+	all := v.All()
+	var ids []string
+	for i, c := range v.chunks {
+		if v.starts[i] != len(ids) {
+			return fmt.Errorf("chunk %d starts at %d, want %d", i, v.starts[i], len(ids))
+		}
+		if len(c) == 0 {
+			return fmt.Errorf("chunk %d of %d is empty", i, len(v.chunks))
+		}
+		if n := v.Len(); (n >= pendingChunk/2 || len(v.chunks) > 1) && (len(c) < pendingChunk/2 || len(c) > 2*pendingChunk) {
+			return fmt.Errorf("chunk %d of %d holds %d requests, outside [%d, %d] (view of %d)", i, len(v.chunks), len(c), pendingChunk/2, 2*pendingChunk, n)
+		}
+		for _, r := range c {
+			if len(ids) > 0 && ids[len(ids)-1] >= r.ID {
+				return fmt.Errorf("view not strictly sorted at %d: %s, %s", len(ids), ids[len(ids)-1], r.ID)
+			}
+			ids = append(ids, r.ID)
+		}
+	}
+	if v.Len() != len(ids) || len(all) != len(ids) {
+		return fmt.Errorf("Len = %d and All holds %d, but the chunks hold %d", v.Len(), len(all), len(ids))
+	}
+	for i := range all {
+		if all[i].ID != ids[i] {
+			return fmt.Errorf("All()[%d] = %s, the chunks hold %s", i, all[i].ID, ids[i])
+		}
+	}
+	n := len(all)
+	for offset := 0; offset <= n+2; offset++ {
+		if err := checkPage(v, all, offset, 1+offset%(pendingChunk+3)); err != nil {
+			return err
+		}
+	}
+	for _, limit := range []int{0, 2*pendingChunk + 1, n, n + 10} {
+		if err := checkPage(v, all, 0, limit); err != nil {
+			return err
+		}
+	}
+	if got, want := v.Page(-1, 3), v.Page(0, 3); !reflect.DeepEqual(got, want) {
+		return fmt.Errorf("Page(-1, 3) = %v, want Page(0, 3) = %v", requestIDList(got), requestIDList(want))
+	}
+	return nil
+}
+
+// checkPage compares one page of v with the same window of all.
+func checkPage(v *PendingView, all []OpenRequest, offset, limit int) error {
+	page := v.Page(offset, limit)
+	want := all[min(offset, len(all)):min(offset+limit, len(all))]
+	if len(page) != len(want) {
+		return fmt.Errorf("Page(%d, %d) holds %d requests, want %d", offset, limit, len(page), len(want))
+	}
+	for i := range page {
+		if page[i].ID != want[i].ID {
+			return fmt.Errorf("Page(%d, %d)[%d] = %s, want %s", offset, limit, i, page[i].ID, want[i].ID)
+		}
+	}
+	return nil
 }
 
 func requestIDList(rs []OpenRequest) []string {
@@ -91,8 +166,15 @@ func TestPendingRequestsDoesNotWaitForCommit(t *testing.T) {
 
 // TestPendingViewFollowsEveryMutator changes the pending set through each
 // operation that can — with no run after the ones that do not run — and
-// requires the published view to equal the sorted pending map after each.
+// requires the published view to equal the sorted pending map after each. It
+// runs with 8 items and with 600, whose 1,200 requests span many chunks.
 func TestPendingViewFollowsEveryMutator(t *testing.T) {
+	for _, items := range []int{8, 600} {
+		t.Run(fmt.Sprintf("items-%d", items), func(t *testing.T) { testPendingViewMutators(t, items) })
+	}
+}
+
+func testPendingViewMutators(t *testing.T, items int) {
 	e, err := NewEngine(MustParse(pendingViewProgram))
 	if err != nil {
 		t.Fatal(err)
@@ -100,7 +182,7 @@ func TestPendingViewFollowsEveryMutator(t *testing.T) {
 	if got := e.PendingRequests(); got == nil || len(got) != 0 {
 		t.Fatalf("fresh engine: PendingRequests = %v, want empty", got)
 	}
-	for n := 1; n <= 8; n++ {
+	for n := 1; n <= items; n++ {
 		if err := e.AddFact("item", n); err != nil {
 			t.Fatal(err)
 		}
@@ -110,8 +192,8 @@ func TestPendingViewFollowsEveryMutator(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireViewIsPendingSet(t, e, "Run")
-	if len(reqs) != 16 || &reqs[0] != &e.PendingRequests()[0] {
-		t.Fatalf("Run returned %v, want the published view of 16 requests", requestIDList(reqs))
+	if len(reqs) != 2*items || &reqs[0] != &e.PendingRequests()[0] {
+		t.Fatalf("Run returned %d requests, want the published view of %d", len(reqs), 2*items)
 	}
 
 	if err := e.Answer("approve|1", map[string]any{"ok": true}); err != nil {
@@ -126,8 +208,8 @@ func TestPendingViewFollowsEveryMutator(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireViewIsPendingSet(t, e, "ReplayOps")
-	if len(e.PendingRequests()) != 13 {
-		t.Fatalf("after three answers without a run: %v, want 13 requests", requestIDList(e.PendingRequests()))
+	if got := e.PendingView().Len(); got != 2*items-3 {
+		t.Fatalf("after three answers without a run: %d requests, want %d", got, 2*items-3)
 	}
 
 	// The run withdraws review|1 (item 1 is approved), then a batch rejects
@@ -148,13 +230,13 @@ func TestPendingViewFollowsEveryMutator(t *testing.T) {
 	if err := b.AnswerFact("review", 2, "fine"); err != nil {
 		t.Fatal(err)
 	}
-	reqs, err = e.RunIncremental(b)
+	view, err := e.RunIncremental(b)
 	if err != nil {
 		t.Fatal(err)
 	}
 	requireViewIsPendingSet(t, e, "RunIncremental(batch)")
-	if !reflect.DeepEqual(reqs, e.PendingRequests()) {
-		t.Fatalf("RunIncremental returned %v, want the published view %v", requestIDList(reqs), requestIDList(e.PendingRequests()))
+	if view != e.PendingView() {
+		t.Fatalf("RunIncremental returned %v, want the published view %v", requestIDList(view.All()), requestIDList(e.PendingRequests()))
 	}
 
 	// New items after a completed fixpoint make the full run retract first:
@@ -163,7 +245,7 @@ func TestPendingViewFollowsEveryMutator(t *testing.T) {
 	if err := e.Answer("approve|7", map[string]any{"ok": true}); err != nil {
 		t.Fatal(err)
 	}
-	for n := 9; n <= 10; n++ {
+	for n := items + 1; n <= items+2; n++ {
 		if err := e.AddFact("item", n); err != nil {
 			t.Fatal(err)
 		}
@@ -172,8 +254,11 @@ func TestPendingViewFollowsEveryMutator(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireViewIsPendingSet(t, e, "Run after AddFact")
-	want := []string{"approve|10", "approve|8", "approve|9",
-		"review|10", "review|3", "review|4", "review|5", "review|8", "review|9"}
+	want := []string{"review|3", "review|4", "review|5"}
+	for n := 8; n <= items+2; n++ {
+		want = append(want, fmt.Sprintf("approve|%d", n), fmt.Sprintf("review|%d", n))
+	}
+	sort.Strings(want)
 	if got := requestIDList(e.PendingRequests()); !reflect.DeepEqual(got, want) {
 		t.Fatalf("final pending = %v, want %v", got, want)
 	}
@@ -181,37 +266,29 @@ func TestPendingViewFollowsEveryMutator(t *testing.T) {
 
 // TestPendingViewConcurrentReaders reads the view from several goroutines
 // while rounds commit and answers close requests. Under -race it checks that
-// publication orders the slice's writes before its readers; every read must
-// see a strictly ID-sorted set no larger than the initial one.
+// publication orders a snapshot's writes before its readers. Every read must
+// see a strictly ID-sorted set no larger than the initial one, and a page of
+// a loaded snapshot must equal the same window of its whole view. The 1,200
+// initial requests span many chunks.
 func TestPendingViewConcurrentReaders(t *testing.T) {
-	const items = 200
-	e, err := NewEngine(MustParse(pendingViewProgram))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for n := 1; n <= items; n++ {
-		if err := e.AddFact("item", n); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
+	const items = 600
+	e := pendingViewEngine(t, items)
 	stop := make(chan struct{})
 	var readers sync.WaitGroup
 	for r := 0; r < 4; r++ {
 		readers.Add(1)
-		go func() {
+		go func(r int) {
 			defer readers.Done()
-			for {
+			for i := 0; ; i++ {
 				select {
 				case <-stop:
 					return
 				default:
 				}
-				view := e.PendingRequests()
-				if len(view) > 2*items {
-					t.Errorf("view holds %d requests, more than the %d ever pending", len(view), 2*items)
+				v := e.PendingView()
+				view := v.All()
+				if len(view) > 2*items || v.Len() != len(view) {
+					t.Errorf("view holds %d requests (Len %d), more than the %d ever pending or a different count", len(view), v.Len(), 2*items)
 					return
 				}
 				for i := 1; i < len(view); i++ {
@@ -220,8 +297,13 @@ func TestPendingViewConcurrentReaders(t *testing.T) {
 						return
 					}
 				}
+				offset, limit := (i*37+r*101)%(len(view)+8), 1+(i*13)%(3*pendingChunk)
+				if err := checkPage(v, view, offset, limit); err != nil {
+					t.Error(err)
+					return
+				}
 			}
-		}()
+		}(r)
 	}
 	for n := 1; n <= items; n += 4 {
 		b := e.NewAnswerBatch()
@@ -241,4 +323,163 @@ func TestPendingViewConcurrentReaders(t *testing.T) {
 	close(stop)
 	readers.Wait()
 	requireViewIsPendingSet(t, e, "after the concurrent rounds")
+}
+
+// TestOldPendingViewsAreCollected requires a published snapshot to become
+// garbage once the engine has published a newer one and no reader holds it:
+// the engine keeps only the newest snapshot, and a snapshot holds no pointer
+// to the one before it, so a closed loop's heap does not grow with the
+// number of commits.
+func TestOldPendingViewsAreCollected(t *testing.T) {
+	const items, rounds = 1000, 4
+	e := pendingViewEngine(t, items)
+	collected := make(chan struct{}, rounds)
+	for n := 1; n <= rounds; n++ {
+		runtime.SetFinalizer(e.PendingView(), func(*PendingView) { collected <- struct{}{} })
+		b := e.NewAnswerBatch()
+		if err := b.Answer(fmt.Sprintf("approve|%d", n), map[string]any{"ok": true}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.RunIncremental(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for got, tries := 0, 0; got < rounds; {
+		select {
+		case <-collected:
+			got++
+		case <-time.After(10 * time.Millisecond):
+			if tries++; tries > 200 {
+				t.Fatalf("%d of %d superseded snapshots were collected", got, rounds)
+			}
+			runtime.GC()
+		}
+	}
+	requireViewIsPendingSet(t, e, "after the rounds")
+}
+
+// pendingViewEngine returns an engine over pendingViewProgram with items
+// items at its first fixpoint: 2*items pending requests.
+func pendingViewEngine(t *testing.T, items int) *Engine {
+	t.Helper()
+	e, err := NewEngine(MustParse(pendingViewProgram))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for n := 1; n <= items; n++ {
+		if err := e.AddFact("item", n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
+// pendingViewOps drives the engine's request bookkeeping directly — the
+// same calls evaluation and ingestion make — from a byte stream, publishing
+// after every batch, and checks every snapshot with checkPendingView against
+// the sorted pending map. The ids are "r|<k>" for k below a universe of up
+// to 4,000, so ID order is not numeric order. Each step is one of:
+//   - admit a batch of ids (admitRequests; answered ids are skipped);
+//   - close a batch of pending ids (closePendingLocked, as an answer does);
+//   - withdraw a run of pending ids adjacent in ID order (withdrawLocked), so
+//     chunks shrink below half and must merge;
+//   - a full run: drop every request, then admit a share of the universe.
+//
+// The snapshot loaded before each publication must be unchanged after it.
+// An input drives at most 64 steps, so no input runs for long.
+func pendingViewOps(t *testing.T, data []byte) {
+	next := func() int {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return int(b)
+	}
+	e, err := NewEngine(MustParse(pendingViewProgram))
+	if err != nil {
+		t.Fatal(err)
+	}
+	universe := 1 + (next()<<8|next())%4000
+	rng := rand.New(rand.NewSource(int64(next())))
+	req := func(k int) OpenRequest {
+		return OpenRequest{ID: fmt.Sprintf("r|%d", k), Relation: "r", KeyColumns: []string{"n"}, KeyValues: []relstore.Value{relstore.Int(int64(k))}}
+	}
+	admit := func(n int) {
+		var sink requestSink
+		for ; n > 0; n-- {
+			if r := req(rng.Intn(universe)); !sink.bump(r.ID) {
+				sink.add(r)
+			}
+		}
+		if err := e.admitRequests(&sink, 0, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for step := 0; len(data) > 0 && step < 64; step++ {
+		kind, n := next()%4, 1+next()<<(next()%5)
+		before := e.PendingView()
+		beforeIDs := requestIDList(before.All())
+		e.mu.Lock()
+		pending := make([]string, 0, len(e.pending))
+		for id := range e.pending {
+			pending = append(pending, id)
+		}
+		sort.Strings(pending)
+		switch kind {
+		case 0:
+			admit(n)
+		case 1:
+			for ; n > 0 && len(pending) > 0; n-- {
+				e.closePendingLocked(pending[rng.Intn(len(pending))])
+			}
+		case 2:
+			if len(pending) > 0 {
+				from := rng.Intn(len(pending))
+				for _, id := range pending[from:min(from+n, len(pending))] {
+					e.withdrawLocked(id)
+				}
+			}
+		case 3:
+			e.dropAllRequestsLocked()
+			admit(universe * next() / 255)
+		}
+		e.publishPendingLocked()
+		e.mu.Unlock()
+		want := pendingMapSorted(e)
+		if got := e.PendingRequests(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("step %d (kind %d, n %d): view %v, want the sorted pending map %v", step, kind, n, requestIDList(got), requestIDList(want))
+		}
+		if err := checkPendingView(e.PendingView()); err != nil {
+			t.Fatalf("step %d (kind %d, n %d): %v", step, kind, n, err)
+		}
+		flat := []string{}
+		for _, c := range before.chunks {
+			flat = append(flat, requestIDList(c)...)
+		}
+		if !reflect.DeepEqual(flat, beforeIDs) || !reflect.DeepEqual(requestIDList(before.All()), beforeIDs) {
+			t.Fatalf("step %d: publication changed the snapshot loaded before it", step)
+		}
+	}
+}
+
+// TestPendingViewProperty runs pendingViewOps over random streams.
+func TestPendingViewProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 12; i++ {
+		data := make([]byte, 3+3*24)
+		rng.Read(data)
+		t.Run(fmt.Sprint(i), func(t *testing.T) { pendingViewOps(t, data) })
+	}
+}
+
+// FuzzPendingView is pendingViewOps under coverage-guided fuzzing.
+func FuzzPendingView(f *testing.F) {
+	f.Add([]byte{0, 200, 7, 0, 255, 0, 1, 30, 2, 2, 64, 1, 3, 200, 0})
+	f.Add([]byte{15, 0, 3, 3, 255, 255, 2, 90, 1, 2, 255, 4, 1, 255, 3, 0, 40, 4, 3, 10})
+	f.Add([]byte{1, 0, 9, 0, 100, 0, 2, 31, 0, 2, 33, 0, 1, 31, 0, 2, 1, 1, 3, 0, 0})
+	f.Fuzz(pendingViewOps)
 }

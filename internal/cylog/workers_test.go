@@ -78,12 +78,17 @@ func runSplitWorkload(t *testing.T, parallelism int, check bool) []workerRun {
 		return batch
 	}
 
+	incremental := func(batch *cylog.AnswerBatch) ([]cylog.OpenRequest, error) {
+		_, err := e.RunIncremental(batch)
+		return e.PendingRequests(), err
+	}
+
 	addChains(0, 300)
 	reqs := record(e.Run())
 	batch := answerHalf(reqs)
 	addChains(300, 600)
-	reqs = record(e.RunIncremental(batch))
-	record(e.RunIncremental(answerHalf(reqs)))
+	reqs = record(incremental(batch))
+	record(incremental(answerHalf(reqs)))
 	record(e.Run())
 	return runs
 }

@@ -332,10 +332,9 @@ func (p *Platform) GenerateTasksFromCyLog(projectID project.ID) ([]*task.Task, e
 	if err != nil {
 		return nil, err
 	}
-	requests := rc.Requests
 	now := p.now()
 	var created []*task.Task
-	for _, req := range requests {
+	for _, req := range rc.Pending.All() {
 		p.mu.Lock()
 		prior, exists := p.requestTask[req.ID]
 		p.mu.Unlock()

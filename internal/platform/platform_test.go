@@ -1,6 +1,7 @@
 package platform
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -86,6 +87,34 @@ func TestRegisterProjectCreatesEngine(t *testing.T) {
 	bad.CyLogSource = "rel broken("
 	if _, err := p.RegisterProject(bad); err == nil {
 		t.Error("invalid CyLog should be rejected")
+	}
+}
+
+// TestEngineForResolvesWithoutCopies checks EngineFor's three outcomes and
+// that resolving a project's engine, which every feed, answer and fact
+// request does, copies no admin record.
+func TestEngineForResolvesWithoutCopies(t *testing.T) {
+	p, _ := newPlatformWithCrowd(t, 1)
+	admin, err := p.RegisterProject(translationProject())
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, err := p.RegisterProject(project.Description{Name: "plain", Scheme: task.Individual})
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := admin.Description.ID
+	if eng, err := p.EngineFor(id); err != nil || eng != p.Engine(id) {
+		t.Fatalf("EngineFor(%s) = %p, %v; want the project's engine", id, eng, err)
+	}
+	if _, err := p.EngineFor(plain.Description.ID); !errors.Is(err, ErrNoEngine) {
+		t.Errorf("EngineFor(plain) error = %v, want ErrNoEngine", err)
+	}
+	if _, err := p.EngineFor("missing"); !errors.Is(err, project.ErrUnknownProject) {
+		t.Errorf("EngineFor(missing) error = %v, want ErrUnknownProject", err)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { p.EngineFor(id) }); allocs != 0 { //nolint:errcheck
+		t.Errorf("EngineFor allocated %.0f times per call", allocs)
 	}
 }
 

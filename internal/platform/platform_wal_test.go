@@ -267,8 +267,9 @@ labeled(I) :- item(I), label(I, true).
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rc.Requests) != items {
-		t.Fatalf("initial commit left %d requests, want %d", len(rc.Requests), items)
+	requests := rc.Pending.All()
+	if len(requests) != items {
+		t.Fatalf("initial commit left %d requests, want %d", len(requests), items)
 	}
 
 	var wg sync.WaitGroup
@@ -289,8 +290,8 @@ labeled(I) :- item(I), label(I, true).
 		go func(w int) {
 			defer wg.Done()
 			for i := w; i < items; i += stagers {
-				if _, err := p.StageAnswer(id, rc.Requests[i].ID, map[string]any{"ok": true}); err != nil {
-					t.Errorf("staging %s: %v", rc.Requests[i].ID, err)
+				if _, err := p.StageAnswer(id, requests[i].ID, map[string]any{"ok": true}); err != nil {
+					t.Errorf("staging %s: %v", requests[i].ID, err)
 					return
 				}
 			}

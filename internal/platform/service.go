@@ -38,17 +38,20 @@ type roundState struct {
 	seq   uint64
 }
 
-// engineFor resolves the project's engine, distinguishing an unknown project
-// from a project without a CyLog description.
-func (p *Platform) engineFor(projectID project.ID) (*cylog.Engine, error) {
+// EngineFor resolves the project's engine. Only when the project has none
+// does it consult the registry, to tell an unknown project
+// (project.ErrUnknownProject) from a project without a CyLog description
+// (ErrNoEngine): an engine exists only for a registered project, and the
+// registry's Get copies the admin record, which the feed, answer and fact
+// paths have no use for.
+func (p *Platform) EngineFor(projectID project.ID) (*cylog.Engine, error) {
+	if eng := p.Engine(projectID); eng != nil {
+		return eng, nil
+	}
 	if _, ok := p.Projects.Get(projectID); !ok {
 		return nil, fmt.Errorf("%w: %s", project.ErrUnknownProject, projectID)
 	}
-	eng := p.Engine(projectID)
-	if eng == nil {
-		return nil, fmt.Errorf("%w: %s", ErrNoEngine, projectID)
-	}
-	return eng, nil
+	return nil, fmt.Errorf("%w: %s", ErrNoEngine, projectID)
 }
 
 // currentRound returns the project's staging round, opening a new one (with
@@ -85,7 +88,7 @@ func (p *Platform) retireRound(id project.ID, b *cylog.AnswerBatch) {
 // number of concurrent callers; a stage that races with a commit retries into
 // the next round rather than losing the answer.
 func (p *Platform) StageAnswer(projectID project.ID, requestID string, values map[string]any) (uint64, error) {
-	eng, err := p.engineFor(projectID)
+	eng, err := p.EngineFor(projectID)
 	if err != nil {
 		return 0, err
 	}
@@ -108,7 +111,7 @@ func (p *Platform) StageAnswer(projectID project.ID, requestID string, values ma
 // sequence number. When the round commits, every pending request whose key
 // the fact covers is closed.
 func (p *Platform) StageFact(projectID project.ID, relation string, values ...any) (uint64, error) {
-	eng, err := p.engineFor(projectID)
+	eng, err := p.EngineFor(projectID)
 	if err != nil {
 		return 0, err
 	}
@@ -131,7 +134,7 @@ func (p *Platform) StageFact(projectID project.ID, relation string, values ...an
 // project's first fixpoint it is only loaded, since the first commit
 // evaluates everything, and the deriver is not woken.
 func (p *Platform) AddFact(projectID project.ID, relation string, values ...any) error {
-	eng, err := p.engineFor(projectID)
+	eng, err := p.EngineFor(projectID)
 	if err != nil {
 		return err
 	}
@@ -199,8 +202,10 @@ type RoundCommit struct {
 	// closed between staging and commit — benign, recorded in the event log).
 	Answers int
 	Skipped int
-	// Requests is the full pending open-request set after the fixpoint.
-	Requests []cylog.OpenRequest
+	// Pending is the pending open-request view the fixpoint published: an
+	// immutable snapshot that later commits do not change. Read its Len for
+	// the count and a Page or All for the requests.
+	Pending *cylog.PendingView
 	// Stats is the engine's report for the fixpoint run.
 	Stats cylog.Stats
 	// Duration is the wall-clock cost of the commit: batch application,
@@ -240,7 +245,7 @@ func (p *Platform) commitLock(id project.ID) *sync.Mutex {
 // "observed fixpoint round >= N" as proof that round N's answers are
 // inserted and durable.
 func (p *Platform) CommitRound(projectID project.ID) (RoundCommit, error) {
-	eng, err := p.engineFor(projectID)
+	eng, err := p.EngineFor(projectID)
 	if err != nil {
 		return RoundCommit{}, err
 	}
@@ -256,11 +261,11 @@ func (p *Platform) CommitRound(projectID project.ID) (RoundCommit, error) {
 	if batch != nil {
 		answers = batch.Len()
 	}
-	requests, err := eng.RunIncremental(batch)
+	pending, err := eng.RunIncremental(batch)
 	if err != nil {
 		return RoundCommit{Seq: seq}, err
 	}
-	rc := RoundCommit{Seq: seq, Answers: answers, Requests: requests, Stats: eng.Stats()}
+	rc := RoundCommit{Seq: seq, Answers: answers, Pending: pending, Stats: eng.Stats()}
 	if batch != nil {
 		for _, be := range batch.CommitErrors() {
 			rc.Skipped++
@@ -279,7 +284,7 @@ func (p *Platform) CommitRound(projectID project.ID) (RoundCommit, error) {
 	rc.Duration = time.Since(start)
 	p.record(Event{Kind: "fixpoint", Project: projectID, Round: seq,
 		Message: fmt.Sprintf("%d answers (%d skipped), %d pending requests, %s",
-			rc.Answers, rc.Skipped, len(rc.Requests), rc.Duration.Round(time.Microsecond))})
+			rc.Answers, rc.Skipped, rc.Pending.Len(), rc.Duration.Round(time.Microsecond))})
 	return rc, nil
 }
 

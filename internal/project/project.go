@@ -6,8 +6,10 @@
 package project
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -213,6 +215,26 @@ func (r *Registry) All() []*Admin {
 	}
 	r.mu.RUnlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].Description.ID < out[j].Description.ID })
+	return out
+}
+
+// Schedule is what a deriver reads of a project on every wake: its id and
+// its minimum commit spacing.
+type Schedule struct {
+	ID             ID
+	CommitInterval time.Duration
+}
+
+// Schedules returns every project's Schedule in id order. Unlike All it
+// copies no admin record.
+func (r *Registry) Schedules() []Schedule {
+	r.mu.RLock()
+	out := make([]Schedule, 0, len(r.projects))
+	for id, a := range r.projects {
+		out = append(out, Schedule{ID: id, CommitInterval: a.Description.CommitInterval})
+	}
+	r.mu.RUnlock()
+	slices.SortFunc(out, func(a, b Schedule) int { return cmp.Compare(a.ID, b.ID) })
 	return out
 }
 

@@ -73,10 +73,6 @@ type diskEntry struct {
 	cleanVersion uint64
 	// segBytes is the segment payload size when hasSegment.
 	segBytes int64
-	// estBytes caches rel.approxBytes() measured at estVersion.
-	estBytes   int64
-	estVersion uint64
-	estValid   bool
 }
 
 // DiskBackend implements Backend with lazy-loaded, budget-evicted segment
@@ -103,6 +99,9 @@ type DiskBackend struct {
 	evictions     int64
 	segmentWrites int64
 	segmentBytes  int64
+	// residentBytes is the resident estimate at the end of the last
+	// rebalance pass, which Stats reports.
+	residentBytes int64
 }
 
 // NewDiskBackend opens a disk-paged backend rooted at opts.Dir for
@@ -231,8 +230,11 @@ func (b *DiskBackend) rebalance() error {
 	b.rebalanceMu.Lock()
 	defer b.rebalanceMu.Unlock()
 	for {
-		victim, over := b.pickVictim()
-		if !over || victim == nil {
+		victim, resident := b.pickVictim()
+		if victim == nil {
+			b.mu.Lock()
+			b.residentBytes = resident
+			b.mu.Unlock()
 			return nil
 		}
 		if err := b.evict(victim); err != nil {
@@ -241,9 +243,12 @@ func (b *DiskBackend) rebalance() error {
 	}
 }
 
-// pickVictim refreshes residency estimates and returns the coldest evictable
-// entry plus whether the resident total exceeds the budget.
-func (b *DiskBackend) pickVictim() (*diskEntry, bool) {
+// pickVictim returns the resident total and, when it exceeds the budget, the
+// coldest evictable resident entry (nil when every resident relation is in
+// the current working set). Each relation keeps its size estimate current as
+// tuples come and go (Relation.approxBytes), so sizing the resident set
+// costs O(relations), not a walk of their tuples.
+func (b *DiskBackend) pickVictim() (*diskEntry, int64) {
 	b.mu.Lock()
 	resident := make([]*diskEntry, 0, len(b.entries))
 	for _, e := range b.entries {
@@ -253,33 +258,21 @@ func (b *DiskBackend) pickVictim() (*diskEntry, bool) {
 	}
 	b.mu.Unlock()
 
-	// Refresh stale size estimates outside the backend lock (approxBytes
-	// takes the relation's read lock).
+	// Sized outside the backend lock: approxBytes takes the relation's read
+	// lock.
 	now := b.clock.Load()
 	type sized struct {
 		e     *diskEntry
-		bytes int64
 		touch uint64
 	}
 	all := make([]sized, 0, len(resident))
 	var total int64
 	for _, e := range resident {
-		v := e.rel.Version()
-		b.mu.Lock()
-		valid := e.estValid && e.estVersion == v
-		est := e.estBytes
-		b.mu.Unlock()
-		if !valid {
-			est = e.rel.approxBytes()
-			b.mu.Lock()
-			e.estBytes, e.estVersion, e.estValid = est, v, true
-			b.mu.Unlock()
-		}
-		total += est
-		all = append(all, sized{e: e, bytes: est, touch: e.rel.lastTouch.Load()})
+		total += e.rel.approxBytes()
+		all = append(all, sized{e: e, touch: e.rel.lastTouch.Load()})
 	}
 	if total <= b.budget {
-		return nil, false
+		return nil, total
 	}
 	sort.Slice(all, func(i, j int) bool {
 		if all[i].touch != all[j].touch {
@@ -291,9 +284,9 @@ func (b *DiskBackend) pickVictim() (*diskEntry, bool) {
 		if s.touch >= now {
 			continue // current working set is pinned
 		}
-		return s.e, true
+		return s.e, total
 	}
-	return nil, false
+	return nil, total
 }
 
 // evict flushes the entry's relation to its segment when dirty, then drops the
@@ -336,7 +329,6 @@ func (b *DiskBackend) evict(e *diskEntry) error {
 	r.paged.Store(true)
 	r.mu.Unlock()
 	b.mu.Lock()
-	e.estValid = false
 	b.evictions++
 	b.mu.Unlock()
 	return nil
@@ -376,7 +368,7 @@ func (b *DiskBackend) ImportSnapshot(rd io.Reader) ([]string, error) {
 	return importDatabase(b.d, rd, b.Maintain)
 }
 
-// Stats implements Backend. Residency bytes reflect the estimates of the last
+// Stats implements Backend. Residency bytes are the estimate of the last
 // rebalance pass.
 func (b *DiskBackend) Stats() BackendStats {
 	b.mu.Lock()
@@ -384,6 +376,7 @@ func (b *DiskBackend) Stats() BackendStats {
 	s := BackendStats{
 		Backend:       b.Name(),
 		Relations:     len(b.entries),
+		ResidentBytes: b.residentBytes,
 		BudgetBytes:   b.budget,
 		Faults:        b.faults,
 		Evictions:     b.evictions,
@@ -393,9 +386,6 @@ func (b *DiskBackend) Stats() BackendStats {
 	for _, e := range b.entries {
 		if !e.rel.paged.Load() {
 			s.ResidentRelations++
-			if e.estValid {
-				s.ResidentBytes += e.estBytes
-			}
 		}
 	}
 	return s

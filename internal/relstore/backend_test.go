@@ -3,6 +3,7 @@ package relstore
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"testing"
 )
 
@@ -271,4 +272,85 @@ func TestMemoryBackendStats(t *testing.T) {
 		}
 	}()
 	NewDatabaseWith(d.Backend())
+}
+
+// walkBytes is the size estimate approxBytes keeps by counting, computed the
+// slow way: a walk of every stored tuple plus the index term. Like
+// approxBytes it bypasses page(), so a paged-out relation sizes to 0.
+func walkBytes(r *Relation) int64 {
+	const indexOverhead = 40
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	var b int64
+	r.forEachLocked(func(t Tuple) bool {
+		b += estimateTupleBytes(t)
+		return true
+	})
+	return b + int64(r.count*len(r.indexes))*indexOverhead
+}
+
+// TestApproxBytesMatchesWalk applies random insert, derived-insert,
+// DecDerived, ClearDerived, Clear, index, evict and fault steps to two
+// relations on every backend variant, and requires each relation's counted
+// estimate to equal the walk after every step. The disk backend picks its
+// eviction victims from these estimates, so equal estimates mean the same
+// evictions as sizing by a walk.
+func TestApproxBytesMatchesWalk(t *testing.T) {
+	for _, v := range backendVariants() {
+		t.Run(v.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(7))
+			d := v.open(t)
+			rels := []*Relation{
+				d.MustCreate("a", MustSchema("id:int", "name:string")),
+				d.MustCreate("b", MustSchema("id:int", "name:string")),
+			}
+			tuple := func() Tuple {
+				n := rng.Intn(40)
+				return NewTuple(n, fmt.Sprintf("name-%d-%s", n, string(make([]byte, n%7))))
+			}
+			for step := 0; step < 600; step++ {
+				r := rels[rng.Intn(len(rels))]
+				op := rng.Intn(10)
+				switch op {
+				case 0, 1:
+					if _, err := r.Insert(tuple()); err != nil {
+						t.Fatal(err)
+					}
+				case 2, 3:
+					if _, err := r.InsertDerived(tuple()); err != nil {
+						t.Fatal(err)
+					}
+				case 4, 5:
+					tp := tuple()
+					if _, derived, ok := r.Support(tp); ok && derived > 0 {
+						if _, err := r.DecDerived(tp); err != nil {
+							t.Fatal(err)
+						}
+					}
+				case 6:
+					if rng.Intn(4) == 0 {
+						r.ClearDerived()
+					} else {
+						r.Clear()
+					}
+				case 7:
+					if err := r.EnsureIndexAt([]int{rng.Intn(2)}); err != nil {
+						t.Fatal(err)
+					}
+				case 8:
+					maintain(t, d) // evicts on the tiny-budget disk variant
+				case 9:
+					r.Len() // faults a paged-out relation back in
+				}
+				for _, r := range rels {
+					if got, want := r.approxBytes(), walkBytes(r); got != want {
+						t.Fatalf("step %d (op %d): %s approxBytes = %d, the walk gives %d", step, op, r.Name(), got, want)
+					}
+				}
+			}
+			if v.name == "disk-tiny" && d.Backend().Stats().Evictions == 0 {
+				t.Fatal("the tiny-budget disk variant never evicted")
+			}
+		})
+	}
 }

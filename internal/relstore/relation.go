@@ -169,8 +169,12 @@ type Relation struct {
 	rows     map[uint64]stored
 	overflow map[uint64][]stored
 	count    int
-	indexes  []*index // found by column positions (lookup)
-	version  uint64
+	// tupleBytes is the tuple part of approxBytes: estimateTupleBytes summed
+	// over the stored tuples, kept current by every path that stores or
+	// drops one, so sizing a relation never walks it.
+	tupleBytes int64
+	indexes    []*index // found by column positions (lookup)
+	version    uint64
 
 	// pager, when non-nil, is the paging backend hook installed at creation
 	// by a Backend that can move this relation's contents between memory and
@@ -239,6 +243,7 @@ func (r *Relation) dropContentsLocked() {
 	r.rows = make(map[uint64]stored)
 	r.overflow = make(map[uint64][]stored)
 	r.count = 0
+	r.tupleBytes = 0
 	for _, ix := range r.indexes {
 		ix.first = make(map[uint64]Tuple)
 		ix.overflow = make(map[uint64][]Tuple)
@@ -254,6 +259,7 @@ func (r *Relation) adoptContentsLocked(src *Relation) {
 	r.rows = src.rows
 	r.overflow = src.overflow
 	r.count = src.count
+	r.tupleBytes = src.tupleBytes
 	for _, ix := range r.indexes {
 		ix.first = make(map[uint64]Tuple, r.count)
 		ix.overflow = make(map[uint64][]Tuple)
@@ -269,24 +275,25 @@ func (r *Relation) adoptContentsLocked(src *Relation) {
 }
 
 // approxBytes estimates the relation's resident heap footprint for the
-// backend's byte budget: per-entry bucket overhead plus value payloads plus
-// per-index entries. It deliberately bypasses page() — the backend sizes
-// resident relations without touching their recency accounting.
+// backend's byte budget: the running tuple estimate (tupleBytes) plus
+// per-index entries, in O(1). It deliberately bypasses page() — the backend
+// sizes resident relations without touching their recency accounting.
 func (r *Relation) approxBytes() int64 {
-	const entryOverhead = 48 // stored struct + map bucket share
-	const valueOverhead = 24 // Value struct share
 	const indexOverhead = 40 // tuple header in an index bucket
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	var b int64
-	r.forEachLocked(func(t Tuple) bool {
-		b += entryOverhead
-		for i := range t {
-			b += valueOverhead + int64(len(t[i].s))
-		}
-		return true
-	})
-	b += int64(r.count*len(r.indexes)) * indexOverhead
+	return r.tupleBytes + int64(r.count*len(r.indexes))*indexOverhead
+}
+
+// estimateTupleBytes estimates one stored tuple's heap share: its bucket
+// entry plus, per value, the Value struct and a string payload.
+func estimateTupleBytes(t Tuple) int64 {
+	const entryOverhead = 48 // stored struct + map bucket share
+	const valueOverhead = 24 // Value struct share
+	b := int64(entryOverhead)
+	for i := range t {
+		b += valueOverhead + int64(len(t[i].s))
+	}
 	return b
 }
 
@@ -441,6 +448,7 @@ func (r *Relation) insertWithSupport(t Tuple, base bool, derived int32) (bool, e
 		r.rows[h] = stored{t: ct, base: base, derived: derived}
 	}
 	r.count++
+	r.tupleBytes += estimateTupleBytes(ct)
 	for _, ix := range r.indexes {
 		ix.insert(ct)
 	}
@@ -524,6 +532,7 @@ func (r *Relation) removeLocked(ct Tuple, decide func(*stored) bool) (found, rem
 		r.setOverflow(h, append(bucket[:found], bucket[found+1:]...))
 	}
 	r.count--
+	r.tupleBytes -= estimateTupleBytes(victim)
 	for _, ix := range r.indexes {
 		ix.remove(victim)
 	}
@@ -541,9 +550,17 @@ func (r *Relation) ClearDerived() int {
 	r.lockResident()
 	defer r.mu.Unlock()
 	removed := 0
+	var removedBytes int64
 	rows := make(map[uint64]stored, len(r.rows))
 	overflow := make(map[uint64][]stored)
-	keep := func(h uint64, s stored) {
+	// sift keeps a base-supported entry with its count reset and counts
+	// any other as removed.
+	sift := func(h uint64, s stored) {
+		if !s.base {
+			removed++
+			removedBytes += estimateTupleBytes(s.t)
+			return
+		}
 		s.derived = 0
 		if _, ok := rows[h]; !ok {
 			rows[h] = s
@@ -552,17 +569,9 @@ func (r *Relation) ClearDerived() int {
 		overflow[h] = append(overflow[h], s)
 	}
 	for h, s := range r.rows {
-		if s.base {
-			keep(h, s)
-		} else {
-			removed++
-		}
+		sift(h, s)
 		for _, os := range r.overflow[h] {
-			if os.base {
-				keep(h, os)
-			} else {
-				removed++
-			}
+			sift(h, os)
 		}
 	}
 	if removed == 0 {
@@ -579,6 +588,7 @@ func (r *Relation) ClearDerived() int {
 	r.rows = rows
 	r.overflow = overflow
 	r.count -= removed
+	r.tupleBytes -= removedBytes
 	for _, ix := range r.indexes {
 		ix.first = make(map[uint64]Tuple)
 		ix.overflow = make(map[uint64][]Tuple)

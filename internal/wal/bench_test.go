@@ -84,9 +84,11 @@ func benchOracleLoopDurable(b *testing.B, edges, wave int, policy SyncPolicy) {
 			if batch.Len() == 0 {
 				break
 			}
-			if reqs, err = e.RunIncremental(batch); err != nil {
+			view, err := e.RunIncremental(batch)
+			if err != nil {
 				b.Fatal(err)
 			}
+			reqs = view.Page(0, wave)
 			if _, err := l.Append(e.DrainJournal()); err != nil {
 				b.Fatal(err)
 			}
