@@ -87,8 +87,11 @@ fmt:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
+# bench/ is its own module, which `go vet ./...` from the root skips; it
+# compiles against the packages under internal/, so it is vetted too.
 vet:
 	$(GO) vet $(PKGS)
+	cd bench && $(GO) vet .
 
 staticcheck:
 	@if command -v staticcheck >/dev/null 2>&1; then \

@@ -11,9 +11,9 @@
 //  1. A reference run drives the full crowd scenario in-process (register a
 //     CyLog project, attach a WAL, seed edge facts, generate tasks, answer
 //     them with a deterministic oracle keyed on the request's key values)
-//     and records the final engine fingerprint — every relation's tuples
-//     plus the sorted pending request ids — and the number of physical WAL
-//     writes the run performs.
+//     and records the final engine fingerprint — every relation's tuples and
+//     row count plus the sorted pending request ids — and the number of
+//     physical WAL writes the run performs.
 //  2. A child process (this binary with -child) re-runs the identical
 //     scenario but SIGKILLs itself at a randomly chosen write, leaving a
 //     torn log behind. kill -9 cannot be caught, so nothing is flushed or
@@ -33,10 +33,9 @@
 //
 // With -content-fuzz the scenario swaps to a string-labelled open relation
 // and answers carry adversarial values (control bytes, NULs, unicode, long
-// runs) drawn from a per-iteration salt; the differential then also covers
-// the relations' content-derived statistics — row counts and per-column
-// distinct estimates — so recovery must rebuild the planner's cost inputs
-// exactly, not just the tuples.
+// runs) drawn from a per-iteration salt, so recovery must reproduce those
+// bytes exactly: the answers pass through the task form, the engine, the WAL
+// record codec and the snapshot codec before the fingerprint reads them.
 package main
 
 import (
@@ -123,9 +122,7 @@ type scenario struct {
 	killAt int
 	// content switches to the content-fuzz scenario: a string-labelled open
 	// relation answered with adversarial values drawn from salt — crash
-	// recovery must reproduce the exact bytes, and the fingerprint's
-	// content-derived statistics (row counts + distinct estimates), not just
-	// the tuple values.
+	// recovery must reproduce the exact bytes.
 	content bool
 	salt    int64
 	// backend selects the relstore backend for this run ("" = memory). The
@@ -137,8 +134,8 @@ type scenario struct {
 
 // label picks this request's adversarial answer value as a pure function of
 // the content salt and the request key, so crash and resume submit identical
-// bytes. The numeric suffix varies per key, keeping per-column distinct
-// counts moving.
+// bytes. The numeric suffix varies per key, so one relation holds many
+// distinct labels.
 func (s scenario) label(keyVals string) string {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%d|%s|label", s.salt, keyVals)
@@ -232,8 +229,9 @@ func (s scenario) run() (string, int, error) {
 				fields["ok"] = "no"
 			}
 			res := &task.Result{SubmittedBy: "sim", Fields: fields, Quality: 1}
-			// Alternate the two submission paths so both the immediate and
-			// the batched commit points face random kill offsets.
+			// Alternate the two submission paths so both commit points —
+			// the round SubmitResult commits itself and the one the next
+			// GenerateTasksFromCyLog commits — face random kill offsets.
 			if rng.Intn(2) == 0 {
 				err = p.SubmitResult(tk.ID, res)
 			} else {

@@ -143,13 +143,6 @@ func feasible(p Problem, members []worker.ID) bool {
 	return true
 }
 
-// Feasible reports whether the member set satisfies the problem's constraints.
-// It is exported for tests, the controller and the experiment harness.
-func Feasible(p Problem, members []worker.ID) bool { return feasible(p, members) }
-
-// Evaluate builds a Team (with metrics filled in) for an explicit member set.
-func Evaluate(p Problem, members []worker.ID, algo string) Team { return evaluate(p, members, algo) }
-
 // better orders teams by the optimisation objective: higher total affinity
 // first, then higher skill, then lower cost, then smaller size, then members
 // lexicographically for determinism.
@@ -697,7 +690,7 @@ func (SkillOnlyGreedy) FormTeam(p Problem) (Team, error) {
 }
 
 // Registry returns the named algorithm, allowing project descriptions and the
-// CLI to select one by name. Unknown names return nil.
+// web UI's constraint form to select one by name. Unknown names return nil.
 func Registry(name string) Algorithm {
 	switch name {
 	case "exact":
@@ -715,9 +708,4 @@ func Registry(name string) Algorithm {
 	default:
 		return nil
 	}
-}
-
-// AlgorithmNames lists the registered algorithm names in a stable order.
-func AlgorithmNames() []string {
-	return []string{"exact", "greedy", "star", "grasp", "random", "skill-only"}
 }

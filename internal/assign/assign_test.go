@@ -83,39 +83,39 @@ func TestFeasibleChecksAllConstraints(t *testing.T) {
 	p := buildProblem(t, 6, cons)
 	p.Affinity.SetDefault(0.5)
 
-	if Feasible(p, []worker.ID{"w05"}) {
+	if feasible(p, []worker.ID{"w05"}) {
 		t.Error("team below MinTeamSize should be infeasible")
 	}
-	if Feasible(p, []worker.ID{"w02", "w03", "w04", "w05"}) {
+	if feasible(p, []worker.ID{"w02", "w03", "w04", "w05"}) {
 		t.Error("team above critical mass should be infeasible")
 	}
-	if Feasible(p, []worker.ID{"w00", "w05"}) {
+	if feasible(p, []worker.ID{"w00", "w05"}) {
 		t.Error("member below MinSkill should make the team infeasible")
 	}
-	if Feasible(p, []worker.ID{"w02", "unknown"}) {
+	if feasible(p, []worker.ID{"w02", "unknown"}) {
 		t.Error("unknown member should make the team infeasible")
 	}
-	if !Feasible(p, []worker.ID{"w04", "w05"}) {
+	if !feasible(p, []worker.ID{"w04", "w05"}) {
 		t.Error("high-skill pair should be feasible")
 	}
 	// Cost budget.
 	expensive := buildProblem(t, 4, task.Constraints{UpperCriticalMass: 4, MinTeamSize: 2, CostBudget: 1.5})
-	if Feasible(expensive, []worker.ID{"w00", "w01"}) {
+	if feasible(expensive, []worker.ID{"w00", "w01"}) {
 		t.Error("cost above budget should be infeasible")
 	}
 	// Pair-affinity floor.
 	floor := clusteredProblem(t, task.Constraints{UpperCriticalMass: 4, MinTeamSize: 2, MinPairAffinity: 0.5})
-	if Feasible(floor, []worker.ID{"a1", "b1"}) {
+	if feasible(floor, []worker.ID{"a1", "b1"}) {
 		t.Error("cross-cluster pair below the affinity floor should be infeasible")
 	}
-	if !Feasible(floor, []worker.ID{"a1", "a2"}) {
+	if !feasible(floor, []worker.ID{"a1", "a2"}) {
 		t.Error("in-cluster pair should satisfy the affinity floor")
 	}
 }
 
 func TestEvaluateMetrics(t *testing.T) {
 	p := clusteredProblem(t, task.Constraints{UpperCriticalMass: 3, MinTeamSize: 2})
-	team := Evaluate(p, []worker.ID{"a2", "a1", "a3"}, "test")
+	team := evaluate(p, []worker.ID{"a2", "a1", "a3"}, "test")
 	if team.Size() != 3 || team.Members[0] != "a1" {
 		t.Error("members should be sorted")
 	}
@@ -262,7 +262,7 @@ func TestRandomAssignmentFeasible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !Feasible(p, team.Members) {
+	if !feasible(p, team.Members) {
 		t.Error("random team should be feasible")
 	}
 	// Infeasible constraints exhaust attempts.
@@ -306,10 +306,13 @@ func TestSkillOnlyIgnoresAffinityAblation(t *testing.T) {
 	}
 }
 
+// algorithmNames lists every name Registry resolves.
+var algorithmNames = []string{"exact", "greedy", "star", "grasp", "random", "skill-only"}
+
 func TestAllAlgorithmsProduceFeasibleTeams(t *testing.T) {
 	cons := task.Constraints{UpperCriticalMass: 4, MinTeamSize: 2, RequiredSkill: "s", MinSkill: 0.55, MinTeamSkill: 1.2}
 	p := buildProblem(t, 16, cons)
-	for _, name := range AlgorithmNames() {
+	for _, name := range algorithmNames {
 		algo := Registry(name)
 		if algo == nil {
 			t.Fatalf("Registry(%q) = nil", name)
@@ -322,7 +325,7 @@ func TestAllAlgorithmsProduceFeasibleTeams(t *testing.T) {
 			t.Errorf("%s: %v", name, err)
 			continue
 		}
-		if !Feasible(p, team.Members) {
+		if !feasible(p, team.Members) {
 			t.Errorf("%s produced an infeasible team %v", name, team.Members)
 		}
 		if team.Size() < cons.MinTeamSize || team.Size() > cons.UpperCriticalMass {
@@ -359,7 +362,7 @@ func TestRegistryUnknown(t *testing.T) {
 	if Registry("") == nil {
 		t.Error("empty name should default to greedy")
 	}
-	for _, n := range AlgorithmNames() {
+	for _, n := range algorithmNames {
 		if a := Registry(n); a == nil || a.Name() != n {
 			t.Errorf("Registry(%q).Name() mismatch", n)
 		}
@@ -388,7 +391,7 @@ func TestGreedyPropertyTeamsWithinBounds(t *testing.T) {
 		if err != nil {
 			return true // infeasible is acceptable
 		}
-		return team.Size() >= 1 && team.Size() <= ucm && Feasible(p, team.Members)
+		return team.Size() >= 1 && team.Size() <= ucm && feasible(p, team.Members)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)

@@ -3,6 +3,7 @@ package collab
 import (
 	"errors"
 	"fmt"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -296,7 +297,7 @@ func TestHybridDefaultDataflow(t *testing.T) {
 	if !strings.Contains(out.Result.Fields["stage:testimonials"], "I saw it") {
 		t.Errorf("testimonials = %q", out.Result.Fields["stage:testimonials"])
 	}
-	confirmed, votes := MajorityConfirmed(out.Result.Fields["stage:confirmation"])
+	confirmed, votes := majorityConfirmed(out.Result.Fields["stage:confirmation"])
 	if !confirmed || votes == 0 {
 		t.Errorf("confirmation = %q", out.Result.Fields["stage:confirmation"])
 	}
@@ -324,7 +325,7 @@ func TestHybridMajorityUnconfirmed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	confirmed, _ := MajorityConfirmed(out.Result.Fields["stage:confirmation"])
+	confirmed, _ := majorityConfirmed(out.Result.Fields["stage:confirmation"])
 	if confirmed {
 		t.Errorf("all-no votes should be unconfirmed: %q", out.Result.Fields["stage:confirmation"])
 	}
@@ -376,36 +377,24 @@ func TestForTaskSelectsScheme(t *testing.T) {
 }
 
 func TestSharedDocument(t *testing.T) {
-	d := NewSharedDocument("doc1")
-	if d.ID() != "doc1" || d.Len() != 0 {
+	d := &SharedDocument{}
+	if d.Text() != "" {
 		t.Error("new document should be empty")
 	}
+	d.AppendSection("w3", "interviews", "quote from a visitor")
 	d.Append("w2", "second contribution")
 	d.Append("w1", "first contribution")
-	d.AppendSection("w3", "interviews", "quote from a visitor")
 	d.Append("w1", "   ") // ignored
-	if d.Len() != 3 {
-		t.Errorf("Len = %d", d.Len())
-	}
-	if got := d.Contributors(); len(got) != 3 || got[0] != "w1" {
-		t.Errorf("Contributors = %v", got)
-	}
-	text := d.Text()
-	if !strings.Contains(text, "second contribution") || !strings.Contains(text, "## interviews") {
-		t.Errorf("Text = %q", text)
-	}
-	// Unnamed section renders before named sections.
-	if strings.Index(text, "second contribution") > strings.Index(text, "## interviews") {
-		t.Error("unnamed section should render first")
-	}
-	ops := d.Ops()
-	if len(ops) != 3 || ops[0].Seq != 1 || ops[0].Author != "w2" {
-		t.Errorf("Ops = %v", ops)
+	// The unnamed section renders before named sections, each in operation
+	// order.
+	want := "second contribution\n\nfirst contribution\n\n## interviews\n\nquote from a visitor"
+	if got := d.Text(); got != want {
+		t.Errorf("Text = %q, want %q", got, want)
 	}
 }
 
 func TestSharedDocumentConcurrentAppend(t *testing.T) {
-	d := NewSharedDocument("doc")
+	d := &SharedDocument{}
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
@@ -417,8 +406,8 @@ func TestSharedDocumentConcurrentAppend(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	if d.Len() != 400 {
-		t.Errorf("Len = %d", d.Len())
+	if n := strings.Count(d.Text(), "op "); n != 400 {
+		t.Errorf("document holds %d contributions, want 400", n)
 	}
 }
 
@@ -439,13 +428,13 @@ func TestHelpers(t *testing.T) {
 	if o.Quality() != 0 {
 		t.Error("Quality of empty outcome should be 0")
 	}
-	if c, n := MajorityConfirmed("garbage"); c || n != 0 {
-		t.Error("MajorityConfirmed on garbage should be false/0")
+	if c, n := majorityConfirmed("garbage"); c || n != 0 {
+		t.Error("majorityConfirmed on garbage should be false/0")
 	}
-	if c, n := MajorityConfirmed("confirmed (3/4)"); !c || n != 3 {
-		t.Error("MajorityConfirmed parse failed")
+	if c, n := majorityConfirmed("confirmed (3/4)"); !c || n != 3 {
+		t.Error("majorityConfirmed parse failed")
 	}
-	if c, _ := MajorityConfirmed("unconfirmed (1/4)"); c {
+	if c, _ := majorityConfirmed("unconfirmed (1/4)"); c {
 		t.Error("unconfirmed should parse as false")
 	}
 	tk := task.NewTask("t", "p", "desc only", task.Sequential, task.Constraints{})
@@ -457,4 +446,20 @@ func TestHelpers(t *testing.T) {
 	if primaryInput(tk) != "explicit" {
 		t.Error("primaryInput should prefer explicit input")
 	}
+}
+
+// majorityConfirmed parses the verdict produced by a "majority" stage, e.g.
+// "confirmed (3/4)"; it returns the verdict and the yes-vote count.
+func majorityConfirmed(s string) (bool, int) {
+	confirmed := strings.HasPrefix(s, "confirmed")
+	open := strings.Index(s, "(")
+	slash := strings.Index(s, "/")
+	if open < 0 || slash < 0 || slash < open {
+		return confirmed, 0
+	}
+	n, err := strconv.Atoi(s[open+1 : slash])
+	if err != nil {
+		return confirmed, 0
+	}
+	return confirmed, n
 }

@@ -2,8 +2,6 @@ package collab
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 	"time"
 
 	"github.com/crowd4u/crowd4u-go/internal/task"
@@ -203,20 +201,4 @@ func mergeStage(stage Stage, members []worker.ID, answers []StepResponse) string
 		}
 		return mergeContributions(parts)
 	}
-}
-
-// MajorityConfirmed parses the verdict produced by a "majority" stage, e.g.
-// "confirmed (3/4)"; it returns the verdict and the yes-vote count.
-func MajorityConfirmed(s string) (bool, int) {
-	confirmed := strings.HasPrefix(s, "confirmed")
-	open := strings.Index(s, "(")
-	slash := strings.Index(s, "/")
-	if open < 0 || slash < 0 || slash < open {
-		return confirmed, 0
-	}
-	n, err := strconv.Atoi(s[open+1 : slash])
-	if err != nil {
-		return confirmed, 0
-	}
-	return confirmed, n
 }

@@ -14,10 +14,9 @@ import (
 // editing to such tools and only manages task generation and result recording;
 // this type provides just enough of a shared artefact — an append-only
 // operation log with deterministic merging — for result coordination to be
-// exercised and tested end to end. All methods are safe for concurrent use.
+// exercised and tested end to end. The zero value is an empty document. All
+// methods are safe for concurrent use.
 type SharedDocument struct {
-	id string
-
 	mu  sync.RWMutex
 	ops []DocOp
 }
@@ -31,14 +30,6 @@ type DocOp struct {
 	Text    string
 	At      time.Time
 }
-
-// NewSharedDocument creates an empty shared document session.
-func NewSharedDocument(id string) *SharedDocument {
-	return &SharedDocument{id: id}
-}
-
-// ID returns the session id.
-func (d *SharedDocument) ID() string { return d.id }
 
 // Append adds a contribution to the end of the document.
 func (d *SharedDocument) Append(author worker.ID, text string) {
@@ -60,36 +51,6 @@ func (d *SharedDocument) AppendSection(author worker.ID, section, text string) {
 		Text:    text,
 		At:      time.Now(),
 	})
-}
-
-// Ops returns a copy of the operation log.
-func (d *SharedDocument) Ops() []DocOp {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return append([]DocOp(nil), d.ops...)
-}
-
-// Len returns the number of operations applied.
-func (d *SharedDocument) Len() int {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return len(d.ops)
-}
-
-// Contributors returns the sorted distinct authors.
-func (d *SharedDocument) Contributors() []worker.ID {
-	d.mu.RLock()
-	set := make(map[worker.ID]bool)
-	for _, op := range d.ops {
-		set[op.Author] = true
-	}
-	d.mu.RUnlock()
-	out := make([]worker.ID, 0, len(set))
-	for id := range set {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // Text merges the document: operations are grouped by section (sections in

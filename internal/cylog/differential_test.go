@@ -27,8 +27,9 @@ import (
 type config struct {
 	parallelism int
 	// incremental commits each round's answers as a batch through
-	// RunIncremental; otherwise they are answered one at a time and the
-	// round runs the full fixpoint with Run.
+	// RunIncremental; otherwise they are inserted one at a time as the facts
+	// that answer them (answerAsFact) and the round runs the full fixpoint
+	// with Run.
 	incremental bool
 }
 
@@ -118,12 +119,12 @@ func checkRounds(t *testing.T, w workload, cfg config, a, b, picks []uint8, roun
 				break
 			}
 			r := reqs[int(p)%len(reqs)]
-			// A request picked twice is rejected the second time, on
-			// either path.
+			// A request picked twice is rejected by the batch the second
+			// time; as a fact it is a duplicate insert.
 			if cfg.incremental {
 				batch.Answer(r.ID, w.answer(r)) //nolint:errcheck
-			} else {
-				e.Answer(r.ID, w.answer(r)) //nolint:errcheck
+			} else if err := answerAsFact(e, r, w.answer(r)); err != nil {
+				t.Fatal(err)
 			}
 		}
 		if w.between != nil {

@@ -88,8 +88,8 @@ type Stats struct {
 	SkippedStrata int
 	// SeededDeltas counts the tuples RunIncremental seeded into the first
 	// delta frontiers — the facts ingested since the last fixpoint (answer
-	// batches, Answer/AnswerFact, AddFact) whose consequences the run
-	// derives. Always zero for a full Run.
+	// batches, AnswerFact, AddFact) whose consequences the run derives.
+	// Always zero for a full Run.
 	SeededDeltas int
 	// RetractedTuples counts the derived tuples this run removed: tuples
 	// whose every derivation was invalidated (for example by a fact landing
@@ -147,11 +147,11 @@ type Engine struct {
 	// evaluations share it freely.
 	rowSchemas map[*Rule]*rowSchema
 	// staged accumulates the tuples inserted outside evaluation since the
-	// last fixpoint (answer batches, Answer/AnswerFact, AddFact), per
-	// relation — the seed deltas of the next RunIncremental. Tracking starts
-	// after the first run (ranOnce): the first fixpoint is always full, so
-	// staging before it would only hold memory. Facts inserted directly into
-	// Database() bypass staging; follow such writes with a full Run.
+	// last fixpoint (answer batches, AnswerFact, AddFact), per relation — the
+	// seed deltas of the next RunIncremental. Tracking starts after the first
+	// run (ranOnce): the first fixpoint is always full, so staging before it
+	// would only hold memory. Facts inserted directly into Database() bypass
+	// staging; follow such writes with a full Run.
 	staged map[string][]relstore.Tuple
 	// stagedCount is the number of tuples in staged, kept apart so
 	// StagedDeltas can read it without e.mu. Written under e.mu only, by
@@ -189,9 +189,9 @@ type Engine struct {
 	answered  map[string]bool
 	lastStats Stats
 	// journaling enables recording applied ingestion operations (AddFact,
-	// Answer, AnswerFact, committed batch items) into journal, for a
-	// write-ahead log to drain and persist. Off by default; recovery replays
-	// with it off so replayed operations are not journaled again.
+	// AnswerFact, committed batch items) into journal, for a write-ahead log
+	// to drain and persist. Off by default; recovery replays with it off so
+	// replayed operations are not journaled again.
 	journaling bool
 	journal    []FactOp
 	// planRels maps each rule to the distinct relations of its closed
@@ -212,7 +212,8 @@ type Engine struct {
 // fixpoint iterations and crowdsourcing rounds amortise to O(matches).
 const autoIndexMinRows = 32
 
-// ErrUnknownRequest is returned by Answer for an unknown request id.
+// ErrUnknownRequest is returned by AnswerBatch.Answer for an unknown request
+// id.
 var ErrUnknownRequest = errors.New("cylog: unknown open request")
 
 // ErrRequestClosed reports an answer for a request that no longer accepts
@@ -337,7 +338,7 @@ func (e *Engine) Parallelism() int {
 // the returned database after the first run bypass the engine's delta
 // tracking and deletion propagation, so no later run is guaranteed to derive
 // their consequences or retract what they invalidate; ingest through
-// AddFact, Answer/AnswerFact or AnswerBatch, which keep every run sound.
+// AddFact, AnswerFact or AnswerBatch, which keep every run sound.
 // Contents loaded before the first run (snapshot recovery) are safe: the
 // first run rebuilds every derived relation from the base facts.
 func (e *Engine) Database() *relstore.Database { return e.db }
@@ -400,7 +401,7 @@ func (e *Engine) clearStaged() {
 }
 
 // StagedDeltas reports how many tuples were ingested through the engine
-// (AddFact, Answer, AnswerFact) since the last completed fixpoint and await
+// (AddFact, AnswerFact) since the last completed fixpoint and await
 // derivation by the next RunIncremental. Answers still staged in an
 // AnswerBatch are not counted; they land when the batch commits. Before the
 // first completed fixpoint nothing is staged (the first run is always full),
@@ -713,8 +714,8 @@ func (e *Engine) finishRun(stats *Stats) {
 
 // RunIncremental applies the answer batch (when non-nil) and evaluates to the
 // next fixpoint, seeding the delta frontiers directly from the newly inserted
-// tuples — the batch's plus any staged by Answer/AnswerFact/AddFact since the
-// last run — instead of re-evaluating every stratum from its full relations.
+// tuples — the batch's plus any staged by AnswerFact/AddFact since the last
+// run — instead of re-evaluating every stratum from its full relations.
 // Strata none of whose inputs changed are skipped outright
 // (Stats.SkippedStrata). The fixpoint, the derivation counts, the pending
 // requests and their IDs are byte-identical to a full Run; only the work
@@ -724,9 +725,9 @@ func (e *Engine) finishRun(stats *Stats) {
 // and after a failed one, the batch is still applied but evaluation takes the
 // full re-run path.
 //
-// Seeding only sees facts ingested through the engine (batches, Answer,
-// AnswerFact, AddFact); a fact inserted directly into Database() is invisible
-// to it — follow such writes with a full Run.
+// Seeding only sees facts ingested through the engine (batches, AnswerFact,
+// AddFact); a fact inserted directly into Database() is invisible to it —
+// follow such writes with a full Run.
 //
 // It returns the pending view the run published. Unlike Run it does not
 // flatten the view: a commit that changes a few of many pending requests
@@ -797,36 +798,6 @@ func (e *Engine) publishPendingLocked() *PendingView {
 	e.pendingChanged = make(map[string]struct{})
 	e.pendingView.Store(view)
 	return view
-}
-
-// Answer supplies a worker's answer for an open request: the fact formed by
-// the request's key values plus the given open-column values is inserted into
-// the open relation and the request is marked answered. Call Run (or
-// RunIncremental, which seeds its deltas from the inserted fact) to propagate
-// it through the rules. Batches of answers are cheaper to ingest through
-// AnswerBatch + RunIncremental.
-func (e *Engine) Answer(requestID string, openValues map[string]any) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	defer e.publishPendingLocked()
-	req, ok := e.pending[requestID]
-	if !ok {
-		return fmt.Errorf("%w: %s", e.missingRequestErrLocked(requestID), requestID)
-	}
-	tuple, err := e.requestTuple(req, openValues)
-	if err != nil {
-		return err
-	}
-	added, err := e.db.Relation(req.Relation).Insert(tuple)
-	if err != nil {
-		return fmt.Errorf("cylog: answer for %s does not match schema: %w", req.Relation, err)
-	}
-	if added {
-		e.stageDelta(req.Relation, tuple)
-		e.journalOp(OpAnswer, requestID, req.Relation, tuple)
-	}
-	e.closePendingLocked(requestID)
-	return nil
 }
 
 // missingRequestErrLocked classifies an id with no pending request: ids that
@@ -952,9 +923,9 @@ func (e *Engine) AnswerFact(relation string, values ...any) error {
 
 // RunToFixpointWithOracle repeatedly runs the program and answers every open
 // request with the oracle function until no requests remain or maxRounds is
-// reached. It is the engine-level "simulated crowd" hook used by tests, the
-// CLI and the benchmarks. The oracle returns the open-column values for a
-// request, or false to leave it unanswered.
+// reached. It is the engine-level "simulated crowd" hook used by tests and
+// the benchmarks. The oracle returns the open-column values for a request,
+// or false to leave it unanswered.
 //
 // Each round's answers are collected into an AnswerBatch and ingested through
 // RunIncremental, so a round only derives the consequences of that round's

@@ -6,10 +6,10 @@ import (
 	"testing"
 )
 
-// Error-path coverage for the open-request answering API beyond the basic
-// cases in engine_test.go: type mismatches on answer values, arity mismatches
-// on direct facts, and answering requests that were already closed out of
-// band by AnswerFact.
+// Error-path coverage for answering open requests beyond the basic cases in
+// engine_test.go: type mismatches on answer values, arity mismatches on
+// direct facts, and answering requests that were already closed out of band
+// by AnswerFact.
 
 func TestEngineAnswerTypeMismatch(t *testing.T) {
 	e, err := NewEngine(MustParse(sequentialWorkflowProgram))
@@ -23,18 +23,19 @@ func TestEngineAnswerTypeMismatch(t *testing.T) {
 	if len(reqs) != 2 {
 		t.Fatalf("requests = %v", reqs)
 	}
+	b := e.NewAnswerBatch()
 	for _, r := range reqs {
-		if err := e.Answer(r.ID, map[string]any{"text": "ok"}); err != nil {
+		if err := b.Answer(r.ID, map[string]any{"text": "ok"}); err != nil {
 			t.Fatalf("translation answer: %v", err)
 		}
 	}
 
 	// Drive the flow to the checked stage: checked.ok is a bool and must
 	// reject a value that ParseBool cannot read.
-	reqs, err = e.Run()
-	if err != nil {
+	if _, err := e.RunIncremental(b); err != nil {
 		t.Fatal(err)
 	}
+	reqs = e.PendingRequests()
 	var checkReq *OpenRequest
 	for i := range reqs {
 		if reqs[i].Relation == "checked" {
@@ -46,14 +47,14 @@ func TestEngineAnswerTypeMismatch(t *testing.T) {
 		t.Fatalf("no checked request in %v", reqs)
 	}
 	pendingBefore := len(e.PendingRequests())
-	if err := e.Answer(checkReq.ID, map[string]any{"ok": "not-a-bool"}); err == nil {
+	if err := commitAnswer(e, checkReq.ID, map[string]any{"ok": "not-a-bool"}); err == nil {
 		t.Error("bool column should reject a non-boolean string")
 	}
 	if got := len(e.PendingRequests()); got != pendingBefore {
 		t.Errorf("failed answer should leave the request pending: %d -> %d", pendingBefore, got)
 	}
 	// A valid answer for the same request still goes through afterwards.
-	if err := e.Answer(checkReq.ID, map[string]any{"ok": true}); err != nil {
+	if err := commitAnswer(e, checkReq.ID, map[string]any{"ok": true}); err != nil {
 		t.Errorf("valid bool answer after failed one: %v", err)
 	}
 	if got := len(e.PendingRequests()); got != pendingBefore-1 {
@@ -104,7 +105,7 @@ func TestEngineAnswerAfterAnswerFactClosedRequest(t *testing.T) {
 	}
 	// Answering the closed request through the normal path must now report
 	// ErrUnknownRequest, not insert a second fact.
-	if err := e.Answer(reqs[0].ID, map[string]any{"text": "late"}); !errors.Is(err, ErrUnknownRequest) {
+	if err := commitAnswer(e, reqs[0].ID, map[string]any{"text": "late"}); !errors.Is(err, ErrUnknownRequest) {
 		t.Errorf("answer after AnswerFact close: %v", err)
 	}
 	if got := len(e.Facts("translated")); got != 1 {

@@ -55,9 +55,9 @@ type batchItem struct {
 }
 
 // AnswerBatch collects validated worker answers for one ingestion round. Use
-// Answer for a reply to a specific open request and AnswerFact for a whole
-// fact (a team result not tied to one request); both validate eagerly and
-// report per-item errors. Pass the batch to Engine.RunIncremental to insert
+// Answer for a reply to a specific open request — the engine's one way to
+// answer a request by its id — and AnswerFact for a whole fact (a team result
+// not tied to one request); both validate eagerly and report per-item errors. Pass the batch to Engine.RunIncremental to insert
 // every staged fact, close the answered requests, and derive the
 // consequences. A batch is single-use: once committed it rejects further
 // staging and re-commits with ErrBatchCommitted.

@@ -28,6 +28,18 @@ func newWorkflowEngineWithRequests(t *testing.T) (*Engine, []OpenRequest) {
 	return e, reqs
 }
 
+// commitAnswer answers one request through a single-item AnswerBatch and
+// commits it with RunIncremental. A staging rejection is returned and
+// nothing commits.
+func commitAnswer(e *Engine, requestID string, values map[string]any) error {
+	b := e.NewAnswerBatch()
+	if err := b.Answer(requestID, values); err != nil {
+		return err
+	}
+	_, err := e.RunIncremental(b)
+	return err
+}
+
 // TestAnswerBatchErrorPaths checks that every malformed item is rejected
 // individually — unknown request id, missing open column, schema mismatch,
 // duplicate answer, non-open/unknown relation, arity mismatch — while the
@@ -113,8 +125,8 @@ func TestAnswerBatchCommitConflict(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Answer the first request directly, ahead of the batch.
-	if err := e.Answer(reqs[0].ID, map[string]any{"text": "direct"}); err != nil {
+	// Answer the first request through another batch, committed first.
+	if err := commitAnswer(e, reqs[0].ID, map[string]any{"text": "direct"}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := e.RunIncremental(b); err != nil {

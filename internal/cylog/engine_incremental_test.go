@@ -11,18 +11,35 @@ import (
 // TestEngineIncrementalDifferential is the differential quick-check of the
 // batched answer pipeline: across random edge/node sets and random answer
 // subsets, every round's facts and pending requests — committed through
-// RunIncremental or through Answer + Run, on every worker count of the
-// matrix — equal the reference's from-scratch fixpoint. Label answers shrink
-// unlabeled through its negation, so the same check is the retraction
-// differential, and the worker counts of the matrix make it the parallel
-// differential too.
+// RunIncremental or inserted as facts and derived by Run, on every worker
+// count of the matrix — equal the reference's from-scratch fixpoint. Label
+// answers shrink unlabeled through its negation, so the same check is the
+// retraction differential, and the worker counts of the matrix make it the
+// parallel differential too.
 func TestEngineIncrementalDifferential(t *testing.T) {
 	runDifferential(t, workload{program: cylog.IncrementalProgram, seed: seedGraph, answer: labelAnswer}, 3, 8)
 }
 
+// answerAsFact inserts the fact that answers r — its key values plus vals —
+// through AnswerFact, which closes r and derives nothing: the full commit
+// mode's ingestion, whose consequences the next Run derives.
+func answerAsFact(e *cylog.Engine, r cylog.OpenRequest, vals map[string]any) error {
+	key := r.Key()
+	decl := e.Analysis().Program.DeclarationFor(r.Relation)
+	values := make([]any, len(decl.Columns))
+	for i, col := range decl.Columns {
+		if v, ok := key[col.Name]; ok {
+			values[i] = v
+		} else {
+			values[i] = vals[col.Name]
+		}
+	}
+	return e.AnswerFact(r.Relation, values...)
+}
+
 // commitRound answers the requests through one of the two commit paths — a
-// batch committed by RunIncremental, or Answer calls followed by a full Run —
-// and returns the next pending requests.
+// batch committed by RunIncremental, or facts inserted by answerAsFact and
+// derived by a full Run — and returns the next pending requests.
 func commitRound(t *testing.T, e *cylog.Engine, incremental bool, reqs []cylog.OpenRequest, vals map[string]any) []cylog.OpenRequest {
 	t.Helper()
 	batch := e.NewAnswerBatch()
@@ -31,7 +48,7 @@ func commitRound(t *testing.T, e *cylog.Engine, incremental bool, reqs []cylog.O
 		if incremental {
 			err = batch.Answer(r.ID, vals)
 		} else {
-			err = e.Answer(r.ID, vals)
+			err = answerAsFact(e, r, vals)
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -147,8 +164,9 @@ func TestEngineIncrementalFallbacks(t *testing.T) {
 }
 
 // TestEngineIncrementalTracksAllIngestionPaths checks that facts landing via
-// AddFact, Answer and AnswerFact between fixpoints all seed the next
-// incremental run, which must then match the reference.
+// AddFact and AnswerFact between fixpoints, and the answers of the committed
+// batch, all seed the next incremental run, which must then match the
+// reference.
 func TestEngineIncrementalTracksAllIngestionPaths(t *testing.T) {
 	e, err := cylog.NewEngine(cylog.MustParse(cylog.IncrementalProgram))
 	if err != nil {
@@ -165,7 +183,8 @@ func TestEngineIncrementalTracksAllIngestionPaths(t *testing.T) {
 		t.Fatalf("requests = %v", reqs)
 	}
 	// One answer through each ingestion path, plus a fresh EDB fact.
-	if err := e.Answer(reqs[0].ID, map[string]any{"tag": "a"}); err != nil {
+	b := e.NewAnswerBatch()
+	if err := b.Answer(reqs[0].ID, map[string]any{"tag": "a"}); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.AnswerFact("label", 2, "b"); err != nil {
@@ -174,17 +193,17 @@ func TestEngineIncrementalTracksAllIngestionPaths(t *testing.T) {
 	if err := e.AddFact("edge", 3, 1); err != nil {
 		t.Fatal(err)
 	}
-	if got := e.StagedDeltas(); got != 3 {
-		t.Errorf("StagedDeltas = %d before the run, want 3", got)
+	if got := e.StagedDeltas(); got != 2 {
+		t.Errorf("StagedDeltas = %d before the run, want 2 (the batch's answer lands at commit)", got)
 	}
-	if _, err := e.RunIncremental(nil); err != nil {
+	if _, err := e.RunIncremental(b); err != nil {
 		t.Fatal(err)
 	}
 	if got := e.StagedDeltas(); got != 0 {
 		t.Errorf("StagedDeltas = %d after the run, want 0", got)
 	}
 	if s := e.Stats(); s.SeededDeltas != 3 {
-		t.Errorf("SeededDeltas = %d, want 3 (Answer + AnswerFact + AddFact)", s.SeededDeltas)
+		t.Errorf("SeededDeltas = %d, want 3 (batch answer + AnswerFact + AddFact)", s.SeededDeltas)
 	}
 	if len(e.Facts("labeled")) != 2 {
 		t.Errorf("labeled = %v", e.Facts("labeled"))

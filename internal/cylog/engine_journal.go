@@ -9,8 +9,9 @@ import (
 // Ingestion journal
 //
 // The engine's durable state is exactly the facts ingested from outside
-// evaluation: AddFact seeds, request answers, and whole-fact answers
-// (individually or through a committed AnswerBatch). Everything else — derived
+// evaluation: AddFact seeds, request answers (items of a committed
+// AnswerBatch), and whole-fact answers (AnswerFact, or items of a committed
+// AnswerBatch). Everything else — derived
 // relations, pending open requests — is a pure function of those facts, and
 // the incremental/retraction differential tests prove re-deriving equals the
 // original run. The journal records each *applied* ingestion operation (an
@@ -25,9 +26,8 @@ type OpKind uint8
 const (
 	// OpAddFact is an external fact ingested through Engine.AddFact.
 	OpAddFact OpKind = iota + 1
-	// OpAnswer is a reply to a specific open request (Engine.Answer or a
-	// request item of a committed AnswerBatch). RequestID records the request
-	// it closed.
+	// OpAnswer is a reply to a specific open request (a request item of a
+	// committed AnswerBatch). RequestID records the request it closed.
 	OpAnswer
 	// OpAnswerFact is a whole-fact answer to an open relation
 	// (Engine.AnswerFact or a fact item of a committed AnswerBatch).
@@ -69,13 +69,6 @@ func (e *Engine) SetJournaling(enabled bool) {
 	if !enabled {
 		e.journal = nil
 	}
-}
-
-// JournalingEnabled reports whether ingestion operations are being recorded.
-func (e *Engine) JournalingEnabled() bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.journaling
 }
 
 // DrainJournal returns the operations recorded since the last drain and

@@ -16,13 +16,10 @@ import (
 
 func TestJournalOffByDefault(t *testing.T) {
 	e, reqs := newWorkflowEngineWithRequests(t)
-	if e.JournalingEnabled() {
-		t.Fatal("journaling should be off by default")
-	}
 	if err := e.AddFact("sentence", 3, "Hi"); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Answer(reqs[0].ID, map[string]any{"text": "T"}); err != nil {
+	if err := commitAnswer(e, reqs[0].ID, map[string]any{"text": "T"}); err != nil {
 		t.Fatal(err)
 	}
 	if ops := e.DrainJournal(); len(ops) != 0 {
@@ -33,14 +30,11 @@ func TestJournalOffByDefault(t *testing.T) {
 func TestJournalRecordsEveryIngestionPath(t *testing.T) {
 	e, reqs := newWorkflowEngineWithRequests(t)
 	e.SetJournaling(true)
-	if !e.JournalingEnabled() {
-		t.Fatal("SetJournaling(true) did not stick")
-	}
 
 	if err := e.AddFact("sentence", 3, "Hi"); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Answer(reqs[0].ID, map[string]any{"text": "T1"}); err != nil {
+	if err := commitAnswer(e, reqs[0].ID, map[string]any{"text": "T1"}); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.AnswerFact("checked", 1, true); err != nil {

@@ -55,7 +55,13 @@ func TestRetractionStaleNegationRegression(t *testing.T) {
 				t.Fatalf("rejected = %v", e.Facts("rejected"))
 			}
 			reviewReq1 := "review|1"
-			reqs = commitRound(t, e, cfg.incremental, []cylog.OpenRequest{{ID: "approve|1"}}, map[string]any{"ok": true})
+			var approve1 []cylog.OpenRequest
+			for _, r := range reqs {
+				if r.ID == "approve|1" {
+					approve1 = append(approve1, r)
+				}
+			}
+			reqs = commitRound(t, e, cfg.incremental, approve1, map[string]any{"ok": true})
 
 			rejected := e.Facts("rejected")
 			if len(rejected) != 2 {
@@ -83,11 +89,11 @@ func TestRetractionStaleNegationRegression(t *testing.T) {
 			// A late answer to the withdrawn request reports the closed-request
 			// error, distinguishable from a genuinely unknown id — but still
 			// matches ErrUnknownRequest for older callers.
-			err = e.Answer(reviewReq1, map[string]any{"note": "late"})
+			err = e.NewAnswerBatch().Answer(reviewReq1, map[string]any{"note": "late"})
 			if !errors.Is(err, cylog.ErrRequestClosed) || !errors.Is(err, cylog.ErrUnknownRequest) {
 				t.Errorf("late answer to withdrawn request: %v", err)
 			}
-			if err := e.Answer("bogus|id", map[string]any{}); errors.Is(err, cylog.ErrRequestClosed) {
+			if err := e.NewAnswerBatch().Answer("bogus|id", map[string]any{}); errors.Is(err, cylog.ErrRequestClosed) {
 				t.Errorf("unknown id should not classify as closed: %v", err)
 			}
 		})

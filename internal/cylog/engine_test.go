@@ -142,14 +142,18 @@ func TestEngineSequentialWorkflowWithAnswers(t *testing.T) {
 	if len(reqs) != 2 {
 		t.Fatalf("round 1 requests = %v", reqs)
 	}
+	b := e.NewAnswerBatch()
 	for _, r := range reqs {
 		if r.Relation != "translated" {
 			t.Fatalf("round 1 should only request translations, got %v", r)
 		}
 		sid, _ := r.Key()["sid"].AsInt()
-		if err := e.Answer(r.ID, map[string]any{"text": fmt.Sprintf("T%d", sid)}); err != nil {
+		if err := b.Answer(r.ID, map[string]any{"text": fmt.Sprintf("T%d", sid)}); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if _, err := e.RunIncremental(b); err != nil {
+		t.Fatal(err)
 	}
 	// Round 2: translations exist, so check requests are generated
 	// (dynamically generated follow-up tasks — sequential collaboration).
@@ -160,13 +164,17 @@ func TestEngineSequentialWorkflowWithAnswers(t *testing.T) {
 	if len(reqs) != 2 {
 		t.Fatalf("round 2 requests = %v", reqs)
 	}
+	b = e.NewAnswerBatch()
 	for _, r := range reqs {
 		if r.Relation != "checked" {
 			t.Fatalf("round 2 should request checks, got %v", r)
 		}
-		if err := e.Answer(r.ID, map[string]any{"ok": true}); err != nil {
+		if err := b.Answer(r.ID, map[string]any{"ok": true}); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if _, err := e.RunIncremental(b); err != nil {
+		t.Fatal(err)
 	}
 	// Round 3: no requests remain and final/2 is derived for both sentences.
 	reqs, err = e.Run()
@@ -191,17 +199,17 @@ func TestEngineAnswerErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	reqs, _ := e.Run()
-	if err := e.Answer("nope", map[string]any{}); !errors.Is(err, ErrUnknownRequest) {
+	if err := commitAnswer(e, "nope", map[string]any{}); !errors.Is(err, ErrUnknownRequest) {
 		t.Errorf("unknown request: %v", err)
 	}
-	if err := e.Answer(reqs[0].ID, map[string]any{}); err == nil {
+	if err := commitAnswer(e, reqs[0].ID, map[string]any{}); err == nil {
 		t.Error("missing open column should fail")
 	}
-	if err := e.Answer(reqs[0].ID, map[string]any{"text": "ok"}); err != nil {
+	if err := commitAnswer(e, reqs[0].ID, map[string]any{"text": "ok"}); err != nil {
 		t.Errorf("valid answer failed: %v", err)
 	}
 	// Answering the same request twice fails (it is no longer pending).
-	if err := e.Answer(reqs[0].ID, map[string]any{"text": "again"}); !errors.Is(err, ErrUnknownRequest) {
+	if err := commitAnswer(e, reqs[0].ID, map[string]any{"text": "again"}); !errors.Is(err, ErrUnknownRequest) {
 		t.Errorf("second answer: %v", err)
 	}
 }
@@ -371,7 +379,9 @@ func TestEngineRequestDedupAcrossRuns(t *testing.T) {
 		t.Errorf("re-running without answers should not duplicate requests: %d vs %d", len(r1), len(r2))
 	}
 	// After answering, the request never reappears.
-	e.Answer(r1[0].ID, map[string]any{"text": "x"})
+	if err := commitAnswer(e, r1[0].ID, map[string]any{"text": "x"}); err != nil {
+		t.Fatal(err)
+	}
 	r3, _ := e.Run()
 	for _, r := range r3 {
 		if r.ID == r1[0].ID {

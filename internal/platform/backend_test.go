@@ -79,10 +79,10 @@ func backendFingerprint(e *cylog.Engine) string {
 }
 
 // driveBackendLoop runs the crowd loop on one storage configuration and
-// returns the per-round fingerprints. Each round commits through
-// GenerateTasksFromCyLog/SubmitResult — the same path the service layer uses,
-// so a disk-backed project exercises Maintain (eviction) at every commit —
-// and every commit must leave the facts and pending requests of the
+// returns the per-round fingerprints. GenerateTasksFromCyLog and every
+// SubmitResult commit through CommitRound — the commit the service layer
+// uses, so a disk-backed project exercises Maintain (eviction) at every
+// commit — and every round must leave the facts and pending requests of the
 // from-scratch reference.
 func driveBackendLoop(t *testing.T, storage StorageOptions, seed int64, edges int) []string {
 	t.Helper()

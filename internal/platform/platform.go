@@ -1,8 +1,9 @@
 // Package platform implements the Crowd4U orchestrator: it wires the CyLog
 // processor, the project manager, the worker manager, the task pool and the
 // task assignment controller together (Figure 2) and drives the deployment
-// process of Figure 1 — task decomposition, task assignment and task
-// completion with result coordination.
+// process of Figure 1 — task decomposition (CyLog rules generate the
+// micro-tasks), task assignment and task completion with result
+// coordination.
 //
 // The package is deliberately free of any web or simulation concerns: the web
 // UI (internal/webui) and the simulated crowd (internal/crowdsim) plug into it
@@ -12,7 +13,6 @@ package platform
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -72,9 +72,10 @@ type Platform struct {
 	// service.go for the round/sequence contract.
 	rounds    map[project.ID]*roundState
 	nextRound map[project.ID]uint64
-	// commits serializes each project's commit points (CommitRound end to
-	// end, SubmitResult's answer+persist). p.mu only guards map access and
-	// is dropped during the fixpoint and WAL writes; without this lock two
+	// commits serializes each project's commits (CommitRound end to end,
+	// whoever calls it: the deriver, SubmitResult, GenerateTasksFromCyLog or
+	// the API's fixpoint endpoint). p.mu only guards map access and is
+	// dropped during the fixpoint and WAL writes; without this lock two
 	// concurrent commits could publish their round-stamped "fixpoint" events
 	// out of order (breaking the round contract in service.go) and race into
 	// the project's WAL. Created lazily per project under p.mu.
@@ -246,47 +247,6 @@ func (p *Platform) SetAssignmentAlgorithm(name string) error {
 	}
 	p.Controller.SetAlgorithm(algo)
 	return nil
-}
-
-// AddComplexTask registers a complex task for the project and decomposes it
-// into micro-tasks with the given decomposer (Figure 1, first step). The
-// parent task is recorded for provenance but only the micro-tasks enter the
-// open pool. It returns the micro-tasks.
-func (p *Platform) AddComplexTask(projectID project.ID, parent *task.Task, d task.Decomposer) ([]*task.Task, error) {
-	admin, ok := p.Projects.Get(projectID)
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", project.ErrUnknownProject, projectID)
-	}
-	parent.ProjectID = string(projectID)
-	if parent.ID == "" {
-		parent.ID = p.Tasks.NextID("complex")
-	}
-	if err := p.Tasks.Register(parent); err != nil {
-		return nil, err
-	}
-	micro, err := d.Decompose(parent, func() task.ID { return p.Tasks.NextID("micro") })
-	if err != nil {
-		return nil, err
-	}
-	now := p.now()
-	for _, m := range micro {
-		// Micro-tasks inherit the project's desired human factors unless the
-		// decomposer already set stricter ones.
-		if m.Constraints.RecruitmentDeadline.IsZero() {
-			c := admin.TaskConstraints(now)
-			region := m.Constraints.Region
-			m.Constraints = c
-			if region != "" {
-				m.Constraints.Region = region
-			}
-		}
-		if err := p.registerTask(projectID, m); err != nil {
-			return nil, err
-		}
-	}
-	// The parent itself is not assignable; mark it assigned-for-tracking.
-	parent.SetState(task.StateInProgress) //nolint:errcheck // fresh task, transition cannot fail
-	return micro, nil
 }
 
 // AddTask registers a single ready-made task for the project.
@@ -552,19 +512,25 @@ func (p *Platform) ExecuteInProgress(io collab.WorkerIO) ([]*task.Task, error) {
 	return completed, nil
 }
 
+// ErrAnswerRejected reports a task result the project's CyLog engine refused
+// to stage for the request that generated the task: a value the relation's
+// schema rejects, a missing open column, or a request id the engine never
+// issued. The error it wraps says which.
+var ErrAnswerRejected = errors.New("platform: answer rejected")
+
 // feedResultToCyLog stages the completed task's answer — for the open request
-// that generated it, if any — into the project's current answer batch. The
-// batch is created lazily per round and committed by the next
-// GenerateTasksFromCyLog through RunIncremental, so a whole round of crowd
-// answers is ingested as one delta-seeded fixpoint.
+// that generated it, if any — into the project's current answer round
+// through StageAnswer, the one way an answer enters an engine. The next
+// CommitRound (GenerateTasksFromCyLog's, SubmitResult's or the API
+// deriver's) commits the round through RunIncremental, so a whole round of
+// crowd answers is ingested as one delta-seeded fixpoint.
 //
 // Only requests that legitimately no longer accept an answer — already
 // answered through another path, withdrawn by retraction, or answered twice
 // within the round — are skipped (and recorded as "cylog-answer-skipped");
 // any other rejection (schema/type mismatch, missing open column, an id the
-// engine never issued) is a platform bug: it is recorded as
-// "cylog-answer-error" and returned to the caller instead of being silently
-// swallowed.
+// engine never issued) is recorded as "cylog-answer-error" and returned to
+// the caller as ErrAnswerRejected instead of being silently swallowed.
 func (p *Platform) feedResultToCyLog(t *task.Task, result *task.Result) error {
 	p.mu.Lock()
 	ref, ok := p.taskRequest[t.ID]
@@ -586,55 +552,45 @@ func (p *Platform) feedResultToCyLog(t *task.Task, result *task.Result) error {
 		return nil
 	default:
 		p.record(Event{Kind: "cylog-answer-error", Project: ref.project, Task: t.ID, Message: err.Error()})
-		return fmt.Errorf("platform: feeding result of task %s to CyLog: %w", t.ID, err)
+		return fmt.Errorf("%w: task %s: %w", ErrAnswerRejected, t.ID, err)
 	}
 }
 
-// SubmitResult completes a task with a single out-of-band result (e.g. an
-// individual form submission) and, when the task was generated from a CyLog
-// open request, feeds the answer to the engine immediately through the
-// per-answer path — a lone submission does not open a batch round; the
-// staged fact seeds the next incremental run either way. Closed or withdrawn
-// requests are skipped like in the batched path; hard rejections fail the
-// submission after recording a "cylog-answer-error" event.
+// SubmitResult completes a task with a single out-of-band result (e.g. a
+// worker's form submission). When the task was generated from a CyLog open
+// request, the answer is staged through feedResultToCyLog before the task is
+// completed, so an answer the engine rejects (ErrAnswerRejected) leaves the
+// task open; the project's round is then committed, so SubmitResult returns
+// only once the answer is derived and, with a WAL attached, durable. (When a
+// concurrent commit detached the round first, CommitRound waits for that
+// commit on the project's commit lock.) Closed or withdrawn requests are
+// skipped as in the batched path. A task that is already completed, expired
+// or cancelled fails with task.ErrClosed.
 func (p *Platform) SubmitResult(taskID task.ID, result *task.Result) error {
 	t, ok := p.Tasks.Get(taskID)
 	if !ok {
 		return fmt.Errorf("platform: unknown task %s", taskID)
 	}
+	// Checked before staging too, so that a submission to an expired task
+	// whose request is still pending stages nothing.
+	if st := t.State(); st.Terminal() {
+		return fmt.Errorf("%w: task %s is %s", task.ErrClosed, taskID, st)
+	}
+	if err := p.feedResultToCyLog(t, result); err != nil {
+		return err
+	}
 	if err := t.Complete(result); err != nil {
 		return err
 	}
-	p.mu.Lock()
-	ref, mapped := p.taskRequest[taskID]
-	eng := p.engines[ref.project]
-	p.mu.Unlock()
 	p.record(Event{Kind: "task-completed", Project: project.ID(t.ProjectID), Task: taskID,
 		Message: "single submission by " + result.SubmittedBy})
-	if !mapped || eng == nil {
+	p.mu.Lock()
+	ref, mapped := p.taskRequest[taskID]
+	p.mu.Unlock()
+	if !mapped {
 		return nil
 	}
-	// A lone submission is its own commit point: it takes the project's
-	// commit mutex so the answer's journal entry and its WAL append cannot
-	// interleave with a concurrent CommitRound's persist, and the answer is
-	// persisted before the submission is acknowledged.
-	cl := p.commitLock(ref.project)
-	cl.Lock()
-	defer cl.Unlock()
-	if err := eng.Answer(ref.request.ID, answerFields(ref.request, result)); err != nil {
-		if errors.Is(err, cylog.ErrRequestClosed) {
-			p.record(Event{Kind: "cylog-answer-skipped", Project: ref.project, Task: taskID, Message: err.Error()})
-			return nil
-		}
-		p.record(Event{Kind: "cylog-answer-error", Project: ref.project, Task: taskID, Message: err.Error()})
-		return fmt.Errorf("platform: feeding result of task %s to CyLog: %w", taskID, err)
-	}
-	err := p.persistRound(ref.project, eng)
-	// The answer is a staged delta of the engine now (unless no fixpoint has
-	// run yet); the deriver's commit derives it once this lock is released.
-	if eng.StagedDeltas() > 0 {
-		p.signalStaged()
-	}
+	_, err := p.CommitRound(ref.project)
 	return err
 }
 
@@ -749,40 +705,6 @@ func (p *Platform) RunCycle(crowd Crowd) (CycleReport, error) {
 	report.InfeasibleTasks = p.infeasibleTasks
 	p.mu.Unlock()
 	return report, nil
-}
-
-// RunUntilQuiescent repeatedly runs deployment cycles until a cycle generates,
-// assigns and completes nothing (or maxCycles is hit). It returns the
-// per-cycle reports.
-func (p *Platform) RunUntilQuiescent(crowd Crowd, maxCycles int) ([]CycleReport, error) {
-	if maxCycles <= 0 {
-		maxCycles = 50
-	}
-	var reports []CycleReport
-	for i := 0; i < maxCycles; i++ {
-		r, err := p.RunCycle(crowd)
-		if err != nil {
-			return reports, err
-		}
-		reports = append(reports, r)
-		if r.GeneratedTasks == 0 && r.AssignedTasks == 0 && r.StartedTasks == 0 && r.CompletedTasks == 0 {
-			break
-		}
-	}
-	return reports, nil
-}
-
-// CompletedResults returns the recorded results of all completed tasks of a
-// project, ordered by task id.
-func (p *Platform) CompletedResults(projectID project.ID) []*task.Result {
-	var out []*task.Result
-	for _, t := range p.Tasks.ByProject(string(projectID)) {
-		if t.State() == task.StateCompleted && t.Result() != nil {
-			out = append(out, t.Result())
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].TaskID < out[j].TaskID })
-	return out
 }
 
 func mean(xs []float64) float64 {

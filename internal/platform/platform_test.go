@@ -2,12 +2,14 @@ package platform
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
 
 	"github.com/crowd4u/crowd4u-go/internal/assign"
 	"github.com/crowd4u/crowd4u-go/internal/crowdsim"
+	"github.com/crowd4u/crowd4u-go/internal/cylog"
 	"github.com/crowd4u/crowd4u-go/internal/project"
 	"github.com/crowd4u/crowd4u-go/internal/task"
 	"github.com/crowd4u/crowd4u-go/internal/worker"
@@ -205,41 +207,6 @@ func TestEligibilityRule(t *testing.T) {
 	}
 }
 
-func TestAddComplexTaskDecomposes(t *testing.T) {
-	p, _ := newPlatformWithCrowd(t, 10)
-	admin, _ := p.RegisterProject(project.Description{
-		Name:   "Citizen journalism",
-		Scheme: task.Simultaneous,
-		Factors: project.DesiredFactors{
-			Constraints: task.Constraints{UpperCriticalMass: 4, MinTeamSize: 2, RequiredSkill: "journalism", MinSkill: 0.3},
-		},
-	})
-	parent := task.NewTask("", string(admin.Description.ID), "Report on the festival", task.Simultaneous, task.Constraints{})
-	parent.Input["topic"] = "city festival"
-	parent.Input["sections"] = "intro,main,interviews"
-	micro, err := p.AddComplexTask(admin.Description.ID, parent, task.SectionDecomposer{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(micro) != 3 {
-		t.Fatalf("micro-tasks = %d", len(micro))
-	}
-	if p.Tasks.Len() != 4 { // parent + 3 micro
-		t.Errorf("pool size = %d", p.Tasks.Len())
-	}
-	for _, m := range micro {
-		if m.Constraints.UpperCriticalMass != 4 || m.Constraints.RequiredSkill != "journalism" {
-			t.Errorf("micro constraints not inherited: %+v", m.Constraints)
-		}
-	}
-	if parent.State() == task.StateOpen {
-		t.Error("parent should not remain open for assignment")
-	}
-	if _, err := p.AddComplexTask("nope", parent, task.SectionDecomposer{}); err == nil {
-		t.Error("unknown project should fail")
-	}
-}
-
 func TestAddTaskAndAssignmentAlgorithm(t *testing.T) {
 	p, _ := newPlatformWithCrowd(t, 10)
 	admin, _ := p.RegisterProject(project.Description{Name: "simple"})
@@ -270,9 +237,18 @@ func TestFullTranslationCycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reports, err := p.RunUntilQuiescent(crowd, 10)
-	if err != nil {
-		t.Fatal(err)
+	// Run deployment cycles until one generates, assigns, starts and
+	// completes nothing.
+	var reports []CycleReport
+	for len(reports) < 10 {
+		r, err := p.RunCycle(crowd)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reports = append(reports, r)
+		if r.GeneratedTasks == 0 && r.AssignedTasks == 0 && r.StartedTasks == 0 && r.CompletedTasks == 0 {
+			break
+		}
 	}
 	if len(reports) < 2 {
 		t.Fatalf("expected at least 2 cycles (translate then check), got %d", len(reports))
@@ -299,9 +275,14 @@ func TestFullTranslationCycle(t *testing.T) {
 	if got := len(eng.Facts("checked")); got != 2 {
 		t.Errorf("checked facts = %d", got)
 	}
-	results := p.CompletedResults(admin.Description.ID)
-	if len(results) < 4 { // 2 translation tasks + 2 check tasks
-		t.Errorf("completed results = %d", len(results))
+	completed := 0
+	for _, tk := range p.Tasks.ByProject(string(admin.Description.ID)) {
+		if tk.State() == task.StateCompleted && tk.Result() != nil {
+			completed++
+		}
+	}
+	if completed < 4 { // 2 translation tasks + 2 check tasks
+		t.Errorf("completed tasks with results = %d", completed)
 	}
 	// Workers learned skills from completing tasks.
 	learned := false
@@ -479,6 +460,16 @@ func TestBatchedAnswerRound(t *testing.T) {
 	}
 }
 
+// ratingCyLog asks for one int-typed answer, so a non-numeric value is one
+// the engine rejects.
+const ratingCyLog = `
+rel item(sid: int).
+open rel rating(sid: int, score: int) key(sid) asks "Rate this item".
+rel rated(sid: int, score: int).
+item(1).
+rated(S, R) :- item(S), rating(S, R).
+`
+
 // TestFeedResultErrorSurfaced pins the error contract of the answer feed:
 // benign rejections (request already closed) are skipped with an event, but
 // a type-mismatched answer — a platform bug — is surfaced to the caller and
@@ -486,13 +477,7 @@ func TestBatchedAnswerRound(t *testing.T) {
 func TestFeedResultErrorSurfaced(t *testing.T) {
 	p, _ := newPlatformWithCrowd(t, 10)
 	d := translationProject()
-	d.CyLogSource = `
-rel item(sid: int).
-open rel rating(sid: int, score: int) key(sid) asks "Rate this item".
-rel rated(sid: int, score: int).
-item(1).
-rated(S, R) :- item(S), rating(S, R).
-`
+	d.CyLogSource = ratingCyLog
 	admin, err := p.RegisterProject(d)
 	if err != nil {
 		t.Fatal(err)
@@ -532,9 +517,9 @@ rated(S, R) :- item(S), rating(S, R).
 	}
 }
 
-// TestSubmitResultSingle covers the per-answer path kept for lone
-// submissions: the result completes the task and reaches the engine
-// immediately, without opening a batch round.
+// TestSubmitResultSingle covers a lone submission: the result completes the
+// task, and its answer is staged and committed before SubmitResult returns,
+// so the answer is derived and its follow-up request already pending.
 func TestSubmitResultSingle(t *testing.T) {
 	p, _ := newPlatformWithCrowd(t, 10)
 	admin, _ := p.RegisterProject(translationProject())
@@ -550,16 +535,159 @@ func TestSubmitResultSingle(t *testing.T) {
 	}
 	eng := p.Engine(id)
 	if got := len(eng.Facts("translated")); got != 1 {
-		t.Fatalf("translated = %d, want 1 (per-answer path ingests immediately)", got)
+		t.Fatalf("translated = %d, want 1 (SubmitResult commits its round)", got)
 	}
-	if got := len(eng.PendingRequests()); got != 1 {
-		t.Fatalf("pending = %d, want 1", got)
+	// translated|2 and the check the answer derived, checked|1.
+	var pending []string
+	for _, r := range eng.PendingRequests() {
+		pending = append(pending, r.ID)
+	}
+	if got := fmt.Sprint(pending); got != "[checked|1 translated|2]" {
+		t.Fatalf("pending = %s, want [checked|1 translated|2]", got)
 	}
 	if created[0].State() != task.StateCompleted {
 		t.Errorf("task state = %v", created[0].State())
 	}
+	if err := p.SubmitResult(created[0].ID, &task.Result{Fields: map[string]string{"text": "Salut"}}); !errors.Is(err, task.ErrClosed) {
+		t.Errorf("second submission = %v, want task.ErrClosed", err)
+	}
 	if err := p.SubmitResult("nope", &task.Result{}); err == nil {
 		t.Error("unknown task should fail")
+	}
+}
+
+// pendingIDs lists the engine's pending request ids in ID order.
+func pendingIDs(e *cylog.Engine) string {
+	var ids []string
+	for _, r := range e.PendingRequests() {
+		ids = append(ids, r.ID)
+	}
+	return fmt.Sprint(ids)
+}
+
+// TestSubmitResultRejectedAnswerLeavesTaskOpen pins the order SubmitResult
+// works in: the answer is staged before the task completes, so a value the
+// column type rejects fails with ErrAnswerRejected, stages nothing and leaves
+// the task open, and a valid answer sent afterwards completes it.
+func TestSubmitResultRejectedAnswerLeavesTaskOpen(t *testing.T) {
+	p, _ := newPlatformWithCrowd(t, 10)
+	d := translationProject()
+	d.CyLogSource = ratingCyLog
+	admin, err := p.RegisterProject(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := admin.Description.ID
+	created, err := p.GenerateTasksFromCyLog(id)
+	if err != nil || len(created) != 1 {
+		t.Fatalf("created = %v, err = %v", created, err)
+	}
+	tk := created[0]
+	err = p.SubmitResult(tk.ID, &task.Result{SubmittedBy: "w1", Fields: map[string]string{"score": "five"}, Quality: 1})
+	if !errors.Is(err, ErrAnswerRejected) {
+		t.Fatalf("text for an int column = %v, want ErrAnswerRejected", err)
+	}
+	if tk.State() != task.StateOpen {
+		t.Fatalf("rejected answer moved the task to %v", tk.State())
+	}
+	if n := p.StagedAnswers(id); n != 0 {
+		t.Errorf("rejected answer left %d staged", n)
+	}
+	eng := p.Engine(id)
+	if got := pendingIDs(eng); got != "[rating|1]" {
+		t.Errorf("pending after a rejected answer = %s, want [rating|1]", got)
+	}
+	if err := p.SubmitResult(tk.ID, &task.Result{SubmittedBy: "w1", Fields: map[string]string{"score": "5"}, Quality: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprint(eng.Facts("rated")); got != "[(1, 5)]" {
+		t.Errorf("rated = %s, want [(1, 5)]", got)
+	}
+	if tk.State() != task.StateCompleted {
+		t.Errorf("task state = %v", tk.State())
+	}
+	if got := pendingIDs(eng); got != "[]" {
+		t.Errorf("pending after the valid answer = %s, want none", got)
+	}
+}
+
+// TestSubmitResultToExpiredTaskStagesNothing submits to a task whose
+// recruitment deadline passed while its request is still pending: the
+// submission fails with task.ErrClosed before anything is staged, so the
+// next commit derives nothing and the request stays pending.
+func TestSubmitResultToExpiredTaskStagesNothing(t *testing.T) {
+	p, _ := newPlatformWithCrowd(t, 10)
+	now := time.Date(2016, 9, 5, 9, 0, 0, 0, time.UTC)
+	p.SetClock(func() time.Time { return now })
+	admin, _ := p.RegisterProject(translationProject())
+	id := admin.Description.ID
+	created, err := p.GenerateTasksFromCyLog(id)
+	if err != nil || len(created) != 2 {
+		t.Fatalf("created = %v, err = %v", created, err)
+	}
+	// Past the 1h recruitment window, with nobody assigned.
+	p.SetClock(func() time.Time { return now.Add(2 * time.Hour) })
+	p.SweepDeadlines()
+	tk := created[0]
+	if tk.State() != task.StateExpired {
+		t.Fatalf("task state after the sweep = %v, want expired", tk.State())
+	}
+	err = p.SubmitResult(tk.ID, &task.Result{SubmittedBy: "w1", Fields: map[string]string{"text": "Bonjour"}, Quality: 1})
+	if !errors.Is(err, task.ErrClosed) {
+		t.Fatalf("submission to an expired task = %v, want task.ErrClosed", err)
+	}
+	if n := p.StagedAnswers(id); n != 0 {
+		t.Errorf("submission to an expired task staged %d answers", n)
+	}
+	if _, err := p.CommitRound(id); err != nil {
+		t.Fatal(err)
+	}
+	eng := p.Engine(id)
+	if got := len(eng.Facts("translated")); got != 0 {
+		t.Errorf("translated = %d, want 0", got)
+	}
+	if got := pendingIDs(eng); got != "[translated|1 translated|2]" {
+		t.Errorf("pending = %s, want [translated|1 translated|2]", got)
+	}
+}
+
+// TestSubmitResultCommitsTheStagedRound: SubmitResult commits the project's
+// whole staging round in one commit, so an answer SubmitResultBatched staged
+// earlier is derived together with its own.
+func TestSubmitResultCommitsTheStagedRound(t *testing.T) {
+	p, _ := newPlatformWithCrowd(t, 10)
+	admin, _ := p.RegisterProject(translationProject())
+	id := admin.Description.ID
+	created, err := p.GenerateTasksFromCyLog(id)
+	if err != nil || len(created) != 2 {
+		t.Fatalf("created = %v, err = %v", created, err)
+	}
+	if err := p.SubmitResultBatched(created[0].ID, &task.Result{
+		SubmittedBy: "w1", Fields: map[string]string{"text": "Bonjour"}, Quality: 1,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if n := p.StagedAnswers(id); n != 1 {
+		t.Fatalf("staged after the batched submission = %d, want 1", n)
+	}
+	round := p.NextRound(id)
+	if err := p.SubmitResult(created[1].ID, &task.Result{
+		SubmittedBy: "w2", Fields: map[string]string{"text": "A demain"}, Quality: 1,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if got := p.NextRound(id) - round; got != 1 {
+		t.Errorf("SubmitResult committed %d rounds, want 1", got)
+	}
+	if n := p.StagedAnswers(id); n != 0 {
+		t.Errorf("staged after SubmitResult = %d, want 0", n)
+	}
+	eng := p.Engine(id)
+	if got := fmt.Sprint(eng.Facts("translated")); got != `[(1, "Bonjour") (2, "A demain")]` {
+		t.Errorf("translated = %s, want both answers", got)
+	}
+	if got := pendingIDs(eng); got != "[checked|1 checked|2]" {
+		t.Errorf("pending = %s, want [checked|1 checked|2]", got)
 	}
 }
 

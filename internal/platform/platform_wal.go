@@ -10,11 +10,11 @@ import (
 )
 
 // Durable answer log wiring. A project with an attached WAL journals every
-// ingestion its engine applies (AddFact seeds, single answers, committed
-// batch rounds) and the platform persists the journal at each commit point —
-// GenerateTasksFromCyLog after committing a round's batch, SubmitResult after
-// a single answer — before the resulting tasks are handed out or the
-// submission is acknowledged. Crashing between rounds therefore loses at most
+// ingestion its engine applies (AddFact seeds and committed answer rounds)
+// and the platform persists the journal in CommitRound, the one commit
+// point, before the round is acknowledged: before GenerateTasksFromCyLog
+// hands out the tasks derived from it and before SubmitResult acknowledges
+// the submission it covers. Crashing between rounds therefore loses at most
 // answers the WAL never acknowledged, and recovery re-issues exactly the
 // requests those answers would have closed.
 
@@ -131,12 +131,12 @@ func (p *Platform) persistRound(projectID project.ID, eng *cylog.Engine) error {
 	return nil
 }
 
-// SubmitResultBatched completes a task like SubmitResult but stages the
-// answer into the project's current round batch instead of ingesting it
-// immediately: the answer commits — and becomes durable — with the rest of
-// the round at the next GenerateTasksFromCyLog. It is the out-of-band twin of
-// the collaborative execution path, for callers that collect submissions
-// between rounds.
+// SubmitResultBatched completes a task like SubmitResult but does not commit
+// the round it stages the answer into: the answer commits — and becomes
+// durable — with the rest of the round at the next CommitRound (the next
+// GenerateTasksFromCyLog, for one). It is the out-of-band twin of the
+// collaborative execution path, for callers that collect submissions between
+// rounds.
 func (p *Platform) SubmitResultBatched(taskID task.ID, result *task.Result) error {
 	t, ok := p.Tasks.Get(taskID)
 	if !ok {

@@ -87,9 +87,6 @@ func TestAttachWALPersistsRounds(t *testing.T) {
 	if err := p.AttachWAL(id, l, 0); err != nil {
 		t.Fatal(err)
 	}
-	if !p.Engine(id).JournalingEnabled() {
-		t.Fatal("AttachWAL must enable engine journaling")
-	}
 
 	// Drive rounds until quiescent: translate both sentences, then check both.
 	for rounds := 0; rounds < 5; rounds++ {
@@ -106,7 +103,7 @@ func TestAttachWALPersistsRounds(t *testing.T) {
 	}
 	st, ok := p.WALStats(id)
 	if !ok || st.Appends == 0 || st.AppendedOps == 0 {
-		t.Fatalf("WAL saw no appends: %+v (ok=%v)", st, ok)
+		t.Fatalf("WAL saw no appends (AttachWAL must enable engine journaling): %+v (ok=%v)", st, ok)
 	}
 	kinds := eventKinds(p)
 	if kinds["wal-append"] != st.Appends {
@@ -137,8 +134,16 @@ func TestAttachWALPersistsRounds(t *testing.T) {
 	if got, want := engineFingerprint(p2.Engine(admin2.Description.ID)), engineFingerprint(live); got != want {
 		t.Fatalf("recovered engine differs:\n got %s\nwant %s", got, want)
 	}
-	if !p2.Engine(admin2.Description.ID).JournalingEnabled() {
-		t.Fatal("RecoverProject must leave journaling enabled for the next epoch")
+	// Journaling stays on for the next epoch: an ingestion after recovery
+	// reaches the log at the next commit.
+	if err := p2.AddFact(admin2.Description.ID, "sentence", 3, "Good night"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p2.CommitRound(admin2.Description.ID); err != nil {
+		t.Fatal(err)
+	}
+	if st, _ := p2.WALStats(admin2.Description.ID); st.Appends != 1 {
+		t.Fatalf("WAL appends after recovery and one ingestion = %d, want 1 (RecoverProject must leave journaling enabled)", st.Appends)
 	}
 	if eventKinds(p2)["wal-recovered"] != 1 {
 		t.Fatalf("events = %v, want one wal-recovered", eventKinds(p2))
@@ -336,6 +341,63 @@ labeled(I) :- item(I), label(I, true).
 		t.Fatal(err)
 	}
 	if got, want := engineFingerprint(p2.Engine(admin2.Description.ID)), engineFingerprint(eng); got != want {
+		t.Fatalf("recovered engine differs:\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestSubmitResultDurableOnReturn: with a WAL attached, SubmitResult returns
+// only once its round is appended, so a log closed right after the call
+// recovers the answer and the check it derived, with no later commit.
+func TestSubmitResultDurableOnReturn(t *testing.T) {
+	p, _ := newPlatformWithCrowd(t, 10)
+	admin, err := p.RegisterProject(translationProject())
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := admin.Description.ID
+	dir := t.TempDir()
+	l, err := wal.Open(dir, wal.Options{Policy: wal.SyncOff})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.AttachWAL(id, l, 0); err != nil {
+		t.Fatal(err)
+	}
+	created, err := p.GenerateTasksFromCyLog(id)
+	if err != nil || len(created) != 2 {
+		t.Fatalf("created = %v, err = %v", created, err)
+	}
+	before, _ := p.WALStats(id)
+	if err := p.SubmitResult(created[0].ID, &task.Result{
+		SubmittedBy: "w1", Fields: map[string]string{"text": "Bonjour"}, Quality: 1,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if after, _ := p.WALStats(id); after.Appends != before.Appends+1 {
+		t.Fatalf("WAL appends across SubmitResult = %d, want 1", after.Appends-before.Appends)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	p2, _ := newPlatformWithCrowd(t, 10)
+	admin2, err := p2.RegisterProject(translationProject())
+	if err != nil {
+		t.Fatal(err)
+	}
+	l2, err := wal.Open(dir, wal.Options{Policy: wal.SyncOff})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l2.Close()
+	if _, err := p2.RecoverProject(admin2.Description.ID, l2, 0); err != nil {
+		t.Fatal(err)
+	}
+	recovered := p2.Engine(admin2.Description.ID)
+	if got := fmt.Sprint(recovered.Facts("translated")); got != `[(1, "Bonjour")]` {
+		t.Fatalf("recovered translated = %s, want the submitted answer", got)
+	}
+	if got, want := engineFingerprint(recovered), engineFingerprint(p.Engine(id)); got != want {
 		t.Fatalf("recovered engine differs:\n got %s\nwant %s", got, want)
 	}
 }

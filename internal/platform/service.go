@@ -149,12 +149,12 @@ func (p *Platform) AddFact(projectID project.ID, relation string, values ...any)
 
 // Staged returns the channel a deriver waits on: it receives a value after
 // work is left for CommitRound — an answer or fact staged into a round
-// (StageAnswer, StageFact), a fact ingested into an engine (AddFact), or an
-// answer applied by SubmitResult. The channel holds at most one signal and
-// senders never block, so signals coalesce: a deriver that receives one and
-// then commits every project with staged work misses nothing, because work
-// staged after it looked signals again. One deriver per platform should
-// receive from it; a second would take signals meant for the first.
+// (StageAnswer, StageFact) or a fact ingested into an engine (AddFact). The
+// channel holds at most one signal and senders never block, so signals
+// coalesce: a deriver that receives one and then commits every project with
+// staged work misses nothing, because work staged after it looked signals
+// again. One deriver per platform should receive from it; a second would take
+// signals meant for the first.
 func (p *Platform) Staged() <-chan struct{} { return p.staged }
 
 // signalStaged records that work was left for CommitRound; see Staged.

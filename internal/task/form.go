@@ -112,12 +112,6 @@ func (f Form) Validate(answer map[string]string) error {
 	return nil
 }
 
-// TextForm builds a form with a single required textarea named "text"; the
-// most common micro-task form (transcribe, translate, write a paragraph).
-func TextForm(label string) Form {
-	return Form{Fields: []Field{{Name: "text", Label: label, Kind: FieldTextArea, Required: true}}}
-}
-
 // ConfirmForm builds a yes/no verification form, used by check/verify steps
 // and by the testimonial-confirmation tasks of the surveillance scenario.
 func ConfirmForm(question string) Form {

@@ -1,7 +1,7 @@
 // Package task defines Crowd4U tasks and micro-tasks, the task pool the CyLog
-// processor registers tasks into (Figure 2), task states and deadlines, the
-// form schema backing the form-based task UI, and task decomposition —
-// splitting a complex input task into micro-tasks (Figure 1, first step).
+// processor registers tasks into (Figure 2), task states and deadlines, and
+// the form schema backing the form-based task UI. Task decomposition (Figure
+// 1, first step) is left to CyLog rules, which generate the micro-tasks.
 package task
 
 import (
@@ -148,9 +148,9 @@ func (c Constraints) Normalize() Constraints {
 	return c
 }
 
-// Task is a unit of work registered in the task pool. A Task may be a complex
-// task (to be decomposed) or a micro-task produced by decomposition or by the
-// CyLog processor's dynamic task generation.
+// Task is a unit of work registered in the task pool: a micro-task the CyLog
+// processor generated from an open request, or a ready-made task a requester
+// registered.
 type Task struct {
 	ID          ID
 	ProjectID   string
@@ -163,10 +163,6 @@ type Task struct {
 	// Input carries task-specific payload (e.g. the sentence to translate,
 	// the topic to report on, the region/time cell to surveil).
 	Input map[string]string
-	// ParentID links a micro-task to the complex task it was derived from.
-	ParentID ID
-	// Sequence orders sibling micro-tasks produced by decomposition.
-	Sequence int
 	// GeneratedBy records which rule or coordination step created the task
 	// dynamically ("" for requester-registered tasks).
 	GeneratedBy string
@@ -230,12 +226,17 @@ func (t *Task) Result() *Result {
 	return t.result
 }
 
-// Complete records the result and moves the task to StateCompleted.
+// ErrClosed reports a result for a task that is already completed, expired or
+// cancelled.
+var ErrClosed = errors.New("task: already closed")
+
+// Complete records the result and moves the task to StateCompleted; a task
+// in a terminal state fails with ErrClosed.
 func (t *Task) Complete(r *Result) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.state.Terminal() {
-		return fmt.Errorf("task %s: already %s", t.ID, t.state)
+		return fmt.Errorf("%w: task %s is %s", ErrClosed, t.ID, t.state)
 	}
 	if r == nil {
 		return errors.New("task: nil result")
@@ -263,9 +264,8 @@ func (t *Task) Clone() *Task {
 	c := &Task{
 		ID: t.ID, ProjectID: t.ProjectID, Title: t.Title, Description: t.Description,
 		Scheme: t.Scheme, Constraints: t.Constraints, Form: t.Form.Clone(),
-		Input: make(map[string]string, len(t.Input)), ParentID: t.ParentID,
-		Sequence: t.Sequence, GeneratedBy: t.GeneratedBy, CreatedAt: t.CreatedAt,
-		state: t.state, result: t.result,
+		Input: make(map[string]string, len(t.Input)), GeneratedBy: t.GeneratedBy,
+		CreatedAt: t.CreatedAt, state: t.state, result: t.result,
 	}
 	for k, v := range t.Input {
 		c.Input[k] = v
@@ -371,24 +371,6 @@ func (p *Pool) ByProject(projectID string) []*Task {
 			out = append(out, t)
 		}
 	}
-	return out
-}
-
-// Children returns the micro-tasks derived from the given parent, ordered by
-// Sequence then id.
-func (p *Pool) Children(parent ID) []*Task {
-	var out []*Task
-	for _, t := range p.All() {
-		if t.ParentID == parent {
-			out = append(out, t)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Sequence != out[j].Sequence {
-			return out[i].Sequence < out[j].Sequence
-		}
-		return out[i].ID < out[j].ID
-	})
 	return out
 }
 

@@ -192,8 +192,6 @@ func TestPoolQueries(t *testing.T) {
 	p.Register(parent)
 	for i := 0; i < 3; i++ {
 		c := NewTask(ID(fmt.Sprintf("child-%d", 2-i)), "p1", "part", Simultaneous, Constraints{})
-		c.ParentID = "parent"
-		c.Sequence = 2 - i
 		p.Register(c)
 	}
 	other := NewTask("other", "p2", "x", Individual, Constraints{})
@@ -202,10 +200,6 @@ func TestPoolQueries(t *testing.T) {
 
 	if got := p.ByProject("p1"); len(got) != 4 {
 		t.Errorf("ByProject(p1) = %d tasks", len(got))
-	}
-	children := p.Children("parent")
-	if len(children) != 3 || children[0].Sequence != 0 || children[2].Sequence != 2 {
-		t.Errorf("Children order wrong: %v", children)
 	}
 	if got := p.InState(StateOpen); len(got) != 4 {
 		t.Errorf("InState(open) = %d", len(got))
@@ -301,171 +295,8 @@ func TestFormHelpers(t *testing.T) {
 	}
 }
 
-func TestSplitSentences(t *testing.T) {
-	got := SplitSentences("Hello world. How are you?  Fine!\nNew line one\n\n")
-	want := []string{"Hello world.", "How are you?", "Fine!", "New line one"}
-	if len(got) != len(want) {
-		t.Fatalf("SplitSentences = %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("sentence %d = %q, want %q", i, got[i], want[i])
-		}
-	}
-	if len(SplitSentences("   ")) != 0 {
-		t.Error("whitespace-only input should yield no sentences")
-	}
-}
-
-func TestSentenceDecomposer(t *testing.T) {
-	p := NewPool()
-	parent := NewTask("parent", "p1", "Subtitle video", Sequential, Constraints{UpperCriticalMass: 3})
-	parent.Input["document"] = "First line. Second line. Third line."
-	parent.Form = TextForm("Translate")
-	d := SentenceDecomposer{}
-	kids, err := d.Decompose(parent, func() ID { return p.NextID("micro") })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(kids) != 3 {
-		t.Fatalf("got %d micro-tasks", len(kids))
-	}
-	for i, k := range kids {
-		if k.ParentID != "parent" || k.Sequence != i {
-			t.Errorf("child %d: parent=%s seq=%d", i, k.ParentID, k.Sequence)
-		}
-		if k.Input["sentence"] == "" {
-			t.Errorf("child %d has no sentence input", i)
-		}
-		if k.Scheme != Sequential {
-			t.Errorf("child %d scheme = %s", i, k.Scheme)
-		}
-		if k.Constraints.UpperCriticalMass != 3 {
-			t.Error("constraints should be inherited")
-		}
-	}
-	// MaxSentences bound.
-	d2 := SentenceDecomposer{MaxSentences: 2, Scheme: Individual}
-	kids2, err := d2.Decompose(parent, func() ID { return p.NextID("micro") })
-	if err != nil || len(kids2) != 2 || kids2[0].Scheme != Individual {
-		t.Errorf("bounded decompose = %v, %v", kids2, err)
-	}
-	// Missing input.
-	empty := NewTask("e", "p1", "x", Sequential, Constraints{})
-	if _, err := d.Decompose(empty, func() ID { return "x" }); err == nil {
-		t.Error("missing document should fail")
-	}
-	if d.Name() != "sentence" {
-		t.Error("Name mismatch")
-	}
-}
-
-func TestSectionDecomposer(t *testing.T) {
-	p := NewPool()
-	parent := NewTask("parent", "p1", "Report on festival", Simultaneous, Constraints{})
-	parent.Input["topic"] = "city festival"
-	parent.Input["sections"] = "intro, main events , interviews"
-	d := SectionDecomposer{}
-	kids, err := d.Decompose(parent, func() ID { return p.NextID("sec") })
-	if err != nil || len(kids) != 3 {
-		t.Fatalf("Decompose = %v, %v", kids, err)
-	}
-	if kids[1].Input["section"] != "main events" || kids[1].Input["topic"] != "city festival" {
-		t.Errorf("child input = %v", kids[1].Input)
-	}
-	// Explicit sections override input.
-	d2 := SectionDecomposer{Sections: []string{"a", "b"}}
-	kids2, _ := d2.Decompose(parent, func() ID { return p.NextID("sec") })
-	if len(kids2) != 2 {
-		t.Errorf("explicit sections = %d", len(kids2))
-	}
-	noSections := NewTask("n", "p1", "x", Simultaneous, Constraints{})
-	if _, err := d.Decompose(noSections, func() ID { return "x" }); err == nil {
-		t.Error("no sections should fail")
-	}
-	if d.Name() != "section" {
-		t.Error("Name mismatch")
-	}
-}
-
-func TestGridDecomposer(t *testing.T) {
-	p := NewPool()
-	parent := NewTask("parent", "p1", "Disaster survey", Hybrid, Constraints{})
-	d := GridDecomposer{Regions: []string{"north", "south"}, TimePeriods: []string{"morning", "evening"}}
-	kids, err := d.Decompose(parent, func() ID { return p.NextID("cell") })
-	if err != nil || len(kids) != 4 {
-		t.Fatalf("Decompose = %d, %v", len(kids), err)
-	}
-	seqs := make(map[int]bool)
-	for _, k := range kids {
-		seqs[k.Sequence] = true
-		if k.Scheme != Hybrid {
-			t.Errorf("scheme = %s", k.Scheme)
-		}
-		if k.Constraints.Region != k.Input["region"] {
-			t.Error("region constraint should match cell region")
-		}
-	}
-	if len(seqs) != 4 {
-		t.Error("sequences should be distinct")
-	}
-	if _, err := (GridDecomposer{}).Decompose(parent, func() ID { return "x" }); err == nil {
-		t.Error("empty grid should fail")
-	}
-	if d.Name() != "grid" {
-		t.Error("Name mismatch")
-	}
-}
-
-func TestChunkDecomposer(t *testing.T) {
-	p := NewPool()
-	parent := NewTask("parent", "p1", "Long doc", Sequential, Constraints{})
-	parent.Input["document"] = "one two three four five six seven"
-	d := ChunkDecomposer{WordsPerChunk: 3}
-	kids, err := d.Decompose(parent, func() ID { return p.NextID("ch") })
-	if err != nil || len(kids) != 3 {
-		t.Fatalf("Decompose = %d, %v", len(kids), err)
-	}
-	if kids[2].Input["chunk"] != "seven" {
-		t.Errorf("last chunk = %q", kids[2].Input["chunk"])
-	}
-	if _, err := (ChunkDecomposer{}).Decompose(parent, func() ID { return "x" }); err == nil {
-		t.Error("zero chunk size should fail")
-	}
-	empty := NewTask("e", "p1", "x", Sequential, Constraints{})
-	if _, err := d.Decompose(empty, func() ID { return "x" }); err == nil {
-		t.Error("empty document should fail")
-	}
-	if d.Name() != "chunk" {
-		t.Error("Name mismatch")
-	}
-}
-
-func TestDecomposerSequencePropertyDistinctAndOrdered(t *testing.T) {
-	f := func(nWords uint8) bool {
-		n := int(nWords%50) + 1
-		words := make([]string, n)
-		for i := range words {
-			words[i] = fmt.Sprintf("w%d", i)
-		}
-		parent := NewTask("p", "proj", "t", Sequential, Constraints{})
-		parent.Input["document"] = strings.Join(words, " ")
-		id := 0
-		kids, err := (ChunkDecomposer{WordsPerChunk: 4}).Decompose(parent, func() ID {
-			id++
-			return ID(fmt.Sprintf("c%d", id))
-		})
-		if err != nil {
-			return false
-		}
-		for i, k := range kids {
-			if k.Sequence != i || k.ParentID != "p" {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
-	}
+// TextForm builds a form with a single required textarea named "text"; the
+// most common micro-task form (transcribe, translate, write a paragraph).
+func TextForm(label string) Form {
+	return Form{Fields: []Field{{Name: "text", Label: label, Kind: FieldTextArea, Required: true}}}
 }

@@ -1,8 +1,10 @@
 // Package webui exposes the Crowd4U platform over HTTP: the project
 // administration page with its constraint-entry form (Figure 3), worker pages
 // showing human factors and the eligible-task list (Figure 4), the form-based
-// task UI used during collaboration (Figure 5), and a JSON API used by the
-// examples and the benchmark harness.
+// task UI used during collaboration (Figure 5), and a small read-only JSON
+// view of projects, tasks, workers, events and teams, plus POST /api/cycle,
+// which runs one deployment cycle with an attached simulated crowd. The
+// service API for crowd traffic is internal/api.
 //
 // The server is deliberately framework-free (net/http + html/template) and
 // holds no state of its own: every request reads and writes the platform.
@@ -10,16 +12,14 @@ package webui
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"html/template"
 	"net/http"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
 
-	"github.com/crowd4u/crowd4u-go/internal/assign"
-	"github.com/crowd4u/crowd4u-go/internal/collab"
 	"github.com/crowd4u/crowd4u-go/internal/platform"
 	"github.com/crowd4u/crowd4u-go/internal/project"
 	"github.com/crowd4u/crowd4u-go/internal/task"
@@ -122,30 +122,22 @@ func (s *Server) handleProjectForm(w http.ResponseWriter, _ *http.Request) {
 	s.render(w, "projectForm", nil)
 }
 
-// handleProjectCreate accepts the requester's project registration form (or a
-// JSON body) and registers the project.
+// handleProjectCreate accepts the requester's project registration form and
+// registers the project. JSON clients register through the service API
+// (POST /api/v1/projects).
 func (s *Server) handleProjectCreate(w http.ResponseWriter, r *http.Request) {
-	var desc project.Description
-	if strings.Contains(r.Header.Get("Content-Type"), "application/json") {
-		if err := json.NewDecoder(r.Body).Decode(&desc); err != nil {
-			s.renderError(w, http.StatusBadRequest, "bad JSON: %v", err)
-			return
-		}
-	} else {
-		if err := r.ParseForm(); err != nil {
-			s.renderError(w, http.StatusBadRequest, "bad form: %v", err)
-			return
-		}
-		desc = project.Description{
-			Name:        r.FormValue("name"),
-			Requester:   r.FormValue("requester"),
-			Summary:     r.FormValue("summary"),
-			Scheme:      task.CollaborationScheme(r.FormValue("scheme")),
-			CyLogSource: r.FormValue("cylog"),
-			Factors:     parseFactorsForm(r),
-		}
+	if err := r.ParseForm(); err != nil {
+		s.renderError(w, http.StatusBadRequest, "bad form: %v", err)
+		return
 	}
-	admin, err := s.Platform.RegisterProject(desc)
+	admin, err := s.Platform.RegisterProject(project.Description{
+		Name:        r.FormValue("name"),
+		Requester:   r.FormValue("requester"),
+		Summary:     r.FormValue("summary"),
+		Scheme:      task.CollaborationScheme(r.FormValue("scheme")),
+		CyLogSource: r.FormValue("cylog"),
+		Factors:     parseFactorsForm(r),
+	})
 	if err != nil {
 		s.renderError(w, http.StatusBadRequest, "cannot register project: %v", err)
 		return
@@ -363,8 +355,11 @@ func (s *Server) handleTaskPage(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleTaskAnswer accepts a worker's form answer for an individual task and
-// records it as the task result (collaborative tasks are completed through
-// their coordination schemes instead).
+// submits it through Platform.SubmitResult, which stages an answer to a
+// CyLog-generated task for its open request and commits it before the task
+// completes (collaborative tasks are completed through their coordination
+// schemes instead). An answer the engine rejects gets 400 and leaves the task
+// open, a task already closed 409, and a failed commit 500.
 func (s *Server) handleTaskAnswer(w http.ResponseWriter, r *http.Request) {
 	id := task.ID(r.PathValue("id"))
 	t, ok := s.Platform.Tasks.Get(id)
@@ -392,8 +387,15 @@ func (s *Server) handleTaskAnswer(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	result := &task.Result{SubmittedBy: workerID, Fields: answer, Quality: 1}
-	if err := t.Complete(result); err != nil {
-		s.renderError(w, http.StatusConflict, "%v", err)
+	if err := s.Platform.SubmitResult(id, result); err != nil {
+		status := http.StatusInternalServerError
+		switch {
+		case errors.Is(err, platform.ErrAnswerRejected):
+			status = http.StatusBadRequest
+		case errors.Is(err, task.ErrClosed):
+			status = http.StatusConflict
+		}
+		s.renderError(w, status, "%v", err)
 		return
 	}
 	http.Redirect(w, r, "/tasks/"+string(id), http.StatusSeeOther)
@@ -487,8 +489,8 @@ func (s *Server) apiTeam(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// apiCycle runs one full deployment cycle using the attached crowd; it powers
-// the demo binaries and lets the HTTP benchmark exercise the whole pipeline.
+// apiCycle runs one full deployment cycle of every active project with the
+// attached simulated crowd.
 func (s *Server) apiCycle(w http.ResponseWriter, _ *http.Request) {
 	if s.Crowd == nil {
 		writeJSON(w, http.StatusPreconditionFailed, map[string]string{"error": "no crowd attached; drive workers through the worker endpoints"})
@@ -500,47 +502,4 @@ func (s *Server) apiCycle(w http.ResponseWriter, _ *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, report)
-}
-
-// SortedTeams returns the current suggestions sorted by task id; exported for
-// dashboards and tests.
-func SortedTeams(p *platform.Platform) []assign.Team {
-	var out []assign.Team
-	for _, t := range p.Tasks.All() {
-		if team, ok := p.Controller.Suggestion(t.ID); ok {
-			out = append(out, team)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].TaskID < out[j].TaskID })
-	return out
-}
-
-// StepPrompt renders a human-readable prompt for a collaboration step; the
-// task pages use it to describe what each team member is currently asked to
-// do.
-func StepPrompt(kind collab.StepKind) string {
-	switch kind {
-	case collab.StepDraft:
-		return "Draft the initial contribution"
-	case collab.StepImprove:
-		return "Improve the previous member's contribution"
-	case collab.StepCheck:
-		return "Check the previous contribution"
-	case collab.StepFix:
-		return "Fix the contribution according to the check comment"
-	case collab.StepSNS:
-		return "Share your contact id with the team"
-	case collab.StepContribute:
-		return "Contribute your part to the shared document"
-	case collab.StepSubmit:
-		return "Submit the merged result for the team"
-	case collab.StepFact:
-		return "Report the facts you observed"
-	case collab.StepCorrect:
-		return "Correct the reported facts"
-	case collab.StepTestimonial:
-		return "Provide your independent testimonial"
-	default:
-		return string(kind)
-	}
 }
