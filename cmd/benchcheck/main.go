@@ -22,6 +22,11 @@
 // deleted benchmark is a lost regression guard); measured benchmarks without
 // a baseline only warn, so adding a benchmark does not require refreshing
 // baselines in the same commit.
+//
+// With -pair it judges a change against its parent from runs taken in
+// alternation on the same host instead (see pair.go):
+//
+//	go run ./cmd/benchcheck -pair parent.out change.out
 package main
 
 import (
@@ -56,6 +61,7 @@ type baselineFile struct {
 type measurement struct {
 	name        string
 	nsPerOp     float64
+	bytesPerOp  float64
 	allocsPerOp float64
 	hasAllocs   bool
 }
@@ -68,6 +74,7 @@ func main() {
 		wallTol      = flag.Float64("wallclock-tolerance", -1, "ns/op slack fraction (overrides baseline config)")
 		minCores     = flag.Int("min-cores", -1, "cores required for wall-clock checks (overrides baseline config)")
 		skipWall     = flag.Bool("skip-wallclock", false, "skip ns/op checks regardless of cores")
+		pair         = flag.Bool("pair", false, "judge paired runs: -pair parent.out change.out")
 	)
 	flag.Parse()
 
@@ -75,20 +82,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	var in io.Reader = os.Stdin
-	if *inputPath != "-" {
-		f, err := os.Open(*inputPath)
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		in = f
-	}
-	measured, err := parseBenchOutput(in)
-	if err != nil {
-		fatal(err)
-	}
-
 	cfg := base.Benchcheck
 	if *allocTol >= 0 {
 		cfg.AllocTolerance = *allocTol
@@ -105,6 +98,33 @@ func main() {
 			runtime.NumCPU(), cfg.WallclockMinCores)
 	}
 
+	if *pair {
+		if flag.NArg() != 2 {
+			fatal(fmt.Errorf("-pair takes two bench outputs: parent.out change.out"))
+		}
+		parent, err := readBenchFile(flag.Arg(0))
+		if err != nil {
+			fatal(err)
+		}
+		change, err := readBenchFile(flag.Arg(1))
+		if err != nil {
+			fatal(err)
+		}
+		failures := pairCheck(os.Stdout, pairRuns(parent, change), cfg.AllocTolerance, cfg.WallclockTolerance, checkWall)
+		for _, f := range failures {
+			fmt.Println("FAIL:", f)
+		}
+		if len(failures) > 0 {
+			fmt.Printf("benchcheck: %d regression(s) of %s against %s\n", len(failures), flag.Arg(1), flag.Arg(0))
+			os.Exit(1)
+		}
+		return
+	}
+
+	measured, err := readBenchFile(*inputPath)
+	if err != nil {
+		fatal(err)
+	}
 	failures := check(flatten(base.Benchmarks), measured, cfg.AllocTolerance, cfg.WallclockTolerance, checkWall)
 	for _, f := range failures {
 		fmt.Println("FAIL:", f)
@@ -119,6 +139,19 @@ func main() {
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "benchcheck:", err)
 	os.Exit(2)
+}
+
+// readBenchFile parses the bench output at path ('-' = stdin).
+func readBenchFile(path string) ([]measurement, error) {
+	if path == "-" {
+		return parseBenchOutput(os.Stdin)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return parseBenchOutput(f)
 }
 
 func loadBaseline(path string) (*baselineFile, error) {
@@ -180,6 +213,8 @@ func parseBenchOutput(r io.Reader) ([]measurement, error) {
 			case "ns/op":
 				m.nsPerOp = val
 				ok = true
+			case "B/op":
+				m.bytesPerOp = val
 			case "allocs/op":
 				m.allocsPerOp = val
 				m.hasAllocs = true

@@ -390,7 +390,7 @@ func (s *Server) handleTaskFeed(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, feed)
 }
 
-func taskView(req cylog.OpenRequest) TaskView {
+func taskView(req *cylog.OpenRequest) TaskView {
 	key := make(map[string]any, len(req.KeyColumns))
 	for i, c := range req.KeyColumns {
 		key[c] = goValue(req.KeyValues[i])

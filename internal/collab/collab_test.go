@@ -381,10 +381,10 @@ func TestSharedDocument(t *testing.T) {
 	if d.Text() != "" {
 		t.Error("new document should be empty")
 	}
-	d.AppendSection("w3", "interviews", "quote from a visitor")
-	d.Append("w2", "second contribution")
-	d.Append("w1", "first contribution")
-	d.Append("w1", "   ") // ignored
+	d.AppendSection("interviews", "quote from a visitor")
+	d.Append("second contribution")
+	d.Append("first contribution")
+	d.Append("   ") // ignored
 	// The unnamed section renders before named sections, each in operation
 	// order.
 	want := "second contribution\n\nfirst contribution\n\n## interviews\n\nquote from a visitor"
@@ -401,7 +401,7 @@ func TestSharedDocumentConcurrentAppend(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			for j := 0; j < 50; j++ {
-				d.Append(worker.ID(fmt.Sprintf("w%d", i)), fmt.Sprintf("op %d-%d", i, j))
+				d.Append(fmt.Sprintf("op %d-%d", i, j))
 			}
 		}(i)
 	}

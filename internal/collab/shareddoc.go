@@ -4,9 +4,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"time"
-
-	"github.com/crowd4u/crowd4u-go/internal/worker"
 )
 
 // SharedDocument stands in for the external collaboration tool (e.g. Google
@@ -23,34 +20,25 @@ type SharedDocument struct {
 
 // DocOp is one edit applied to the shared document.
 type DocOp struct {
-	Seq    int
-	Author worker.ID
 	// Section optionally names the document section the text belongs to.
 	Section string
 	Text    string
-	At      time.Time
 }
 
 // Append adds a contribution to the end of the document.
-func (d *SharedDocument) Append(author worker.ID, text string) {
-	d.AppendSection(author, "", text)
+func (d *SharedDocument) Append(text string) {
+	d.AppendSection("", text)
 }
 
 // AppendSection adds a contribution attributed to a named section.
-func (d *SharedDocument) AppendSection(author worker.ID, section, text string) {
+func (d *SharedDocument) AppendSection(section, text string) {
 	text = strings.TrimSpace(text)
 	if text == "" {
 		return
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.ops = append(d.ops, DocOp{
-		Seq:     len(d.ops) + 1,
-		Author:  author,
-		Section: section,
-		Text:    text,
-		At:      time.Now(),
-	})
+	d.ops = append(d.ops, DocOp{Section: section, Text: text})
 }
 
 // Text merges the document: operations are grouped by section (sections in

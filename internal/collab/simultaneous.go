@@ -88,7 +88,7 @@ func (s *Simultaneous) Run(t *task.Task, team []worker.ID, io WorkerIO) (Outcome
 		}
 		text := resp.Fields["text"]
 		contributions[m] = text
-		doc.Append(m, text)
+		doc.Append(text)
 		qualities = append(qualities, resp.Quality)
 		if resp.Latency > roundLatency {
 			roundLatency = resp.Latency

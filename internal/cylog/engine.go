@@ -79,8 +79,10 @@ type Stats struct {
 	// requestSinkFor for the atoms that skip it.
 	RequestChecks int
 	// ParallelTasks counts the evaluation work units (rule variants and their
-	// splits) dispatched to the worker pool; it stays zero when the engine
-	// runs on one worker.
+	// splits) of the iterations handed to the worker pool (which runs a lone
+	// task on the calling goroutine all the same). It stays zero when the
+	// engine runs on one worker, and small delta rounds (smallDeltaRound),
+	// such as a one-answer commit's, run inline and add nothing.
 	ParallelTasks int
 	// SkippedStrata counts the strata RunIncremental skipped outright because
 	// none of their inputs (Analysis.StratumInputs and StratumNegInputs)
@@ -162,8 +164,10 @@ type Engine struct {
 	// precondition for seeding deltas instead of re-running in full. Cleared
 	// when a run fails partway so the next run falls back to full.
 	ranOnce bool
-	// pending holds open requests not yet answered, keyed by request id.
-	pending map[string]OpenRequest
+	// pending holds open requests not yet answered, keyed by request id. A
+	// request is allocated when it joins and never modified afterwards: the
+	// published views share the pointer.
+	pending map[string]*OpenRequest
 	// pendingView is the ID-sorted pending set as published by the last
 	// operation that changed it (publishPendingLocked, before that operation
 	// releases e.mu). A published snapshot is never modified, so readers
@@ -248,7 +252,7 @@ func NewEngineWith(p *Program, db *relstore.Database) (*Engine, error) {
 		parallelism:    defaultParallelism(),
 		staged:         make(map[string][]relstore.Tuple),
 		rowSchemas:     make(map[*Rule]*rowSchema, len(p.Rules)),
-		pending:        make(map[string]OpenRequest),
+		pending:        make(map[string]*OpenRequest),
 		requestSupport: make(map[string]map[int]int),
 		withdrawn:      make(map[string]bool),
 		answered:       make(map[string]bool),
@@ -308,7 +312,8 @@ func defaultParallelism() int {
 // SetParallelism sets the number of workers evaluating the rule variants of
 // a fixpoint round. Every round evaluates its variants against a read-only
 // view of the database — on a bounded pool of n workers, with large variants
-// split over their restricted tuple sets, or inline when n == 1 — then
+// split over their restricted tuple sets, or inline when n == 1 or the round
+// is a small delta round (smallDeltaRound) — then
 // applies all derived tuples and open requests in a single-threaded merge
 // step. n <= 0 restores the default (CYLOG_PARALLELISM or
 // runtime.GOMAXPROCS).
@@ -669,7 +674,7 @@ func (e *Engine) dropAllRequestsLocked() {
 		e.withdrawn[id] = true
 		e.pendingChanged[id] = struct{}{}
 	}
-	e.pending = make(map[string]OpenRequest)
+	e.pending = make(map[string]*OpenRequest)
 	e.requestSupport = make(map[string]map[int]int)
 }
 
@@ -825,7 +830,7 @@ func (e *Engine) closePendingLocked(id string) {
 // plus the caller-supplied open-column values — coerced against the declared
 // schema, so the returned tuple is exactly what the relation will store (and
 // what a seed delta must carry). Caller holds e.mu.
-func (e *Engine) requestTuple(req OpenRequest, openValues map[string]any) (relstore.Tuple, error) {
+func (e *Engine) requestTuple(req *OpenRequest, openValues map[string]any) (relstore.Tuple, error) {
 	decl := e.analysis.Program.DeclarationFor(req.Relation)
 	tuple := make(relstore.Tuple, len(decl.Columns))
 	key := req.Key()
@@ -852,7 +857,7 @@ func (e *Engine) requestTuple(req OpenRequest, openValues map[string]any) (relst
 // path that sweeps the pending set (AnswerFact and batch fact items). Key
 // columns may be a strict subset of the relation's columns; only they are
 // compared.
-func matchesRequestKey(decl *Declaration, req OpenRequest, tuple relstore.Tuple) bool {
+func matchesRequestKey(decl *Declaration, req *OpenRequest, tuple relstore.Tuple) bool {
 	for i, col := range req.KeyColumns {
 		ci := decl.ColumnIndex(col)
 		if ci < 0 || ci >= len(tuple) || !tuple[ci].Equal(req.KeyValues[i]) {
@@ -997,16 +1002,17 @@ func (e *Engine) RunToFixpointWithOracle(oracle func(OpenRequest) (map[string]an
 // seeding the strata downstream.
 //
 // Each iteration evaluates its rule variants on the worker pool
-// (evaluateTasks; inline at one worker). Workers treat the database as a
-// read-only snapshot: no tuple is inserted or removed while they run
-// (relstore's read-only view guarantee makes concurrent scans, probes and
-// index auto-creation safe), and every mutation — head-tuple counts, request
-// support, the next delta — happens afterwards in a single-threaded merge
-// that applies worker output in plan order (mergeOutputs). Because every
-// derivation is counted exactly once whichever task finds it, the fixpoint,
-// the counts, the request IDs and the iterations are identical for every
-// worker count; only the per-counter Stats breakdown (ParallelTasks, scans
-// versus probes inside split variants) may differ.
+// (evaluateTasks; inline at one worker and for small delta rounds). Workers
+// treat the database as a read-only snapshot: no tuple is inserted or
+// removed while they run (relstore's read-only view guarantee makes
+// concurrent scans, probes and index auto-creation safe), and every
+// mutation — head-tuple counts, request support, the next delta — happens
+// afterwards in a single-threaded merge that applies worker output in plan
+// order (mergeOutputs). Because every derivation is counted exactly once
+// whichever task finds it, the fixpoint, the counts, the request IDs and the
+// iterations are identical for every worker count; only the per-counter
+// Stats breakdown (ParallelTasks, scans versus probes inside split variants)
+// may differ.
 func (e *Engine) runStratum(idx int, rules []*Rule, seed, heads *delta, stats *Stats) error {
 	workers := e.parallelism
 	d := seed
@@ -1023,10 +1029,13 @@ func (e *Engine) runStratum(idx int, rules []*Rule, seed, heads *delta, stats *S
 				tasks = e.splitVariant(tasks, r, v, workers, stats)
 			}
 		}
-		if workers > 1 {
+		poolSize := workers
+		if smallDeltaRound(tasks) {
+			poolSize = 1
+		} else if workers > 1 {
 			stats.ParallelTasks += len(tasks)
 		}
-		outputs := e.evaluateTasks(tasks, workers)
+		outputs := e.evaluateTasks(tasks, poolSize)
 		next, err := e.mergeOutputs(idx, tasks, outputs, stats)
 		if err != nil {
 			return err
@@ -1093,8 +1102,26 @@ func (e *Engine) evaluateTasks(tasks []evalTask, workers int) []evalOutput {
 	return outputs
 }
 
+// smallDeltaRound reports whether an iteration is too small for the pool:
+// every task is restricted to a delta, and fewer than minSplitTuples tuples
+// between them. Such an iteration runs inline whatever the worker count. A
+// committed answer's rounds are of this kind — a translate answer yields
+// three or four variants of one tuple each — and starting goroutines for
+// them, under the engine lock, cost more than their joins.
+func smallDeltaRound(tasks []evalTask) bool {
+	n := 0
+	for _, t := range tasks {
+		if t.v.deltaAtom < 0 {
+			return false
+		}
+		n += len(t.v.deltaTuples)
+	}
+	return n < minSplitTuples
+}
+
 // minSplitTuples is the smallest restricted-tuple slice worth splitting
-// across workers; below it, per-task overhead outweighs the parallelism.
+// across workers, and the smallest delta round worth the pool at all
+// (smallDeltaRound); below it, per-task overhead outweighs the parallelism.
 const minSplitTuples = 128
 
 // splitVariant appends one rule variant's work units to tasks. At one worker
@@ -1299,7 +1326,8 @@ func requestSinkFor(v ruleVariant, bodyIndex int, sink *requestSink) *requestSin
 // count.
 func (e *Engine) admitRequests(s *requestSink, stratum int, lost bool) error {
 	defer e.claimBookkeeper()()
-	for i, r := range s.reqs {
+	for i := range s.reqs {
+		r := &s.reqs[i]
 		if e.answered[r.ID] {
 			continue
 		}
@@ -1323,6 +1351,9 @@ func (e *Engine) admitRequests(s *requestSink, stratum int, lost bool) error {
 		}
 		support[stratum] += n
 		if _, dup := e.pending[r.ID]; !dup {
+			// The request joins by pointer into the sink, which nothing
+			// writes again, so admission allocates nothing; the sink's array
+			// lives as long as some request it holds is pending.
 			e.pending[r.ID] = r
 			e.pendingChanged[r.ID] = struct{}{}
 			delete(e.withdrawn, r.ID)

@@ -194,18 +194,27 @@ func TestOneAnswerRequestChecksIndependentOfPending(t *testing.T) {
 // Both close a request and publish the pending view. A warm-up round before
 // timing builds the indexes and plans the steady-state rounds reuse. The
 // engine is rebuilt (untimed) every roundsPerEngine rounds, so every op sees
-// about the same number of pending requests.
+// about the same number of pending requests. The engine runs on one worker,
+// except in the -par2 entries, which pin the two workers crowdserve runs
+// with on a 2-vCPU host (GOMAXPROCS), so that they mean the same on every
+// host.
 func BenchmarkSeededAnswerRound(b *testing.B) {
 	const roundsPerEngine = 32
 	for _, c := range []struct {
 		name, program, prefix string
 		vals                  func(k int) map[string]any
+		workers               int
 	}{
-		{"label", labelingProgram, "label", func(int) map[string]any { return map[string]any{"ok": true} }},
-		{"translate", translateProgram, "translated", func(k int) map[string]any { return map[string]any{"text": fmt.Sprintf("t%d", k)} }},
+		{"label", labelingProgram, "label", func(int) map[string]any { return map[string]any{"ok": true} }, 1},
+		{"translate", translateProgram, "translated", func(k int) map[string]any { return map[string]any{"text": fmt.Sprintf("t%d", k)} }, 1},
+		{"translate", translateProgram, "translated", func(k int) map[string]any { return map[string]any{"text": fmt.Sprintf("t%d", k)} }, 2},
 	} {
+		suffix := ""
+		if c.workers > 1 {
+			suffix = fmt.Sprintf("-par%d", c.workers)
+		}
 		for _, n := range []int{1000, 10000} {
-			b.Run(fmt.Sprintf("%s-%dk", c.name, n/1000), func(b *testing.B) {
+			b.Run(fmt.Sprintf("%s-%dk%s", c.name, n/1000, suffix), func(b *testing.B) {
 				b.ReportAllocs()
 				var e *cylog.Engine
 				next := roundsPerEngine
@@ -213,7 +222,7 @@ func BenchmarkSeededAnswerRound(b *testing.B) {
 					if next >= roundsPerEngine {
 						b.StopTimer()
 						e = seededProgramEngine(b, c.program, n)
-						e.SetParallelism(1)
+						e.SetParallelism(c.workers)
 						answerOne(b, e, c.prefix+"|1", c.vals(1))
 						next = 1
 						// Collect the set-up's garbage now, so no collection

@@ -14,19 +14,24 @@ const pendingChunk = 64
 // PendingView is an immutable snapshot of an engine's pending open requests,
 // sorted by ID, as published by the last operation that changed the set.
 //
-// It is stored as a list of sorted chunks with prefix offsets. A publication
-// copies only the chunks its changed ids fall in and shares every other
-// chunk with the snapshot before it, so a commit that changes Δ of P
-// requests costs O(P/pendingChunk + Δ·pendingChunk) instead of a copy of all
-// P. Len is O(1), Page is O(log P + limit), and All flattens the snapshot
-// once, on first use, and caches the slice.
+// It is stored as a list of sorted chunks of request pointers with prefix
+// offsets. A request is allocated once, when it joins the pending set, and
+// every snapshot that holds it shares that pointer. A publication copies
+// only the chunks its changed ids fall in, and those as runs of pointers
+// between the changed ids, and shares every other chunk with the snapshot
+// before it. So a commit that changes Δ of P requests copies the chunk list,
+// O(P/pendingChunk), and for each changed id makes one binary search and
+// copies at most one chunk of pointers, instead of copying all P requests.
+// Len is O(1), Page is O(log P + limit), and All flattens the snapshot once,
+// on first use, and caches the slice.
 //
-// A published snapshot never changes: any number of goroutines may read it
-// without a lock, and a reader that loaded one keeps seeing that set while
-// later commits publish new snapshots. The engine holds only the newest
-// snapshot, so an older one is garbage as soon as its last reader drops it.
+// A published snapshot never changes, and neither does a request it points
+// to: any number of goroutines may read it without a lock, and a reader that
+// loaded one keeps seeing that set while later commits publish new
+// snapshots. The engine holds only the newest snapshot, so an older one is
+// garbage as soon as its last reader drops it.
 type PendingView struct {
-	chunks [][]OpenRequest
+	chunks [][]*OpenRequest
 	// starts[i] is the position of chunks[i][0] in the ID-sorted view, and
 	// starts[len(chunks)] is the view's length.
 	starts []int
@@ -37,7 +42,7 @@ type PendingView struct {
 
 // newPendingView wraps chunks (sorted, non-empty, in ID order) in a snapshot
 // with their prefix offsets.
-func newPendingView(chunks [][]OpenRequest) *PendingView {
+func newPendingView(chunks [][]*OpenRequest) *PendingView {
 	starts := make([]int, len(chunks)+1)
 	for i, c := range chunks {
 		starts[i+1] = starts[i] + len(c)
@@ -49,10 +54,12 @@ func newPendingView(chunks [][]OpenRequest) *PendingView {
 func (v *PendingView) Len() int { return v.starts[len(v.chunks)] }
 
 // Page returns the requests at positions [offset, offset+limit) of the
-// ID-sorted snapshot, cut off at its end, in a fresh slice the caller owns;
-// it is empty when offset is at or past the end. The chunk holding offset is
-// found by binary search over the prefix offsets.
-func (v *PendingView) Page(offset, limit int) []OpenRequest {
+// ID-sorted snapshot, cut off at its end; it is empty when offset is at or
+// past the end. The slice is fresh and the caller's, but the requests it
+// points to are the snapshot's, shared with every reader: they are
+// read-only, like All's slice. The chunk holding offset is found by binary
+// search over the prefix offsets.
+func (v *PendingView) Page(offset, limit int) []*OpenRequest {
 	n := v.Len()
 	if offset < 0 {
 		offset = 0
@@ -61,7 +68,7 @@ func (v *PendingView) Page(offset, limit int) []OpenRequest {
 		return nil
 	}
 	limit = min(limit, n-offset)
-	out := make([]OpenRequest, 0, limit)
+	out := make([]*OpenRequest, 0, limit)
 	i := sort.Search(len(v.chunks), func(i int) bool { return v.starts[i+1] > offset })
 	from := offset - v.starts[i]
 	for ; len(out) < limit; i++ {
@@ -79,7 +86,9 @@ func (v *PendingView) All() []OpenRequest {
 	v.flatOnce.Do(func() {
 		v.flat = make([]OpenRequest, 0, v.Len())
 		for _, c := range v.chunks {
-			v.flat = append(v.flat, c...)
+			for _, r := range c {
+				v.flat = append(v.flat, *r)
+			}
 		}
 	})
 	return v.flat
@@ -93,15 +102,15 @@ func (v *PendingView) All() []OpenRequest {
 // fresh runs; a run above 2*pendingChunk is split, and one below
 // pendingChunk/2 is joined to the chunk before it (or, at the front, to the
 // one after it). Every other chunk is shared with v.
-func (v *PendingView) publish(ids []string, pending map[string]OpenRequest) *PendingView {
+func (v *PendingView) publish(ids []string, pending map[string]*OpenRequest) *PendingView {
 	old := v.chunks
 	if len(old) == 0 {
-		old = [][]OpenRequest{nil}
+		old = [][]*OpenRequest{nil}
 	}
-	out := make([][]OpenRequest, 0, len(old)+len(ids)/pendingChunk+1)
+	out := make([][]*OpenRequest, 0, len(old)+len(ids)/pendingChunk+1)
 	// carry is a fresh run too small to stand alone with no chunk before it
 	// to join: it is prepended to the next chunk.
-	var carry []OpenRequest
+	var carry []*OpenRequest
 	for i, c := range old {
 		if len(ids) == 0 && carry == nil {
 			out = append(out, old[i:]...)
@@ -123,7 +132,7 @@ func (v *PendingView) publish(ids []string, pending map[string]OpenRequest) *Pen
 			out = appendSplit(out, run)
 		case len(out) > 0:
 			last := out[len(out)-1]
-			joined := make([]OpenRequest, 0, len(last)+len(run))
+			joined := make([]*OpenRequest, 0, len(last)+len(run))
 			out = appendSplit(out[:len(out)-1], append(append(joined, last...), run...))
 		default:
 			carry = run
@@ -137,16 +146,19 @@ func (v *PendingView) publish(ids []string, pending map[string]OpenRequest) *Pen
 
 // mergeChunk returns a fresh run: carry (all below c's IDs) followed by the
 // sorted chunk c with the changed ids applied — an id found in pending is
-// inserted or replaced, any other is dropped.
-func mergeChunk(carry, c []OpenRequest, ids []string, pending map[string]OpenRequest) []OpenRequest {
-	out := make([]OpenRequest, 0, len(carry)+len(c)+len(ids))
+// inserted or replaced, any other is dropped. Each id is found by binary
+// search in what is left of c, and the run of requests before it is copied
+// whole, so the merge costs O(len(ids)·log len(c)) string comparisons plus
+// one copy of the chunk's pointers.
+func mergeChunk(carry, c []*OpenRequest, ids []string, pending map[string]*OpenRequest) []*OpenRequest {
+	out := make([]*OpenRequest, 0, len(carry)+len(c)+len(ids))
 	out = append(out, carry...)
 	j := 0
 	for _, id := range ids {
-		for j < len(c) && c[j].ID < id {
-			out = append(out, c[j])
-			j++
-		}
+		rest := c[j:]
+		k := j + sort.Search(len(rest), func(i int) bool { return rest[i].ID >= id })
+		out = append(out, c[j:k]...)
+		j = k
 		if j < len(c) && c[j].ID == id {
 			j++
 		}
@@ -161,7 +173,7 @@ func mergeChunk(carry, c []OpenRequest, ids []string, pending map[string]OpenReq
 // 2*pendingChunk, as ceil(len/pendingChunk) chunks of near-equal size, each
 // between pendingChunk/2 and pendingChunk. The pieces share run's backing
 // array, capped so that none can grow into the next.
-func appendSplit(out [][]OpenRequest, run []OpenRequest) [][]OpenRequest {
+func appendSplit(out [][]*OpenRequest, run []*OpenRequest) [][]*OpenRequest {
 	if len(run) <= 2*pendingChunk {
 		return append(out, run)
 	}

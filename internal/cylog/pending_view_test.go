@@ -36,7 +36,7 @@ func pendingMapSorted(e *Engine) []OpenRequest {
 	defer e.mu.Unlock()
 	out := make([]OpenRequest, 0, len(e.pending))
 	for _, r := range e.pending {
-		out = append(out, r)
+		out = append(out, *r)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
@@ -103,7 +103,7 @@ func checkPendingView(v *PendingView) error {
 		}
 	}
 	if got, want := v.Page(-1, 3), v.Page(0, 3); !reflect.DeepEqual(got, want) {
-		return fmt.Errorf("Page(-1, 3) = %v, want Page(0, 3) = %v", requestIDList(got), requestIDList(want))
+		return fmt.Errorf("Page(-1, 3) = %v, want Page(0, 3) = %v", pointerIDList(got), pointerIDList(want))
 	}
 	return nil
 }
@@ -129,6 +129,52 @@ func requestIDList(rs []OpenRequest) []string {
 		ids[i] = r.ID
 	}
 	return ids
+}
+
+func pointerIDList(rs []*OpenRequest) []string {
+	ids := make([]string, len(rs))
+	for i, r := range rs {
+		ids[i] = r.ID
+	}
+	return ids
+}
+
+// checkSharing checks what a publication shares with the snapshot before
+// it, given the ids it changed:
+//   - every request whose id did not change is the same pointer in both;
+//   - every chunk of before that no changed id falls in, and that is not
+//     next to one that some id falls in (whose fresh run may join it), is
+//     shared whole: the same backing array and length.
+func checkSharing(before, after *PendingView, changed map[string]bool) error {
+	old := make(map[string]*OpenRequest, before.Len())
+	for _, c := range before.chunks {
+		for _, r := range c {
+			old[r.ID] = r
+		}
+	}
+	shared := make(map[**OpenRequest]int, len(after.chunks)) // backing array → length
+	for _, c := range after.chunks {
+		shared[&c[0]] = len(c)
+		for _, r := range c {
+			if p, ok := old[r.ID]; ok && !changed[r.ID] && p != r {
+				return fmt.Errorf("unchanged request %s was copied", r.ID)
+			}
+		}
+	}
+	touched := make([]bool, len(before.chunks)+2) // touched[i+1]: chunk i
+	for id := range changed {
+		i := sort.Search(len(before.chunks), func(i int) bool { return before.chunks[i][0].ID > id })
+		touched[max(i, 1)] = true
+	}
+	for i, c := range before.chunks {
+		if touched[i] || touched[i+1] || touched[i+2] {
+			continue
+		}
+		if n, ok := shared[&c[0]]; !ok || n != len(c) {
+			return fmt.Errorf("chunk %d of %d, untouched, was copied", i, len(before.chunks))
+		}
+	}
+	return nil
 }
 
 // TestPendingRequestsDoesNotWaitForCommit holds the engine lock, standing in
@@ -390,8 +436,9 @@ func pendingViewEngine(t *testing.T, items int) *Engine {
 //     chunks shrink below half and must merge;
 //   - a full run: drop every request, then admit a share of the universe.
 //
-// The snapshot loaded before each publication must be unchanged after it.
-// An input drives at most 64 steps, so no input runs for long.
+// The snapshot loaded before each publication must be unchanged after it,
+// and the new one must share with it what the publication did not change
+// (checkSharing). An input drives at most 64 steps, so no input runs for long.
 func pendingViewOps(t *testing.T, data []byte) {
 	next := func() int {
 		if len(data) == 0 {
@@ -449,6 +496,10 @@ func pendingViewOps(t *testing.T, data []byte) {
 			e.dropAllRequestsLocked()
 			admit(universe * next() / 255)
 		}
+		changed := make(map[string]bool, len(e.pendingChanged))
+		for id := range e.pendingChanged {
+			changed[id] = true
+		}
 		e.publishPendingLocked()
 		e.mu.Unlock()
 		want := pendingMapSorted(e)
@@ -458,9 +509,12 @@ func pendingViewOps(t *testing.T, data []byte) {
 		if err := checkPendingView(e.PendingView()); err != nil {
 			t.Fatalf("step %d (kind %d, n %d): %v", step, kind, n, err)
 		}
+		if err := checkSharing(before, e.PendingView(), changed); err != nil {
+			t.Fatalf("step %d (kind %d, n %d): %v", step, kind, n, err)
+		}
 		flat := []string{}
 		for _, c := range before.chunks {
-			flat = append(flat, requestIDList(c)...)
+			flat = append(flat, pointerIDList(c)...)
 		}
 		if !reflect.DeepEqual(flat, beforeIDs) || !reflect.DeepEqual(requestIDList(before.All()), beforeIDs) {
 			t.Fatalf("step %d: publication changed the snapshot loaded before it", step)

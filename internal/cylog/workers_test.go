@@ -139,9 +139,14 @@ func TestSplitRoundsMatchOneWorker(t *testing.T) {
 
 // TestStatsMatchAcrossWorkers pins the Stats contract of the single stratum
 // loop: every run counts the same loop counters at every worker count,
-// ParallelTasks stays zero at one worker, and on a pool every rule variant is
-// dispatched as at least one task — more on this workload, whose variants
-// are split.
+// ParallelTasks stays zero at one worker, and on a pool every rule variant of
+// an iteration the size rule sends to the pool is dispatched as at least one
+// task — more on this workload, whose variants are split. A small delta
+// iteration (fewer than minSplitTuples restricted tuples) runs inline and
+// dispatches none, so a run is held to ParallelTasks >= RuleEvaluations only
+// when the size rule sends every iteration of it to the pool: every run here
+// but the first, whose reach recursion over chains of four ends in an
+// iteration of 75 delta tuples.
 func TestStatsMatchAcrossWorkers(t *testing.T) {
 	want := runSplitWorkload(t, 1, false)
 	for i, r := range want {
@@ -161,7 +166,7 @@ func TestStatsMatchAcrossWorkers(t *testing.T) {
 					t.Errorf("run %d: loop counters differ from one worker's:\n got %+v\nwant %+v", i, g, w)
 				}
 				s := got[i].stats
-				if s.ParallelTasks < s.RuleEvaluations {
+				if s.ParallelTasks == 0 || (i > 0 && s.ParallelTasks < s.RuleEvaluations) {
 					t.Errorf("run %d: %d parallel tasks for %d rule evaluations", i, s.ParallelTasks, s.RuleEvaluations)
 				}
 				split = split || s.ParallelTasks > s.RuleEvaluations
@@ -171,4 +176,44 @@ func TestStatsMatchAcrossWorkers(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestSmallRoundsRunInline pins the size rule on the served translate
+// program at two workers: the first full run splits its passes over the
+// pool, a round of 200 answers still uses the pool, and a one-answer round —
+// a few variants of one tuple each — runs inline and dispatches no pool
+// task.
+func TestSmallRoundsRunInline(t *testing.T) {
+	e, err := cylog.NewEngine(cylog.MustParse(translateProgram))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.SetParallelism(2)
+	for i := 1; i <= 1000; i++ {
+		if err := e.AddFact("sentence", i, fmt.Sprintf("s%d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if s := e.Stats(); s.ParallelTasks <= s.RuleEvaluations {
+		t.Errorf("full run: %d parallel tasks for %d rule evaluations, want a split", s.ParallelTasks, s.RuleEvaluations)
+	}
+	if s := answerOne(t, e, "translated|1", map[string]any{"text": "t1"}); s.ParallelTasks != 0 || s.RuleEvaluations == 0 {
+		t.Errorf("one-answer round: %d parallel tasks for %d rule evaluations, want none on the pool", s.ParallelTasks, s.RuleEvaluations)
+	}
+	batch := e.NewAnswerBatch()
+	for i := 2; i < 202; i++ {
+		if err := batch.Answer(fmt.Sprintf("translated|%d", i), map[string]any{"text": fmt.Sprintf("t%d", i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := e.RunIncremental(batch); err != nil {
+		t.Fatal(err)
+	}
+	if s := e.Stats(); s.ParallelTasks < s.RuleEvaluations {
+		t.Errorf("200-answer round: %d parallel tasks for %d rule evaluations, want every variant on the pool", s.ParallelTasks, s.RuleEvaluations)
+	}
+	checkReference(t, e)
 }

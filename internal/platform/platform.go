@@ -21,6 +21,7 @@ import (
 	"github.com/crowd4u/crowd4u-go/internal/collab"
 	"github.com/crowd4u/crowd4u-go/internal/cylog"
 	"github.com/crowd4u/crowd4u-go/internal/project"
+	"github.com/crowd4u/crowd4u-go/internal/relstore"
 	"github.com/crowd4u/crowd4u-go/internal/task"
 	"github.com/crowd4u/crowd4u-go/internal/worker"
 )
@@ -293,6 +294,7 @@ func (p *Platform) GenerateTasksFromCyLog(projectID project.ID) ([]*task.Task, e
 		return nil, err
 	}
 	now := p.now()
+	prog := p.Engine(projectID).Analysis().Program
 	var created []*task.Task
 	for _, req := range rc.Pending.All() {
 		p.mu.Lock()
@@ -319,7 +321,7 @@ func (p *Platform) GenerateTasksFromCyLog(projectID project.ID) ([]*task.Task, e
 		t := task.NewTask(p.Tasks.NextID("cylog"), string(projectID), taskTitleFor(req), scheme, admin.TaskConstraints(now))
 		t.GeneratedBy = "cylog:" + req.ID
 		t.Description = req.Prompt
-		t.Form = formFor(req)
+		t.Form = formFor(prog.DeclarationFor(req.Relation), req)
 		for i, col := range req.KeyColumns {
 			t.Input[col] = req.KeyValues[i].AsString()
 		}
@@ -342,25 +344,28 @@ func taskTitleFor(req cylog.OpenRequest) string {
 	return "Provide " + req.Relation
 }
 
-// formFor builds the form-based task UI for an open request: one field per
-// open column, text areas for strings and a yes/no select for booleans.
-func formFor(req cylog.OpenRequest) task.Form {
+// formFor builds the form-based task UI for an open request of the open
+// relation decl declares: one field per open column, by the column's
+// declared type — a yes/no select for a bool, a number field for an int or a
+// float, and a text area for a string.
+func formFor(decl *cylog.Declaration, req cylog.OpenRequest) task.Form {
 	var fields []task.Field
 	for _, col := range req.OpenColumns {
-		if looksBoolean(col) {
-			fields = append(fields, task.Field{
-				Name: col, Label: col, Kind: task.FieldSelect, Required: true, Options: []string{"yes", "no"},
-			})
-			continue
+		f := task.Field{Name: col, Label: col, Kind: task.FieldTextArea, Required: true}
+		switch columnType(decl, col) {
+		case relstore.TypeBool:
+			f.Kind, f.Options = task.FieldSelect, []string{"yes", "no"}
+		case relstore.TypeInt, relstore.TypeFloat:
+			f.Kind = task.FieldNumber
 		}
-		fields = append(fields, task.Field{Name: col, Label: col, Kind: task.FieldTextArea, Required: true})
+		fields = append(fields, f)
 	}
 	return task.Form{Fields: fields}
 }
 
-func looksBoolean(col string) bool {
-	col = strings.ToLower(col)
-	return col == "ok" || col == "confirmed" || col == "valid" || strings.HasPrefix(col, "is_") || strings.HasSuffix(col, "_ok")
+// columnType returns the declared type of decl's column col.
+func columnType(decl *cylog.Declaration, col string) relstore.Type {
+	return decl.Columns[decl.ColumnIndex(col)].Type
 }
 
 // ComputeEligibility evaluates the task's constraint-derived eligibility rule
@@ -539,7 +544,7 @@ func (p *Platform) feedResultToCyLog(t *task.Task, result *task.Result) error {
 	if !ok || eng == nil || result == nil {
 		return nil
 	}
-	answer := answerFields(ref.request, result)
+	answer := answerFields(eng.Analysis().Program.DeclarationFor(ref.request.Relation), ref.request, result)
 	// StageAnswer retries into the next round if the current one commits
 	// underneath us (a concurrent GenerateTasksFromCyLog or API CommitRound),
 	// so the worker's answer is never dropped.
@@ -595,26 +600,31 @@ func (p *Platform) SubmitResult(taskID task.ID, result *task.Result) error {
 }
 
 // answerFields maps a task result onto the open columns of the request that
-// generated the task, falling back to the generic "text" field and converting
-// yes/no style strings for boolean-looking columns.
-func answerFields(req cylog.OpenRequest, result *task.Result) map[string]any {
+// generated the task (decl declares its relation), falling back to the
+// generic "text" field and converting each answer by its column's declared
+// type.
+func answerFields(decl *cylog.Declaration, req cylog.OpenRequest, result *task.Result) map[string]any {
 	answer := make(map[string]any, len(req.OpenColumns))
 	for _, col := range req.OpenColumns {
 		raw, present := result.Fields[col]
 		if !present {
 			raw = result.Fields["text"]
 		}
-		answer[col] = convertAnswer(col, raw)
+		answer[col] = convertAnswer(columnType(decl, col), raw)
 	}
 	return answer
 }
 
-// convertAnswer maps a form answer string onto a Go value suitable for the
-// open relation's schema: yes/no and true/false become booleans, everything
-// else stays a string (relstore coercion handles numbers).
-func convertAnswer(col, raw string) any {
-	lower := strings.ToLower(strings.TrimSpace(raw))
-	if looksBoolean(col) || lower == "yes" || lower == "no" || lower == "true" || lower == "false" {
+// convertAnswer maps a form answer string onto a Go value for an open column
+// of the declared type. A bool column reads yes or true, in any case, as true
+// and any other answer as false: the form's yes/no select, or the free text
+// of a team's result, which the collaboration schemes record under "text".
+// Every other answer stays the raw string, which the schema's Coerce parses
+// into an int or a float column, or rejects, and stores as is in a string
+// column.
+func convertAnswer(typ relstore.Type, raw string) any {
+	if typ == relstore.TypeBool {
+		lower := strings.ToLower(strings.TrimSpace(raw))
 		return lower == "yes" || lower == "true"
 	}
 	return raw

@@ -11,6 +11,7 @@ import (
 	"github.com/crowd4u/crowd4u-go/internal/crowdsim"
 	"github.com/crowd4u/crowd4u-go/internal/cylog"
 	"github.com/crowd4u/crowd4u-go/internal/project"
+	"github.com/crowd4u/crowd4u-go/internal/relstore"
 	"github.com/crowd4u/crowd4u-go/internal/task"
 	"github.com/crowd4u/crowd4u-go/internal/worker"
 )
@@ -393,20 +394,93 @@ func TestRunCycleSkipsPausedProjects(t *testing.T) {
 }
 
 func TestConvertAnswerAndForms(t *testing.T) {
-	if convertAnswer("ok", "yes") != true || convertAnswer("ok", "no") != false {
-		t.Error("boolean columns should convert yes/no")
+	if convertAnswer(relstore.TypeBool, "yes") != true || convertAnswer(relstore.TypeBool, " No ") != false || convertAnswer(relstore.TypeBool, "TRUE") != true {
+		t.Error("bool columns should convert yes/no and true/false")
 	}
-	if convertAnswer("text", "true") != true {
-		t.Error("explicit true converts to bool even for text columns")
+	if convertAnswer(relstore.TypeBool, "[draft by w1] Is it right?") != false {
+		t.Error("a bool column should read a team's free text as false")
 	}
-	if convertAnswer("text", "hello") != "hello" {
-		t.Error("plain text should pass through")
-	}
-	if !looksBoolean("is_valid") || !looksBoolean("confirmed") || looksBoolean("text") {
-		t.Error("looksBoolean misbehaves")
+	for _, typ := range []relstore.Type{relstore.TypeString, relstore.TypeInt, relstore.TypeFloat} {
+		if convertAnswer(typ, "Yes") != "Yes" || convertAnswer(typ, "true") != "true" {
+			t.Errorf("a %s column should get the raw answer", typ)
+		}
 	}
 	if mean(nil) != 0 || mean([]float64{2, 4}) != 3 {
 		t.Error("mean misbehaves")
+	}
+}
+
+// TestFormFieldsFollowDeclaredTypes generates the task of an open relation
+// with a column of every type: each field's kind follows the declared type,
+// not the column's name, so the form itself rejects a word for a number.
+func TestFormFieldsFollowDeclaredTypes(t *testing.T) {
+	p := New()
+	admin, err := p.RegisterProject(project.Description{Name: "reviews", CyLogSource: `
+rel item(id: int).
+open rel review(id: int, approved: bool, score: int, weight: float, ok: string) key(id) asks "Review this item".
+rel reviewed(id: int).
+item(1).
+reviewed(I) :- item(I), review(I, _, _, _, _).
+`})
+	if err != nil {
+		t.Fatal(err)
+	}
+	created, err := p.GenerateTasksFromCyLog(admin.Description.ID)
+	if err != nil || len(created) != 1 {
+		t.Fatalf("created = %v, err = %v", created, err)
+	}
+	form := created[0].Form
+	kinds := make(map[string]task.FieldKind)
+	for _, f := range form.Fields {
+		kinds[f.Name] = f.Kind
+	}
+	want := map[string]task.FieldKind{"approved": task.FieldSelect, "score": task.FieldNumber, "weight": task.FieldNumber, "ok": task.FieldTextArea}
+	if fmt.Sprint(kinds) != fmt.Sprint(want) {
+		t.Fatalf("field kinds = %v, want %v", kinds, want)
+	}
+	answer := map[string]string{"approved": "yes", "score": "five", "weight": "0.5", "ok": "fine"}
+	if err := form.Validate(answer); err == nil || !strings.Contains(err.Error(), `"score"`) {
+		t.Errorf("Validate(score five) = %v, want the number field rejected", err)
+	}
+	answer["score"] = "5"
+	if err := form.Validate(answer); err != nil {
+		t.Errorf("Validate(valid answer) = %v", err)
+	}
+}
+
+// TestSubmitResultKeepsTextAnswers submits "Yes" as a translation: a string
+// column stores the answer as written, and a bool column still reads it as
+// a yes.
+func TestSubmitResultKeepsTextAnswers(t *testing.T) {
+	p, _ := newPlatformWithCrowd(t, 10)
+	admin, _ := p.RegisterProject(translationProject())
+	id := admin.Description.ID
+	created, err := p.GenerateTasksFromCyLog(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	submit := func(tk *task.Task) {
+		t.Helper()
+		if err := p.SubmitResult(tk.ID, &task.Result{SubmittedBy: "w1", Fields: map[string]string{"text": "Yes"}, Quality: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tk := range created {
+		if tk.GeneratedBy == "cylog:translated|1" {
+			submit(tk)
+		}
+	}
+	eng := p.Engine(id)
+	if got := fmt.Sprint(eng.Facts("translated")); got != `[(1, "Yes")]` {
+		t.Fatalf("translated = %s, want the answer as written", got)
+	}
+	next, err := p.GenerateTasksFromCyLog(id)
+	if err != nil || len(next) != 1 {
+		t.Fatalf("next = %v, err = %v", next, err)
+	}
+	submit(next[0])
+	if got := fmt.Sprint(eng.Facts("final")); got != `[(1, "Yes")]` {
+		t.Errorf("final = %s, want the check's yes to approve the translation", got)
 	}
 }
 

@@ -64,10 +64,10 @@ func benchOracleLoopDurable(b *testing.B, edges, wave int, policy SyncPolicy) {
 		loadCrowdTC(b, e, edges)
 		b.StartTimer()
 
-		reqs, err := e.Run()
-		if err != nil {
+		if _, err := e.Run(); err != nil {
 			b.Fatal(err)
 		}
+		reqs := e.PendingView().Page(0, wave)
 		if _, err := l.Append(e.DrainJournal()); err != nil {
 			b.Fatal(err)
 		}

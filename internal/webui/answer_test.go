@@ -68,6 +68,29 @@ func TestFormAnswerReachesCyLog(t *testing.T) {
 	}
 }
 
+// TestFormAnswerKeepsText answers a translation task with "Yes" through the
+// form: the text column stores the answer as written, not as a bool.
+func TestFormAnswerKeepsText(t *testing.T) {
+	s, p, _ := newTestServer(t)
+	admin, err := p.RegisterProject(translationProject())
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := admin.Description.ID
+	created, err := p.GenerateTasksFromCyLog(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tk := taskFor(t, created, "translated|1")
+	rec := postForm(t, s, "/tasks/"+string(tk.ID)+"/answer", url.Values{"worker": {"sim-0001"}, "text": {"Yes"}})
+	if rec.Code != http.StatusSeeOther {
+		t.Fatalf("answer = %d %s", rec.Code, rec.Body.String())
+	}
+	if got := fmt.Sprint(p.Engine(id).Facts("translated")); got != `[(1, "Yes")]` {
+		t.Fatalf("translated = %s, want the form answer as written", got)
+	}
+}
+
 // TestFormAnswerRejectedByType answers an int open column with text: the
 // engine refuses it, so the form gets 400 and the task stays open, and a
 // valid value sent afterwards completes it.
