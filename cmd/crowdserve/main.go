@@ -2,7 +2,8 @@
 // WebSocket event stream (internal/api) with the server-rendered admin/worker
 // UI (internal/webui) mounted on the same listener. Workers and harnesses
 // (cmd/loadsim, curl — see docs/API.md) hit /api/v1/...; browsers get the
-// HTML front end everywhere else.
+// HTML front end everywhere else, including the dashboard's button that runs
+// a deployment cycle with the simulated crowd.
 package main
 
 import (
@@ -31,53 +32,37 @@ labeled(I) :- item(I), label(I, true).
 flagged(I) :- item(I), !labeled(I).
 `
 
+// config holds crowdserve's flags.
+type config struct {
+	addr           string
+	queue          int
+	commitInterval time.Duration
+	demo           bool
+	population     int
+	seed           int64
+	backend        string
+	dataDir        string
+	memBudget      int64
+}
+
 func main() {
-	var (
-		addr           = flag.String("addr", "127.0.0.1:8080", "listen address")
-		queue          = flag.Int("queue", api.DefaultQueueCapacity, "ingress queue capacity per project (answers staged per round before 429)")
-		commitInterval = flag.Duration("commit-interval", 25*time.Millisecond, "> 0 starts the background deriver, which commits staged answers on arrival, and is the 429 backoff hint; 0 = commit only via POST .../fixpoint")
-		demo           = flag.Bool("demo", true, "register the demo labeling project at startup")
-		popSize        = flag.Int("population", 25, "simulated worker population backing the web UI")
-		seed           = flag.Int64("seed", 1, "crowd simulator seed")
-		backend        = flag.String("backend", "", "relstore backend for project engines: memory or disk (default $CYLOG_BACKEND, else memory)")
-		dataDir        = flag.String("data", "", "root directory for disk-backed relation segments (default $CYLOG_BACKEND_DIR, else per-project temp dirs)")
-		memBudget      = flag.Int64("mem-budget", 0, "disk backend residency budget in bytes (0 = default)")
-	)
+	var c config
+	flag.StringVar(&c.addr, "addr", "127.0.0.1:8080", "listen address")
+	flag.IntVar(&c.queue, "queue", api.DefaultQueueCapacity, "ingress queue capacity per project (answers staged per round before 429)")
+	flag.DurationVar(&c.commitInterval, "commit-interval", 25*time.Millisecond, "> 0 starts the background deriver, which commits staged answers on arrival, and is the 429 backoff hint; 0 = commit only via POST .../fixpoint")
+	flag.BoolVar(&c.demo, "demo", true, "register the demo labeling project at startup")
+	flag.IntVar(&c.population, "population", 25, "simulated worker population backing the web UI")
+	flag.Int64Var(&c.seed, "seed", 1, "crowd simulator seed")
+	flag.StringVar(&c.backend, "backend", "", "relstore backend for project engines: memory or disk (default $CYLOG_BACKEND, else memory)")
+	flag.StringVar(&c.dataDir, "data", "", "root directory for disk-backed relation segments (default $CYLOG_BACKEND_DIR, else per-project temp dirs)")
+	flag.Int64Var(&c.memBudget, "mem-budget", 0, "disk backend residency budget in bytes (0 = default)")
 	flag.Parse()
 
-	p := platform.New()
-	// platform.New seeds storage from the environment; flags win over it.
-	storage := p.Storage()
-	if *backend != "" {
-		storage.Backend = *backend
+	srv, storage, err := newServer(c)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "crowdserve:", err)
+		os.Exit(1)
 	}
-	if *dataDir != "" {
-		storage.Dir = *dataDir
-	}
-	if *memBudget > 0 {
-		storage.BudgetBytes = *memBudget
-	}
-	p.SetStorage(storage)
-	crowd := crowdsim.New(crowdsim.DefaultConfig(*seed), p.Workers)
-	crowd.GeneratePopulation(crowdsim.DefaultPopulation(*popSize))
-
-	if *demo {
-		if _, err := p.RegisterProject(project.Description{
-			ID:          "demo-labels",
-			Name:        "Demo labeling project",
-			Summary:     "POST items to /api/v1/projects/demo-labels/facts, answer the generated label tasks.",
-			CyLogSource: demoProgram,
-		}); err != nil {
-			fmt.Fprintln(os.Stderr, "crowdserve:", err)
-			os.Exit(1)
-		}
-	}
-
-	srv := api.NewServer(p, api.Options{
-		QueueCapacity:  *queue,
-		CommitInterval: *commitInterval,
-		UI:             webui.NewServer(p, crowd),
-	})
 	defer srv.Close()
 
 	backendName := storage.Backend
@@ -85,13 +70,52 @@ func main() {
 		backendName = "memory"
 	}
 	deriver := "on arrival"
-	if *commitInterval <= 0 {
+	if c.commitInterval <= 0 {
 		deriver = "via POST .../fixpoint only"
 	}
 	fmt.Fprintf(os.Stderr, "crowdserve: serving API + web UI on http://%s (queue %d, commits %s, backend %s)\n",
-		*addr, *queue, deriver, backendName)
-	if err := http.ListenAndServe(*addr, srv); err != nil {
+		c.addr, c.queue, deriver, backendName)
+	if err := http.ListenAndServe(c.addr, srv); err != nil {
 		fmt.Fprintln(os.Stderr, "crowdserve:", err)
 		os.Exit(1)
 	}
+}
+
+// newServer builds the service crowdserve serves: a platform on the flags'
+// storage, the demo project when asked for, a simulated crowd for the web
+// UI's cycle action, and the API server with the web UI mounted under it. It
+// also returns the storage options the platform builds engines with.
+func newServer(c config) (*api.Server, platform.StorageOptions, error) {
+	p := platform.New()
+	// platform.New seeds storage from the environment; flags win over it.
+	storage := p.Storage()
+	if c.backend != "" {
+		storage.Backend = c.backend
+	}
+	if c.dataDir != "" {
+		storage.Dir = c.dataDir
+	}
+	if c.memBudget > 0 {
+		storage.BudgetBytes = c.memBudget
+	}
+	p.SetStorage(storage)
+	crowd := crowdsim.New(crowdsim.DefaultConfig(c.seed), p.Workers)
+	crowd.GeneratePopulation(crowdsim.DefaultPopulation(c.population))
+
+	if c.demo {
+		if _, err := p.RegisterProject(project.Description{
+			ID:          "demo-labels",
+			Name:        "Demo labeling project",
+			Summary:     "POST items to /api/v1/projects/demo-labels/facts, answer the generated label tasks.",
+			CyLogSource: demoProgram,
+		}); err != nil {
+			return nil, storage, err
+		}
+	}
+	srv := api.NewServer(p, api.Options{
+		QueueCapacity:  c.queue,
+		CommitInterval: c.commitInterval,
+		UI:             webui.NewServer(p, crowd),
+	})
+	return srv, storage, nil
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -16,8 +17,9 @@ import (
 )
 
 // wakeDeadline bounds how long a staged input may wait for its covering
-// commit. The servers below run with an hour-long CommitInterval, so only a
-// wake-up can commit within it.
+// commit. The deriver has no clock of its own, so only a wake-up can commit
+// within it; the servers below give it an hour-long CommitInterval, which
+// only turns it on.
 const wakeDeadline = 2 * time.Second
 
 // watchFixpoints records the highest round of the project's "fixpoint"
@@ -54,8 +56,8 @@ func awaitRound(t *testing.T, highest *atomic.Uint64, round uint64, what string)
 }
 
 // TestDeriverWakesOnStaging pins that every path leaving work for a commit
-// wakes the deriver: with an hour-long CommitInterval, a tick-driven
-// deriver would leave each input underived for an hour.
+// wakes the deriver: a deriver ticking at its hour-long CommitInterval would
+// leave each input underived for an hour.
 func TestDeriverWakesOnStaging(t *testing.T) {
 	cases := []struct {
 		name string
@@ -269,5 +271,53 @@ func TestDeriverBatchesArrivalsDuringCommit(t *testing.T) {
 	}
 	if got := len(p.Engine("labels").Facts("labeled")); got != n+1 {
 		t.Fatalf("labeled facts = %d, want %d", got, n+1)
+	}
+}
+
+// TestDeriverCommitsStagedFacts pins that a fact POSTed to an idle project is
+// derived by the background deriver on its own: no worker answers, so the
+// round holds no answers, yet a fixpoint event must arrive and the task the
+// fact opens must appear in the feed.
+func TestDeriverCommitsStagedFacts(t *testing.T) {
+	p := platform.New()
+	if _, err := p.RegisterProject(project.Description{
+		ID: "idle", Name: "Idle", CyLogSource: labelingProgram,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(p, Options{CommitInterval: 10 * time.Millisecond})
+	ts := httptest.NewServer(srv)
+	t.Cleanup(func() { ts.Close(); srv.Close() })
+
+	base := ts.URL + "/api/v1/projects/idle"
+	do(t, "POST", base+"/facts", FactRequest{Relation: "item", Values: []any{1}}, nil)
+	do(t, "POST", base+"/fixpoint", nil, nil)
+
+	fixpoints := make(chan uint64, 16)
+	cancel := p.Subscribe(func(e platform.Event) {
+		if e.Kind == "fixpoint" {
+			fixpoints <- e.Round
+		}
+	})
+	defer cancel()
+	if resp := do(t, "POST", base+"/facts", FactRequest{Relation: "item", Values: []any{2}}, nil); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("fact: status %d", resp.StatusCode)
+	}
+	select {
+	case round := <-fixpoints:
+		if round != 2 {
+			t.Errorf("deriver committed round %d, want 2", round)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("no fixpoint event: the deriver never committed the staged fact")
+	}
+	var feed TaskFeed
+	do(t, "GET", base+"/tasks", nil, &feed)
+	found := false
+	for _, tv := range feed.Tasks {
+		found = found || tv.ID == "label|2"
+	}
+	if !found || feed.Total != 2 {
+		t.Fatalf("feed after the deriver's commit = %+v, want label|1 and label|2", feed)
 	}
 }

@@ -51,15 +51,14 @@ type Options struct {
 	// CommitInterval > 0 starts the background deriver, which commits a
 	// round (incremental fixpoint + WAL) for a project as soon as answers or
 	// facts are staged for it; the interval does not delay commits. It is
-	// the default RetryAfter hint. Zero disables the deriver — rounds then
-	// commit only via POST .../fixpoint, which is what the differential
-	// tests use to make round boundaries deterministic.
+	// the backoff a 429 suggests (100ms when the deriver is off). Zero
+	// disables the deriver — rounds then commit only via POST .../fixpoint,
+	// which is what the differential tests use to make round boundaries
+	// deterministic.
 	CommitInterval time.Duration
-	// RetryAfter is the backoff suggested on 429 responses. Zero defaults
-	// to CommitInterval, or 100ms when the deriver is off.
-	RetryAfter time.Duration
-	// UI, when set, serves every path outside /api/v1/ — the server-rendered
-	// internal/webui front end rides on the same listener as the API.
+	// UI, when set, serves every path outside /api/ — the server-rendered
+	// internal/webui front end rides on the same listener as the API, which
+	// answers every /api/ path it does not route with a JSON 404.
 	UI http.Handler
 }
 
@@ -86,13 +85,6 @@ func NewServer(p *platform.Platform, opts Options) *Server {
 	if opts.QueueCapacity <= 0 {
 		opts.QueueCapacity = DefaultQueueCapacity
 	}
-	if opts.RetryAfter <= 0 {
-		if opts.CommitInterval > 0 {
-			opts.RetryAfter = opts.CommitInterval
-		} else {
-			opts.RetryAfter = 100 * time.Millisecond
-		}
-	}
 	s := &Server{
 		p:    p,
 		opts: opts,
@@ -105,7 +97,6 @@ func NewServer(p *platform.Platform, opts Options) *Server {
 	s.mux.HandleFunc("GET /api/v1/projects", s.handleProjectList)
 	s.mux.HandleFunc("POST /api/v1/projects", s.handleProjectCreate)
 	s.mux.HandleFunc("GET /api/v1/projects/{id}", s.handleProjectStatus)
-	s.mux.HandleFunc("PATCH /api/v1/projects/{id}", s.handleProjectUpdate)
 	s.mux.HandleFunc("GET /api/v1/projects/{id}/tasks", s.handleTaskFeed)
 	s.mux.HandleFunc("POST /api/v1/projects/{id}/answers", s.handleAnswer)
 	s.mux.HandleFunc("POST /api/v1/projects/{id}/facts", s.handleFact)
@@ -139,48 +130,23 @@ func (s *Server) Close() {
 
 // deriveLoop is the background fixpoint pump, a group-commit deriver. It
 // sleeps until the platform signals staged work (Platform.Staged) and then
-// commits one round for each project with staged answers or facts. Work
-// staged while a commit runs signals again and forms the next round, which
-// is committed as soon as the pass returns: rounds grow with load by
-// themselves and no answer waits for a clock. A project whose description
-// sets CommitInterval (commit_interval_ms over the API) is committed at most
-// once per that interval, measured from the end of its previous deriver
-// commit; the timer wakes the loop when the earliest such project comes due.
-// One loop serves every project, so commits for different projects are
-// serialized — matching the single-writer WAL discipline — while staging
-// stays fully concurrent.
+// commits one round for each project with staged answers or facts
+// (Platform.StagedProjects): facts POSTed to /facts land in the engine, not
+// in the round's batch, and need a commit too. Work staged while a commit
+// runs signals again and forms the next round, which is committed as soon
+// as the pass returns: rounds grow with load by themselves and no answer
+// waits for a clock. One loop serves every project, so commits for
+// different projects are serialized — matching the single-writer WAL
+// discipline — while staging stays fully concurrent.
 func (s *Server) deriveLoop() {
 	defer s.wg.Done()
-	// The timer runs only while some project is held back by its interval.
-	timer := time.NewTimer(time.Hour)
-	rearm(timer, 0)
-	defer timer.Stop()
-	lastCommit := make(map[project.ID]time.Time)
 	for {
 		select {
 		case <-s.stop:
 			return
 		case <-s.p.Staged():
-		case <-timer.C:
 		}
-		var next time.Duration // until the earliest held-back project is due
-		for _, sc := range s.p.Projects.Schedules() {
-			id := sc.ID
-			// Facts POSTed to /facts land in the engine directly, not in
-			// the round's batch: they need a commit too, or an idle project
-			// would never derive them.
-			eng := s.p.Engine(id)
-			if eng == nil || (s.p.StagedAnswers(id) == 0 && eng.StagedDeltas() == 0) {
-				continue
-			}
-			if last, ok := lastCommit[id]; ok && sc.CommitInterval > 0 {
-				if wait := sc.CommitInterval - time.Since(last); wait > 0 {
-					if next == 0 || wait < next {
-						next = wait
-					}
-					continue
-				}
-			}
+		for _, id := range s.p.StagedProjects() {
 			if _, err := s.p.CommitRound(id); err != nil {
 				// Record through the platform event log, not the hub
 				// directly: the failure must reach the event log
@@ -189,24 +155,7 @@ func (s *Server) deriveLoop() {
 				// platform subscription.
 				s.p.Record(platform.Event{Kind: "commit-error", Project: id, Message: err.Error()})
 			}
-			lastCommit[id] = time.Now()
 		}
-		rearm(timer, next)
-	}
-}
-
-// rearm stops t, discards a fire nobody received, and starts it for d; d <= 0
-// leaves it stopped. go.mod targets Go 1.22, whose timers buffer one fire in
-// their channel, so a Reset without the drain could deliver a stale fire.
-func rearm(t *time.Timer, d time.Duration) {
-	if !t.Stop() {
-		select {
-		case <-t.C:
-		default:
-		}
-	}
-	if d > 0 {
-		t.Reset(d)
 	}
 }
 
@@ -228,7 +177,6 @@ type (
 	WALStatus            = wire.WALStatus
 	ProjectStatus        = wire.ProjectStatus
 	CreateProjectRequest = wire.CreateProjectRequest
-	UpdateProjectRequest = wire.UpdateProjectRequest
 	StorageStatus        = wire.StorageStatus
 	EventMessage         = wire.EventMessage
 	errorBody            = wire.ErrorBody
@@ -263,13 +211,12 @@ func (s *Server) handleProjectCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	admin, err := s.p.RegisterProject(project.Description{
-		ID:             project.ID(req.ID),
-		Name:           req.Name,
-		Requester:      req.Requester,
-		Summary:        req.Summary,
-		CyLogSource:    req.CyLog,
-		Storage:        req.Backend,
-		CommitInterval: time.Duration(req.CommitIntervalMS) * time.Millisecond,
+		ID:          project.ID(req.ID),
+		Name:        req.Name,
+		Requester:   req.Requester,
+		Summary:     req.Summary,
+		CyLogSource: req.CyLog,
+		Storage:     req.Backend,
 	})
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, errorBody{Code: "invalid-project", Error: err.Error()})
@@ -319,46 +266,14 @@ func (s *Server) handleProjectStatus(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, st)
 }
 
-// handleProjectUpdate applies the mutable slice of a project's description;
-// today that is commit_interval_ms, the minimum spacing between the
-// project's deriver commits (0 commits on arrival like every other project).
-// Absent fields are left alone.
-func (s *Server) handleProjectUpdate(w http.ResponseWriter, r *http.Request) {
-	id := project.ID(r.PathValue("id"))
-	var req UpdateProjectRequest
-	if err := decodeJSON(r, &req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Code: "bad-json", Error: err.Error()})
-		return
-	}
-	admin, ok := s.p.Projects.Get(id)
-	if !ok {
-		s.writeError(w, fmt.Errorf("%w: %s", project.ErrUnknownProject, id))
-		return
-	}
-	if req.CommitIntervalMS != nil {
-		if *req.CommitIntervalMS < 0 {
-			writeJSON(w, http.StatusBadRequest, errorBody{Code: "bad-request", Error: "commit_interval_ms must be non-negative"})
-			return
-		}
-		var err error
-		admin, err = s.p.Projects.SetCommitInterval(id, time.Duration(*req.CommitIntervalMS)*time.Millisecond)
-		if err != nil {
-			s.writeError(w, err)
-			return
-		}
-	}
-	writeJSON(w, http.StatusOK, s.projectSummary(admin))
-}
-
 func (s *Server) projectSummary(a *project.Admin) ProjectStatus {
 	id := a.Description.ID
 	st := ProjectStatus{
-		ID:               string(id),
-		Name:             a.Description.Name,
-		Status:           string(a.Status),
-		Requester:        a.Description.Requester,
-		Summary:          a.Description.Summary,
-		CommitIntervalMS: a.Description.CommitInterval.Milliseconds(),
+		ID:        string(id),
+		Name:      a.Description.Name,
+		Status:    string(a.Status),
+		Requester: a.Description.Requester,
+		Summary:   a.Description.Summary,
 	}
 	if eng := s.p.Engine(id); eng != nil {
 		st.HasEngine = true
@@ -578,16 +493,21 @@ func (s *Server) writeError(w http.ResponseWriter, err error) {
 	}
 }
 
-// writeOverloaded emits the 429 backpressure response. Retry-After is in
-// whole seconds per RFC 9110 (rounded up, so sub-second backoffs do not
-// become "retry immediately"); X-Retry-After-Ms carries the exact hint.
+// writeOverloaded emits the 429 backpressure response. The hint is the
+// deriver's CommitInterval, or 100ms when the deriver is off. Retry-After
+// is in whole seconds per RFC 9110 (rounded up, so sub-second backoffs do
+// not become "retry immediately"); X-Retry-After-Ms carries the exact hint.
 func (s *Server) writeOverloaded(w http.ResponseWriter) {
-	secs := int(math.Ceil(s.opts.RetryAfter.Seconds()))
+	hint := s.opts.CommitInterval
+	if hint <= 0 {
+		hint = 100 * time.Millisecond
+	}
+	secs := int(math.Ceil(hint.Seconds()))
 	if secs < 1 {
 		secs = 1
 	}
 	w.Header().Set("Retry-After", strconv.Itoa(secs))
-	w.Header().Set("X-Retry-After-Ms", strconv.FormatInt(s.opts.RetryAfter.Milliseconds(), 10))
+	w.Header().Set("X-Retry-After-Ms", strconv.FormatInt(hint.Milliseconds(), 10))
 	writeJSON(w, http.StatusTooManyRequests, errorBody{
 		Code:  "overloaded",
 		Error: fmt.Sprintf("ingress queue full (%d staged answers); retry after the next fixpoint", s.opts.QueueCapacity),

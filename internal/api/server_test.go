@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/crowd4u/crowd4u-go/internal/cylog/reference"
 	"github.com/crowd4u/crowd4u-go/internal/platform"
 	"github.com/crowd4u/crowd4u-go/internal/project"
 )
@@ -341,8 +342,11 @@ func TestErrorPaths(t *testing.T) {
 	}
 }
 
+// TestAdmissionControl fills a round to QueueCapacity with the deriver off:
+// the next answer gets 429 with the hint of a server without a deriver,
+// 100ms. A server with a deriver hints its CommitInterval.
 func TestAdmissionControl(t *testing.T) {
-	ts, _ := newTestService(t, Options{QueueCapacity: 2, RetryAfter: 250 * time.Millisecond})
+	ts, _ := newTestService(t, Options{QueueCapacity: 2})
 	seedItems(t, ts.URL, 4)
 	var feed TaskFeed
 	do(t, "GET", ts.URL+"/api/v1/projects/labels/tasks", nil, &feed)
@@ -361,10 +365,17 @@ func TestAdmissionControl(t *testing.T) {
 		t.Fatalf("over capacity: status %d code %q", resp.StatusCode, eb.Code)
 	}
 	if got := resp.Header.Get("Retry-After"); got != "1" {
-		t.Fatalf("Retry-After = %q, want \"1\" (250ms rounds up)", got)
+		t.Fatalf("Retry-After = %q, want \"1\" (100ms rounds up)", got)
 	}
-	if got := resp.Header.Get("X-Retry-After-Ms"); got != "250" {
-		t.Fatalf("X-Retry-After-Ms = %q, want \"250\"", got)
+	if got := resp.Header.Get("X-Retry-After-Ms"); got != "100" {
+		t.Fatalf("X-Retry-After-Ms = %q, want \"100\"", got)
+	}
+	srv := NewServer(platform.New(), Options{CommitInterval: 1500 * time.Millisecond})
+	srv.Close()
+	rec := httptest.NewRecorder()
+	srv.writeOverloaded(rec)
+	if got, ms := rec.Header().Get("Retry-After"), rec.Header().Get("X-Retry-After-Ms"); got != "2" || ms != "1500" {
+		t.Fatalf("with a 1500ms CommitInterval: Retry-After %q, X-Retry-After-Ms %q; want \"2\" and \"1500\"", got, ms)
 	}
 
 	// A committed round drains the queue; admission reopens.
@@ -484,6 +495,78 @@ func TestValueCoercion(t *testing.T) {
 	do(t, "POST", ts.URL+"/api/v1/projects/labels/fixpoint", nil, nil)
 	if got := len(p.Engine("labels").Facts("labeled")); got != 1 {
 		t.Fatalf("labeled facts = %d, want 1", got)
+	}
+}
+
+// TestCreateProjectBackendAndInterval covers the creation request: its
+// backend override selects the relstore backend for the project's engine,
+// and a commit_interval_ms an older client still sends is ignored, as is
+// every unknown field.
+func TestCreateProjectBackendAndInterval(t *testing.T) {
+	p := platform.New()
+	p.SetStorage(platform.StorageOptions{Dir: t.TempDir(), BudgetBytes: 1 << 20})
+	srv := NewServer(p, Options{})
+	ts := httptest.NewServer(srv)
+	t.Cleanup(func() { ts.Close(); srv.Close() })
+
+	body := map[string]any{"id": "diskproj", "name": "Disk project", "cylog": labelingProgram, "backend": "disk", "commit_interval_ms": 250}
+	resp := do(t, "POST", ts.URL+"/api/v1/projects", body, nil)
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("create: status %d", resp.StatusCode)
+	}
+	var st ProjectStatus
+	do(t, "GET", ts.URL+"/api/v1/projects/diskproj", nil, &st)
+	if st.Storage == nil || st.Storage.Backend != "disk" {
+		t.Fatalf("status storage = %+v, want disk backend", st.Storage)
+	}
+
+	// An unknown backend is a validation error, not a registered project.
+	resp = do(t, "POST", ts.URL+"/api/v1/projects", CreateProjectRequest{
+		Name: "Bad", CyLog: labelingProgram, Backend: "papyrus",
+	}, nil)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("bad backend: status %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestNoProjectUpdateRoute pins that projects have no PATCH route: a PATCH
+// gets the API's JSON 404 and changes nothing.
+func TestNoProjectUpdateRoute(t *testing.T) {
+	ts, _ := newTestService(t, Options{})
+	var eb errorBody
+	resp := do(t, "PATCH", ts.URL+"/api/v1/projects/labels", map[string]any{"commit_interval_ms": 400}, &eb)
+	if resp.StatusCode != http.StatusNotFound || eb.Code != "not-found" {
+		t.Fatalf("PATCH: status %d code %q, want 404 not-found", resp.StatusCode, eb.Code)
+	}
+}
+
+// TestFactIntoOpenRelationClosesRequest POSTs a whole fact into an open
+// relation while its request is pending: the request closes, the engine
+// agrees with the reference evaluator, and an answer to the request is
+// refused as closed instead of storing a second fact under its key.
+func TestFactIntoOpenRelationClosesRequest(t *testing.T) {
+	ts, p := newTestService(t, Options{})
+	seedItems(t, ts.URL, 2)
+	base := ts.URL + "/api/v1/projects/labels"
+	if resp := do(t, "POST", base+"/facts", FactRequest{Relation: "label", Values: []any{1, true}}, nil); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("fact: status %d", resp.StatusCode)
+	}
+	var fp FixpointResponse
+	do(t, "POST", base+"/fixpoint", nil, &fp)
+	if fp.Pending != 1 {
+		t.Fatalf("fixpoint left %d pending requests, want 1", fp.Pending)
+	}
+	eng := p.Engine("labels")
+	if err := reference.Check(eng, reference.BaseFacts(eng)); err != nil {
+		t.Fatal(err)
+	}
+	var eb errorBody
+	resp := do(t, "POST", base+"/answers", AnswerRequest{RequestID: "label|1", Values: map[string]any{"ok": false}}, &eb)
+	if resp.StatusCode != http.StatusConflict || eb.Code != "request-closed" {
+		t.Fatalf("answer to label|1: status %d code %q, want 409 request-closed", resp.StatusCode, eb.Code)
+	}
+	if got := len(eng.Facts("label")); got != 1 {
+		t.Fatalf("label holds %d facts, want 1", got)
 	}
 }
 

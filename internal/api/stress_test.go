@@ -19,9 +19,8 @@ func TestConcurrentSubmissionStress(t *testing.T) {
 		workers = 8
 	)
 	ts, p := newTestService(t, Options{
-		CommitInterval: 2 * time.Millisecond,
-		QueueCapacity:  16, // small enough that workers actually hit 429s
-		RetryAfter:     5 * time.Millisecond,
+		CommitInterval: 2 * time.Millisecond, // also the 429 backoff hint
+		QueueCapacity:  16,                   // small enough that workers actually hit 429s
 	})
 	seedItems(t, ts.URL, items)
 

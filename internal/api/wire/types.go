@@ -120,20 +120,17 @@ type StorageStatus struct {
 // ProjectStatus is the response of GET /api/v1/projects/{id} (and, without
 // Queue/Stats/WAL detail, the element type of the project list).
 type ProjectStatus struct {
-	ID              string `json:"id"`
-	Name            string `json:"name"`
-	Status          string `json:"status"`
-	Requester       string `json:"requester,omitempty"`
-	Summary         string `json:"summary,omitempty"`
-	HasEngine       bool   `json:"has_engine"`
-	PendingRequests int    `json:"pending_requests"`
-	// CommitIntervalMS is the minimum spacing between the project's
-	// background commits (0 = commit on arrival).
-	CommitIntervalMS int64          `json:"commit_interval_ms,omitempty"`
-	Queue            *QueueStatus   `json:"queue,omitempty"`
-	Stats            *StatsView     `json:"stats,omitempty"`
-	WAL              *WALStatus     `json:"wal,omitempty"`
-	Storage          *StorageStatus `json:"storage,omitempty"`
+	ID              string         `json:"id"`
+	Name            string         `json:"name"`
+	Status          string         `json:"status"`
+	Requester       string         `json:"requester,omitempty"`
+	Summary         string         `json:"summary,omitempty"`
+	HasEngine       bool           `json:"has_engine"`
+	PendingRequests int            `json:"pending_requests"`
+	Queue           *QueueStatus   `json:"queue,omitempty"`
+	Stats           *StatsView     `json:"stats,omitempty"`
+	WAL             *WALStatus     `json:"wal,omitempty"`
+	Storage         *StorageStatus `json:"storage,omitempty"`
 }
 
 // CreateProjectRequest is the body of POST /api/v1/projects.
@@ -148,16 +145,4 @@ type CreateProjectRequest struct {
 	// Backend overrides the platform-wide relstore backend for this project:
 	// "" (platform default), "memory" or "disk".
 	Backend string `json:"backend,omitempty"`
-	// CommitIntervalMS is the minimum spacing between this project's
-	// background commits, in milliseconds, measured from the end of the
-	// previous one (0 = commit on arrival).
-	CommitIntervalMS int64 `json:"commit_interval_ms,omitempty"`
-}
-
-// UpdateProjectRequest is the body of PATCH /api/v1/projects/{id}. Only
-// non-nil fields are applied.
-type UpdateProjectRequest struct {
-	// CommitIntervalMS replaces the project's minimum commit spacing in
-	// milliseconds; 0 returns the project to committing on arrival.
-	CommitIntervalMS *int64 `json:"commit_interval_ms,omitempty"`
 }

@@ -1,6 +1,7 @@
 package cylog_test
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"testing"
@@ -304,5 +305,50 @@ func TestGuardedReachMatchesReference(t *testing.T) {
 				t.Error(err)
 			}
 		})
+	}
+}
+
+// TestAddFactToOpenRelationClosesRequest ingests a whole fact into an open
+// relation through AddFact while its request is pending: the request must
+// close, as with AnswerFact, so the engine agrees with the reference and a
+// later answer to the request is refused instead of storing a second fact
+// under the same key.
+func TestAddFactToOpenRelationClosesRequest(t *testing.T) {
+	e, err := cylog.NewEngine(cylog.MustParse(`
+rel item(id: int).
+open rel label(id: int, ok: bool) key(id) asks "Is this item acceptable?".
+rel labeled(id: int).
+labeled(I) :- item(I), label(I, true).
+`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []int{1, 2} {
+		if err := e.AddFact("item", id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.AddFact("label", 1, true); err != nil {
+		t.Fatal(err)
+	}
+	view, err := e.RunIncremental(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := reference.Check(e, reference.BaseFacts(e)); err != nil {
+		t.Fatal(err)
+	}
+	if all := view.All(); len(all) != 1 || all[0].ID != "label|2" {
+		t.Fatalf("pending = %v, want label|2 alone", all)
+	}
+	b := e.NewAnswerBatch()
+	if err := b.Answer("label|1", map[string]any{"ok": false}); !errors.Is(err, cylog.ErrRequestClosed) {
+		t.Fatalf("answer to label|1 after its fact: %v, want ErrRequestClosed", err)
+	}
+	if got := len(e.Facts("label")); got != 1 {
+		t.Fatalf("label holds %d facts, want 1", got)
 	}
 }

@@ -360,8 +360,13 @@ func (e *Engine) Stats() Stats {
 
 // AddFact inserts an external fact (e.g. the platform mirrors registered
 // workers and tasks into EDB relations). The relation must be declared. The
-// inserted tuple is tracked as a seed delta for the next RunIncremental.
+// inserted tuple is tracked as a seed delta for the next RunIncremental. A
+// fact for an open relation is an answer: it goes through AnswerFact, which
+// also closes every pending request its key covers.
 func (e *Engine) AddFact(relation string, values ...any) error {
+	if e.analysis.Program.IsOpen(relation) {
+		return e.AnswerFact(relation, values...)
+	}
 	rel := e.db.Relation(relation)
 	if rel == nil {
 		return fmt.Errorf("cylog: relation %q is not declared", relation)

@@ -17,7 +17,7 @@ import (
 // original run. The journal records each *applied* ingestion operation (an
 // insert the relation actually accepted; duplicates and rejected batch items
 // are not recorded, so replay applies exactly what the original run applied)
-// so a write-ahead log can drain and persist them, and ReplayOps can re-apply
+// so a write-ahead log can persist them, and ReplayOps can re-apply
 // a persisted sequence onto a recovered engine.
 
 // OpKind identifies the ingestion path a journaled operation took.
@@ -71,15 +71,24 @@ func (e *Engine) SetJournaling(enabled bool) {
 	}
 }
 
-// DrainJournal returns the operations recorded since the last drain and
-// clears the journal. The caller (the platform's commit path) persists them
-// through the WAL before acking the round's workers.
-func (e *Engine) DrainJournal() []FactOp {
+// Journal returns the operations recorded and not yet trimmed, oldest
+// first. The slice is read-only and later recordings do not change it. The
+// caller (the platform's commit path) persists it through the WAL before
+// acking the round's workers, then trims what it persisted, so an operation
+// leaves the journal only once it is durable.
+func (e *Engine) Journal() []FactOp {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	ops := e.journal
-	e.journal = nil
-	return ops
+	return e.journal[:len(e.journal):len(e.journal)]
+}
+
+// TrimJournal drops the oldest n recorded operations: the prefix of a
+// Journal the caller has persisted. Operations recorded since that Journal
+// call stay.
+func (e *Engine) TrimJournal(n int) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.journal = append([]FactOp(nil), e.journal[min(n, len(e.journal)):]...)
 }
 
 // journalOp records an applied ingestion operation. Caller holds e.mu and has

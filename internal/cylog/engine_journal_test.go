@@ -9,7 +9,7 @@ import (
 	"github.com/crowd4u/crowd4u-go/internal/relstore"
 )
 
-// Ingestion-journal coverage: recording across every ingestion path, drain
+// Ingestion-journal coverage: recording across every ingestion path, trim
 // semantics, and replay equivalence — a fresh engine fed the journal reaches
 // the same fixpoint and pending set as the engine that lived through the
 // ingestion.
@@ -22,7 +22,7 @@ func TestJournalOffByDefault(t *testing.T) {
 	if err := commitAnswer(e, reqs[0].ID, map[string]any{"text": "T"}); err != nil {
 		t.Fatal(err)
 	}
-	if ops := e.DrainJournal(); len(ops) != 0 {
+	if ops := e.Journal(); len(ops) != 0 {
 		t.Fatalf("journal recorded %d ops with journaling off", len(ops))
 	}
 }
@@ -51,7 +51,7 @@ func TestJournalRecordsEveryIngestionPath(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ops := e.DrainJournal()
+	ops := e.Journal()
 	want := []struct {
 		kind      OpKind
 		relation  string
@@ -72,8 +72,30 @@ func TestJournalRecordsEveryIngestionPath(t *testing.T) {
 				i, ops[i].Kind, ops[i].Relation, ops[i].RequestID, w.kind, w.relation, w.requestID)
 		}
 	}
-	if again := e.DrainJournal(); len(again) != 0 {
-		t.Fatalf("second drain returned %d ops, want 0", len(again))
+	e.TrimJournal(len(ops))
+	if again := e.Journal(); len(again) != 0 {
+		t.Fatalf("journal after trimming every op holds %d ops, want 0", len(again))
+	}
+}
+
+// TestTrimJournalKeepsLaterOps trims a journal read before more ops were
+// recorded: only the read prefix goes, and the slice read stays as it was.
+func TestTrimJournalKeepsLaterOps(t *testing.T) {
+	e, _ := newWorkflowEngineWithRequests(t)
+	e.SetJournaling(true)
+	if err := e.AddFact("sentence", 3, "Hi"); err != nil {
+		t.Fatal(err)
+	}
+	read := e.Journal()
+	if err := e.AddFact("sentence", 4, "Bye"); err != nil {
+		t.Fatal(err)
+	}
+	e.TrimJournal(len(read))
+	if len(read) != 1 || read[0].Tuple[0].String() != "3" {
+		t.Fatalf("journal read before the trim = %v, want sentence 3 alone", read)
+	}
+	if left := e.Journal(); len(left) != 1 || left[0].Tuple[0].String() != "4" {
+		t.Fatalf("journal after the trim = %v, want sentence 4 alone", left)
 	}
 }
 
@@ -85,14 +107,14 @@ func TestJournalSkipsDuplicatesAndDisable(t *testing.T) {
 	if err := e.AddFact("sentence", 1, "Hello"); err != nil {
 		t.Fatal(err)
 	}
-	if ops := e.DrainJournal(); len(ops) != 0 {
+	if ops := e.Journal(); len(ops) != 0 {
 		t.Fatalf("duplicate insert journaled: %v", ops)
 	}
 	if err := e.AddFact("sentence", 4, "New"); err != nil {
 		t.Fatal(err)
 	}
 	e.SetJournaling(false)
-	if ops := e.DrainJournal(); len(ops) != 0 {
+	if ops := e.Journal(); len(ops) != 0 {
 		t.Fatalf("SetJournaling(false) should clear pending ops, got %v", ops)
 	}
 }
@@ -139,7 +161,7 @@ rejected(N) :- reach(_, N), !approved(N).
 		t.Fatal(err)
 	}
 	liveReqs := liveView.All()
-	ops := live.DrainJournal()
+	ops := live.Journal()
 	if len(ops) == 0 {
 		t.Fatal("no ops journaled")
 	}

@@ -101,17 +101,25 @@ func (v *PendingView) All() []OpenRequest {
 // for ids below every chunk). Those chunks are merged with their ids into
 // fresh runs; a run above 2*pendingChunk is split, and one below
 // pendingChunk/2 is joined to the chunk before it (or, at the front, to the
-// one after it). Every other chunk is shared with v.
+// one after it). Every other chunk is shared with v: the chunks before the
+// first touched one are found by one binary search over the chunks' first
+// IDs and shared in one append.
 func (v *PendingView) publish(ids []string, pending map[string]*OpenRequest) *PendingView {
 	old := v.chunks
 	if len(old) == 0 {
 		old = [][]*OpenRequest{nil}
 	}
 	out := make([][]*OpenRequest, 0, len(old)+len(ids)/pendingChunk+1)
+	first := 0 // the chunk ids[0] falls in
+	if len(ids) > 0 {
+		first = sort.Search(len(old)-1, func(i int) bool { return old[i+1][0].ID > ids[0] })
+	}
+	out = append(out, old[:first]...)
 	// carry is a fresh run too small to stand alone with no chunk before it
 	// to join: it is prepended to the next chunk.
 	var carry []*OpenRequest
-	for i, c := range old {
+	for i := first; i < len(old); i++ {
+		c := old[i]
 		if len(ids) == 0 && carry == nil {
 			out = append(out, old[i:]...)
 			break

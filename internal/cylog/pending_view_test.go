@@ -532,6 +532,71 @@ func TestPendingViewProperty(t *testing.T) {
 	}
 }
 
+// TestPendingViewLastChunkChanges publishes changes whose ids all fall in
+// the last chunk of a view of many chunks: it closes some of the chunk's
+// requests and admits ids above every pending one. Every chunk before the
+// last two (the one before the last may take in a run too small to stand
+// alone) must be shared in place, at the same position of the new snapshot.
+func TestPendingViewLastChunkChanges(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 12; i++ {
+		e, err := NewEngine(MustParse(pendingViewProgram))
+		if err != nil {
+			t.Fatal(err)
+		}
+		admit := func(ids []string) {
+			var sink requestSink
+			for _, id := range ids {
+				if !sink.bump(id) {
+					sink.add(OpenRequest{ID: id, Relation: "r"})
+				}
+			}
+			if err := e.admitRequests(&sink, 0, false); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var ids []string
+		for k := 500 + rng.Intn(1500); k > 0; k-- {
+			ids = append(ids, fmt.Sprintf("r|%d", k))
+		}
+		e.mu.Lock()
+		admit(ids)
+		e.publishPendingLocked()
+		e.mu.Unlock()
+		for step := 0; step < 8; step++ {
+			before := e.PendingView()
+			last := before.chunks[len(before.chunks)-1]
+			e.mu.Lock()
+			for k := rng.Intn(len(last)); k > 0; k-- {
+				e.closePendingLocked(last[rng.Intn(len(last))].ID)
+			}
+			var above []string
+			for k := rng.Intn(2 * pendingChunk); k > 0; k-- {
+				above = append(above, fmt.Sprintf("%s~%d", last[len(last)-1].ID, k))
+			}
+			admit(above)
+			changed := make(map[string]bool, len(e.pendingChanged))
+			for id := range e.pendingChanged {
+				changed[id] = true
+			}
+			e.publishPendingLocked()
+			e.mu.Unlock()
+			after := e.PendingView()
+			if err := checkPendingView(after); err != nil {
+				t.Fatalf("view %d, step %d: %v", i, step, err)
+			}
+			if err := checkSharing(before, after, changed); err != nil {
+				t.Fatalf("view %d, step %d: %v", i, step, err)
+			}
+			for j, c := range before.chunks[:max(len(before.chunks)-2, 0)] {
+				if got := after.chunks[j]; &got[0] != &c[0] || len(got) != len(c) {
+					t.Fatalf("view %d, step %d: chunk %d of %d, before the last chunk, was not shared in place", i, step, j, len(before.chunks))
+				}
+			}
+		}
+	}
+}
+
 // FuzzPendingView is pendingViewOps under coverage-guided fuzzing.
 func FuzzPendingView(f *testing.F) {
 	f.Add([]byte{0, 200, 7, 0, 255, 0, 1, 30, 2, 2, 64, 1, 3, 200, 0})

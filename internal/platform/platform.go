@@ -58,32 +58,17 @@ type Platform struct {
 	Projects   *project.Registry
 	Controller *assign.Controller
 
-	mu      sync.Mutex
-	engines map[project.ID]*cylog.Engine
+	mu sync.Mutex
+	// served holds the record of every project with a CyLog engine: the
+	// engine, its answer round and its WAL (see service.go). CommitRound —
+	// reached directly by the API layer or through GenerateTasksFromCyLog —
+	// commits a round via RunIncremental, so a whole round of crowd answers
+	// costs one delta-seeded fixpoint instead of a full re-run per answer.
+	served map[project.ID]*servedProject
 	// requestTask maps a CyLog open-request id to the task generated for it,
 	// and taskRequest the reverse, so results can be fed back into the engine.
 	requestTask map[string]task.ID
 	taskRequest map[task.ID]requestRef
-	// rounds holds, per project, the answer round currently staging (created
-	// lazily by the first staged answer) and nextRound the sequence number
-	// the next detached round will carry. CommitRound — reached directly by
-	// the API layer or through GenerateTasksFromCyLog — commits a round via
-	// RunIncremental, so a whole round of crowd answers costs one
-	// delta-seeded fixpoint instead of a full re-run per answer. See
-	// service.go for the round/sequence contract.
-	rounds    map[project.ID]*roundState
-	nextRound map[project.ID]uint64
-	// commits serializes each project's commits (CommitRound end to end,
-	// whoever calls it: the deriver, SubmitResult, GenerateTasksFromCyLog or
-	// the API's fixpoint endpoint). p.mu only guards map access and is
-	// dropped during the fixpoint and WAL writes; without this lock two
-	// concurrent commits could publish their round-stamped "fixpoint" events
-	// out of order (breaking the round contract in service.go) and race into
-	// the project's WAL. Created lazily per project under p.mu.
-	commits map[project.ID]*sync.Mutex
-	// wals holds each project's attached write-ahead log (nil map until the
-	// first AttachWAL); see platform_wal.go for the commit protocol.
-	wals map[project.ID]*walBinding
 	// events is the retained event log, a ring of at most eventLogCapacity
 	// events whose oldest entry sits at eventsHead once it is full;
 	// eventsDropped counts the events overwritten since.
@@ -120,12 +105,9 @@ func New() *Platform {
 		Tasks:       pool,
 		Projects:    project.NewRegistry(),
 		Controller:  assign.NewController(workers, pool),
-		engines:     make(map[project.ID]*cylog.Engine),
+		served:      make(map[project.ID]*servedProject),
 		requestTask: make(map[string]task.ID),
 		taskRequest: make(map[task.ID]requestRef),
-		rounds:      make(map[project.ID]*roundState),
-		nextRound:   make(map[project.ID]uint64),
-		commits:     make(map[project.ID]*sync.Mutex),
 		nowFn:       time.Now,
 		storage:     DefaultStorageFromEnv(),
 		staged:      make(chan struct{}, 1),
@@ -203,15 +185,17 @@ func (p *Platform) EventsDropped() uint64 {
 // Engine returns the CyLog engine of a project (nil when the project has no
 // CyLog description).
 func (p *Platform) Engine(id project.ID) *cylog.Engine {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.engines[id]
+	if s := p.lookup(id); s != nil {
+		return s.eng
+	}
+	return nil
 }
 
 // RegisterProject validates and registers a project description; when the
-// project has a CyLog source, its engine is created and its program facts
-// loaded (step 1 of Figure 2: "for each submitted project description, an
-// administration page for the project is generated").
+// project has a CyLog source, its engine is created, its program facts
+// loaded and its record opened at round 1 (step 1 of Figure 2: "for each
+// submitted project description, an administration page for the project is
+// generated").
 func (p *Platform) RegisterProject(d project.Description) (*project.Admin, error) {
 	admin, err := p.Projects.Register(d)
 	if err != nil {
@@ -232,7 +216,7 @@ func (p *Platform) RegisterProject(d project.Description) (*project.Admin, error
 			return nil, err
 		}
 		p.mu.Lock()
-		p.engines[id] = eng
+		p.served[id] = &servedProject{id: id, eng: eng, seq: 1}
 		p.mu.Unlock()
 	}
 	p.record(Event{Kind: "project-registered", Project: id, Message: admin.Description.Name})
@@ -539,12 +523,12 @@ var ErrAnswerRejected = errors.New("platform: answer rejected")
 func (p *Platform) feedResultToCyLog(t *task.Task, result *task.Result) error {
 	p.mu.Lock()
 	ref, ok := p.taskRequest[t.ID]
-	eng := p.engines[ref.project]
+	s := p.served[ref.project]
 	p.mu.Unlock()
-	if !ok || eng == nil || result == nil {
+	if !ok || s == nil || result == nil {
 		return nil
 	}
-	answer := answerFields(eng.Analysis().Program.DeclarationFor(ref.request.Relation), ref.request, result)
+	answer := answerFields(s.eng.Analysis().Program.DeclarationFor(ref.request.Relation), ref.request, result)
 	// StageAnswer retries into the next round if the current one commits
 	// underneath us (a concurrent GenerateTasksFromCyLog or API CommitRound),
 	// so the worker's answer is never dropped.

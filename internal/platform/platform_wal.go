@@ -3,7 +3,6 @@ package platform
 import (
 	"fmt"
 
-	"github.com/crowd4u/crowd4u-go/internal/cylog"
 	"github.com/crowd4u/crowd4u-go/internal/project"
 	"github.com/crowd4u/crowd4u-go/internal/task"
 	"github.com/crowd4u/crowd4u-go/internal/wal"
@@ -14,9 +13,11 @@ import (
 // and the platform persists the journal in CommitRound, the one commit
 // point, before the round is acknowledged: before GenerateTasksFromCyLog
 // hands out the tasks derived from it and before SubmitResult acknowledges
-// the submission it covers. Crashing between rounds therefore loses at most
-// answers the WAL never acknowledged, and recovery re-issues exactly the
-// requests those answers would have closed.
+// the submission it covers. Operations leave the journal only once they are
+// appended, so a round whose append fails is appended by the next commit
+// that succeeds. Crashing between rounds therefore loses at most answers the
+// WAL never acknowledged, and recovery re-issues exactly the requests those
+// answers would have closed.
 
 // walBinding is a project's attached log plus its snapshot cadence.
 type walBinding struct {
@@ -33,17 +34,14 @@ type walBinding struct {
 // before ingesting anything that must be durable; for an existing log
 // directory use RecoverProject instead, which replays first.
 func (p *Platform) AttachWAL(projectID project.ID, log *wal.Log, snapshotEvery int) error {
-	eng := p.Engine(projectID)
-	if eng == nil {
+	s := p.lookup(projectID)
+	if s == nil {
 		return fmt.Errorf("platform: project %s has no CyLog engine to attach a WAL to", projectID)
 	}
 	p.mu.Lock()
-	if p.wals == nil {
-		p.wals = make(map[project.ID]*walBinding)
-	}
-	p.wals[projectID] = &walBinding{log: log, snapshotEvery: snapshotEvery}
+	s.wal = &walBinding{log: log, snapshotEvery: snapshotEvery}
 	p.mu.Unlock()
-	eng.SetJournaling(true)
+	s.eng.SetJournaling(true)
 	return nil
 }
 
@@ -75,7 +73,10 @@ func (p *Platform) RecoverProject(projectID project.ID, log *wal.Log, snapshotEv
 // project has a WAL attached.
 func (p *Platform) WALStats(projectID project.ID) (wal.Stats, bool) {
 	p.mu.Lock()
-	wb := p.wals[projectID]
+	var wb *walBinding
+	if s := p.served[projectID]; s != nil {
+		wb = s.wal
+	}
 	p.mu.Unlock()
 	if wb == nil {
 		return wal.Stats{}, false
@@ -83,27 +84,32 @@ func (p *Platform) WALStats(projectID project.ID) (wal.Stats, bool) {
 	return wb.log.Stats(), true
 }
 
-// persistRound drains the engine's ingestion journal and appends it to the
-// project's WAL as one record, snapshotting (and truncating obsolete state)
-// when the cadence is due. It is called at every commit point before the
-// round's outcome is acknowledged; with no WAL attached it is a no-op. An
-// append or snapshot failure is returned — the commit must fail loudly rather
-// than ack answers that were never made durable.
-func (p *Platform) persistRound(projectID project.ID, eng *cylog.Engine) error {
+// persistRound appends the engine's ingestion journal to the project's WAL
+// as one record, snapshotting (and truncating obsolete state) when the
+// cadence is due. It is called at every commit point before the round's
+// outcome is acknowledged; with no WAL attached it is a no-op. An append or
+// snapshot failure is returned — the commit must fail loudly rather than ack
+// answers that were never made durable.
+//
+// The appended operations are trimmed from the journal only after the
+// append succeeds, and only they: an AddFact may journal more while the
+// append runs, without any lock held. A failed append leaves its operations
+// for the next commit, which appends them ahead of its own.
+func (p *Platform) persistRound(s *servedProject) error {
 	p.mu.Lock()
-	wb := p.wals[projectID]
+	wb := s.wal
 	p.mu.Unlock()
 	if wb == nil {
 		return nil
 	}
-	ops := eng.DrainJournal()
-	if len(ops) > 0 {
+	if ops := s.eng.Journal(); len(ops) > 0 {
 		seq, err := wb.log.Append(ops)
 		if err != nil {
-			p.record(Event{Kind: "wal-error", Project: projectID, Message: "append: " + err.Error()})
-			return fmt.Errorf("platform: persisting round for %s: %w", projectID, err)
+			p.record(Event{Kind: "wal-error", Project: s.id, Message: "append: " + err.Error()})
+			return fmt.Errorf("platform: persisting round for %s: %w", s.id, err)
 		}
-		p.record(Event{Kind: "wal-append", Project: projectID,
+		s.eng.TrimJournal(len(ops))
+		p.record(Event{Kind: "wal-append", Project: s.id,
 			Message: fmt.Sprintf("record %d: %d ops", seq, len(ops))})
 		p.mu.Lock()
 		wb.appends++
@@ -113,19 +119,19 @@ func (p *Platform) persistRound(projectID project.ID, eng *cylog.Engine) error {
 	due := wb.snapshotEvery > 0 && wb.appends >= wb.snapshotEvery
 	p.mu.Unlock()
 	if due {
-		seq, err := wb.log.Snapshot(eng)
+		seq, err := wb.log.Snapshot(s.eng)
 		if err != nil {
-			p.record(Event{Kind: "wal-error", Project: projectID, Message: "snapshot: " + err.Error()})
-			return fmt.Errorf("platform: snapshotting %s: %w", projectID, err)
+			p.record(Event{Kind: "wal-error", Project: s.id, Message: "snapshot: " + err.Error()})
+			return fmt.Errorf("platform: snapshotting %s: %w", s.id, err)
 		}
 		if err := wb.log.TruncateObsolete(); err != nil {
-			p.record(Event{Kind: "wal-error", Project: projectID, Message: "truncate: " + err.Error()})
-			return fmt.Errorf("platform: truncating %s: %w", projectID, err)
+			p.record(Event{Kind: "wal-error", Project: s.id, Message: "truncate: " + err.Error()})
+			return fmt.Errorf("platform: truncating %s: %w", s.id, err)
 		}
 		p.mu.Lock()
 		wb.appends = 0
 		p.mu.Unlock()
-		p.record(Event{Kind: "wal-snapshot", Project: projectID,
+		p.record(Event{Kind: "wal-snapshot", Project: s.id,
 			Message: fmt.Sprintf("snapshot covers seq %d", seq)})
 	}
 	return nil

@@ -203,6 +203,76 @@ func TestWALSnapshotCadence(t *testing.T) {
 	}
 }
 
+// TestFailedAppendIsAppendedByTheNextCommit closes the project's log before
+// a commit, so the commit's append fails, then reattaches the log on the
+// same directory and commits the next answer. The failed round's answer
+// stays applied in the live engine, so it must reach the log with the next
+// round's: a recovery of the log must equal the live engine.
+func TestFailedAppendIsAppendedByTheNextCommit(t *testing.T) {
+	p, _ := newPlatformWithCrowd(t, 1)
+	admin, err := p.RegisterProject(translationProject())
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := admin.Description.ID
+	dir := t.TempDir()
+	l, err := wal.Open(dir, wal.Options{Policy: wal.SyncOff})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.AttachWAL(id, l, 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.CommitRound(id); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.StageAnswer(id, "translated|1", map[string]any{"text": "a0"}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.CommitRound(id); err == nil {
+		t.Fatal("a commit whose append fails succeeded")
+	}
+	if got := eventKinds(p)["wal-error"]; got != 1 {
+		t.Fatalf("wal-error events = %d, want 1", got)
+	}
+	l, err = wal.Open(dir, wal.Options{Policy: wal.SyncOff})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.AttachWAL(id, l, 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.StageAnswer(id, "translated|2", map[string]any{"text": "a1"}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.CommitRound(id); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	p2, _ := newPlatformWithCrowd(t, 1)
+	admin2, err := p2.RegisterProject(translationProject())
+	if err != nil {
+		t.Fatal(err)
+	}
+	l2, err := wal.Open(dir, wal.Options{Policy: wal.SyncOff})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l2.Close()
+	if _, err := p2.RecoverProject(admin2.Description.ID, l2, 0); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := engineFingerprint(p2.Engine(admin2.Description.ID)), engineFingerprint(p.Engine(id)); got != want {
+		t.Fatalf("recovered engine differs from the live one:\n got %s\nwant %s", got, want)
+	}
+}
+
 func TestAttachWALRequiresEngine(t *testing.T) {
 	p, _ := newPlatformWithCrowd(t, 5)
 	plain, err := p.RegisterProject(project.Description{Name: "plain"})

@@ -3,6 +3,7 @@ package platform
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -31,11 +32,39 @@ import (
 // nothing can be staged against or derived for it.
 var ErrNoEngine = errors.New("platform: project has no CyLog engine")
 
-// roundState is a project's currently staging answer round: the batch
-// collecting answers plus the sequence number CommitRound will stamp on it.
-type roundState struct {
+// servedProject is the platform's record of a project with a CyLog engine,
+// created by RegisterProject: the engine and what the commit path keeps
+// beside it.
+type servedProject struct {
+	id  project.ID
+	eng *cylog.Engine
+	// commit serializes the project's commits: CommitRound end to end,
+	// whoever calls it (the deriver, SubmitResult, GenerateTasksFromCyLog or
+	// the API's fixpoint endpoint). p.mu is dropped during the fixpoint and
+	// the WAL append; without this lock two concurrent commits could publish
+	// their round-stamped "fixpoint" events out of order, breaking the round
+	// contract above, and race into the project's WAL.
+	commit sync.Mutex
+
+	// The fields below are guarded by p.mu.
+
+	// batch is the answer round staging now (nil until an answer is staged
+	// into it) and seq the sequence number CommitRound stamps on it, or on
+	// an empty round when nothing is staged. seq starts at 1 and every
+	// commit advances it.
 	batch *cylog.AnswerBatch
 	seq   uint64
+	// wal is the attached write-ahead log, nil until AttachWAL; see
+	// platform_wal.go.
+	wal *walBinding
+}
+
+// lookup returns the project's record, or nil when the project has no
+// engine.
+func (p *Platform) lookup(id project.ID) *servedProject {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.served[id]
 }
 
 // EngineFor resolves the project's engine. Only when the project has none
@@ -45,8 +74,17 @@ type roundState struct {
 // registry's Get copies the admin record, which the feed, answer and fact
 // paths have no use for.
 func (p *Platform) EngineFor(projectID project.ID) (*cylog.Engine, error) {
-	if eng := p.Engine(projectID); eng != nil {
-		return eng, nil
+	s, err := p.servedFor(projectID)
+	if err != nil {
+		return nil, err
+	}
+	return s.eng, nil
+}
+
+// servedFor is EngineFor for the project's whole record.
+func (p *Platform) servedFor(projectID project.ID) (*servedProject, error) {
+	if s := p.lookup(projectID); s != nil {
+		return s, nil
 	}
 	if _, ok := p.Projects.Get(projectID); !ok {
 		return nil, fmt.Errorf("%w: %s", project.ErrUnknownProject, projectID)
@@ -54,30 +92,15 @@ func (p *Platform) EngineFor(projectID project.ID) (*cylog.Engine, error) {
 	return nil, fmt.Errorf("%w: %s", ErrNoEngine, projectID)
 }
 
-// currentRound returns the project's staging round, opening a new one (with
-// the next sequence number) when none is staging.
-func (p *Platform) currentRound(id project.ID, eng *cylog.Engine) (*cylog.AnswerBatch, uint64) {
+// currentRound returns the project's staging round, opening one when none
+// is staging.
+func (p *Platform) currentRound(s *servedProject) (*cylog.AnswerBatch, uint64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	rs := p.rounds[id]
-	if rs == nil {
-		if p.nextRound[id] == 0 {
-			p.nextRound[id] = 1
-		}
-		rs = &roundState{batch: eng.NewAnswerBatch(), seq: p.nextRound[id]}
-		p.rounds[id] = rs
+	if s.batch == nil {
+		s.batch = s.eng.NewAnswerBatch()
 	}
-	return rs.batch, rs.seq
-}
-
-// retireRound drops the project's round if it still holds the given
-// (already committed) batch, so the next stage opens a fresh round.
-func (p *Platform) retireRound(id project.ID, b *cylog.AnswerBatch) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if rs := p.rounds[id]; rs != nil && rs.batch == b {
-		delete(p.rounds, id)
-	}
+	return s.batch, s.seq
 }
 
 // StageAnswer stages a worker's answer for a pending open request into the
@@ -88,15 +111,16 @@ func (p *Platform) retireRound(id project.ID, b *cylog.AnswerBatch) {
 // number of concurrent callers; a stage that races with a commit retries into
 // the next round rather than losing the answer.
 func (p *Platform) StageAnswer(projectID project.ID, requestID string, values map[string]any) (uint64, error) {
-	eng, err := p.EngineFor(projectID)
+	s, err := p.servedFor(projectID)
 	if err != nil {
 		return 0, err
 	}
 	for {
-		batch, seq := p.currentRound(projectID, eng)
+		batch, seq := p.currentRound(s)
 		err := batch.Answer(requestID, values)
 		if errors.Is(err, cylog.ErrBatchCommitted) {
-			p.retireRound(projectID, batch)
+			// CommitRound detaches a batch before it commits it, so the
+			// next look finds a fresh round.
 			continue
 		}
 		if err == nil {
@@ -106,31 +130,9 @@ func (p *Platform) StageAnswer(projectID project.ID, requestID string, values ma
 	}
 }
 
-// StageFact stages a whole open-relation fact (the ingress twin of
-// Engine.AnswerFact) into the project's current round and returns the round's
-// sequence number. When the round commits, every pending request whose key
-// the fact covers is closed.
-func (p *Platform) StageFact(projectID project.ID, relation string, values ...any) (uint64, error) {
-	eng, err := p.EngineFor(projectID)
-	if err != nil {
-		return 0, err
-	}
-	for {
-		batch, seq := p.currentRound(projectID, eng)
-		err := batch.AnswerFact(relation, values...)
-		if errors.Is(err, cylog.ErrBatchCommitted) {
-			p.retireRound(projectID, batch)
-			continue
-		}
-		if err == nil {
-			p.signalStaged()
-		}
-		return seq, err
-	}
-}
-
-// AddFact ingests a base fact into the project's engine (Engine.AddFact). It
-// is staged as a seed delta and derived by the next commit; before the
+// AddFact ingests a fact into the project's engine (Engine.AddFact; a fact
+// for an open relation also closes the requests its key covers). It is
+// staged as a seed delta and derived by the next commit; before the
 // project's first fixpoint it is only loaded, since the first commit
 // evaluates everything, and the deriver is not woken.
 func (p *Platform) AddFact(projectID project.ID, relation string, values ...any) error {
@@ -148,12 +150,12 @@ func (p *Platform) AddFact(projectID project.ID, relation string, values ...any)
 }
 
 // Staged returns the channel a deriver waits on: it receives a value after
-// work is left for CommitRound — an answer or fact staged into a round
-// (StageAnswer, StageFact) or a fact ingested into an engine (AddFact). The
-// channel holds at most one signal and senders never block, so signals
-// coalesce: a deriver that receives one and then commits every project with
-// staged work misses nothing, because work staged after it looked signals
-// again. One deriver per platform should receive from it; a second would take
+// work is left for CommitRound — an answer staged into a round
+// (StageAnswer) or a fact ingested into an engine (AddFact). The channel
+// holds at most one signal and senders never block, so signals coalesce: a
+// deriver that receives one and then commits every project StagedProjects
+// lists misses nothing, because work staged after it looked signals again.
+// One deriver per platform should receive from it; a second would take
 // signals meant for the first.
 func (p *Platform) Staged() <-chan struct{} { return p.staged }
 
@@ -169,12 +171,36 @@ func (p *Platform) signalStaged() {
 // the ingress queue depth the API layer's admission control bounds.
 func (p *Platform) StagedAnswers(projectID project.ID) int {
 	p.mu.Lock()
-	rs := p.rounds[projectID]
+	var batch *cylog.AnswerBatch
+	if s := p.served[projectID]; s != nil {
+		batch = s.batch
+	}
 	p.mu.Unlock()
-	if rs == nil {
+	if batch == nil {
 		return 0
 	}
-	return rs.batch.Len()
+	return batch.Len()
+}
+
+// StagedProjects returns, in id order, the projects with work left for
+// CommitRound: answers staged into the current round, or facts ingested
+// into the engine since its last fixpoint. A deriver commits them after
+// each Staged signal. It copies no admin record.
+func (p *Platform) StagedProjects() []project.ID {
+	p.mu.Lock()
+	recs := make([]*servedProject, 0, len(p.served))
+	for _, s := range p.served {
+		recs = append(recs, s)
+	}
+	p.mu.Unlock()
+	var ids []project.ID
+	for _, s := range recs {
+		if p.StagedAnswers(s.id) > 0 || s.eng.StagedDeltas() > 0 {
+			ids = append(ids, s.id)
+		}
+	}
+	slices.Sort(ids)
+	return ids
 }
 
 // NextRound reports the sequence number the project's next commit will carry
@@ -182,13 +208,10 @@ func (p *Platform) StagedAnswers(projectID project.ID) int {
 func (p *Platform) NextRound(id project.ID) uint64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if rs := p.rounds[id]; rs != nil {
-		return rs.seq
+	if s := p.served[id]; s != nil {
+		return s.seq
 	}
-	if p.nextRound[id] == 0 {
-		return 1
-	}
-	return p.nextRound[id]
+	return 1
 }
 
 // RoundCommit reports one committed answer round.
@@ -213,21 +236,6 @@ type RoundCommit struct {
 	Duration time.Duration
 }
 
-// commitLock returns the project's commit mutex, creating it on first use.
-func (p *Platform) commitLock(id project.ID) *sync.Mutex {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.commits == nil {
-		p.commits = make(map[project.ID]*sync.Mutex)
-	}
-	cl := p.commits[id]
-	if cl == nil {
-		cl = &sync.Mutex{}
-		p.commits[id] = cl
-	}
-	return cl
-}
-
 // CommitRound atomically commits the project's staging round: the batch's
 // answers are inserted, the delta-seeded incremental fixpoint re-derives
 // consequences, the round is persisted to the project's WAL (when attached)
@@ -245,27 +253,30 @@ func (p *Platform) commitLock(id project.ID) *sync.Mutex {
 // "observed fixpoint round >= N" as proof that round N's answers are
 // inserted and durable.
 func (p *Platform) CommitRound(projectID project.ID) (RoundCommit, error) {
-	eng, err := p.EngineFor(projectID)
+	s, err := p.servedFor(projectID)
 	if err != nil {
 		return RoundCommit{}, err
 	}
-	cl := p.commitLock(projectID)
-	cl.Lock()
-	defer cl.Unlock()
-	batch, seq := p.detachRound(projectID)
-	// With nothing staging the commit still consumes a sequence number (an
-	// empty round), keeping round numbers monotone so "staged into round N,
-	// committed by some round >= N" stays a valid durability test.
+	s.commit.Lock()
+	defer s.commit.Unlock()
+	// Detach the staging round, so stagers open the next one. With nothing
+	// staging the commit still consumes a sequence number (an empty round),
+	// keeping round numbers monotone so "staged into round N, committed by
+	// some round >= N" stays a valid durability test.
+	p.mu.Lock()
+	batch, seq := s.batch, s.seq
+	s.batch, s.seq = nil, seq+1
+	p.mu.Unlock()
 	start := time.Now()
 	answers := 0
 	if batch != nil {
 		answers = batch.Len()
 	}
-	pending, err := eng.RunIncremental(batch)
+	pending, err := s.eng.RunIncremental(batch)
 	if err != nil {
 		return RoundCommit{Seq: seq}, err
 	}
-	rc := RoundCommit{Seq: seq, Answers: answers, Pending: pending, Stats: eng.Stats()}
+	rc := RoundCommit{Seq: seq, Answers: answers, Pending: pending, Stats: s.eng.Stats()}
 	if batch != nil {
 		for _, be := range batch.CommitErrors() {
 			rc.Skipped++
@@ -274,36 +285,18 @@ func (p *Platform) CommitRound(projectID project.ID) (RoundCommit, error) {
 	}
 	// Durability barrier: the round's answers reach the WAL before the commit
 	// is acknowledged or any consequence is handed out.
-	if err := p.persistRound(projectID, eng); err != nil {
+	if err := p.persistRound(s); err != nil {
 		return rc, err
 	}
 	// With the round durable, let the backend enforce its residency policy
 	// (the disk backend pages cold relations out between rounds; memory is a
 	// no-op). Best-effort: failures become events, not commit failures.
-	p.maintainBackend(projectID, eng)
+	p.maintainBackend(projectID, s.eng)
 	rc.Duration = time.Since(start)
 	p.record(Event{Kind: "fixpoint", Project: projectID, Round: seq,
 		Message: fmt.Sprintf("%d answers (%d skipped), %d pending requests, %s",
 			rc.Answers, rc.Skipped, rc.Pending.Len(), rc.Duration.Round(time.Microsecond))})
 	return rc, nil
-}
-
-// detachRound removes and returns the project's staging round (a nil batch
-// when none is staged) and advances the round sequence.
-func (p *Platform) detachRound(id project.ID) (*cylog.AnswerBatch, uint64) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.nextRound[id] == 0 {
-		p.nextRound[id] = 1
-	}
-	seq := p.nextRound[id]
-	var batch *cylog.AnswerBatch
-	if rs := p.rounds[id]; rs != nil {
-		batch, seq = rs.batch, rs.seq
-		delete(p.rounds, id)
-	}
-	p.nextRound[id] = seq + 1
-	return batch, seq
 }
 
 // Subscribe registers a sink that observes every platform event as it is

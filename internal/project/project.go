@@ -6,10 +6,8 @@
 package project
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
-	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -68,9 +66,6 @@ type Description struct {
 	// Storage overrides the platform-wide relstore backend for this
 	// project's engine: "" (platform default), "memory" or "disk".
 	Storage string
-	// CommitInterval is the minimum spacing between this project's commits
-	// by the service layer's background deriver (0 = commit on arrival).
-	CommitInterval time.Duration
 	// CreatedAt is when the project was registered.
 	CreatedAt time.Time
 }
@@ -106,9 +101,6 @@ func (d *Description) Validate() error {
 	case "", "memory", "disk":
 	default:
 		errs = append(errs, fmt.Sprintf("unknown storage backend %q (want memory or disk)", d.Storage))
-	}
-	if d.CommitInterval < 0 {
-		errs = append(errs, "commit interval must be non-negative")
 	}
 	if d.CyLogSource != "" {
 		prog, err := cylog.Parse(d.CyLogSource)
@@ -218,26 +210,6 @@ func (r *Registry) All() []*Admin {
 	return out
 }
 
-// Schedule is what a deriver reads of a project on every wake: its id and
-// its minimum commit spacing.
-type Schedule struct {
-	ID             ID
-	CommitInterval time.Duration
-}
-
-// Schedules returns every project's Schedule in id order. Unlike All it
-// copies no admin record.
-func (r *Registry) Schedules() []Schedule {
-	r.mu.RLock()
-	out := make([]Schedule, 0, len(r.projects))
-	for id, a := range r.projects {
-		out = append(out, Schedule{ID: id, CommitInterval: a.Description.CommitInterval})
-	}
-	r.mu.RUnlock()
-	slices.SortFunc(out, func(a, b Schedule) int { return cmp.Compare(a.ID, b.ID) })
-	return out
-}
-
 // Count returns the number of registered projects.
 func (r *Registry) Count() int {
 	r.mu.RLock()
@@ -273,24 +245,6 @@ func (r *Registry) UpdateFactors(id ID, f DesiredFactors) (*Admin, error) {
 		return nil, err
 	}
 	a.Description = d
-	return cloneAdmin(a), nil
-}
-
-// SetCommitInterval replaces the project's minimum commit spacing (0 =
-// commit on arrival) and returns the updated admin record. The deriver loop
-// in internal/api reads it whenever it looks for staged work, so the change
-// takes effect without restarting anything.
-func (r *Registry) SetCommitInterval(id ID, iv time.Duration) (*Admin, error) {
-	if iv < 0 {
-		return nil, fmt.Errorf("project: commit interval must be non-negative")
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	a, ok := r.projects[id]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrUnknownProject, id)
-	}
-	a.Description.CommitInterval = iv
 	return cloneAdmin(a), nil
 }
 

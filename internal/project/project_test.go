@@ -115,33 +115,6 @@ func TestRegistryRegisterAndGet(t *testing.T) {
 	}
 }
 
-// TestRegistrySchedules checks the deriver's view of the registry: every
-// project's id and commit interval in id order, following
-// SetCommitInterval.
-func TestRegistrySchedules(t *testing.T) {
-	r := NewRegistry()
-	for _, id := range []ID{"b", "c", "a"} {
-		d := validDescription()
-		d.ID = id
-		if _, err := r.Register(d); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := r.SetCommitInterval("c", 5*time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	got := r.Schedules()
-	want := []Schedule{{ID: "a"}, {ID: "b"}, {ID: "c", CommitInterval: 5 * time.Millisecond}}
-	if len(got) != len(want) {
-		t.Fatalf("Schedules = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Schedules = %v, want %v", got, want)
-		}
-	}
-}
-
 func TestRegistryDefaultScheme(t *testing.T) {
 	r := NewRegistry()
 	d := validDescription()

@@ -68,7 +68,7 @@ func benchOracleLoopDurable(b *testing.B, edges, wave int, policy SyncPolicy) {
 			b.Fatal(err)
 		}
 		reqs := e.PendingView().Page(0, wave)
-		if _, err := l.Append(e.DrainJournal()); err != nil {
+		if _, err := l.Append(drain(e)); err != nil {
 			b.Fatal(err)
 		}
 		for round := 0; len(reqs) > 0 && round < 1000; round++ {
@@ -89,7 +89,7 @@ func benchOracleLoopDurable(b *testing.B, edges, wave int, policy SyncPolicy) {
 				b.Fatal(err)
 			}
 			reqs = view.Page(0, wave)
-			if _, err := l.Append(e.DrainJournal()); err != nil {
+			if _, err := l.Append(drain(e)); err != nil {
 				b.Fatal(err)
 			}
 		}

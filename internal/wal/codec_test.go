@@ -226,7 +226,7 @@ func TestTruncateObsoleteKeepsUncoveredSuffix(t *testing.T) {
 	if _, err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.Append(e.DrainJournal()); err != nil { // record 1
+	if _, err := l.Append(drain(e)); err != nil { // record 1
 		t.Fatal(err)
 	}
 	if _, err := l.Snapshot(e); err != nil { // covers seq 1
@@ -238,7 +238,7 @@ func TestTruncateObsoleteKeepsUncoveredSuffix(t *testing.T) {
 	if _, err := e.RunIncremental(nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.Append(e.DrainJournal()); err != nil { // record 2, uncovered
+	if _, err := l.Append(drain(e)); err != nil { // record 2, uncovered
 		t.Fatal(err)
 	}
 	if err := l.TruncateObsolete(); err != nil {
@@ -254,7 +254,7 @@ func TestTruncateObsoleteKeepsUncoveredSuffix(t *testing.T) {
 	if _, err := e.RunIncremental(nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.Append(e.DrainJournal()); err != nil { // record 3, post-truncate
+	if _, err := l.Append(drain(e)); err != nil { // record 3, post-truncate
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {

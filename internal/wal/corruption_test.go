@@ -212,7 +212,7 @@ func TestSnapshotNewerThanLogTail(t *testing.T) {
 	if _, err := live.RunIncremental(nil); err != nil {
 		t.Fatal(err)
 	}
-	seq, err := l2.Append(live.DrainJournal())
+	seq, err := l2.Append(drain(live))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +248,7 @@ func TestCorruptSnapshotFallsBack(t *testing.T) {
 	if _, err := live.RunIncremental(nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.Append(live.DrainJournal()); err != nil { // record 3
+	if _, err := l.Append(drain(live)); err != nil { // record 3
 		t.Fatal(err)
 	}
 	if _, err := l.Snapshot(live); err != nil { // snap-3

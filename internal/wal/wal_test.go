@@ -39,6 +39,14 @@ func newTestEngine(t testing.TB) *cylog.Engine {
 	return e
 }
 
+// drain returns the engine's journal and trims it, as a commit does once
+// it has appended the journal.
+func drain(e *cylog.Engine) []cylog.FactOp {
+	ops := e.Journal()
+	e.TrimJournal(len(ops))
+	return ops
+}
+
 func fingerprint(t testing.TB, e *cylog.Engine) string {
 	t.Helper()
 	var b strings.Builder
@@ -75,7 +83,7 @@ func ingestChain(t testing.TB, l *Log, nodes int, answerEvery int) *cylog.Engine
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.Append(e.DrainJournal()); err != nil {
+	if _, err := l.Append(drain(e)); err != nil {
 		t.Fatal(err)
 	}
 	b := e.NewAnswerBatch()
@@ -91,7 +99,7 @@ func ingestChain(t testing.TB, l *Log, nodes int, answerEvery int) *cylog.Engine
 	if _, err := e.RunIncremental(b); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.Append(e.DrainJournal()); err != nil {
+	if _, err := l.Append(drain(e)); err != nil {
 		t.Fatal(err)
 	}
 	return e
@@ -164,7 +172,7 @@ func TestSnapshotAndTruncate(t *testing.T) {
 	if _, err := live.RunIncremental(b); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := l.Append(live.DrainJournal()); err != nil {
+	if _, err := l.Append(drain(live)); err != nil {
 		t.Fatal(err)
 	}
 	st := l.Stats()
@@ -226,7 +234,7 @@ func TestTruncateObsolete(t *testing.T) {
 	if _, err := live.RunIncremental(nil); err != nil {
 		t.Fatal(err)
 	}
-	seq, err := l.Append(live.DrainJournal())
+	seq, err := l.Append(drain(live))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +275,7 @@ func TestSyncPolicies(t *testing.T) {
 		if err := e.AddFact("edge", 1, 2); err != nil {
 			t.Fatal(err)
 		}
-		return e.DrainJournal()
+		return drain(e)
 	}
 	t.Run("off", func(t *testing.T) {
 		l, err := Open(t.TempDir(), Options{Policy: SyncOff})
@@ -300,7 +308,7 @@ func TestSyncPolicies(t *testing.T) {
 		if err := e.AddFact("edge", 2, 3); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := l.Append(e.DrainJournal()); err != nil {
+		if _, err := l.Append(drain(e)); err != nil {
 			t.Fatal(err)
 		}
 		if st := l.Stats(); st.Syncs != 1 {

@@ -1,17 +1,17 @@
-// Package webui exposes the Crowd4U platform over HTTP: the project
-// administration page with its constraint-entry form (Figure 3), worker pages
-// showing human factors and the eligible-task list (Figure 4), the form-based
-// task UI used during collaboration (Figure 5), and a small read-only JSON
-// view of projects, tasks, workers, events and teams, plus POST /api/cycle,
-// which runs one deployment cycle with an attached simulated crowd. The
-// service API for crowd traffic is internal/api.
+// Package webui is the Crowd4U platform's HTML front end: the dashboard, the
+// project administration page with its constraint-entry form (Figure 3),
+// worker pages showing human factors and the eligible-task list (Figure 4),
+// and the form-based task UI used during collaboration (Figure 5), which
+// lists a task's suggested team. The dashboard's POST /admin/cycle runs one
+// deployment cycle of Figure 1 with an attached simulated crowd. JSON
+// clients use the service API, internal/api, which serves the projects and
+// the event stream under /api/v1 and mounts this UI on every other path.
 //
 // The server is deliberately framework-free (net/http + html/template) and
 // holds no state of its own: every request reads and writes the platform.
 package webui
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"html/template"
@@ -26,12 +26,13 @@ import (
 	"github.com/crowd4u/crowd4u-go/internal/worker"
 )
 
-// Server serves the Crowd4U web UI and JSON API for one platform instance.
+// Server serves the Crowd4U web UI for one platform instance.
 type Server struct {
 	Platform *platform.Platform
-	// Crowd, when non-nil, is used by POST /api/cycle to run full deployment
-	// cycles with a simulated crowd; production deployments leave it nil and
-	// drive interest/undertake/answers through the worker-facing endpoints.
+	// Crowd, when non-nil, is the simulated crowd the dashboard's cycle
+	// action (POST /admin/cycle) runs deployment cycles with. Without one the
+	// action answers 412, and workers declare interest and answer tasks
+	// through the worker and task pages.
 	Crowd platform.Crowd
 
 	mux  *http.ServeMux
@@ -45,6 +46,7 @@ func NewServer(p *platform.Platform, crowd platform.Crowd) *Server {
 	mux := http.NewServeMux()
 
 	mux.HandleFunc("GET /", s.handleDashboard)
+	mux.HandleFunc("POST /admin/cycle", s.handleCycle)
 	mux.HandleFunc("GET /admin/projects", s.handleProjectList)
 	mux.HandleFunc("GET /admin/projects/new", s.handleProjectForm)
 	mux.HandleFunc("POST /admin/projects", s.handleProjectCreate)
@@ -55,13 +57,6 @@ func NewServer(p *platform.Platform, crowd platform.Crowd) *Server {
 	mux.HandleFunc("POST /workers/{id}/interest", s.handleWorkerInterest)
 	mux.HandleFunc("GET /tasks/{id}", s.handleTaskPage)
 	mux.HandleFunc("POST /tasks/{id}/answer", s.handleTaskAnswer)
-
-	mux.HandleFunc("GET /api/projects", s.apiProjects)
-	mux.HandleFunc("GET /api/tasks", s.apiTasks)
-	mux.HandleFunc("GET /api/workers", s.apiWorkers)
-	mux.HandleFunc("GET /api/events", s.apiEvents)
-	mux.HandleFunc("GET /api/teams/{task}", s.apiTeam)
-	mux.HandleFunc("POST /api/cycle", s.apiCycle)
 	s.mux = mux
 	return s
 }
@@ -78,12 +73,6 @@ func (s *Server) render(w http.ResponseWriter, name string, data any) {
 	if err := s.tmpl.ExecuteTemplate(w, name, data); err != nil {
 		s.renderError(w, http.StatusInternalServerError, "template error: %v", err)
 	}
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v) //nolint:errcheck // best-effort response body
 }
 
 // ---- HTML pages -----------------------------------------------------------
@@ -112,6 +101,22 @@ func (s *Server) handleDashboard(w http.ResponseWriter, r *http.Request) {
 		TaskCounts: s.Platform.Tasks.Counts(),
 		Events:     events,
 	})
+}
+
+// handleCycle runs one deployment cycle of Figure 1 for every active
+// project with the attached crowd — task generation from the CyLog
+// programs, team assignment and collaborative execution — and redirects to
+// the dashboard, whose task counts and recent events show the outcome.
+func (s *Server) handleCycle(w http.ResponseWriter, r *http.Request) {
+	if s.Crowd == nil {
+		s.renderError(w, http.StatusPreconditionFailed, "no crowd attached; workers answer through the worker and task pages")
+		return
+	}
+	if _, err := s.Platform.RunCycle(s.Crowd); err != nil {
+		s.renderError(w, http.StatusInternalServerError, "cycle failed: %v", err)
+		return
+	}
+	http.Redirect(w, r, "/", http.StatusSeeOther)
 }
 
 func (s *Server) handleProjectList(w http.ResponseWriter, _ *http.Request) {
@@ -399,107 +404,4 @@ func (s *Server) handleTaskAnswer(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	http.Redirect(w, r, "/tasks/"+string(id), http.StatusSeeOther)
-}
-
-// ---- JSON API ---------------------------------------------------------------
-
-type projectJSON struct {
-	ID      project.ID     `json:"id"`
-	Name    string         `json:"name"`
-	Status  project.Status `json:"status"`
-	Scheme  string         `json:"scheme"`
-	Notices int            `json:"notices"`
-}
-
-func (s *Server) apiProjects(w http.ResponseWriter, _ *http.Request) {
-	var out []projectJSON
-	for _, a := range s.Platform.Projects.All() {
-		out = append(out, projectJSON{
-			ID: a.Description.ID, Name: a.Description.Name, Status: a.Status,
-			Scheme: string(a.Description.Scheme), Notices: len(a.Notices),
-		})
-	}
-	writeJSON(w, http.StatusOK, out)
-}
-
-type taskJSON struct {
-	ID        task.ID `json:"id"`
-	Project   string  `json:"project"`
-	Title     string  `json:"title"`
-	Scheme    string  `json:"scheme"`
-	State     string  `json:"state"`
-	Generated string  `json:"generated_by,omitempty"`
-}
-
-func (s *Server) apiTasks(w http.ResponseWriter, r *http.Request) {
-	stateFilter := r.URL.Query().Get("state")
-	var out []taskJSON
-	for _, t := range s.Platform.Tasks.All() {
-		if stateFilter != "" && t.State().String() != stateFilter {
-			continue
-		}
-		out = append(out, taskJSON{
-			ID: t.ID, Project: t.ProjectID, Title: t.Title,
-			Scheme: string(t.Scheme), State: t.State().String(), Generated: t.GeneratedBy,
-		})
-	}
-	writeJSON(w, http.StatusOK, out)
-}
-
-type workerJSON struct {
-	ID        worker.ID `json:"id"`
-	Name      string    `json:"name"`
-	Languages []string  `json:"languages"`
-	Region    string    `json:"region"`
-	Completed int       `json:"completed_tasks"`
-}
-
-func (s *Server) apiWorkers(w http.ResponseWriter, _ *http.Request) {
-	var out []workerJSON
-	for _, wk := range s.Platform.Workers.All() {
-		out = append(out, workerJSON{
-			ID: wk.ID, Name: wk.Name, Languages: wk.Factors.NativeLanguages,
-			Region: wk.Factors.Location.Region, Completed: wk.CompletedTasks,
-		})
-	}
-	writeJSON(w, http.StatusOK, out)
-}
-
-func (s *Server) apiEvents(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, s.Platform.Events())
-}
-
-type teamJSON struct {
-	TaskID   task.ID     `json:"task_id"`
-	Members  []worker.ID `json:"members"`
-	Affinity float64     `json:"affinity"`
-	Skill    float64     `json:"skill"`
-	Cost     float64     `json:"cost"`
-}
-
-func (s *Server) apiTeam(w http.ResponseWriter, r *http.Request) {
-	id := task.ID(r.PathValue("task"))
-	team, ok := s.Platform.Controller.Suggestion(id)
-	if !ok {
-		writeJSON(w, http.StatusNotFound, map[string]string{"error": "no suggested team for task " + string(id)})
-		return
-	}
-	writeJSON(w, http.StatusOK, teamJSON{
-		TaskID: id, Members: team.Members, Affinity: team.Affinity, Skill: team.Skill, Cost: team.Cost,
-	})
-}
-
-// apiCycle runs one full deployment cycle of every active project with the
-// attached simulated crowd.
-func (s *Server) apiCycle(w http.ResponseWriter, _ *http.Request) {
-	if s.Crowd == nil {
-		writeJSON(w, http.StatusPreconditionFailed, map[string]string{"error": "no crowd attached; drive workers through the worker endpoints"})
-		return
-	}
-	report, err := s.Platform.RunCycle(s.Crowd)
-	if err != nil {
-		writeJSON(w, http.StatusInternalServerError, map[string]string{"error": err.Error()})
-		return
-	}
-	writeJSON(w, http.StatusOK, report)
 }

@@ -1,7 +1,6 @@
 package webui
 
 import (
-	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -9,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/crowd4u/crowd4u-go/internal/api"
 	"github.com/crowd4u/crowd4u-go/internal/crowdsim"
 	"github.com/crowd4u/crowd4u-go/internal/platform"
 	"github.com/crowd4u/crowd4u-go/internal/project"
@@ -28,7 +28,7 @@ func newTestServer(t *testing.T) (*Server, *platform.Platform, *crowdsim.Crowd) 
 	return NewServer(p, crowd), p, crowd
 }
 
-func get(t *testing.T, s *Server, path string) *httptest.ResponseRecorder {
+func get(t *testing.T, s http.Handler, path string) *httptest.ResponseRecorder {
 	t.Helper()
 	req := httptest.NewRequest(http.MethodGet, path, nil)
 	rec := httptest.NewRecorder()
@@ -36,7 +36,7 @@ func get(t *testing.T, s *Server, path string) *httptest.ResponseRecorder {
 	return rec
 }
 
-func postForm(t *testing.T, s *Server, path string, form url.Values) *httptest.ResponseRecorder {
+func postForm(t *testing.T, s http.Handler, path string, form url.Values) *httptest.ResponseRecorder {
 	t.Helper()
 	req := httptest.NewRequest(http.MethodPost, path, strings.NewReader(form.Encode()))
 	req.Header.Set("Content-Type", "application/x-www-form-urlencoded")
@@ -295,59 +295,42 @@ func TestTaskPageAndAnswer(t *testing.T) {
 	}
 }
 
-func TestJSONAPIAndCycle(t *testing.T) {
-	s, p, _ := newTestServer(t)
-	p.RegisterProject(translationProject())
-
-	rec := get(t, s, "/api/projects")
-	var projects []projectJSON
-	if err := json.Unmarshal(rec.Body.Bytes(), &projects); err != nil || len(projects) != 1 {
-		t.Fatalf("projects api = %d %s", rec.Code, rec.Body.String())
-	}
-
-	// Run one full cycle through the API.
-	rec = postForm(t, s, "/api/cycle", url.Values{})
-	if rec.Code != http.StatusOK {
-		t.Fatalf("cycle = %d %s", rec.Code, rec.Body.String())
-	}
-	var report platform.CycleReport
-	if err := json.Unmarshal(rec.Body.Bytes(), &report); err != nil {
+// TestCycleAction runs one deployment cycle from the dashboard's button,
+// through the API server the UI is mounted under as in cmd/crowdserve: the
+// translation project's two tasks are generated and completed, the
+// dashboard and the task pages show them, and a task page lists its
+// suggested team.
+func TestCycleAction(t *testing.T) {
+	ui, p, _ := newTestServer(t)
+	srv := api.NewServer(p, api.Options{UI: ui})
+	t.Cleanup(srv.Close)
+	if _, err := p.RegisterProject(translationProject()); err != nil {
 		t.Fatal(err)
 	}
-	if report.GeneratedTasks != 2 || report.CompletedTasks != 2 {
-		t.Errorf("cycle report = %+v", report)
+	if rec := get(t, srv, "/"); !strings.Contains(rec.Body.String(), `action="/admin/cycle"`) {
+		t.Fatalf("dashboard has no cycle button: %d %s", rec.Code, rec.Body.String())
 	}
-
-	rec = get(t, s, "/api/tasks?state=completed")
-	var tasks []taskJSON
-	if err := json.Unmarshal(rec.Body.Bytes(), &tasks); err != nil || len(tasks) != 2 {
-		t.Errorf("tasks api = %s", rec.Body.String())
+	rec := postForm(t, srv, "/admin/cycle", url.Values{})
+	if rec.Code != http.StatusSeeOther || rec.Header().Get("Location") != "/" {
+		t.Fatalf("cycle = %d (Location %q) %s, want 303 to the dashboard", rec.Code, rec.Header().Get("Location"), rec.Body.String())
 	}
-	rec = get(t, s, "/api/workers")
-	var workers []workerJSON
-	if err := json.Unmarshal(rec.Body.Bytes(), &workers); err != nil || len(workers) != 15 {
-		t.Errorf("workers api = %s", rec.Body.String())
+	completed := p.Tasks.InState(task.StateCompleted)
+	if n := p.Tasks.Len(); n != 2 || len(completed) != 2 {
+		t.Fatalf("after one cycle: %d tasks, %d completed; want 2 generated and completed", n, len(completed))
 	}
-	rec = get(t, s, "/api/events")
-	if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), "task-completed") {
-		t.Errorf("events api = %d", rec.Code)
+	if rec := get(t, srv, "/"); !strings.Contains(rec.Body.String(), "task-completed") {
+		t.Errorf("dashboard does not show the completions: %s", rec.Body.String())
 	}
-	// Teams for completed tasks have been cleared from the worker relations
-	// but the suggestion is still queryable; unknown task returns 404.
-	if rec := get(t, s, "/api/teams/absolutely-not-a-task"); rec.Code != http.StatusNotFound {
-		t.Errorf("unknown team = %d", rec.Code)
-	}
-	if len(tasks) > 0 {
-		if rec := get(t, s, "/api/teams/"+string(tasks[0].ID)); rec.Code != http.StatusOK {
-			t.Errorf("team api = %d %s", rec.Code, rec.Body.String())
-		}
+	rec = get(t, srv, "/tasks/"+string(completed[0].ID))
+	if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), "Suggested team") {
+		t.Errorf("task page = %d, want the suggested team: %s", rec.Code, rec.Body.String())
 	}
 }
 
-func TestAPICycleWithoutCrowd(t *testing.T) {
+func TestCycleActionWithoutCrowd(t *testing.T) {
 	p := platform.New()
 	s := NewServer(p, nil)
-	rec := postForm(t, s, "/api/cycle", url.Values{})
+	rec := postForm(t, s, "/admin/cycle", url.Values{})
 	if rec.Code != http.StatusPreconditionFailed {
 		t.Errorf("cycle without crowd = %d", rec.Code)
 	}

@@ -26,6 +26,8 @@ form.factors label{display:block;margin:4px 0}
 {{template "layout_head"}}
 <h1>Crowd4U</h1>
 <p>{{.Projects}} projects · {{.Workers}} workers · {{.Tasks}} tasks</p>
+<form method="post" action="/admin/cycle"><button type="submit">Run one deployment cycle</button>
+(generate tasks from the CyLog programs, assign teams, execute them with the simulated crowd)</form>
 <h2>Task pool</h2>
 <table><tr><th>state</th><th>count</th></tr>
 {{range $state, $n := .TaskCounts}}<tr><td>{{$state}}</td><td>{{$n}}</td></tr>{{end}}
